@@ -383,8 +383,8 @@ type NIC struct {
 	fab *Fabric
 	id  NodeID
 
-	cq    []CQE
-	inbox []Packet
+	cq    fifo[CQE]
+	inbox fifo[Packet]
 
 	// egressFree is the time at which the NIC's transmit engine
 	// becomes idle; transfers posted earlier queue until then.
@@ -407,43 +407,68 @@ func (n *NIC) wake() {
 	}
 }
 
+// fifo is a queue popped by advancing a head index. It rewinds to the
+// start of its backing array whenever it empties — every poller drains
+// until empty — so after warm-up neither push nor pop allocates.
+type fifo[T any] struct {
+	items  []T
+	head   int
+	polled T // the entry pop handed out last
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) empty() bool { return q.head == len(q.items) }
+
+// pop moves the oldest entry into q.polled and returns its address,
+// or nil when the queue is empty.
+func (q *fifo[T]) pop() *T {
+	if q.empty() {
+		return nil
+	}
+	var zero T
+	q.polled, q.items[q.head] = q.items[q.head], zero
+	if q.head++; q.empty() {
+		q.items, q.head = q.items[:0], 0
+	}
+	return &q.polled
+}
+
 func (n *NIC) pushCQE(e CQE) {
-	n.cq = append(n.cq, e)
+	n.cq.push(e)
 	n.wake()
 }
 
 func (n *NIC) pushPacket(p Packet) {
-	n.inbox = append(n.inbox, p)
+	n.inbox.push(p)
 	n.wake()
 }
 
 // PollCQ charges one poll overhead to p and returns the oldest
-// completion, or nil if the CQ is empty.
+// completion, or nil if the CQ is empty. The completion lives in a
+// slot the NIC reuses: it is valid until the next PollCQ on this NIC,
+// whatever arrives meanwhile. No caller keeps it longer — mpi and
+// armci handle each completion, copying out the fields they need
+// (Reliable.TakeWR takes only the WRID), before they poll again; copy
+// the CQE to keep one.
 func (n *NIC) PollCQ(p *vtime.Proc) *CQE {
 	p.Compute(n.fab.cost.PollOverhead)
-	if len(n.cq) == 0 {
-		return nil
-	}
-	e := n.cq[0]
-	n.cq = n.cq[1:]
-	return &e
+	return n.cq.pop()
 }
 
 // PollInbox charges one poll overhead to p and returns the oldest
-// arrived packet, or nil if none.
+// arrived packet, or nil if none. Like PollCQ's result the packet is
+// valid until the next PollInbox on this NIC: mpi.handlePacket copies
+// what it queues as unexpected (envelope fields, the RTS by value) and
+// Reliable.Duplicate records only (From, Seq).
 func (n *NIC) PollInbox(p *vtime.Proc) *Packet {
 	p.Compute(n.fab.cost.PollOverhead)
-	if len(n.inbox) == 0 {
-		return nil
-	}
-	pk := n.inbox[0]
-	n.inbox = n.inbox[1:]
-	return &pk
+	return n.inbox.pop()
 }
 
 // Pending reports whether the NIC holds undelivered completions or
 // packets; it costs nothing (used by wait loops before parking).
-func (n *NIC) Pending() bool { return len(n.cq) > 0 || len(n.inbox) > 0 }
+func (n *NIC) Pending() bool { return !n.cq.empty() || !n.inbox.empty() }
 
 // reserveEgress occupies this NIC's transmit engine for the given wire
 // time starting no earlier than earliest, and returns the interval

@@ -298,3 +298,50 @@ func TestQuickTruthIntervals(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The poll queues hand out a reused slot: the entry must survive
+// arrivals (which may rewind or regrow the backing array) until the
+// next pop, entries must come out in order, and a queue drained
+// between bursts must stop allocating.
+func TestFifoOrderSlotLifetimeAndAllocs(t *testing.T) {
+	var q fifo[int]
+	next, want := 0, 0
+	burst := func(push, pop int) {
+		for i := 0; i < push; i++ {
+			q.push(next)
+			next++
+		}
+		for i := 0; i < pop; i++ {
+			got := q.pop()
+			if got == nil || *got != want {
+				t.Fatalf("pop = %v, want %d", got, want)
+			}
+			q.push(next) // lands on the slot just vacated once the queue rewinds
+			next++
+			if *got != want {
+				t.Fatalf("polled entry changed to %d under a push, want %d", *got, want)
+			}
+			want++
+		}
+	}
+	burst(3, 2)
+	burst(5, 4)
+	for !q.empty() {
+		if got := q.pop(); *got != want {
+			t.Fatalf("drain pop = %d, want %d", *got, want)
+		}
+		want++
+	}
+	if q.pop() != nil || want != next {
+		t.Fatalf("drained %d of %d entries", want, next)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 8; i++ {
+			q.push(i)
+		}
+		for q.pop() != nil {
+		}
+	}); allocs != 0 {
+		t.Fatalf("steady-state burst allocated %v times, want 0", allocs)
+	}
+}

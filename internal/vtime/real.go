@@ -59,10 +59,7 @@ func NewRealSim(clk clock.Clock) *Sim {
 	if clk == nil {
 		clk = clock.Real()
 	}
-	return &Sim{
-		yield: make(chan struct{}),
-		rt:    &realState{clk: clk, epoch: clk.Now()},
-	}
+	return &Sim{rt: &realState{clk: clk, epoch: clk.Now()}}
 }
 
 // IsReal reports whether the sim executes on a real (or fake) clock

@@ -3,10 +3,20 @@
 //
 // A Sim owns a virtual clock and an event heap. Work is performed by
 // procs — goroutines that run in a strict coroutine discipline: at any
-// instant exactly one goroutine (the scheduler or a single proc) is
-// executing, so every run of a given program is bit-for-bit
-// reproducible. Events that fire at the same virtual time execute in
-// the order they were scheduled.
+// instant exactly one goroutine holds the baton and executes, so every
+// run of a given program is bit-for-bit reproducible. Events that fire
+// at the same virtual time execute in the order they were scheduled.
+//
+// There is no scheduler goroutine. A proc that blocks (Compute, Park,
+// returning) keeps the baton and fires events from the heap on its own
+// goroutine until one of them dispatches a proc: if that proc is
+// itself it just returns, otherwise it wakes the other proc's
+// goroutine and sleeps. Event context therefore means "Sim.current is
+// nil", not a particular goroutine: After callbacks run on whichever
+// goroutine holds the baton, never concurrently with anything else.
+// The goroutine inside RunE fires events only until the first dispatch
+// and then sleeps until the run ends — events exhausted, deadline
+// reached, or a panic — when the last baton holder wakes it.
 //
 // Procs model computation by calling Compute, which advances the
 // virtual clock without consuming real CPU time proportional to the
@@ -20,9 +30,7 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -42,36 +50,80 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a scheduled callback. Events are ordered by (at, seq) so
-// that simultaneous events run in scheduling order. A cancelled event
-// is skipped without advancing the clock, so stale timers (e.g. a
+// evKind says what firing an event does. Only evFunc runs caller code;
+// the rest are the kernel's own wake-ups, kept as plain values so that
+// scheduling one allocates nothing.
+type evKind uint8
+
+const (
+	evFunc   evKind = iota // run fn (After, AfterCancel)
+	evStart                // launch p's goroutine (fn) and dispatch it
+	evTimer                // p's Compute elapsed; live only while p.timer == seq
+	evUnpark               // p was granted a permit while parked
+	evKill                 // p was killed while blocked
+)
+
+// event is one entry of the schedule. Events are ordered by (at, seq)
+// so that simultaneous events run in scheduling order. A dead event —
+// cancelled, or a Compute timer its proc no longer waits on — is
+// skipped without advancing the clock, so stale timers (e.g. a
 // retransmission timeout whose acknowledgment arrived) never stretch
 // the simulated duration.
 type event struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
+	at     Time
+	seq    uint64
+	kind   evKind
+	p      *Proc
+	fn     func()
+	cancel *bool // AfterCancel's flag; nil when the event cannot be cancelled
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (e *event) dead() bool {
+	return e.cancel != nil && *e.cancel || e.kind == evTimer && e.p.timer != e.seq
+}
+
+// push inserts e into the binary min-heap s.events.
+func (s *Sim) push(e event) {
+	h := append(s.events, e)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = e
+	s.events = h
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the earliest event.
+func (s *Sim) pop() event {
+	h := s.events
+	top, n := h[0], len(h)-1
+	e := h[n]      // sifted down from the root into the n slots that remain
+	h[n] = event{} // drop the vacated slot's references
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = e
+	}
+	s.events = h[:n]
+	return top
 }
 
 // procState describes what a proc is currently doing; it is reported
@@ -109,7 +161,7 @@ func (s procState) String() string {
 // no locking; it must not call back into the kernel (no Compute, Park
 // or scheduling) — observation is free in virtual time.
 type Observer interface {
-	// ProcBlocked fires when p yields to the scheduler: state is the
+	// ProcBlocked fires when p gives up control: state is the
 	// blocked state ("computing", "parked"), where the blocking call
 	// site label.
 	ProcBlocked(p *Proc, state, where string)
@@ -144,16 +196,17 @@ type EdgeObserver interface {
 type Sim struct {
 	now      Time
 	seq      uint64
-	events   eventHeap
+	events   []event // min-heap on (at, seq)
 	procs    []*Proc
 	live     int  // procs not yet done
 	deadline Time // 0 = no watchdog
 	obs      Observer
 
-	yield   chan struct{} // proc -> scheduler: I blocked or finished
-	current *Proc         // proc currently executing, nil in scheduler context
+	done    chan struct{} // last baton holder -> RunE: the run is over
+	current *Proc         // proc executing its own code; nil while events fire
+	next    *Proc         // proc the event being fired dispatches
 
-	panicked any // panic value captured from a proc
+	panicked any // what ended the run early: a proc's wrapped panic, or an event's raw one
 	running  bool
 
 	// rt is non-nil for real-clock sims (see real.go): procs run as
@@ -169,7 +222,7 @@ func (s *Sim) SetObserver(o Observer) { s.obs = o }
 
 // NewSim returns an empty simulator at virtual time zero.
 func NewSim() *Sim {
-	return &Sim{yield: make(chan struct{})}
+	return &Sim{done: make(chan struct{})}
 }
 
 // Now returns the current virtual time: the event clock on a virtual
@@ -198,8 +251,8 @@ type Proc struct {
 	blockedSince Time   // for deadlock dumps
 	blockedAt    string // label of the blocking call site
 
-	killed   error  // pending Kill, delivered as a panic at the next resume
-	resumeEv *event // pending Compute timer, cancelled by Kill
+	killed error  // pending Kill, delivered as a panic at the next resume
+	timer  uint64 // seq of the pending Compute timer; 0 when none, or once Kill cancelled it
 
 	cond *sync.Cond // real mode: wakes the proc's Park; waits on rt.mu
 }
@@ -233,75 +286,144 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	s.procs = append(s.procs, p)
 	s.live++
-	s.schedule(s.now, func() { s.startProc(p, fn) })
+	s.schedule(s.now, event{kind: evStart, p: p, fn: func() { p.run(fn) }})
 	return p
 }
 
-// startProc launches the proc goroutine and transfers control to it.
-// Runs in scheduler context.
-func (s *Sim) startProc(p *Proc, fn func(p *Proc)) {
-	go func() {
-		<-p.resume // wait for first dispatch
-		defer func() {
-			if r := recover(); r != nil {
-				// Preserve typed panic values (library CommErrors and
-				// friends) so errors.Is/As work on what Run surfaces.
-				if err, ok := r.(error); ok {
-					s.panicked = fmt.Errorf("proc %q panicked: %w", p.name, err)
-				} else {
-					s.panicked = fmt.Errorf("proc %q panicked: %v", p.name, r)
-				}
+// run is the body of p's goroutine, launched when its evStart fires.
+func (p *Proc) run(fn func(p *Proc)) {
+	s := p.sim
+	<-p.resume // wait for first dispatch
+	defer func() {
+		if r := recover(); r != nil {
+			// Preserve typed panic values (library CommErrors and
+			// friends) so errors.Is/As work on what Run surfaces.
+			if err, ok := r.(error); ok {
+				s.panicked = fmt.Errorf("proc %q panicked: %w", p.name, err)
+			} else {
+				s.panicked = fmt.Errorf("proc %q panicked: %v", p.name, r)
 			}
-			p.state = stateDone
-			s.live--
-			if s.obs != nil {
-				s.obs.ProcDone(p)
-			}
-			s.yield <- struct{}{}
-		}()
+		}
+		p.state = stateDone
+		s.live--
 		if s.obs != nil {
-			s.obs.ProcResumed(p)
+			s.obs.ProcDone(p)
 		}
-		if p.killed != nil {
-			err := p.killed
-			p.killed = nil
-			panic(err)
-		}
-		fn(p)
+		s.pass(p)
 	}()
-	s.dispatch(p)
+	if s.obs != nil {
+		s.obs.ProcResumed(p)
+	}
+	if p.killed != nil {
+		err := p.killed
+		p.killed = nil
+		panic(err)
+	}
+	fn(p)
 }
 
-// dispatch hands control to p and waits until it blocks or finishes.
-// Must run in scheduler context (or transitively from it).
-func (s *Sim) dispatch(p *Proc) {
-	if p.state == stateDone {
-		return // proc was killed while a stale resume event was in flight
-	}
-	prev := s.current
-	s.current = p
-	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-s.yield
-	s.current = prev
-	if pv := s.panicked; pv != nil {
-		s.panicked = nil
-		panic(pv)
-	}
-}
-
-// schedule enqueues fn to run at time at in scheduler context.
-func (s *Sim) schedule(at Time, fn func()) *event {
+// schedule enqueues e to fire at time at and returns its seq.
+func (s *Sim) schedule(at Time, e event) uint64 {
 	if at < s.now {
 		panic(fmt.Sprintf("vtime: scheduling event in the past: %v < %v", at, s.now))
 	}
 	s.seq++
-	e := &event{at: at, seq: s.seq, fn: fn}
-	heap.Push(&s.events, e)
-	return e
+	e.at, e.seq = at, s.seq
+	s.push(e)
+	return e.seq
 }
 
-// After schedules fn to run in scheduler context d from now. It may be
+// dispatch names p as the proc the event being fired hands control to.
+func (s *Sim) dispatch(p *Proc) {
+	if s.next != nil {
+		panic(fmt.Sprintf("vtime: one event dispatched both %q and %q", s.next.name, p.name))
+	}
+	s.next = p
+}
+
+// fire executes one event in event context.
+func (s *Sim) fire(e event) {
+	p := e.p
+	switch e.kind {
+	case evFunc:
+		e.fn()
+	case evStart:
+		go e.fn()
+		s.dispatch(p)
+	case evTimer:
+		p.timer = 0
+		s.dispatch(p)
+	case evUnpark:
+		// Stale if a Kill has since taken the permit back.
+		if p.state == stateParked && p.permit {
+			p.permit = false
+			s.dispatch(p)
+		}
+	case evKill:
+		if p.state == stateParked || p.state == stateComputing {
+			s.dispatch(p)
+		}
+	}
+}
+
+// advance fires events in (at, seq) order on the calling goroutine
+// until one dispatches a proc, which it marks running and returns. A
+// nil return means the run is over: events exhausted, the deadline
+// reached (the event that crossed it stays queued), or a panic, stored
+// in s.panicked. A panic out of an event — a callback's, or the
+// kernel's own — is caught here, not by whichever proc happens to hold
+// the baton: it must neither be blamed on that proc nor unwind through
+// its frames, where a rank's abort handler would swallow it.
+func (s *Sim) advance() (next *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.panicked, next = r, nil
+		}
+	}()
+	for s.panicked == nil && len(s.events) > 0 {
+		top := &s.events[0]
+		if top.dead() {
+			s.pop() // skipped without advancing the clock
+			continue
+		}
+		if s.deadline > 0 && top.at >= s.deadline && s.live > 0 {
+			return nil
+		}
+		e := s.pop()
+		if e.at < s.now {
+			panic("vtime: time went backwards")
+		}
+		s.now = e.at
+		s.fire(e)
+		if p := s.next; p != nil {
+			s.next = nil
+			s.current = p
+			p.state = stateRunning
+			return p
+		}
+	}
+	return nil
+}
+
+// pass is called on p's goroutine when p has just blocked or finished:
+// p keeps the baton and fires events itself until one dispatches a
+// proc. If that is p again no goroutine switch happened at all and
+// pass reports true; otherwise it wakes the dispatched proc — or RunE,
+// when the run is over — and the caller must wait on p.resume.
+func (s *Sim) pass(p *Proc) (self bool) {
+	s.current = nil
+	switch next := s.advance(); next {
+	case p:
+		return true
+	case nil:
+		s.done <- struct{}{}
+	default:
+		next.resume <- struct{}{}
+	}
+	return false
+}
+
+// After schedules fn to run in event context d from now. It may be
 // called from any simulation context. fn must not block; to perform
 // blocking work, have fn Unpark a proc or Spawn one.
 func (s *Sim) After(d time.Duration, fn func()) {
@@ -312,7 +434,7 @@ func (s *Sim) After(d time.Duration, fn func()) {
 		s.afterReal(d, fn)
 		return
 	}
-	s.schedule(s.now.Add(d), fn)
+	s.schedule(s.now.Add(d), event{fn: fn})
 }
 
 // AfterCancel is After returning a cancel function. A cancelled event
@@ -327,12 +449,13 @@ func (s *Sim) AfterCancel(d time.Duration, fn func()) (cancel func()) {
 	if s.rt != nil {
 		return s.afterReal(d, fn)
 	}
-	e := s.schedule(s.now.Add(d), fn)
-	return func() { e.cancelled = true }
+	cancelled := new(bool)
+	s.schedule(s.now.Add(d), event{fn: fn, cancel: cancelled})
+	return func() { *cancelled = true }
 }
 
-// block yields from the current proc to the scheduler and waits to be
-// dispatched again. Must be called from the proc's goroutine.
+// block gives up control until an event dispatches p again. Must be
+// called from the proc's goroutine.
 func (p *Proc) block(st procState, where string) {
 	p.state = st
 	p.blockedSince = p.sim.now
@@ -340,9 +463,9 @@ func (p *Proc) block(st procState, where string) {
 	if p.sim.obs != nil {
 		p.sim.obs.ProcBlocked(p, st.String(), where)
 	}
-	p.sim.yield <- struct{}{}
-	<-p.resume
-	p.state = stateRunning
+	if !p.sim.pass(p) {
+		<-p.resume
+	}
 	if p.sim.obs != nil {
 		p.sim.obs.ProcResumed(p)
 	}
@@ -369,14 +492,7 @@ func (p *Proc) Compute(d time.Duration) {
 		p.computeReal(d)
 		return
 	}
-	var ev *event
-	ev = s.schedule(s.now.Add(d), func() {
-		if p.resumeEv == ev {
-			p.resumeEv = nil
-		}
-		s.dispatch(p)
-	})
-	p.resumeEv = ev
+	p.timer = s.schedule(s.now.Add(d), event{kind: evTimer, p: p})
 	p.block(stateComputing, "Compute")
 }
 
@@ -420,12 +536,7 @@ func (p *Proc) Unpark() {
 		if eo, ok := s.obs.(EdgeObserver); ok {
 			eo.ProcUnparked(p, s.current)
 		}
-		s.schedule(s.now, func() {
-			if p.state == stateParked && p.permit {
-				p.permit = false
-				s.dispatch(p)
-			}
-		})
+		s.schedule(s.now, event{kind: evUnpark, p: p})
 		return
 	}
 	p.permit = true
@@ -454,32 +565,21 @@ func (p *Proc) Kill(err error) {
 		return
 	}
 	p.killed = err
-	s := p.sim
 	switch p.state {
 	case stateParked:
 		// Clear any pending permit so a stale Unpark event (which
 		// re-checks state and permit) cannot double-dispatch.
 		p.permit = false
-		s.schedule(s.now, func() {
-			if p.state == stateParked {
-				s.dispatch(p)
-			}
-		})
 	case stateComputing:
 		// Cancel the Compute timer so it cannot resume the proc a
 		// second time (or resume a later, unrelated Compute early).
-		if p.resumeEv != nil {
-			p.resumeEv.cancelled = true
-			p.resumeEv = nil
-		}
-		s.schedule(s.now, func() {
-			if p.state == stateComputing {
-				s.dispatch(p)
-			}
-		})
+		p.timer = 0
+	default:
+		// New or running: the pending kill is delivered by the killed
+		// check at the proc's next resume or before its body runs.
+		return
 	}
-	// stateNew and stateRunning: the pending kill is delivered by the
-	// killed check at the proc's next resume or before its body runs.
+	p.sim.schedule(p.sim.now, event{kind: evKill, p: p})
 }
 
 // SetDeadline arms a watchdog: if the simulation reaches virtual time d
@@ -523,9 +623,7 @@ func (e *DeadlockError) Error() string {
 // deadlockError builds the structured dump of every non-finished proc.
 func (s *Sim) deadlockError(reason string) *DeadlockError {
 	e := &DeadlockError{Now: s.now, Reason: reason}
-	procs := append([]*Proc(nil), s.procs...)
-	sort.Slice(procs, func(i, j int) bool { return procs[i].id < procs[j].id })
-	for _, p := range procs {
+	for _, p := range s.procs { // already in id order
 		if p.state == stateDone {
 			continue
 		}
@@ -554,38 +652,25 @@ func (s *Sim) RunE() (t Time, err error) {
 		panic("vtime: Run called reentrantly")
 	}
 	s.running = true
-	defer func() {
-		s.running = false
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = e
-			} else {
-				err = fmt.Errorf("vtime: %v", r)
-			}
-			t = s.now
+	if p := s.advance(); p != nil {
+		p.resume <- struct{}{}
+		<-s.done
+	}
+	s.running = false
+	if pv := s.panicked; pv != nil {
+		s.panicked = nil
+		if e, ok := pv.(error); ok {
+			return s.now, e
 		}
-	}()
-	for len(s.events) > 0 {
-		e := heap.Pop(&s.events).(*event)
-		if e.cancelled {
-			continue // skipped without advancing the clock
-		}
-		if e.at < s.now {
-			panic("vtime: time went backwards")
-		}
-		if s.deadline > 0 && e.at >= s.deadline && s.live > 0 {
-			s.now = s.deadline
-			de := s.deadlockError(fmt.Sprintf("deadline %v expired", s.deadline))
-			if s.obs != nil {
-				s.obs.Deadlock(de)
-			}
-			return s.now, de
-		}
-		s.now = e.at
-		e.fn()
+		return s.now, fmt.Errorf("vtime: %v", pv)
 	}
 	if s.live > 0 {
-		de := s.deadlockError("no pending events")
+		reason := "no pending events"
+		if len(s.events) > 0 { // advance stopped short of the event that crosses the deadline
+			s.now = s.deadline
+			reason = fmt.Sprintf("deadline %v expired", s.deadline)
+		}
+		de := s.deadlockError(reason)
 		if s.obs != nil {
 			s.obs.Deadlock(de)
 		}
