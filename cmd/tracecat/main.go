@@ -18,7 +18,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,6 +25,7 @@ import (
 	"log"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -160,7 +160,7 @@ func (fl filter) keeps(e event) bool {
 		if e.Ph != "X" {
 			return false
 		}
-		if parseUsec(e.Dur) < int64(fl.minDur) {
+		if trace.ParseUsec(string(e.Dur)) < int64(fl.minDur) {
 			return false
 		}
 	}
@@ -298,42 +298,54 @@ func mergeMetrics(a, b *trace.Snapshot) *trace.Snapshot {
 // write re-encodes the merged document with the exporter's fixed field
 // order, so tracecat output is deterministic too.
 func (m *merged) write(w *os.File) error {
-	var b bytes.Buffer
-	b.WriteString(`{"displayTimeUnit":"ns","traceEvents":[`)
+	b := []byte(`{"displayTimeUnit":"ns","traceEvents":[`)
 	for i, e := range m.Events {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, `{"name":%s`, quote(e.Name))
+		b = append(b, "\n{\"name\":"...)
+		b = trace.AppendQuote(b, e.Name)
 		if e.Cat != "" {
-			fmt.Fprintf(&b, `,"cat":%s`, quote(e.Cat))
+			b = append(b, `,"cat":`...)
+			b = trace.AppendQuote(b, e.Cat)
 		}
-		fmt.Fprintf(&b, `,"ph":%s`, quote(e.Ph))
+		b = append(b, `,"ph":`...)
+		b = trace.AppendQuote(b, e.Ph)
 		if e.S != "" {
-			fmt.Fprintf(&b, `,"s":%s`, quote(e.S))
+			b = append(b, `,"s":`...)
+			b = trace.AppendQuote(b, e.S)
 		}
 		if e.Ts != "" {
-			fmt.Fprintf(&b, `,"ts":%s`, e.Ts)
+			b = append(b, `,"ts":`...)
+			b = append(b, e.Ts...)
 		}
 		if e.Dur != "" {
-			fmt.Fprintf(&b, `,"dur":%s`, e.Dur)
+			b = append(b, `,"dur":`...)
+			b = append(b, e.Dur...)
 		}
-		fmt.Fprintf(&b, `,"pid":%d,"tid":%d`, e.Pid, e.Tid)
+		b = append(b, `,"pid":`...)
+		b = strconv.AppendInt(b, int64(e.Pid), 10)
+		b = append(b, `,"tid":`...)
+		b = strconv.AppendInt(b, int64(e.Tid), 10)
 		if len(e.Args) > 0 {
-			fmt.Fprintf(&b, `,"args":%s`, e.Args)
+			b = append(b, `,"args":`...)
+			b = append(b, e.Args...)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
-	b.WriteString("\n]")
+	b = append(b, "\n]"...)
+	if _, err := w.Write(b); err != nil {
+		return err
+	}
 	if m.Metrics != nil && !m.Metrics.Empty() {
-		b.WriteString(`,"metrics":`)
-		if err := m.Metrics.WriteJSON(&b); err != nil {
+		if _, err := w.WriteString(`,"metrics":`); err != nil {
+			return err
+		}
+		if err := m.Metrics.WriteJSON(w); err != nil {
 			return err
 		}
 	}
-	b.WriteString("}\n")
-	_, err := w.Write(b.Bytes())
+	_, err := w.WriteString("}\n")
 	return err
 }
 
@@ -361,9 +373,9 @@ func (f *traceFile) summarize(w *os.File) {
 		tracks[[2]int{e.Pid, e.Tid}] = true
 		s := stats[key{e.Cat, e.Name}]
 		s.count++
-		at := parseUsec(e.Ts)
+		at := trace.ParseUsec(string(e.Ts))
 		if e.Ph == "X" {
-			d := parseUsec(e.Dur)
+			d := trace.ParseUsec(string(e.Dur))
 			s.total += d
 			at += d
 		}
@@ -422,46 +434,6 @@ func warnSpills(w io.Writer, m *trace.Snapshot) {
 	if total > 0 {
 		fmt.Fprintf(w, "  WARNING: %d ring spill(s) total across tracks\n", total)
 	}
-}
-
-// parseUsec converts the spec's decimal-microsecond timestamp to
-// integer nanoseconds without a float round trip, truncating past the
-// third fractional digit (the exporter never emits more).
-func parseUsec(n json.Number) int64 {
-	s := string(n)
-	if s == "" {
-		return 0
-	}
-	neg := false
-	if s[0] == '-' {
-		neg, s = true, s[1:]
-	}
-	whole, frac, _ := strings.Cut(s, ".")
-	var ns int64
-	for i := 0; i < len(whole); i++ {
-		if whole[i] < '0' || whole[i] > '9' {
-			return 0
-		}
-		ns = ns*10 + int64(whole[i]-'0')
-	}
-	ns *= 1000
-	scale := int64(100)
-	for i := 0; i < len(frac) && i < 3; i++ {
-		if frac[i] < '0' || frac[i] > '9' {
-			return 0
-		}
-		ns += int64(frac[i]-'0') * scale
-		scale /= 10
-	}
-	if neg {
-		return -ns
-	}
-	return ns
-}
-
-func quote(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
 }
 
 func equalInts(a, b []int64) bool {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"ovlp/internal/trace"
 )
@@ -96,3 +97,80 @@ func TestWarnSpills(t *testing.T) {
 		t.Error("nil metrics produced warnings")
 	}
 }
+
+// TestMergeFilterWriteBytes pins the merged document byte for byte: two
+// exporter-written files (names that need escaping, spans and instants,
+// args, metrics), the second filtered to its spans, pids offset, metrics
+// summed. The bytes were produced by the Fprintf encoder this file used
+// before it shared trace.AppendQuote.
+func TestMergeFilterWriteBytes(t *testing.T) {
+	dir := t.TempDir()
+	var files []*traceFile
+	for i, name := range []string{"a", "b"} {
+		tr := trace.New(trace.Options{})
+		tk := tr.Track(trace.GroupHost, i, `rank "`+name+`" <0>`)
+		tk.Span("mpi", "Isend", 1500, 4000, trace.Args{Peer: 1, Size: 4096, ID: 7, Detail: "tab\there"})
+		tk.Instant("overlap", "xfer-begin", 2000, trace.Args{Peer: trace.NoPeer, ID: 7})
+		tk.Instant("c&d", `a<"b">\`, 2500, trace.None)
+		tr.Track(trace.GroupNIC, i, "nic").Span("wire", "xfer", 2000, 3000, trace.Args{Peer: 1, Phase: "eager"})
+		tr.Metrics().Counter("fabric.transfers").Add(int64(i + 1))
+		tr.Metrics().Gauge("depth").Set(int64(3 - i))
+		path := filepath.Join(dir, name+".json")
+		w, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.WriteChrome(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 {
+			f.apply(filter{minDur: 2 * time.Microsecond})
+		}
+		files = append(files, f)
+	}
+	out, err := os.Create(filepath.Join(dir, "merged.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merge(files).write(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != mergedWant {
+		t.Errorf("merged document changed:\n%s\nwant:\n%s", got, mergedWant)
+	}
+}
+
+const mergedWant = `{"displayTimeUnit":"ns","traceEvents":[
+{"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"hosts"}},
+{"name":"process_sort_index","ph":"M","pid":1,"tid":0,"args":{"sort_index":1}},
+{"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"rank \"a\" \u003c0\u003e"}},
+{"name":"thread_sort_index","ph":"M","pid":1,"tid":1,"args":{"sort_index":0}},
+{"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"nic"}},
+{"name":"process_sort_index","ph":"M","pid":2,"tid":0,"args":{"sort_index":2}},
+{"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"nic"}},
+{"name":"thread_sort_index","ph":"M","pid":2,"tid":1,"args":{"sort_index":0}},
+{"name":"Isend","cat":"mpi","ph":"X","ts":1.500,"dur":2.500,"pid":1,"tid":1,"args":{"peer":1,"size":4096,"id":7,"detail":"tab\there"}},
+{"name":"xfer-begin","cat":"overlap","ph":"i","s":"t","ts":2.000,"pid":1,"tid":1,"args":{"id":7}},
+{"name":"a\u003c\"b\"\u003e\\","cat":"c\u0026d","ph":"i","s":"t","ts":2.500,"pid":1,"tid":1},
+{"name":"xfer","cat":"wire","ph":"X","ts":2.000,"dur":1.000,"pid":2,"tid":1,"args":{"peer":1,"phase":"eager"}},
+{"name":"process_name","ph":"M","pid":4,"tid":0,"args":{"name":"hosts"}},
+{"name":"process_sort_index","ph":"M","pid":4,"tid":0,"args":{"sort_index":1}},
+{"name":"thread_name","ph":"M","pid":4,"tid":2,"args":{"name":"rank \"b\" \u003c0\u003e"}},
+{"name":"thread_sort_index","ph":"M","pid":4,"tid":2,"args":{"sort_index":1}},
+{"name":"Isend","cat":"mpi","ph":"X","ts":1.500,"dur":2.500,"pid":4,"tid":2,"args":{"peer":1,"size":4096,"id":7,"detail":"tab\there"}}
+],"metrics":{"counters":[{"name":"fabric.transfers","value":3}],"gauges":[{"name":"depth","value":2,"max":3}],"histograms":[]}}
+`

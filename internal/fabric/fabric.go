@@ -302,14 +302,26 @@ func (f *Fabric) FaultStats() FaultStats {
 // host-observed call time — and fault injections and reliable-delivery
 // activity emit instants. NIC-side emissions cost nothing in virtual
 // time: they model the free visibility only the simulator has.
-func (f *Fabric) SetTrace(t *trace.Tracer) { f.tr = t }
+func (f *Fabric) SetTrace(t *trace.Tracer) {
+	f.tr = t
+	for _, n := range f.nics {
+		n.track = nil
+	}
+}
 
-// nicTrack returns node id's trace track (nil when untraced).
+// nicTrack returns node id's trace track (nil when untraced). The
+// track is created on first use — export order is creation order — and
+// then cached on the NIC, so a wire event pays neither for formatting
+// the name nor for the tracer's index lookup.
 func (f *Fabric) nicTrack(id NodeID) *trace.Track {
 	if f.tr == nil {
 		return nil
 	}
-	return f.tr.Track(trace.GroupNIC, int(id), fmt.Sprintf("nic%d", id))
+	n := f.nics[id]
+	if n.track == nil {
+		n.track = f.tr.Track(trace.GroupNIC, int(id), fmt.Sprintf("nic%d", id))
+	}
+	return n.track
 }
 
 // Nodes returns the number of nodes.
@@ -391,6 +403,8 @@ type NIC struct {
 	egressFree vtime.Time
 
 	notify func() // invoked (in event context) when cq or inbox gains an entry
+
+	track *trace.Track // Fabric.nicTrack's cache; nil until first traced event
 }
 
 // ID returns the NIC's node id.

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"ovlp/internal/trace"
 	"ovlp/internal/vtime"
 )
 
@@ -343,5 +344,40 @@ func TestFifoOrderSlotLifetimeAndAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("steady-state burst allocated %v times, want 0", allocs)
+	}
+}
+
+// A NIC's trace track is created on its first traced event — creation
+// order is export order — and after that nicTrack is a cached pointer:
+// no name formatting, no tracer lookup, no allocation per wire event.
+func TestNICTrackCached(t *testing.T) {
+	_, f := twoNodes(t)
+	if f.nicTrack(1) != nil {
+		t.Fatal("untraced fabric must hand out nil tracks")
+	}
+	tr := trace.New(trace.Options{})
+	f.SetTrace(tr)
+	if len(tr.Tracks()) != 0 {
+		t.Fatal("SetTrace must not create tracks ahead of the first event")
+	}
+	tk := f.nicTrack(1)
+	if tk == nil || tk != tr.Track(trace.GroupNIC, 1, "") || tk.Name() != "nic1" {
+		t.Fatalf("nicTrack(1) = %v, want the tracer's nic1 track", tk)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if f.nicTrack(1) != tk {
+			t.Fatal("cached track changed")
+		}
+	}); allocs != 0 {
+		t.Errorf("nicTrack after first use allocated %v times, want 0", allocs)
+	}
+	other := trace.New(trace.Options{})
+	f.SetTrace(other)
+	if got := f.nicTrack(1); got == tk || got != other.Track(trace.GroupNIC, 1, "") {
+		t.Error("a new tracer must not be served the old tracer's track")
+	}
+	f.SetTrace(nil)
+	if f.nicTrack(1) != nil {
+		t.Error("detached fabric must hand out nil tracks")
 	}
 }

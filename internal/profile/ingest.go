@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"ovlp/internal/calib"
@@ -219,10 +218,10 @@ type chromeEvent struct {
 }
 
 func (e *chromeEvent) toRec() (trace.Rec, trace.Args) {
-	start := vtime.Time(parseUsec(e.Ts))
+	start := vtime.Time(trace.ParseUsec(string(e.Ts)))
 	rec := trace.Rec{Cat: e.Cat, Name: e.Name, Start: start}
 	if e.Ph == "X" {
-		rec.Dur = time.Duration(parseUsec(e.Dur))
+		rec.Dur = time.Duration(trace.ParseUsec(string(e.Dur)))
 	}
 	args := trace.Args{Peer: trace.NoPeer}
 	if len(e.Args) > 0 {
@@ -244,39 +243,4 @@ func (e *chromeEvent) toRec() (trace.Rec, trace.Args) {
 		}
 	}
 	return rec, args
-}
-
-// parseUsec converts the spec's decimal-microsecond timestamp to
-// integer nanoseconds without a float round trip, truncating past the
-// third fractional digit (the exporter never emits more).
-func parseUsec(n json.Number) int64 {
-	s := string(n)
-	if s == "" {
-		return 0
-	}
-	neg := false
-	if s[0] == '-' {
-		neg, s = true, s[1:]
-	}
-	whole, frac, _ := strings.Cut(s, ".")
-	var ns int64
-	for i := 0; i < len(whole); i++ {
-		if whole[i] < '0' || whole[i] > '9' {
-			return 0
-		}
-		ns = ns*10 + int64(whole[i]-'0')
-	}
-	ns *= 1000
-	scale := int64(100)
-	for i := 0; i < len(frac) && i < 3; i++ {
-		if frac[i] < '0' || frac[i] > '9' {
-			return 0
-		}
-		ns += int64(frac[i]-'0') * scale
-		scale /= 10
-	}
-	if neg {
-		return -ns
-	}
-	return ns
 }

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -195,11 +194,7 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 		Events:   events,
 	}
 
-	var tb bytes.Buffer
-	if err := tracer.WriteChrome(&tb); err != nil {
-		return nil, fmt.Errorf("scenario %s: trace export: %w", s.Name, err)
-	}
-	rr.TraceBytes = tb.Bytes()
+	rr.TraceBytes = tracer.AppendChrome(nil)
 	rr.TraceHash = hashBytes(rr.TraceBytes)
 
 	// The offline profile is best-effort: a run that wedged at t=0 may

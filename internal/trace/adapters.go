@@ -24,48 +24,63 @@ func (t *Tracer) KernelObserver() vtime.Observer {
 	if t == nil {
 		return nil
 	}
-	return &kernelObserver{t: t, open: make(map[int]openBlock)}
+	return &kernelObserver{t: t}
 }
 
-type openBlock struct {
-	since vtime.Time
-	state string
-	where string
+// procState is what the observer keeps per proc: its host track, and
+// the block in progress when blocked is set.
+type procState struct {
+	tk      *Track
+	blocked bool
+	since   vtime.Time
+	state   string
+	where   string
 }
 
 type kernelObserver struct {
-	t    *Tracer
-	open map[int]openBlock // proc id -> block in progress
+	t     *Tracer
+	procs []procState // indexed by proc id, which the kernel hands out densely from 0
 }
 
-func (o *kernelObserver) track(p *vtime.Proc) *Track {
-	return o.t.Track(GroupHost, p.ID(), p.Name())
+// proc returns p's state, creating its track on first sight — the
+// track must exist even if every span on it ends up zero-width — so a
+// known proc costs an index, not a map lookup per kernel event.
+func (o *kernelObserver) proc(p *vtime.Proc) *procState {
+	id := p.ID()
+	for len(o.procs) <= id {
+		o.procs = append(o.procs, procState{})
+	}
+	ps := &o.procs[id]
+	if ps.tk == nil {
+		ps.tk = o.t.Track(GroupHost, id, p.Name())
+	}
+	return ps
 }
 
 func (o *kernelObserver) ProcBlocked(p *vtime.Proc, state, where string) {
-	o.track(p) // ensure the track exists even if the span ends up zero-width
-	o.open[p.ID()] = openBlock{since: p.Now(), state: state, where: where}
+	ps := o.proc(p)
+	ps.blocked, ps.since, ps.state, ps.where = true, p.Now(), state, where
 }
 
 func (o *kernelObserver) ProcResumed(p *vtime.Proc) {
-	b, ok := o.open[p.ID()]
-	if !ok {
+	ps := o.proc(p)
+	if !ps.blocked {
 		// First dispatch after Spawn: mark the birth so an otherwise
 		// empty track still shows when the proc existed.
-		o.track(p).Instant("kernel", "spawn", p.Now(), None)
+		ps.tk.Instant("kernel", "spawn", p.Now(), None)
 		return
 	}
-	delete(o.open, p.ID())
-	if p.Now() == b.since {
+	ps.blocked = false
+	if p.Now() == ps.since {
 		return // zero-width block (e.g. Yield): noise, not signal
 	}
 	name := "compute"
 	a := None
-	if b.state == "parked" {
+	if ps.state == "parked" {
 		name = "park"
-		a.Detail = b.where
+		a.Detail = ps.where
 	}
-	o.track(p).Span("kernel", name, b.since, p.Now(), a)
+	ps.tk.Span("kernel", name, ps.since, p.Now(), a)
 }
 
 // ProcUnparked (the vtime.EdgeObserver extension) marks each effective
@@ -78,11 +93,11 @@ func (o *kernelObserver) ProcUnparked(p *vtime.Proc, by *vtime.Proc) {
 	if by != nil {
 		a.Peer = by.ID()
 	}
-	o.track(p).Instant("kernel", "unpark", p.Now(), a)
+	o.proc(p).tk.Instant("kernel", "unpark", p.Now(), a)
 }
 
 func (o *kernelObserver) ProcDone(p *vtime.Proc) {
-	o.track(p).Instant("kernel", "done", p.Now(), None)
+	o.proc(p).tk.Instant("kernel", "done", p.Now(), None)
 }
 
 func (o *kernelObserver) Deadlock(e *vtime.DeadlockError) {

@@ -69,6 +69,29 @@ func TestKernelObserverSkipsZeroWidthBlocks(t *testing.T) {
 	}
 }
 
+// A proc the observer has seen costs it an index per kernel event: its
+// blocks become spans with no map lookup and no allocation.
+func TestKernelObserverKnownProcAllocs(t *testing.T) {
+	tr := New(Options{})
+	sim := vtime.NewSim()
+	sim.SetObserver(tr.KernelObserver())
+	allocs := -1.0
+	sim.Spawn("worker", func(p *vtime.Proc) {
+		step := func() { p.Compute(time.Microsecond) } // ProcBlocked, ProcResumed, one span
+		for i := 0; i < 600; i++ {                     // grow the first ring past what the measured steps need
+			step()
+		}
+		allocs = testing.AllocsPerRun(200, step)
+	})
+	sim.Run()
+	if allocs != 0 {
+		t.Errorf("ProcBlocked+ProcResumed on a known proc: %v allocs per block, want 0", allocs)
+	}
+	if n := len(tr.Tracks()[0].Recs()); n != 1+600+201+1 {
+		t.Errorf("track holds %d records, want spawn + 801 compute spans + done", n)
+	}
+}
+
 func TestKernelObserverDeadlock(t *testing.T) {
 	tr := New(Options{})
 	sim := vtime.NewSim()

@@ -3,11 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
-
-	"ovlp/internal/vtime"
 )
 
 // buildSample populates a tracer the way the stack does: host call
@@ -146,8 +145,8 @@ func TestWriteChromeDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("identical tracers must export byte-identical files")
 	}
-	// Re-export of the same tracer must also be stable (Recs drains the
-	// hot ring into the cold store; a second pass reads the cold store).
+	// Re-export of the same tracer must also be stable (Recs flattens
+	// the ring and chunk list once; a second pass reads that slice).
 	tr := buildSample()
 	var c, d bytes.Buffer
 	if err := tr.WriteChrome(&c); err != nil {
@@ -162,17 +161,42 @@ func TestWriteChromeDeterministic(t *testing.T) {
 }
 
 func TestUsecFormat(t *testing.T) {
-	cases := map[vtime.Time]string{
-		0:                                   "0.000",
-		vtime.Time(time.Microsecond):        "1.000",
-		vtime.Time(1500):                    "1.500",
-		vtime.Time(7):                       "0.007",
-		vtime.Time(2*time.Millisecond + 42): "2000.042",
-		vtime.Time(-1500):                   "-1.500",
+	cases := map[int64]string{
+		0:                              "0.000",
+		int64(time.Microsecond):        "1.000",
+		1500:                           "1.500",
+		7:                              "0.007",
+		int64(2*time.Millisecond + 42): "2000.042",
+		-1500:                          "-1.500",
+		math.MaxInt64:                  "9223372036854775.807",
+		math.MinInt64:                  "-9223372036854775.808",
 	}
 	for in, want := range cases {
-		if got := usec(in); got != want {
-			t.Errorf("usec(%d) = %q, want %q", int64(in), got, want)
+		got := string(AppendUsec([]byte("x"), in))
+		if got != "x"+want {
+			t.Errorf("AppendUsec(%d) = %q, want %q", in, got, "x"+want)
+		}
+		if back := ParseUsec(want); back != in {
+			t.Errorf("ParseUsec(%q) = %d, want %d", want, back, in)
+		}
+	}
+}
+
+func TestParseUsec(t *testing.T) {
+	cases := map[string]int64{
+		"":          0,
+		"12":        12000,
+		"12.5":      12500,
+		"0.0079":    7, // truncates past the third digit
+		"-3.25":     -3250,
+		"1e3":       0, // not a plain decimal
+		"1.2x":      0,
+		"abc":       0,
+		"1.234.567": 1234,
+	}
+	for in, want := range cases {
+		if got := ParseUsec(in); got != want {
+			t.Errorf("ParseUsec(%q) = %d, want %d", in, got, want)
 		}
 	}
 }

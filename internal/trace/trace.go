@@ -13,11 +13,12 @@
 // bytes.
 //
 // The per-track ring mirrors the overlap package's event queue: a
-// fixed-size hot buffer that spills in batches to a cold store when
-// full, so the steady-state emission path never allocates. Under the
-// simulator's coroutine discipline exactly one goroutine runs at a
-// time, so the ring needs no locks; the same single-writer-per-track
-// layout is what a lock-free ring gives an instrumented real system.
+// fixed-size hot buffer that, when full, is handed whole to the track's
+// chunk list and replaced, so the steady-state emission path neither
+// allocates nor copies. Under the simulator's coroutine discipline
+// exactly one goroutine runs at a time, so the ring needs no locks; the
+// same single-writer-per-track layout is what a lock-free ring gives an
+// instrumented real system.
 //
 // Tracing overhead is itself measurable: emissions that originate
 // inside an instrumented library are charged to the owning rank
@@ -220,13 +221,7 @@ func (t *Tracer) Track(group Group, id int, name string) *Track {
 	if tk, ok := t.index[k]; ok {
 		return tk
 	}
-	tk := &Track{
-		t:     t,
-		group: group,
-		id:    id,
-		name:  name,
-		ring:  make([]Rec, t.opts.RingSize),
-	}
+	tk := &Track{t: t, group: group, id: id, name: name}
 	t.index[k] = tk
 	t.tracks = append(t.tracks, tk)
 	return tk
@@ -249,12 +244,21 @@ type Track struct {
 	id    int
 	name  string
 
-	ring     []Rec // hot buffer
-	n        int   // ring occupancy
-	cold     []Rec // spilled records, in emission order
+	// ring is the hot buffer and n its occupancy. The first ring starts
+	// at firstRing records and doubles up to Options.RingSize, so a
+	// track that sees a handful of records never pays for a full ring;
+	// every later ring is allocated at RingSize.
+	ring []Rec
+	n    int
+	// chunks holds the records that left the ring, in emission order:
+	// full rings handed over by emit, or the one flat slice Recs built.
+	chunks   [][]Rec
 	spills   int
 	spillCtr *Counter // lazily bound "trace.spills.<group>.<name>" counter
 }
+
+// firstRing is the capacity a track's first ring starts at.
+const firstRing = 8
 
 // Group returns the track's group.
 func (k *Track) Group() Group { return k.group }
@@ -265,8 +269,11 @@ func (k *Track) ID() int { return k.id }
 // Name returns the track's display name.
 func (k *Track) Name() string { return k.name }
 
-// Spills returns how many times the hot ring overflowed into the cold
-// store — the tracer's own queue-pressure diagnostic.
+// Spills returns how many times an emission found the hot ring full at
+// RingSize and handed it to the chunk list — the tracer's own
+// queue-pressure diagnostic, equal to the track's
+// "trace.spills.<group>.<name>" counter. Growing the first ring and the
+// end-of-run drain in Recs are not overflows and do not count.
 func (k *Track) Spills() int { return k.spills }
 
 // Span records a complete span [start, end). A nil track ignores the
@@ -297,38 +304,62 @@ func (k *Track) emit(r Rec) {
 		return
 	}
 	if k.n == len(k.ring) {
-		k.spill()
-		// Surface the overflow in the metrics registry (per track and
-		// in total) so an exported trace carries its own queue-pressure
-		// diagnosis and offline tools can warn that steady-state
-		// emission allocated. The end-of-run drain in Recs does not
-		// count: only overflows under emission are pressure.
-		if k.spillCtr == nil {
-			k.spillCtr = k.t.reg.Counter(fmt.Sprintf("trace.spills.%s.%s", k.group, k.name))
-		}
-		k.spillCtr.Inc()
-		k.t.reg.Counter("trace.spills").Inc()
+		k.full()
 	}
 	k.ring[k.n] = r
 	k.n++
 }
 
-// spill drains the hot ring into the cold store.
-func (k *Track) spill() {
-	if k.n == 0 {
+// full makes room in a full hot ring. While the first ring is still
+// below RingSize it doubles; at RingSize the ring is handed to the
+// chunk list as it is and replaced — no record is copied — and the
+// overflow is surfaced in the metrics registry (per track and in
+// total), so an exported trace carries its own queue-pressure diagnosis
+// and offline tools can warn that steady-state emission allocated.
+func (k *Track) full() {
+	size := k.t.opts.RingSize
+	if len(k.ring) < size {
+		grown := make([]Rec, min(size, max(firstRing, 2*len(k.ring))))
+		copy(grown, k.ring)
+		k.ring = grown
 		return
 	}
-	k.cold = append(k.cold, k.ring[:k.n]...)
+	k.chunks = append(k.chunks, k.ring)
+	k.ring = make([]Rec, size)
 	k.n = 0
 	k.spills++
+	if k.spillCtr == nil {
+		k.spillCtr = k.t.reg.Counter(fmt.Sprintf("trace.spills.%s.%s", k.group, k.name))
+	}
+	k.spillCtr.Inc()
+	k.t.reg.Counter("trace.spills").Inc()
 }
 
 // Recs returns every record in emission order, draining the hot ring
-// first. Intended for export and tests after the run.
+// first. Intended for export and tests after the run: it flattens the
+// chunk list into one exact-size slice, which a repeated call returns
+// as is until the track emits again.
 func (k *Track) Recs() []Rec {
 	if k == nil {
 		return nil
 	}
-	k.spill()
-	return k.cold
+	if k.n == 0 && len(k.chunks) <= 1 {
+		if len(k.chunks) == 0 {
+			return nil
+		}
+		return k.chunks[0]
+	}
+	total := k.n
+	for _, c := range k.chunks {
+		total += len(c)
+	}
+	flat := make([]Rec, 0, total)
+	for i, c := range k.chunks {
+		flat = append(flat, c...)
+		k.chunks[i] = nil // the list is reused below; let the ring go
+	}
+	flat = append(flat, k.ring[:k.n]...)
+	k.chunks = append(k.chunks[:0], flat)
+	k.n = 0
+	return flat
 }

@@ -1,6 +1,10 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -40,6 +44,10 @@ func TestRingSpill(t *testing.T) {
 		t.Errorf("spills = %d, want 2 (ring of 4, 11 emissions)", tk.Spills())
 	}
 	recs := tk.Recs()
+	tk.Recs()
+	if tk.Spills() != 2 {
+		t.Errorf("spills = %d after Recs, want 2: the end-of-run drain is not an overflow", tk.Spills())
+	}
 	if len(recs) != n {
 		t.Fatalf("got %d records, want %d", len(recs), n)
 	}
@@ -126,6 +134,17 @@ func TestNilTracerSafe(t *testing.T) {
 	if OverlapSink(nil, 0, nil) != nil {
 		t.Error("OverlapSink of nil track must be nil")
 	}
+	const empty = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n]}\n"
+	var b bytes.Buffer
+	if err := tr.WriteChrome(&b); err != nil || b.String() != empty {
+		t.Errorf("nil tracer WriteChrome = %q, %v; want the empty document", b.String(), err)
+	}
+	if got := string(tr.AppendChrome([]byte("x"))); got != "x"+empty {
+		t.Errorf("nil tracer AppendChrome = %q", got)
+	}
+	if !json.Valid(b.Bytes()) {
+		t.Error("nil tracer's document is not valid JSON")
+	}
 }
 
 type recSink struct {
@@ -199,9 +218,94 @@ func TestSpillCountersInRegistry(t *testing.T) {
 	if got := reg.Counter("trace.spills").Value(); got != 2 {
 		t.Errorf("total spill counter = %d, want 2", got)
 	}
-	// The end-of-run drain is not queue pressure and must not count.
-	tk.Recs()
-	if got := reg.Counter("trace.spills").Value(); got != 2 {
-		t.Errorf("Recs drain bumped spill counter to %d", got)
+	if tk.Spills() != 2 {
+		t.Errorf("Spills() = %d before Recs, want the counter's 2", tk.Spills())
+	}
+	// The end-of-run drain is not queue pressure and must not count,
+	// however often it runs.
+	for i := 0; i < 3; i++ {
+		tk.Recs()
+		if got := reg.Counter("trace.spills").Value(); got != 2 {
+			t.Errorf("Recs drain bumped spill counter to %d", got)
+		}
+		if got := int64(tk.Spills()); got != reg.Counter("trace.spills.hosts.rank0").Value() {
+			t.Errorf("Spills() = %d after %d Recs, counter says %d", got, i+1, reg.Counter("trace.spills.hosts.rank0").Value())
+		}
+	}
+}
+
+// TestSpillPointsPinned fixes where a 5 000-emission stream overflows a
+// default-size ring, drained once mid-run the way a live export does:
+// the counters sit inside golden-hashed metrics blocks, so the chunked
+// store must overflow at exactly the emissions the copying one did.
+func TestSpillPointsPinned(t *testing.T) {
+	tr := New(Options{})
+	tk := tr.Track(GroupHost, 0, "rank0")
+	total := tr.Metrics().Counter("trace.spills")
+	var at []int
+	for i := 1; i <= 5000; i++ {
+		before := total.Value()
+		tk.Instant("c", "e", us(i), None)
+		if total.Value() != before {
+			at = append(at, i)
+		}
+		if i == 2500 {
+			tk.Recs() // drains the ring: the next overflow is a full ring later
+		}
+	}
+	want := []int{1025, 2049, 3525, 4549}
+	if !slices.Equal(at, want) {
+		t.Fatalf("overflowed at emissions %v, want %v", at, want)
+	}
+	if got := tr.Metrics().Counter("trace.spills.hosts.rank0").Value(); got != 4 || tk.Spills() != 4 {
+		t.Errorf("per-track counter %d, Spills() %d, want 4 and 4", got, tk.Spills())
+	}
+	if recs := tk.Recs(); len(recs) != 5000 || recs[0].Start != us(1) || recs[4999].Start != us(5000) {
+		t.Errorf("records lost or reordered across drains: %d", len(recs))
+	}
+}
+
+func TestEmitSteadyStateAllocs(t *testing.T) {
+	tr := New(Options{})
+	tk := tr.Track(GroupHost, 0, "rank0")
+	for i := 0; i <= DefaultRingSize; i++ { // grow the first ring and hand it over once
+		tk.Instant("c", "warm", us(i), None)
+	}
+	at := us(0)
+	emit := func() {
+		at += 20
+		tk.Span("mpi", "Send", at, at+10, Args{Peer: 1, Size: 1 << 10})
+		tk.Instant("overlap", "xfer-begin", at, Args{Peer: NoPeer, ID: 1})
+	}
+	// 2×400 emissions fit the fresh ring: no hand-over, so no allocation.
+	if n := testing.AllocsPerRun(400, emit); n != 0 {
+		t.Errorf("Span+Instant between ring hand-overs: %v allocs, want 0", n)
+	}
+	// Across hand-overs the only allocation is the replacement ring.
+	ring := func() {
+		for i := 0; i < DefaultRingSize/2; i++ {
+			emit()
+		}
+	}
+	if n := testing.AllocsPerRun(64, ring); n > 1 {
+		t.Errorf("%v allocs per RingSize emissions, want at most the one ring", n)
+	}
+}
+
+func TestSmallTrackStaysSmall(t *testing.T) {
+	tr := New(Options{})
+	tr.Track(GroupHost, 0, "rank0") // the tracer's index map and track list are not the track's cost
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tk := tr.Track(GroupHost, 1, "rank1")
+	for i := 0; i < 3; i++ {
+		tk.Instant("kernel", "spawn", us(i), None)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
+		t.Errorf("a 3-record track on a default-size tracer allocated %d bytes, want < 4 KiB", got)
+	}
+	if len(tk.Recs()) != 3 {
+		t.Errorf("small track lost records: %d", len(tk.Recs()))
 	}
 }
