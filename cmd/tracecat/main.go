@@ -89,24 +89,9 @@ func main() {
 	}
 }
 
-// event is one trace-event record; ts/dur stay json.Number so the
-// exporter's exact decimal microseconds survive a round trip, and args
-// pass through untouched as raw JSON.
-type event struct {
-	Name string          `json:"name"`
-	Cat  string          `json:"cat"`
-	Ph   string          `json:"ph"`
-	S    string          `json:"s"`
-	Ts   json.Number     `json:"ts"`
-	Dur  json.Number     `json:"dur"`
-	Pid  int             `json:"pid"`
-	Tid  int             `json:"tid"`
-	Args json.RawMessage `json:"args"`
-}
-
 type traceFile struct {
 	Path    string
-	Events  []event
+	Events  []trace.ChromeEvent
 	Metrics *trace.Snapshot
 }
 
@@ -115,23 +100,25 @@ func readTrace(path string) (*traceFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	var raw struct {
-		TraceEvents []event         `json:"traceEvents"`
-		Metrics     json.RawMessage `json:"metrics"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
+	// The events keep slices of data (stamps and args pass through as
+	// written), so it lives as long as the file does.
+	f := &traceFile{Path: path}
+	doc, err := trace.ScanChrome(data, func(e *trace.ChromeEvent) error {
+		f.Events = append(f.Events, *e)
+		return nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("not a trace-event file: %v", err)
 	}
-	// A truncated or unrelated JSON document unmarshals cleanly into
+	// A truncated or unrelated JSON document scans cleanly into
 	// nothing; treat the absence of the traceEvents array as the error
 	// it is rather than emitting a silently empty merge.
-	if raw.TraceEvents == nil {
+	if !doc.HasEvents {
 		return nil, fmt.Errorf("not a trace-event file: no traceEvents array")
 	}
-	f := &traceFile{Path: path, Events: raw.TraceEvents}
-	if len(raw.Metrics) > 0 {
+	if len(doc.Metrics) > 0 {
 		f.Metrics = &trace.Snapshot{}
-		if err := json.Unmarshal(raw.Metrics, f.Metrics); err != nil {
+		if err := json.Unmarshal(doc.Metrics, f.Metrics); err != nil {
 			return nil, fmt.Errorf("bad metrics block: %v", err)
 		}
 	}
@@ -149,7 +136,7 @@ func (fl filter) empty() bool {
 }
 
 // keeps decides one non-metadata event's fate.
-func (fl filter) keeps(e event) bool {
+func (fl filter) keeps(e *trace.ChromeEvent) bool {
 	if fl.cats != nil && !fl.cats[e.Cat] {
 		return false
 	}
@@ -167,51 +154,48 @@ func (fl filter) keeps(e event) bool {
 	return true
 }
 
-// apply filters the file's events, keeping metadata ("M") rows only
-// for tracks that still have at least one surviving event.
+// apply filters the file's events in place, keeping metadata ("M") rows
+// only for tracks that still have at least one surviving event. The
+// rows are looked for everywhere, not just at the head of the file:
+// tracecat's own merges carry each input's metadata before its events.
 func (f *traceFile) apply(fl filter) {
 	if fl.empty() {
 		return
 	}
 	type track struct{ pid, tid int }
-	alive := make(map[track]bool)
-	var kept []event
-	for _, e := range f.Events {
-		if e.Ph == "M" {
-			continue
-		}
-		if fl.keeps(e) {
-			kept = append(kept, e)
-			alive[track{e.Pid, e.Tid}] = true
+	aliveTracks := make(map[track]bool)
+	alivePids := make(map[int]bool)
+	for i := range f.Events {
+		if e := &f.Events[i]; e.Ph != "M" && fl.keeps(e) {
+			aliveTracks[track{e.Pid, e.Tid}] = true
+			alivePids[e.Pid] = true
 		}
 	}
-	var out []event
-	for _, e := range f.Events {
-		if e.Ph != "M" {
-			break // exporter writes all metadata first
-		}
-		// process-level metadata has tid 0; keep it if any of the
-		// process's tracks survived.
-		ok := alive[track{e.Pid, e.Tid}]
-		if !ok && (e.Name == "process_name" || e.Name == "process_sort_index") {
-			for t := range alive {
-				if t.pid == e.Pid {
-					ok = true
-					break
-				}
-			}
+	kept := f.Events[:0]
+	for i := range f.Events {
+		e := &f.Events[i]
+		ok := false
+		switch {
+		case e.Ph != "M":
+			ok = fl.keeps(e)
+		case e.Name == "process_name" || e.Name == "process_sort_index":
+			// process-level metadata has tid 0; keep it if any of the
+			// process's tracks survived.
+			ok = alivePids[e.Pid]
+		default:
+			ok = aliveTracks[track{e.Pid, e.Tid}]
 		}
 		if ok {
-			out = append(out, e)
+			kept = append(kept, *e)
 		}
 	}
-	f.Events = append(out, kept...)
+	f.Events = kept
 }
 
 // merged is the output document: events from every file with per-file
 // pid offsets, plus the summed metrics.
 type merged struct {
-	Events  []event
+	Events  []trace.ChromeEvent
 	Metrics *trace.Snapshot
 }
 
@@ -315,11 +299,11 @@ func (m *merged) write(w *os.File) error {
 			b = append(b, `,"s":`...)
 			b = trace.AppendQuote(b, e.S)
 		}
-		if e.Ts != "" {
+		if len(e.Ts) > 0 {
 			b = append(b, `,"ts":`...)
 			b = append(b, e.Ts...)
 		}
-		if e.Dur != "" {
+		if len(e.Dur) > 0 {
 			b = append(b, `,"dur":`...)
 			b = append(b, e.Dur...)
 		}

@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +153,69 @@ func TestMergeFilterWriteBytes(t *testing.T) {
 	}
 	if string(got) != mergedWant {
 		t.Errorf("merged document changed:\n%s\nwant:\n%s", got, mergedWant)
+	}
+}
+
+// TestFilterMergedKeepsMetadata: filtering a file tracecat itself merged
+// keeps the track names of every input, not only the first one's. The
+// merge writes each input's metadata rows ahead of its events, so the
+// later inputs' rows sit in the middle of the file, where apply used to
+// stop looking.
+func TestFilterMergedKeepsMetadata(t *testing.T) {
+	dir := t.TempDir()
+	tr := trace.New(trace.Options{})
+	for id := 0; id < 2; id++ {
+		tr.Track(trace.GroupHost, id, "rank").Span("mpi", "Wait", 1000, 2000, trace.None)
+		tr.Track(trace.GroupNIC, id, "nic").Span("wire", "xfer", 1000, 2000, trace.Args{Peer: 1 - id, ID: 1})
+	}
+	a := filepath.Join(dir, "a.json")
+	if err := os.WriteFile(a, tr.AppendChrome(nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var inputs []*traceFile
+	for i := 0; i < 2; i++ {
+		f, err := readTrace(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, f)
+	}
+	out, err := os.Create(filepath.Join(dir, "merged.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := merge(inputs).write(out); err != nil {
+		t.Fatal(err)
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, err := readTrace(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.apply(filter{cats: map[string]bool{"wire": true}})
+	var got []string
+	for _, e := range f.Events {
+		row := e.Name
+		if e.Ph == "M" {
+			row += "=" + e.MetaName()
+		}
+		got = append(got, fmt.Sprintf("%s pid%d tid%d", row, e.Pid, e.Tid))
+	}
+	want := []string{
+		"process_name=nic pid2 tid0", "process_sort_index= pid2 tid0",
+		"thread_name=nic pid2 tid1", "thread_sort_index= pid2 tid1",
+		"thread_name=nic pid2 tid2", "thread_sort_index= pid2 tid2",
+		"xfer pid2 tid1", "xfer pid2 tid2",
+		"process_name=nic pid5 tid0", "process_sort_index= pid5 tid0",
+		"thread_name=nic pid5 tid1", "thread_sort_index= pid5 tid1",
+		"thread_name=nic pid5 tid2", "thread_sort_index= pid5 tid2",
+		"xfer pid5 tid1", "xfer pid5 tid2",
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("filtered merge holds\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

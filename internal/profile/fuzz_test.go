@@ -27,18 +27,9 @@ func FuzzFromChromeJSON(f *testing.F) {
 	} else {
 		f.Errorf("committed seed trace missing: %v", err)
 	}
-	for _, s := range []string{
-		``,
-		`not json`,
-		`{}`,
-		`{"traceEvents":[]}`,
-		`{"traceEvents":[{"ph":"X","pid":1,"tid":0,"ts":0,"dur":5,"name":"compute"}]}`,
-		`{"traceEvents":[{"ph":"i","pid":1,"tid":0,"ts":-3,"name":"xfer-post","args":{"detail":"id=1 size=-9"}}]}`,
-		`{"traceEvents":[{"ph":"M","name":"process_name","pid":7,"args":{"name":"nic9"}}],"metrics":{"a":1}}`,
-	} {
+	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
 	}
-	f.Add([]byte(hostileRegionID))
 	table := cluster.Calibrate(fabric.CostModel{}, nil, 0)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in, err := FromChromeJSON(bytes.NewReader(data), table)
@@ -47,6 +38,19 @@ func FuzzFromChromeJSON(f *testing.F) {
 		}
 		_, _ = Analyze(in)
 	})
+}
+
+// fuzzSeeds are the hand-written seeds both ingest fuzz targets start
+// from, beside the committed trace.
+var fuzzSeeds = []string{
+	``,
+	`not json`,
+	`{}`,
+	`{"traceEvents":[]}`,
+	`{"traceEvents":[{"ph":"X","pid":1,"tid":0,"ts":0,"dur":5,"name":"compute"}]}`,
+	`{"traceEvents":[{"ph":"i","pid":1,"tid":0,"ts":-3,"name":"xfer-post","args":{"detail":"id=1 size=-9"}}]}`,
+	`{"traceEvents":[{"ph":"M","name":"process_name","pid":7,"args":{"name":"nic9"}}],"metrics":{"a":1}}`,
+	hostileRegionID,
 }
 
 // hostileRegionID is a reproducer the fuzzer found: a region-push

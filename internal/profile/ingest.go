@@ -2,14 +2,15 @@ package profile
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"time"
 
 	"ovlp/internal/calib"
 	"ovlp/internal/overlap"
 	"ovlp/internal/trace"
-	"ovlp/internal/vtime"
 )
 
 // FromTracer builds an Input from a live tracer after an in-process
@@ -118,23 +119,55 @@ func findGauge(s *trace.Snapshot, name string) int64 {
 // calibration table the run was instrumented with — the file does not
 // embed it. Only files produced by this repo's exporter round-trip:
 // the reader keys on its category/name vocabulary and pid/tid layout.
+// What counts as a well-formed file is trace.ScanChrome's contract.
 func FromChromeJSON(r io.Reader, table *calib.Table) (Input, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return Input{}, err
 	}
-	var raw struct {
-		TraceEvents []chromeEvent   `json:"traceEvents"`
-		Metrics     json.RawMessage `json:"metrics"`
-		ClockDomain string          `json:"clockDomain"`
-	}
-	if err := json.Unmarshal(data, &raw); err != nil {
+	in := Input{Table: table}
+	hosts := make(map[trackKey]*rankRecs)
+	var order []*rankRecs
+	names := make(map[trackKey]string)
+	var last *rankRecs // the exporter writes a track's records together
+	doc, err := trace.ScanChrome(data, func(e *trace.ChromeEvent) error {
+		k := trackKey{e.Pid, e.Tid}
+		switch e.Ph {
+		case "M":
+			if e.Name == "thread_name" {
+				names[k] = e.MetaName()
+			}
+			return nil
+		case "X", "i":
+		default:
+			return nil
+		}
+		switch trace.Group(e.Pid) {
+		case trace.GroupHost:
+			if last == nil || k != last.key {
+				rs, ok := hosts[k]
+				if !ok {
+					rs = &rankRecs{RankStream: RankStream{Rank: e.Tid - 1, Name: names[k]}, key: k}
+					hosts[k] = rs
+					order = append(order, rs)
+				}
+				last = rs
+			}
+			last.add(e.Rec())
+		case trace.GroupNIC:
+			ingestNICRec(&in, e.Tid-1, e.Rec())
+		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, trace.ErrDuplicateTraceEvents):
+		return Input{}, fmt.Errorf("profile: %v", err)
+	case err != nil:
 		return Input{}, fmt.Errorf("profile: not a trace-event file: %v", err)
-	}
-	if raw.TraceEvents == nil {
+	case !doc.HasEvents:
 		return Input{}, fmt.Errorf("profile: no traceEvents array in input")
 	}
-	traceDomain := raw.ClockDomain
+	traceDomain := doc.ClockDomain
 	if traceDomain == "" {
 		traceDomain = "virtual"
 	}
@@ -143,58 +176,21 @@ func FromChromeJSON(r io.Reader, table *calib.Table) (Input, error) {
 		// vice versa) yields nonsense bounds; refuse rather than mislead.
 		return Input{}, fmt.Errorf("profile: calibration table is %s-clock but the trace is %s-clock; use a table calibrated with the matching backend", table.Domain(), traceDomain)
 	}
-
-	in := Input{Table: table}
 	if traceDomain != "virtual" {
 		in.ClockDomain = traceDomain
 	}
-	type key struct{ pid, tid int }
-	hosts := make(map[key]*RankStream)
-	order := []key{}
-	names := make(map[key]string)
-	for _, e := range raw.TraceEvents {
-		k := key{e.Pid, e.Tid}
-		switch e.Ph {
-		case "M":
-			if e.Name == "thread_name" {
-				var a struct {
-					Name string `json:"name"`
-				}
-				_ = json.Unmarshal(e.Args, &a)
-				names[k] = a.Name
-			}
-			continue
-		case "X", "i":
-		default:
-			continue
-		}
-		rec, args := e.toRec()
-		switch trace.Group(e.Pid) {
-		case trace.GroupHost:
-			rs, ok := hosts[k]
-			if !ok {
-				rs = &RankStream{Rank: e.Tid - 1, Name: names[k]}
-				hosts[k] = rs
-				order = append(order, k)
-			}
-			rec.Args = args
-			rs.Recs = append(rs.Recs, rec)
-		case trace.GroupNIC:
-			rec.Args = args
-			ingestNICRec(&in, e.Tid-1, rec)
-		}
-	}
-	for _, k := range order {
-		rs := hosts[k]
+	for _, rs := range order {
 		if rs.Name == "" {
-			rs.Name = names[k]
+			rs.Name = names[rs.key]
 		}
-		in.Ranks = append(in.Ranks, *rs)
+		rs.Recs = rs.flatten()
+		in.Ranks = append(in.Ranks, rs.RankStream)
 	}
 	harvestRegionNames(&in)
-	if len(raw.Metrics) > 0 {
+	if len(doc.Metrics) > 0 {
+		// Once per file and a few KB: the generic decoder will do.
 		var snap trace.Snapshot
-		if err := json.Unmarshal(raw.Metrics, &snap); err == nil {
+		if err := json.Unmarshal(doc.Metrics, &snap); err == nil {
 			if g := findGauge(&snap, "run.duration_ns"); g > 0 {
 				in.Duration = time.Duration(g)
 			}
@@ -203,44 +199,80 @@ func FromChromeJSON(r io.Reader, table *calib.Table) (Input, error) {
 	return in, nil
 }
 
-// chromeEvent mirrors the exporter's record layout; ts/dur stay
-// json.Number so the exact decimal microseconds convert back to
-// integer nanoseconds without a float round trip.
-type chromeEvent struct {
-	Name string          `json:"name"`
-	Cat  string          `json:"cat"`
-	Ph   string          `json:"ph"`
-	Ts   json.Number     `json:"ts"`
-	Dur  json.Number     `json:"dur"`
-	Pid  int             `json:"pid"`
-	Tid  int             `json:"tid"`
-	Args json.RawMessage `json:"args"`
+// readAll is io.ReadAll with the buffer sized up front when r can say
+// how much it holds — the in-memory readers by Len, a file by Stat —
+// because growing from 512 bytes copies a multi-megabyte trace six
+// times over. A pipe, or a wrong size, only costs the usual growth.
+func readAll(r io.Reader) ([]byte, error) {
+	size := 0
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		size = v.Len()
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() {
+			size = int(fi.Size())
+		}
+	}
+	// One byte spare, so the Read that reports EOF finds room.
+	data := make([]byte, 0, max(size+1, 512))
+	for {
+		n, err := r.Read(data[len(data):cap(data)])
+		data = data[:len(data)+n]
+		if err == io.EOF {
+			return data, nil
+		}
+		if err != nil {
+			return data, err
+		}
+		if len(data) == cap(data) {
+			data = append(data, 0)[:len(data)]
+		}
+	}
 }
 
-func (e *chromeEvent) toRec() (trace.Rec, trace.Args) {
-	start := vtime.Time(trace.ParseUsec(string(e.Ts)))
-	rec := trace.Rec{Cat: e.Cat, Name: e.Name, Start: start}
-	if e.Ph == "X" {
-		rec.Dur = time.Duration(trace.ParseUsec(string(e.Dur)))
-	}
-	args := trace.Args{Peer: trace.NoPeer}
-	if len(e.Args) > 0 {
-		var a struct {
-			Peer   *int   `json:"peer"`
-			Size   int64  `json:"size"`
-			ID     uint64 `json:"id"`
-			Detail string `json:"detail"`
-			Phase  string `json:"phase"`
+// rankRecs accumulates one host track's records in chunks and flattens
+// them once into an exact-size slice (as trace.Track.Recs does), so a
+// long track is copied once rather than at every doubling of one slice.
+type rankRecs struct {
+	RankStream
+	key    trackKey
+	chunks [][]trace.Rec
+}
+
+// trackKey places an event on its track.
+type trackKey struct{ pid, tid int }
+
+// Chunk capacities in records: they double from minChunk, so a short
+// track stays small, up to maxChunk (about 100 KiB).
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
+
+func (rs *rankRecs) add(rec trace.Rec) {
+	n := len(rs.chunks)
+	if n == 0 || len(rs.chunks[n-1]) == cap(rs.chunks[n-1]) {
+		size := minChunk
+		if n > 0 {
+			size = min(2*cap(rs.chunks[n-1]), maxChunk)
 		}
-		if err := json.Unmarshal(e.Args, &a); err == nil {
-			if a.Peer != nil {
-				args.Peer = *a.Peer
-			}
-			args.Size = a.Size
-			args.ID = a.ID
-			args.Detail = a.Detail
-			args.Phase = a.Phase
-		}
+		rs.chunks = append(rs.chunks, make([]trace.Rec, 0, size))
+		n++
 	}
-	return rec, args
+	rs.chunks[n-1] = append(rs.chunks[n-1], rec)
+}
+
+func (rs *rankRecs) flatten() []trace.Rec {
+	if len(rs.chunks) == 1 {
+		return rs.chunks[0]
+	}
+	total := 0
+	for _, c := range rs.chunks {
+		total += len(c)
+	}
+	flat := make([]trace.Rec, 0, total)
+	for _, c := range rs.chunks {
+		flat = append(flat, c...)
+	}
+	return flat
 }

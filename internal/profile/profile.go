@@ -317,12 +317,13 @@ func Analyze(in Input) (*Profile, error) {
 		ClockDomain: in.ClockDomain,
 	}
 
+	wire := &wirePhases{wire: in.Wire}
 	sites := make(map[siteKey]*Site)
 	var epochs []EpochTotals
 	maxEpoch := 0
 	for i := range in.Ranks {
 		rs := &in.Ranks[i]
-		obs, rankEpochs, err := replayRank(rs, &in)
+		obs, rankEpochs, err := replayRank(rs, &in, wire)
 		if err != nil {
 			return nil, fmt.Errorf("profile: rank %d (%s): %w", rs.Rank, rs.Name, err)
 		}

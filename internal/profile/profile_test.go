@@ -218,3 +218,50 @@ func TestAnalyzeEmpty(t *testing.T) {
 		t.Error("Analyze accepted an empty input")
 	}
 }
+
+// TestWirePhaseFirstOccurrenceWins: a transfer id that is on the wire
+// more than once (fragments, retransmissions) is classified by its
+// first wire span. Giving every id a second span under another phase
+// changes nothing when it comes after the original and moves the
+// protocol blame to progress when it comes before.
+func TestWirePhaseFirstOccurrenceWins(t *testing.T) {
+	w := workloads()[1] // rendezvous-pipelined
+	tr := trace.New(trace.Options{})
+	w.cfg.Trace = tr
+	res := cluster.Run(w.cfg, w.body)
+	in := FromTracer(tr, res.Calib, res.Reports)
+	base, err := Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Totals.Blame.Protocol == 0 {
+		t.Fatal("workload attributes nothing to the protocol: the test needs one that does")
+	}
+	eager := make([]WireSpan, len(in.Wire))
+	for i, ws := range in.Wire {
+		ws.Phase = "eager"
+		eager[i] = ws
+	}
+	orig := in.Wire
+
+	in.Wire = append(append([]WireSpan{}, orig...), eager...)
+	after, err := Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Totals.Blame != base.Totals.Blame {
+		t.Errorf("a later wire span changed the blame: %+v, want %+v", after.Totals.Blame, base.Totals.Blame)
+	}
+
+	in.Wire = append(eager, orig...)
+	before, err := Analyze(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := base.Totals.Blame
+	want.Progress += want.Protocol
+	want.Protocol = 0
+	if before.Totals.Blame != want {
+		t.Errorf("an earlier wire span did not decide the blame: %+v, want %+v", before.Totals.Blame, want)
+	}
+}

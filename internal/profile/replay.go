@@ -62,7 +62,7 @@ type openX struct {
 // replayRank rebuilds rank rs's monitor event stream and replays it.
 // The second result is the rank's final recovery epoch (the number of
 // epoch cuts seen).
-func replayRank(rs *RankStream, in *Input) ([]xferObs, int, error) {
+func replayRank(rs *RankStream, in *Input, wire *wirePhases) ([]xferObs, int, error) {
 	var samples []XferSample
 	rr := NewRankReplay(in.Window, func(x XferSample) { samples = append(samples, x) })
 	for _, rec := range rs.Recs {
@@ -96,7 +96,7 @@ func replayRank(rs *RankStream, in *Input) ([]xferObs, int, error) {
 		xt, minOv, maxOv := x.Bounds(in.Table)
 		out = append(out, xferObs{id: x.ID, size: x.Size, region: x.Region, op: x.Op,
 			epoch: x.Epoch, xt: xt, minOv: minOv, maxOv: maxOv,
-			blame: classify(x, minOv, maxOv, in, rs.Protocol, rr)})
+			blame: classify(x, minOv, maxOv, in, wire, rs.Protocol, rr)})
 	}
 	return out, rr.epoch, nil
 }
@@ -136,7 +136,7 @@ func recoveryBlame(x *XferSample, gap time.Duration, in *Input) (Blame, bool) {
 
 // classify attributes a sample's bound gap to one cause, preserving
 // the monitor-era taxonomy per case.
-func classify(x *XferSample, minOv, maxOv time.Duration, in *Input, protocol string, rr *RankReplay) Blame {
+func classify(x *XferSample, minOv, maxOv time.Duration, in *Input, wire *wirePhases, protocol string, rr *RankReplay) Blame {
 	gap := maxOv - minOv
 	var b Blame
 	if gap == 0 {
@@ -156,7 +156,7 @@ func classify(x *XferSample, minOv, maxOv time.Duration, in *Input, protocol str
 			b.FaultRetransmit = gap
 		case x.Noncomputation > 0 && 2*rr.ParkTime(x.BeginAt, x.At) >= x.Noncomputation:
 			b.EarlyWait = gap
-		case isPipelined(in, protocol, x.ID):
+		case wire.pipelined(x.ID, protocol):
 			b.Protocol = gap
 		default:
 			b.Progress = gap
@@ -176,14 +176,29 @@ func classify(x *XferSample, minOv, maxOv time.Duration, in *Input, protocol str
 	return b
 }
 
-// isPipelined reports whether transfer id moved under a pipelined
-// phase — by wire tag when the id reached the wire, by the rank's
-// protocol otherwise (a receiver's virtual bulk transfer never does).
-func isPipelined(in *Input, protocol string, id uint64) bool {
-	for i := range in.Wire {
-		if in.Wire[i].ID == id {
-			return strings.HasPrefix(in.Wire[i].Phase, "pipelined")
+// wirePhases answers, for a transfer id that reached the wire, whether
+// its first wire span moved under a pipelined phase. The index is built
+// once per Analyze, on the first question (many inputs never ask), so
+// classifying a transfer does not scan the wire.
+type wirePhases struct {
+	wire  []WireSpan
+	first map[uint64]bool
+}
+
+// pipelined reports whether transfer id moved under a pipelined phase —
+// by wire tag when the id reached the wire, by the rank's protocol
+// otherwise (a receiver's virtual bulk transfer never does).
+func (w *wirePhases) pipelined(id uint64, protocol string) bool {
+	if w.first == nil {
+		w.first = make(map[uint64]bool, len(w.wire))
+		for i := range w.wire {
+			if _, seen := w.first[w.wire[i].ID]; !seen {
+				w.first[w.wire[i].ID] = strings.HasPrefix(w.wire[i].Phase, "pipelined")
+			}
 		}
+	}
+	if p, ok := w.first[id]; ok {
+		return p
 	}
 	return strings.Contains(protocol, "Pipelined")
 }
