@@ -221,6 +221,12 @@ type Fabric struct {
 
 	tr *trace.Tracer // nil = untraced
 
+	// record's instruments, looked up in the tracer's registry at the
+	// first traced transfer (not in SetTrace: an idle fabric must leave
+	// no instruments behind) and reset by SetTrace.
+	mTransfers, mWireBytes *trace.Counter
+	mXferSize              *trace.Histogram
+
 	// Real-clock backend (see real.go): per-NIC egress goroutines,
 	// nil on virtual sims.
 	rnics  []*realNIC
@@ -304,6 +310,7 @@ func (f *Fabric) FaultStats() FaultStats {
 // time: they model the free visibility only the simulator has.
 func (f *Fabric) SetTrace(t *trace.Tracer) {
 	f.tr = t
+	f.mTransfers, f.mWireBytes, f.mXferSize = nil, nil, nil
 	for _, n := range f.nics {
 		n.track = nil
 	}
@@ -373,19 +380,23 @@ func (f *Fabric) record(t Transfer) {
 			// the trace's NIC spans equal Transfers() exactly.
 			f.nicTrack(t.Src).Span("wire", "xfer", t.Start, t.End,
 				trace.Args{Peer: int(t.Dst), Size: int64(t.Size), ID: t.XferID, Phase: t.Phase})
-			m := f.tr.Metrics()
-			m.Counter("fabric.transfers").Inc()
-			m.Counter("fabric.wire_bytes").Add(int64(t.Size))
-			m.Histogram("fabric.xfer_size", xferSizeBounds()).Observe(int64(t.Size))
+			if f.mXferSize == nil {
+				m := f.tr.Metrics()
+				f.mTransfers = m.Counter("fabric.transfers")
+				f.mWireBytes = m.Counter("fabric.wire_bytes")
+				f.mXferSize = m.Histogram("fabric.xfer_size", xferSizeBounds)
+			}
+			f.mTransfers.Inc()
+			f.mWireBytes.Add(int64(t.Size))
+			f.mXferSize.Observe(int64(t.Size))
 		}
 	}
 }
 
 // xferSizeBounds are the transfer-size histogram buckets, matching the
-// default overlap bin bounds so the two views line up.
-func xferSizeBounds() []int64 {
-	return []int64{1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20}
-}
+// default overlap bin bounds so the two views line up. Read-only: every
+// traced fabric's histogram shares it.
+var xferSizeBounds = []int64{1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20}
 
 // NIC is one node's network interface: a DMA engine plus completion
 // and receive queues. All posting and polling methods must be called

@@ -381,3 +381,46 @@ func TestNICTrackCached(t *testing.T) {
 		t.Error("detached fabric must hand out nil tracks")
 	}
 }
+
+// A traced transfer record pays for its wire span and three
+// instruments, none of which may allocate once the handles are
+// resolved: no per-call bounds slice, no registry lookups.
+func TestRecordSteadyStateAllocs(t *testing.T) {
+	_, f := twoNodes(t)
+	tr := trace.New(trace.Options{})
+	f.SetTrace(tr)
+	if s := tr.Metrics().Snapshot(); len(s.Counters)+len(s.Histograms) != 0 {
+		t.Fatal("SetTrace must not create instruments ahead of the first transfer")
+	}
+	id := uint64(0)
+	rec := func() {
+		id++
+		f.record(Transfer{XferID: id, Src: 0, Dst: 1, Size: 4096, Start: vtime.Time(id), End: vtime.Time(id + 1)})
+	}
+	// Warm up past the track's ring growth and the truth log's first
+	// doublings; what is left is one ring hand-over per RingSize records
+	// and a log doubling, both far below one allocation per record.
+	for i := 0; i < 4*trace.DefaultRingSize; i++ {
+		rec()
+	}
+	if allocs := testing.AllocsPerRun(100, rec); allocs != 0 {
+		t.Errorf("traced record allocated %v times per call, want 0", allocs)
+	}
+	m := tr.Metrics()
+	if got := m.Counter("fabric.transfers").Value(); got != int64(id) {
+		t.Errorf("fabric.transfers = %d, want %d", got, id)
+	}
+	if got := m.Counter("fabric.wire_bytes").Value(); got != 4096*int64(id) {
+		t.Errorf("fabric.wire_bytes = %d, want %d", got, 4096*int64(id))
+	}
+	// A new tracer gets its own instruments, not the old tracer's.
+	other := trace.New(trace.Options{})
+	f.SetTrace(other)
+	rec()
+	if got := other.Metrics().Counter("fabric.transfers").Value(); got != 1 {
+		t.Errorf("second tracer's fabric.transfers = %d, want 1", got)
+	}
+	if got := m.Counter("fabric.transfers").Value(); got != int64(id)-1 {
+		t.Errorf("first tracer's fabric.transfers moved to %d after SetTrace", got)
+	}
+}

@@ -32,6 +32,7 @@ type CollRequest struct {
 	label string // "Iallreduce[ring]": the schedule's site label
 	seq   int
 	acts  []schedAction
+	lo    int // every action before lo has finished: advance scans from here
 	nDone int
 	done  bool
 }
@@ -101,16 +102,10 @@ func (r *Rank) startColl(opName string, op coll.Op, root, size int) *CollRequest
 	r.enterOp(opName)
 	defer r.exit()
 	cfg := &r.w.cfg
-	sch, err := coll.Build(coll.Params{
+	sch := r.schedule(opName, coll.Params{
 		Op: op, Algo: cfg.CollAlgo, Rank: r.id, Procs: r.Size(),
 		Root: root, Size: size, Chunk: cfg.CollChunk,
 	})
-	if err != nil {
-		panic("mpi: " + err.Error())
-	}
-	if sch.Rounds > maxSchedRound {
-		panic(fmt.Sprintf("mpi: %s schedule needs %d rounds (max %d)", opName, sch.Rounds, maxSchedRound))
-	}
 	cr := &CollRequest{
 		r: r, op: opName, seq: r.nextColSeq(),
 		label: opName + "[" + sch.Algo.String() + "]",
@@ -134,6 +129,28 @@ func (r *Rank) startColl(opName string, op coll.Op, root, size int) *CollRequest
 	return cr
 }
 
+// schedule returns the rank's schedule for p, built on first use: a
+// schedule is a pure function of its parameters and an iterative code
+// starts the same collective every step. Callers only read it —
+// startColl copies the actions into its own execution state.
+func (r *Rank) schedule(opName string, p coll.Params) *coll.Schedule {
+	if sch := r.schedules[p]; sch != nil {
+		return sch
+	}
+	sch, err := coll.Build(p)
+	if err != nil {
+		panic("mpi: " + err.Error())
+	}
+	if sch.Rounds > maxSchedRound {
+		panic(fmt.Sprintf("mpi: %s schedule needs %d rounds (max %d)", opName, sch.Rounds, maxSchedRound))
+	}
+	if r.schedules == nil {
+		r.schedules = make(map[coll.Params]*coll.Schedule)
+	}
+	r.schedules[p] = sch
+	return sch
+}
+
 // advanceColl runs every pending schedule's ready actions and retires
 // completed schedules. It is part of the progress sweep: call it only
 // from progress(), under the progressing guard.
@@ -143,7 +160,7 @@ func (r *Rank) advanceColl() bool {
 	}
 	did := false
 	for _, cr := range r.colPending {
-		if cr.advance() {
+		if advanceSchedule(cr) {
 			did = true
 		}
 	}
@@ -160,12 +177,17 @@ func (r *Rank) advanceColl() bool {
 	return did
 }
 
+// advanceSchedule is a variable only for the differential test, which
+// runs whole programs on the full-scan reference kept in export_test.go.
+var advanceSchedule = (*CollRequest).advance
+
 // advance starts every ready action and retires finished transfers,
 // iterating to a fixpoint so freshly satisfied dependencies start in
 // the same sweep. Local actions charge their CPU cost to the current
 // driver — the rank inside a call, the progress thread during its
 // sweeps — which is exactly how asynchronous progress steals cycles on
-// real systems.
+// real systems. Each pass scans from the first unfinished action: the
+// finished prefix only grows, and a pass has nothing to do there.
 func (cr *CollRequest) advance() bool {
 	if cr.done {
 		return false
@@ -174,7 +196,10 @@ func (cr *CollRequest) advance() bool {
 	did := false
 	for changed := true; changed; {
 		changed = false
-		for i := range cr.acts {
+		for cr.lo < len(cr.acts) && cr.acts[cr.lo].fin {
+			cr.lo++
+		}
+		for i := cr.lo; i < len(cr.acts); i++ {
 			a := &cr.acts[i]
 			if a.fin {
 				continue

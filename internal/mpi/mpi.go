@@ -303,6 +303,8 @@ type Rank struct {
 	progressing bool           // a progress sweep is running (reentrancy guard)
 	stalled     bool           // rank parked waiting for the thread's sweep to end
 
+	schedules map[coll.Params]*coll.Schedule // every schedule built so far (Rank.schedule)
+
 	reqSeq    uint64
 	colSeq    int
 	depth     int

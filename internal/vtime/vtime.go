@@ -1,22 +1,31 @@
+// iter.Pull is Go 1.23 API and go.mod stays at go 1.22 (bench/go.mod
+// cannot require a newer module than itself); the constraint gives this
+// file the language version go vet checks iter against.
+
+//go:build go1.23
+
 // Package vtime implements a deterministic discrete-event simulation
 // kernel with virtual time.
 //
 // A Sim owns a virtual clock and an event heap. Work is performed by
-// procs — goroutines that run in a strict coroutine discipline: at any
-// instant exactly one goroutine holds the baton and executes, so every
-// run of a given program is bit-for-bit reproducible. Events that fire
-// at the same virtual time execute in the order they were scheduled.
+// procs — coroutines: at any instant exactly one of them, or RunE's
+// own goroutine, holds the baton and executes, so every run of a given
+// program is bit-for-bit reproducible. Events that fire at the same
+// virtual time execute in the order they were scheduled.
 //
-// There is no scheduler goroutine. A proc that blocks (Compute, Park,
+// There is no scheduler goroutine and no channel. Each proc is created
+// with iter.Pull, and RunE is a trampoline that switches into whichever
+// proc was dispatched last. A proc that blocks (Compute, Park,
 // returning) keeps the baton and fires events from the heap on its own
-// goroutine until one of them dispatches a proc: if that proc is
-// itself it just returns, otherwise it wakes the other proc's
-// goroutine and sleeps. Event context therefore means "Sim.current is
-// nil", not a particular goroutine: After callbacks run on whichever
-// goroutine holds the baton, never concurrently with anything else.
-// The goroutine inside RunE fires events only until the first dispatch
-// and then sleeps until the run ends — events exhausted, deadline
-// reached, or a panic — when the last baton holder wakes it.
+// coroutine until one of them dispatches a proc: if that proc is
+// itself it just returns — no switch at all — otherwise it records the
+// proc in Sim.pending and yields to RunE, which switches into it. A
+// hand-off is two runtime coroutine switches on one OS thread and never
+// enters the Go scheduler. Event context therefore means "Sim.current
+// is nil", not a particular goroutine: After callbacks run on whichever
+// coroutine holds the baton, never concurrently with anything else.
+// The run ends — events exhausted, deadline reached, or a panic — when
+// a proc yields with nothing pending.
 //
 // Procs model computation by calling Compute, which advances the
 // virtual clock without consuming real CPU time proportional to the
@@ -31,6 +40,7 @@ package vtime
 
 import (
 	"fmt"
+	"iter"
 	"sync"
 	"time"
 )
@@ -57,7 +67,7 @@ type evKind uint8
 
 const (
 	evFunc   evKind = iota // run fn (After, AfterCancel)
-	evStart                // launch p's goroutine (fn) and dispatch it
+	evStart                // create p's coroutine and dispatch it
 	evTimer                // p's Compute elapsed; live only while p.timer == seq
 	evUnpark               // p was granted a permit while parked
 	evKill                 // p was killed while blocked
@@ -202,9 +212,9 @@ type Sim struct {
 	deadline Time // 0 = no watchdog
 	obs      Observer
 
-	done    chan struct{} // last baton holder -> RunE: the run is over
-	current *Proc         // proc executing its own code; nil while events fire
-	next    *Proc         // proc the event being fired dispatches
+	current *Proc // proc executing its own code; nil while events fire
+	next    *Proc // proc the event being fired dispatches
+	pending *Proc // proc the yielding one dispatched, for RunE to switch to; nil ends the run
 
 	panicked any // what ended the run early: a proc's wrapped panic, or an event's raw one
 	running  bool
@@ -222,7 +232,7 @@ func (s *Sim) SetObserver(o Observer) { s.obs = o }
 
 // NewSim returns an empty simulator at virtual time zero.
 func NewSim() *Sim {
-	return &Sim{done: make(chan struct{})}
+	return &Sim{}
 }
 
 // Now returns the current virtual time: the event clock on a virtual
@@ -244,9 +254,14 @@ type Proc struct {
 	sim    *Sim
 	id     int
 	name   string
-	resume chan struct{}
+	fn     func(p *Proc)
 	state  procState
 	permit bool // pending Unpark while not parked
+
+	// The two halves of the proc's coroutine (iter.Pull): RunE calls
+	// next to switch into the proc, the proc calls yield to switch back.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 
 	blockedSince Time   // for deadlock dumps
 	blockedAt    string // label of the blocking call site
@@ -278,22 +293,23 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 		return s.spawnReal(name, fn)
 	}
 	p := &Proc{
-		sim:    s,
-		id:     len(s.procs),
-		name:   name,
-		resume: make(chan struct{}),
-		state:  stateNew,
+		sim:   s,
+		id:    len(s.procs),
+		name:  name,
+		fn:    fn,
+		state: stateNew,
 	}
 	s.procs = append(s.procs, p)
 	s.live++
-	s.schedule(s.now, event{kind: evStart, p: p, fn: func() { p.run(fn) }})
+	s.schedule(s.now, event{kind: evStart, p: p})
 	return p
 }
 
-// run is the body of p's goroutine, launched when its evStart fires.
-func (p *Proc) run(fn func(p *Proc)) {
+// run is the body of p's coroutine, created when its evStart fires and
+// entered at its first dispatch.
+func (p *Proc) run(yield func(struct{}) bool) {
 	s := p.sim
-	<-p.resume // wait for first dispatch
+	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
 			// Preserve typed panic values (library CommErrors and
@@ -319,7 +335,7 @@ func (p *Proc) run(fn func(p *Proc)) {
 		p.killed = nil
 		panic(err)
 	}
-	fn(p)
+	p.fn(p)
 }
 
 // schedule enqueues e to fire at time at and returns its seq.
@@ -348,7 +364,7 @@ func (s *Sim) fire(e event) {
 	case evFunc:
 		e.fn()
 	case evStart:
-		go e.fn()
+		p.next, _ = iter.Pull(p.run) // leftover procs stay suspended, so stop is never needed
 		s.dispatch(p)
 	case evTimer:
 		p.timer = 0
@@ -405,21 +421,18 @@ func (s *Sim) advance() (next *Proc) {
 	return nil
 }
 
-// pass is called on p's goroutine when p has just blocked or finished:
+// pass is called on p's coroutine when p has just blocked or finished:
 // p keeps the baton and fires events itself until one dispatches a
-// proc. If that is p again no goroutine switch happened at all and
-// pass reports true; otherwise it wakes the dispatched proc — or RunE,
-// when the run is over — and the caller must wait on p.resume.
+// proc. If that is p again no switch happened at all and pass reports
+// true; otherwise it leaves the dispatched proc — nil when the run is
+// over — in s.pending for RunE, and the caller must yield (or return).
 func (s *Sim) pass(p *Proc) (self bool) {
 	s.current = nil
-	switch next := s.advance(); next {
-	case p:
+	next := s.advance()
+	if next == p {
 		return true
-	case nil:
-		s.done <- struct{}{}
-	default:
-		next.resume <- struct{}{}
 	}
+	s.pending = next
 	return false
 }
 
@@ -464,7 +477,7 @@ func (p *Proc) block(st procState, where string) {
 		p.sim.obs.ProcBlocked(p, st.String(), where)
 	}
 	if !p.sim.pass(p) {
-		<-p.resume
+		p.yield(struct{}{})
 	}
 	if p.sim.obs != nil {
 		p.sim.obs.ProcResumed(p)
@@ -652,9 +665,11 @@ func (s *Sim) RunE() (t Time, err error) {
 		panic("vtime: Run called reentrantly")
 	}
 	s.running = true
-	if p := s.advance(); p != nil {
-		p.resume <- struct{}{}
-		<-s.done
+	// The trampoline: switch into the dispatched proc; it comes back —
+	// yielding or finished — having fired events up to the next dispatch.
+	for p := s.advance(); p != nil; p = s.pending {
+		s.pending = nil
+		p.next()
 	}
 	s.running = false
 	if pv := s.panicked; pv != nil {
