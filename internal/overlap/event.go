@@ -27,7 +27,11 @@
 // constant and no interprocess communication is ever performed.
 package overlap
 
-import "time"
+import (
+	"time"
+
+	"ovlp/internal/ringpool"
+)
 
 // Clock supplies time-stamps to a Monitor as durations since an
 // arbitrary per-process origin. The vtime simulation clock and a
@@ -118,8 +122,22 @@ type ring struct {
 	head int // index of oldest
 }
 
+// queues recycles event queues from one monitor to the next: a queue
+// enters at Monitor.Finalize, where it becomes garbage anyway, and
+// newRing draws one of exactly its capacity. Queues are not cleared —
+// the ring reads only the n slots it pushed since its last drain — so
+// a sweep of runs pays for each rank's queue once, not once per run.
+var queues ringpool.List[Event]
+
 func newRing(capacity int) *ring {
-	return &ring{buf: make([]Event, capacity)}
+	return &ring{buf: queues.Get(capacity)}
+}
+
+// release hands the drained queue's buffer to the free list; the ring
+// is unusable afterwards.
+func (r *ring) release() {
+	queues.Put(r.buf)
+	r.buf = nil
 }
 
 // full reports whether the queue has no room for another event.

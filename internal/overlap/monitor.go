@@ -317,7 +317,8 @@ func (m *Monitor) EpochCut() {
 
 // Finalize drains outstanding events, closes still-open transfers
 // (single-stamped: zero minimum, full maximum overlap), and returns
-// the process's report. The monitor rejects further events afterwards.
+// the process's report. The monitor rejects further events afterwards,
+// so its event queue is handed on to the next monitor here.
 func (m *Monitor) Finalize() *Report {
 	if m == nil {
 		return nil
@@ -330,5 +331,6 @@ func (m *Monitor) Finalize() *Report {
 	}
 	m.process()
 	m.finalized = true
+	m.q.release()
 	return m.st.finish(m.cfg.Clock.Now())
 }

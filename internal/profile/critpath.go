@@ -3,6 +3,8 @@ package profile
 import (
 	"sort"
 	"time"
+
+	"ovlp/internal/trace"
 )
 
 // Critical-path extraction: a backward walk from the end of the run
@@ -31,30 +33,40 @@ type tlSpan struct {
 	label      string
 }
 
+// timelineSpan reports whether rec is one of the kernel spans a rank's
+// timeline is built from.
+func timelineSpan(rec *trace.Rec) bool {
+	return rec.Cat == "kernel" && rec.Dur != 0 && (rec.Name == "compute" || rec.Name == "park")
+}
+
 func criticalPath(in *Input, duration time.Duration) CriticalPath {
 	lines := make(map[int]*rankTimeline)
+	nspans := 0
 	for i := range in.Ranks {
 		rs := &in.Ranks[i]
 		tl := &rankTimeline{rank: rs.Rank, name: rs.Name, unparks: make(map[time.Duration]int)}
-		for _, rec := range rs.Recs {
-			if rec.Cat != "kernel" {
-				continue
+		// Most of a rank's records are not timeline spans: count first,
+		// so the slice is allocated once at its final size.
+		n := 0
+		for j := range rs.Recs {
+			if timelineSpan(&rs.Recs[j]) {
+				n++
 			}
-			switch rec.Name {
-			case "compute", "park":
-				if rec.Dur == 0 {
-					continue
-				}
+		}
+		tl.spans = make([]tlSpan, 0, n)
+		nspans += n
+		for j := range rs.Recs {
+			rec := &rs.Recs[j]
+			switch {
+			case timelineSpan(rec):
 				tl.spans = append(tl.spans, tlSpan{
 					start: rec.Start.Duration(),
 					end:   rec.End().Duration(),
 					park:  rec.Name == "park",
 					label: rec.Args.Detail,
 				})
-			case "unpark":
-				if rec.Args.Peer >= 0 {
-					tl.unparks[rec.Start.Duration()] = rec.Args.Peer
-				}
+			case rec.Cat == "kernel" && rec.Name == "unpark" && rec.Args.Peer >= 0:
+				tl.unparks[rec.Start.Duration()] = rec.Args.Peer
 			}
 		}
 		sort.SliceStable(tl.spans, func(a, b int) bool { return tl.spans[a].start < tl.spans[b].start })
@@ -96,7 +108,9 @@ func criticalPath(in *Input, duration time.Duration) CriticalPath {
 		return cp
 	}
 
-	var segs []PathSegment
+	// Every segment but a wire hop consumes a span, and the path is on
+	// one rank at a time: about a rank's share of the spans, in all.
+	segs := make([]PathSegment, 0, nspans/len(lines))
 	push := func(s PathSegment) {
 		if s.End > s.Start {
 			segs = append(segs, s)

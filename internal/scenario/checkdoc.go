@@ -41,7 +41,7 @@ var checkDocs = []CheckDoc{
 	{"conservation", nil,
 		"the oracle's replayed totals equal the instrumentation's report, per rank and whole-run"},
 	{"determinism", nil,
-		"an immediate rerun with the same seed produces byte-identical trace and report"},
+		"an immediate rerun with the same seed (simulation, export, profile and report; not the analyzers, findings or event capture, which feed neither) produces byte-identical trace and report"},
 	{"trace_hash", []string{"hash"},
 		"sha256 of the Chrome trace bytes equals the pinned golden hash (skipped under -smoke)"},
 	{"report_hash", []string{"hash"},

@@ -115,8 +115,47 @@ type RunResult struct {
 // (invalid scenario); the workload's own failures land in
 // RunResult.Err where assertions can inspect them.
 func Run(s *Scenario, opts Opts) (*RunResult, error) {
-	if err := s.Validate(); err != nil {
+	rr, tres, err := simulate(s, opts, true, nil)
+	if err != nil {
 		return nil, err
+	}
+	rr.TraceHash = hashBytes(rr.TraceBytes)
+
+	// Best-effort like the profile: a stream the replay rejects leaves
+	// TimeRes nil and the time_resolved assertions report its absence
+	// as their own violation.
+	if tres != nil {
+		tres.SetTable(rr.Res.Calib)
+		tres.Finalize(rr.Res.Duration)
+		if tres.Err() == nil {
+			rr.TimeRes = tres.Snapshot()
+		}
+	}
+
+	if opts.Findings || s.wantsFindings() {
+		rr.Findings = diagnoseRun(rr)
+	}
+
+	if rr.ReportBytes, err = encodeReport(rr); err != nil {
+		return nil, err
+	}
+	rr.ReportHash = hashBytes(rr.ReportBytes)
+	return rr, nil
+}
+
+// simulate is what Run and the determinism re-run share, and all that
+// TraceBytes and ReportBytes depend on: one simulation of s under a
+// fresh tracer, the trace exported onto traceBuf[:0], and the offline
+// profile. The result carries no hashes and no report yet — the report
+// embeds the trace hash, which the two callers obtain differently.
+//
+// primary additionally attaches what only Run's callers read and no
+// artifact byte depends on: the per-rank Events capture (a passive
+// monitor tap, the oracle's input), the time-resolved analyzer (a
+// trace sink, returned for Run to finalize) and opts.Sink.
+func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult, *timeres.Analyzer, error) {
+	if err := s.Validate(); err != nil {
+		return nil, nil, err
 	}
 	procs := s.Procs
 	if opts.Smoke && procs > smokeProcs {
@@ -132,33 +171,35 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 	}
 	mpiCfg, err := s.mpiConfig()
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", s.Name, err)
+		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	plan, err := s.FaultPlan()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if opts.Backend == cluster.BackendReal && (plan != nil || s.wantsFT()) {
-		return nil, fmt.Errorf("scenario %s: chaos and crash injection need the virtual backend; drop -backend real", s.Name)
+		return nil, nil, fmt.Errorf("scenario %s: chaos and crash injection need the virtual backend; drop -backend real", s.Name)
 	}
 
-	events := make([][]overlap.Event, procs)
-	mpiCfg.Instrument = &mpi.InstrumentConfig{
-		TraceSinkFor: func(rank int) func(overlap.Event) {
+	tracer := trace.New(trace.Options{})
+	mpiCfg.Instrument = &mpi.InstrumentConfig{}
+	var events [][]overlap.Event
+	var tres *timeres.Analyzer
+	if primary {
+		events = make([][]overlap.Event, procs)
+		mpiCfg.Instrument.TraceSinkFor = func(rank int) func(overlap.Event) {
 			return func(e overlap.Event) { events[rank] = append(events[rank], e) }
-		},
+		}
+		if opts.TimeRes || opts.Findings || s.wantsTimeRes() {
+			tres = timeres.New(timeres.Options{Window: s.timeResWindow(opts.TimeResWindow)})
+			tracer.AddSink(tres)
+		}
+		tracer.AddSink(opts.Sink) // nil-safe no-op when unset
 	}
 	deadline := s.Deadline.D()
 	if deadline <= 0 {
 		deadline = DefaultDeadline
 	}
-	tracer := trace.New(trace.Options{})
-	var tres *timeres.Analyzer
-	if opts.TimeRes || opts.Findings || s.wantsTimeRes() {
-		tres = timeres.New(timeres.Options{Window: s.timeResWindow(opts.TimeResWindow)})
-		tracer.AddSink(tres)
-	}
-	tracer.AddSink(opts.Sink) // nil-safe no-op when unset
 	cfg := cluster.Config{
 		Procs:       procs,
 		Backend:     opts.Backend,
@@ -176,7 +217,7 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 		cfg.Crashes = s.crashPlan()
 		wl, werr := s.Workload.checkpointable(opts.Smoke)
 		if werr != nil {
-			return nil, fmt.Errorf("scenario %s: %w", s.Name, werr)
+			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, werr)
 		}
 		ft, ferr := cluster.RunFT(cfg, s.ftOptions(), wl)
 		res, runErr, ftres = ft.Result, ferr, &ft
@@ -193,9 +234,7 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 		Err:      runErr,
 		Events:   events,
 	}
-
-	rr.TraceBytes = tracer.AppendChrome(nil)
-	rr.TraceHash = hashBytes(rr.TraceBytes)
+	rr.TraceBytes = tracer.AppendChrome(traceBuf[:0])
 
 	// The offline profile is best-effort: a run that wedged at t=0 may
 	// not have enough stream to analyze, and assertions that need the
@@ -203,28 +242,17 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 	if p, err := profile.Analyze(profile.FromTracer(tracer, res.Calib, res.Reports)); err == nil {
 		rr.Profile = p
 	}
+	return rr, tres, nil
+}
 
-	// Same best-effort contract for the time-resolved view: a stream
-	// the replay rejects leaves TimeRes nil and the time_resolved
-	// assertions report its absence as their own violation.
-	if tres != nil {
-		tres.SetTable(res.Calib)
-		tres.Finalize(res.Duration)
-		if tres.Err() == nil {
-			rr.TimeRes = tres.Snapshot()
-		}
-	}
-
-	if opts.Findings || s.wantsFindings() {
-		rr.Findings = diagnoseRun(rr)
-	}
-
-	rr.ReportBytes, err = buildReport(rr).encode()
+// encodeReport renders the run report of a result whose TraceHash is
+// set.
+func encodeReport(rr *RunResult) ([]byte, error) {
+	b, err := buildReport(rr).encode()
 	if err != nil {
-		return nil, fmt.Errorf("scenario %s: report encode: %w", s.Name, err)
+		return nil, fmt.Errorf("scenario %s: report encode: %w", rr.Scenario.Name, err)
 	}
-	rr.ReportHash = hashBytes(rr.ReportBytes)
-	return rr, nil
+	return b, nil
 }
 
 // crashPlan compiles the declared crash list onto the fabric's plan.

@@ -1,0 +1,102 @@
+package trace
+
+import (
+	"bytes"
+	"fmt"
+	"strings"
+	"testing"
+
+	"ovlp/internal/ringpool"
+)
+
+// emitRun fills a fresh tracer the way a run does — busy tracks that
+// spill, one that stays small — and returns it undrained. detail makes
+// the i-th record's Detail string.
+func emitRun(recs int, detail func(i int) string) *Tracer {
+	tr := New(Options{})
+	busy := []*Track{tr.Track(GroupHost, 0, "rank0"), tr.Track(GroupHost, 1, "rank1"), tr.Track(GroupNIC, 0, "nic0")}
+	small := tr.Track(GroupHost, 2, "rank2.progress")
+	for i := 0; i < recs; i++ {
+		tk := busy[i%len(busy)]
+		tk.Span("mpi", "Send", us(i), us(i+1), Args{Peer: i % 4, Size: int64(i), Detail: detail(i)})
+		if i < 5 {
+			small.Instant("kernel", "spawn", us(i), None)
+		}
+	}
+	return tr
+}
+
+func spillsOf(tr *Tracer) []int {
+	var out []int
+	for _, tk := range tr.Tracks() {
+		out = append(out, tk.Spills())
+	}
+	return out
+}
+
+// TestRecycledRingNeverLeaks: rings come back from the free list
+// uncleared, so a run must behave on a list full of another run's
+// records exactly as on an empty one — same export, same spill counts —
+// and must never see a slice Recs handed to a caller again.
+func TestRecycledRingNeverLeaks(t *testing.T) {
+	short := func(i int) string { return "" }
+	long := func(i int) string { return strings.Repeat("A", 40) + fmt.Sprint(i) }
+
+	rings = ringpool.List[Rec]{}
+	cold := emitRun(7000, short)
+	coldBytes, coldSpills := cold.AppendChrome(nil), spillsOf(cold)
+
+	// Run A: more records than B on every track, each with a long
+	// Detail, drained so that all of its rings are listed.
+	a := emitRun(9000, long)
+	a.AppendChrome(nil)
+	if rings.Bytes() == 0 {
+		t.Fatal("draining a run listed no ring — nothing is being recycled")
+	}
+	kept := a.Tracks()[0].Recs()
+	want := append([]Rec(nil), kept...)
+
+	listed := rings.Bytes()
+	warm := emitRun(7000, short)
+	if rings.Bytes() >= listed {
+		t.Fatalf("run B drew nothing from the list (%d bytes before, %d during)", listed, rings.Bytes())
+	}
+	warmBytes, warmSpills := warm.AppendChrome(nil), spillsOf(warm)
+	if !bytes.Equal(warmBytes, coldBytes) {
+		t.Error("run B exports differently on recycled rings than on a cold free list")
+	}
+	if bytes.Contains(warmBytes, []byte("AAAA")) {
+		t.Error("run B's export carries run A's Detail strings")
+	}
+	if fmt.Sprint(warmSpills) != fmt.Sprint(coldSpills) {
+		t.Errorf("Spills() %v on recycled rings, %v cold", warmSpills, coldSpills)
+	}
+
+	// Run B wrote through every ring it drew; what Recs returned for run
+	// A is the caller's and must be untouched.
+	for i := range want {
+		if kept[i] != want[i] {
+			t.Fatalf("record %d of a Recs() result changed under a later run: %+v, was %+v", i, kept[i], want[i])
+		}
+	}
+	if again := a.Tracks()[0].Recs(); &again[0] != &kept[0] {
+		t.Error("repeated Recs() built a new slice")
+	}
+}
+
+// TestDoublingDrawsFromFreeList pins the trap the recycling design
+// must avoid: if only the hand-over drew from the list, every busy
+// track's growth to RingSize would mint a ring the list then gains.
+// In steady state a run allocates no ring at all.
+func TestDoublingDrawsFromFreeList(t *testing.T) {
+	rings = ringpool.List[Rec]{}
+	detail := func(int) string { return "" }
+	emitRun(7000, detail).AppendChrome(nil) // fills the list
+	steady := rings.Bytes()
+	for i := 0; i < 3; i++ {
+		emitRun(7000, detail).AppendChrome(nil)
+		if got := rings.Bytes(); got != steady {
+			t.Fatalf("free list holds %d bytes after run %d, %d after the first: rings are being minted", got, i+2, steady)
+		}
+	}
+}

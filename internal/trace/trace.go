@@ -15,10 +15,12 @@
 // The per-track ring mirrors the overlap package's event queue: a
 // fixed-size hot buffer that, when full, is handed whole to the track's
 // chunk list and replaced, so the steady-state emission path neither
-// allocates nor copies. Under the simulator's coroutine discipline
-// exactly one goroutine runs at a time, so the ring needs no locks; the
-// same single-writer-per-track layout is what a lock-free ring gives an
-// instrumented real system.
+// allocates nor copies. Rings outlive their tracer: Recs returns them
+// to a process-wide free list once their records are flattened, and the
+// next run's tracks draw from it (see rings). Under the simulator's
+// coroutine discipline exactly one goroutine runs at a time, so the ring
+// needs no locks; the same single-writer-per-track layout is what a
+// lock-free ring gives an instrumented real system.
 //
 // Tracing overhead is itself measurable: emissions that originate
 // inside an instrumented library are charged to the owning rank
@@ -31,6 +33,7 @@ import (
 	"fmt"
 	"time"
 
+	"ovlp/internal/ringpool"
 	"ovlp/internal/vtime"
 )
 
@@ -246,19 +249,30 @@ type Track struct {
 
 	// ring is the hot buffer and n its occupancy. The first ring starts
 	// at firstRing records and doubles up to Options.RingSize, so a
-	// track that sees a handful of records never pays for a full ring;
-	// every later ring is allocated at RingSize.
+	// track that sees a handful of records never holds a full ring.
 	ring []Rec
 	n    int
-	// chunks holds the records that left the ring, in emission order:
-	// full rings handed over by emit, or the one flat slice Recs built.
+	// chunks holds the full rings emit handed over since the last Recs,
+	// flat everything emitted before it: the slice that Recs returned.
 	chunks   [][]Rec
+	flat     []Rec
 	spills   int
 	spillCtr *Counter // lazily bound "trace.spills.<group>.<name>" counter
 }
 
 // firstRing is the capacity a track's first ring starts at.
 const firstRing = 8
+
+// rings recycles a track's rings from one tracer to the next. A ring
+// enters where it becomes garbage anyway — full has copied it into a
+// larger one, or Recs has copied its records out — and full draws every
+// ring it needs from it, the small first rings included (growing to
+// RingSize costs a busy track as many records again). Rings are not
+// cleared: a track reads only ring[:n] and whole handed-over rings,
+// every record of which it wrote itself, so the stale records past n
+// are never seen. What a listed ring still pins is the strings of its
+// last run's records, bounded with the list (ringpool.MaxBytes).
+var rings ringpool.List[Rec]
 
 // Group returns the track's group.
 func (k *Track) Group() Group { return k.group }
@@ -316,16 +330,20 @@ func (k *Track) emit(r Rec) {
 // overflow is surfaced in the metrics registry (per track and in
 // total), so an exported trace carries its own queue-pressure diagnosis
 // and offline tools can warn that steady-state emission allocated.
+// Every ring comes from the free list, whichever step asks: were only
+// the hand-over to draw from it, each busy track's doubling would mint a
+// RingSize ring per run that the list then only ever gains.
 func (k *Track) full() {
 	size := k.t.opts.RingSize
 	if len(k.ring) < size {
-		grown := make([]Rec, min(size, max(firstRing, 2*len(k.ring))))
+		grown := rings.Get(min(size, max(firstRing, 2*len(k.ring))))
 		copy(grown, k.ring)
+		rings.Put(k.ring)
 		k.ring = grown
 		return
 	}
 	k.chunks = append(k.chunks, k.ring)
-	k.ring = make([]Rec, size)
+	k.ring = rings.Get(size)
 	k.n = 0
 	k.spills++
 	if k.spillCtr == nil {
@@ -338,28 +356,29 @@ func (k *Track) full() {
 // Recs returns every record in emission order, draining the hot ring
 // first. Intended for export and tests after the run: it flattens the
 // chunk list into one exact-size slice, which a repeated call returns
-// as is until the track emits again.
+// as is until the track emits again. The rings it copied from go to the
+// free list — the hot ring too, so a track that emits after a drain
+// starts again from a small ring; the slice it returns is the caller's
+// and never does.
 func (k *Track) Recs() []Rec {
 	if k == nil {
 		return nil
 	}
-	if k.n == 0 && len(k.chunks) <= 1 {
-		if len(k.chunks) == 0 {
-			return nil
-		}
-		return k.chunks[0]
+	if k.n == 0 && len(k.chunks) == 0 {
+		return k.flat
 	}
-	total := k.n
+	total := len(k.flat) + k.n
 	for _, c := range k.chunks {
 		total += len(c)
 	}
-	flat := make([]Rec, 0, total)
+	flat := append(make([]Rec, 0, total), k.flat...)
 	for i, c := range k.chunks {
 		flat = append(flat, c...)
-		k.chunks[i] = nil // the list is reused below; let the ring go
+		k.chunks[i] = nil
+		rings.Put(c)
 	}
 	flat = append(flat, k.ring[:k.n]...)
-	k.chunks = append(k.chunks[:0], flat)
-	k.n = 0
+	rings.Put(k.ring)
+	k.ring, k.chunks, k.flat, k.n = nil, k.chunks[:0], flat, 0
 	return flat
 }

@@ -3,10 +3,10 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ovlp/internal/vtime"
 )
@@ -292,18 +292,19 @@ func TestEmitSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSmallTrackStaysSmall measures the track itself — the ring it
+// holds — not a process-wide allocation delta: with rings recycled
+// across tracers, what a track costs is what it keeps, and another
+// test's garbage cannot move it.
 func TestSmallTrackStaysSmall(t *testing.T) {
 	tr := New(Options{})
-	tr.Track(GroupHost, 0, "rank0") // the tracer's index map and track list are not the track's cost
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	tk := tr.Track(GroupHost, 1, "rank1")
 	for i := 0; i < 3; i++ {
 		tk.Instant("kernel", "spawn", us(i), None)
 	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<10 {
-		t.Errorf("a 3-record track on a default-size tracer allocated %d bytes, want < 4 KiB", got)
+	if got := len(tk.ring) * int(unsafe.Sizeof(Rec{})); got >= 4<<10 || len(tk.chunks) != 0 {
+		t.Errorf("a 3-record track on a default-size tracer holds a %d-byte ring and %d chunks, want < 4 KiB and none",
+			got, len(tk.chunks))
 	}
 	if len(tk.Recs()) != 3 {
 		t.Errorf("small track lost records: %d", len(tk.Recs()))

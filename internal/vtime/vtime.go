@@ -73,67 +73,90 @@ const (
 	evKill                 // p was killed while blocked
 )
 
-// event is one entry of the schedule. Events are ordered by (at, seq)
-// so that simultaneous events run in scheduling order. A dead event —
+// event is what firing one entry of the schedule does. A dead event —
 // cancelled, or a Compute timer its proc no longer waits on — is
 // skipped without advancing the clock, so stale timers (e.g. a
 // retransmission timeout whose acknowledgment arrived) never stretch
 // the simulated duration.
 type event struct {
-	at     Time
-	seq    uint64
 	kind   evKind
 	p      *Proc
 	fn     func()
 	cancel *bool // AfterCancel's flag; nil when the event cannot be cancelled
 }
 
-func (e *event) before(o *event) bool {
-	return e.at < o.at || e.at == o.at && e.seq < o.seq
+// key is an event's place in the schedule: the heap orders keys by
+// (at, seq), so that simultaneous events run in scheduling order, and
+// slot finds the event in Sim.slab. Keys carry no pointers, so sifting
+// them is plain memory moves — no write barrier however often the
+// collector is running.
+type key struct {
+	at   Time
+	seq  uint64
+	slot int
 }
 
-func (e *event) dead() bool {
-	return e.cancel != nil && *e.cancel || e.kind == evTimer && e.p.timer != e.seq
+func (k *key) before(o *key) bool {
+	return k.at < o.at || k.at == o.at && k.seq < o.seq
 }
 
-// push inserts e into the binary min-heap s.events.
-func (s *Sim) push(e event) {
-	h := append(s.events, e)
+// dead reports whether the event under k would be skipped.
+func (s *Sim) dead(k *key) bool {
+	e := &s.slab[k.slot]
+	return e.cancel != nil && *e.cancel || e.kind == evTimer && e.p.timer != k.seq
+}
+
+// push stores e in a free slab slot and inserts its key into the binary
+// min-heap s.events.
+func (s *Sim) push(at Time, seq uint64, e event) {
+	k := key{at: at, seq: seq}
+	if n := len(s.free); n > 0 {
+		k.slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[k.slot] = e
+	} else {
+		k.slot = len(s.slab)
+		s.slab = append(s.slab, e)
+	}
+	h := append(s.events, k)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.before(&h[parent]) {
+		if !k.before(&h[parent]) {
 			break
 		}
 		h[i] = h[parent]
 		i = parent
 	}
-	h[i] = e
+	h[i] = k
 	s.events = h
 }
 
-// pop removes and returns the earliest event.
-func (s *Sim) pop() event {
+// pop removes the earliest key and returns it with its event, whose
+// slot it frees.
+func (s *Sim) pop() (key, event) {
 	h := s.events
 	top, n := h[0], len(h)-1
-	e := h[n]      // sifted down from the root into the n slots that remain
-	h[n] = event{} // drop the vacated slot's references
+	k := h[n] // sifted down from the root into the n slots that remain
 	i := 0
 	for c := 1; c < n; c = 2*i + 1 {
 		if c+1 < n && h[c+1].before(&h[c]) {
 			c++
 		}
-		if !h[c].before(&e) {
+		if !h[c].before(&k) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
 	if n > 0 {
-		h[i] = e
+		h[i] = k
 	}
 	s.events = h[:n]
-	return top
+	e := s.slab[top.slot]
+	s.slab[top.slot] = event{} // drop the vacated slot's references
+	s.free = append(s.free, top.slot)
+	return top, e
 }
 
 // procState describes what a proc is currently doing; it is reported
@@ -206,7 +229,9 @@ type EdgeObserver interface {
 type Sim struct {
 	now      Time
 	seq      uint64
-	events   []event // min-heap on (at, seq)
+	events   []key   // min-heap on (at, seq)
+	slab     []event // the events the keys point at, by key.slot
+	free     []int   // vacant slab slots
 	procs    []*Proc
 	live     int  // procs not yet done
 	deadline Time // 0 = no watchdog
@@ -344,9 +369,8 @@ func (s *Sim) schedule(at Time, e event) uint64 {
 		panic(fmt.Sprintf("vtime: scheduling event in the past: %v < %v", at, s.now))
 	}
 	s.seq++
-	e.at, e.seq = at, s.seq
-	s.push(e)
-	return e.seq
+	s.push(at, s.seq, e)
+	return s.seq
 }
 
 // dispatch names p as the proc the event being fired hands control to.
@@ -398,18 +422,18 @@ func (s *Sim) advance() (next *Proc) {
 	}()
 	for s.panicked == nil && len(s.events) > 0 {
 		top := &s.events[0]
-		if top.dead() {
+		if s.dead(top) {
 			s.pop() // skipped without advancing the clock
 			continue
 		}
 		if s.deadline > 0 && top.at >= s.deadline && s.live > 0 {
 			return nil
 		}
-		e := s.pop()
-		if e.at < s.now {
+		k, e := s.pop()
+		if k.at < s.now {
 			panic("vtime: time went backwards")
 		}
-		s.now = e.at
+		s.now = k.at
 		s.fire(e)
 		if p := s.next; p != nil {
 			s.next = nil
