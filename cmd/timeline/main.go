@@ -43,16 +43,14 @@ func main() {
 		return
 	}
 
-	traces := make([][]overlap.Event, *procs)
+	traces := make([]overlap.EventLog, *procs)
 	cfg := cluster.Config{
 		Procs:   *procs,
 		Backend: bf.Backend(),
 		MPI: mpi.Config{
 			Protocol: mpi.DirectRDMARead,
 			Instrument: &mpi.InstrumentConfig{
-				TraceSinkFor: func(rank int) func(overlap.Event) {
-					return func(e overlap.Event) { traces[rank] = append(traces[rank], e) }
-				},
+				SinkFor: func(rank int) overlap.Sink { return &traces[rank] },
 			},
 		},
 		RecordTruth: true,

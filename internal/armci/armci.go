@@ -56,11 +56,11 @@ func (e *CommError) Unwrap() error { return e.err }
 // InstrumentConfig enables the overlap instrumentation (see the mpi
 // package's equivalent).
 type InstrumentConfig struct {
-	Table        *calib.Table
-	QueueSize    int
-	BinBounds    []int
-	ModelCost    bool
-	TraceSinkFor func(rank int) func(overlap.Event)
+	Table     *calib.Table
+	QueueSize int
+	BinBounds []int
+	ModelCost bool
+	SinkFor   func(rank int) overlap.Sink
 }
 
 // Config parameterizes a World.
@@ -204,11 +204,11 @@ func (p *Proc) attach(vp *vtime.Proc) {
 				p.traceCost = mc.EventCost
 			}
 		}
-		if ic.TraceSinkFor != nil {
-			mc.TraceSink = ic.TraceSinkFor(p.id)
+		if ic.SinkFor != nil {
+			mc.Sink = ic.SinkFor(p.id)
 		}
 		if p.trk != nil {
-			mc.Sink = trace.OverlapSink(p.trk, 0, func(idx int32) string { return p.mon.RegionName(idx) })
+			mc.Sink = overlap.Tee(mc.Sink, trace.OverlapSink(p.trk, 0, func(idx int32) string { return p.mon.RegionName(idx) }))
 			m := p.w.cfg.Tracer.Metrics()
 			drains := m.Counter("overlap.drains")
 			drained := m.Counter("overlap.drained_events")

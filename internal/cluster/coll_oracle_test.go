@@ -9,7 +9,6 @@ import (
 	"ovlp/internal/coll"
 	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
-	"ovlp/internal/overlap"
 	"ovlp/internal/progress"
 )
 
@@ -63,69 +62,19 @@ func checkCollBounds(t *testing.T, procs int, algo coll.Algo, mode progress.Mode
 	cost := fabric.DefaultCostModel()
 	table := cluster.Calibrate(cost, nil, 0)
 
-	traces := make([][]overlap.Event, procs)
-	cfg := cluster.Config{
+	ic, logs := captured(table, 64, procs)
+	res := cluster.Run(cluster.Config{
 		Procs: procs,
 		Cost:  cost,
 		MPI: mpi.Config{
-			CollAlgo:  algo,
-			CollChunk: chunk,
-			Progress:  progress.Config{Mode: mode},
-			Instrument: &mpi.InstrumentConfig{
-				Table:     table,
-				QueueSize: 64,
-				TraceSinkFor: func(rank int) func(overlap.Event) {
-					return func(e overlap.Event) { traces[rank] = append(traces[rank], e) }
-				},
-			},
+			CollAlgo:   algo,
+			CollChunk:  chunk,
+			Progress:   progress.Config{Mode: mode},
+			Instrument: ic,
 		},
 		RecordTruth: true,
-	}
-	res := cluster.Run(cfg, workload)
-
-	truth := make(map[uint64]fabric.Transfer, len(res.Transfers))
-	for _, tr := range res.Transfers {
-		truth[tr.XferID] = tr
-	}
-	eps := cost.LinkLatency + cost.DMAStartup + 2*time.Microsecond
-
-	for rank := 0; rank < procs; rank++ {
-		rep := res.Reports[rank]
-		o := &traceOracle{table: table, open: map[uint64]oracleOpen{}}
-		for _, e := range traces[rank] {
-			o.apply(e)
-		}
-		o.finish(rep.Duration)
-
-		tot := rep.Total()
-		if o.sumMin != tot.MinOverlapped || o.sumMax != tot.MaxOverlapped ||
-			o.sumData != tot.DataTransferTime || o.count != tot.Count {
-			t.Fatalf("rank %d: oracle totals (n=%d min=%v max=%v data=%v) != monitor (n=%d min=%v max=%v data=%v)",
-				rank, o.count, o.sumMin, o.sumMax, o.sumData,
-				tot.Count, tot.MinOverlapped, tot.MaxOverlapped, tot.DataTransferTime)
-		}
-
-		for _, r := range o.results {
-			tr, ok := truth[r.id]
-			if !ok {
-				continue
-			}
-			trueOv := o.overlapWith(tr.Start.Duration(), tr.End.Duration())
-			if r.sameCall && trueOv > eps {
-				t.Errorf("rank %d xfer %d (size %d): same-call transfer but true overlap %v > eps",
-					rank, r.id, r.size, trueOv)
-			}
-			if r.minOv > trueOv+eps {
-				t.Errorf("rank %d xfer %d (size %d): min bound %v exceeds true overlap %v (+eps %v)",
-					rank, r.id, r.size, r.minOv, trueOv, eps)
-			}
-			fudge := eps + time.Duration(float64(tr.End-tr.Start)/20)
-			if trueOv > r.maxOv+fudge {
-				t.Errorf("rank %d xfer %d (size %d): true overlap %v exceeds max bound %v (+%v)",
-					rank, r.id, r.size, trueOv, r.maxOv, fudge)
-			}
-		}
-	}
+	}, workload)
+	checkOracle(t, logs, res.Reports, res.Transfers, table, slack(cost, 0, false))
 }
 
 // TestCollectiveBounds sweeps every nonblocking collective × schedule
@@ -141,7 +90,6 @@ func TestCollectiveBounds(t *testing.T) {
 		for _, algo := range algos {
 			for _, mode := range modes {
 				for _, size := range sizes {
-					op, algo, mode, size := op, algo, mode, size
 					if op == "ibarrier" && size != sizes[0] {
 						continue // barrier carries no payload
 					}
@@ -163,7 +111,6 @@ func TestCollectiveBoundsNonPow2(t *testing.T) {
 	ops := []string{"ibcast", "ireduce", "iallreduce", "ialltoall", "ibarrier"}
 	for _, op := range ops {
 		for _, algo := range []coll.Algo{coll.Binomial, coll.Ring, coll.RecDouble} {
-			op, algo := op, algo
 			t.Run(fmt.Sprintf("%s/%s", op, algo), func(t *testing.T) {
 				t.Parallel()
 				checkCollBounds(t, 3, algo, progress.Thread, 0,
@@ -178,7 +125,6 @@ func TestCollectiveBoundsNonPow2(t *testing.T) {
 func TestCollectiveBoundsChunked(t *testing.T) {
 	for _, op := range []string{"ibcast", "iallreduce"} {
 		for _, mode := range []progress.Mode{progress.Manual, progress.Thread} {
-			op, mode := op, mode
 			t.Run(fmt.Sprintf("%s/%s", op, mode), func(t *testing.T) {
 				t.Parallel()
 				checkCollBounds(t, 4, coll.Auto, mode, 64<<10,

@@ -7,7 +7,6 @@ import (
 	"ovlp/internal/cluster"
 	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
-	"ovlp/internal/overlap"
 	"ovlp/internal/progress"
 	"ovlp/internal/vtime"
 )
@@ -21,126 +20,6 @@ import (
 // matter whether the crash lands mid-rendezvous, mid-collective or
 // inside a checkpoint, and regardless of who advances the progress
 // engine.
-
-// epochSums is one epoch's slice of the oracle's running totals.
-type epochSums struct {
-	sumMin, sumMax, sumData time.Duration
-	count, truncated        int
-}
-
-// epochOracle replays one rank's event stream epoch by epoch,
-// mirroring the monitor's bounds algorithm including cut-truncation.
-type epochOracle struct {
-	table interface {
-		XferTime(int) time.Duration
-	}
-
-	lastStamp time.Duration
-	inLib     bool
-	callSeq   uint64
-	cumUser   time.Duration
-	cumLib    time.Duration
-
-	open          map[uint64]oracleOpen
-	results       []oracleResult
-	userIntervals []interval
-	lastExit      time.Duration
-
-	epochs []epochSums
-}
-
-func newEpochOracle(table interface{ XferTime(int) time.Duration }) *epochOracle {
-	return &epochOracle{table: table, open: map[uint64]oracleOpen{}, epochs: []epochSums{{}}}
-}
-
-func (o *epochOracle) cur() *epochSums { return &o.epochs[len(o.epochs)-1] }
-
-func (o *epochOracle) advance(stamp time.Duration) {
-	span := stamp - o.lastStamp
-	if o.inLib {
-		o.cumLib += span
-	} else {
-		o.cumUser += span
-	}
-	o.lastStamp = stamp
-}
-
-func (o *epochOracle) record(res oracleResult) {
-	o.results = append(o.results, res)
-	e := o.cur()
-	e.sumMin += res.minOv
-	e.sumMax += res.maxOv
-	e.sumData += o.table.XferTime(int(res.size))
-	e.count++
-}
-
-// truncateOpen resolves every in-flight transfer as single-stamped
-// (zero min, full max) — what the monitor does at a cut or Finalize.
-func (o *epochOracle) truncateOpen() {
-	for id, rec := range o.open {
-		o.record(oracleResult{id: id, size: rec.size, minOv: 0, maxOv: o.table.XferTime(int(rec.size))})
-		o.cur().truncated++
-		delete(o.open, id)
-	}
-}
-
-func (o *epochOracle) apply(e overlap.Event) {
-	o.advance(e.Stamp)
-	switch e.Kind {
-	case overlap.KindCallEnter:
-		o.inLib = true
-		o.callSeq++
-		if e.Stamp > o.lastExit {
-			o.userIntervals = append(o.userIntervals, interval{o.lastExit, e.Stamp})
-		}
-	case overlap.KindCallExit:
-		o.inLib = false
-		o.lastExit = e.Stamp
-	case overlap.KindXferBegin:
-		o.open[e.ID] = oracleOpen{size: e.Size, cumUser: o.cumUser, cumLib: o.cumLib, callSeq: o.callSeq}
-	case overlap.KindXferEnd:
-		xt := o.table.XferTime(int(e.Size))
-		rec, seen := o.open[e.ID]
-		if !seen {
-			o.record(oracleResult{id: e.ID, size: e.Size, minOv: 0, maxOv: xt})
-			return
-		}
-		delete(o.open, e.ID)
-		xt = o.table.XferTime(int(rec.size))
-		if rec.callSeq == o.callSeq && o.inLib {
-			o.record(oracleResult{id: e.ID, size: rec.size, twoSided: true, sameCall: true})
-			return
-		}
-		comp := o.cumUser - rec.cumUser
-		noncomp := o.cumLib - rec.cumLib
-		maxOv := min(comp, xt)
-		minOv := max(0, xt-noncomp)
-		minOv = min(minOv, maxOv)
-		o.record(oracleResult{id: e.ID, size: rec.size, minOv: minOv, maxOv: maxOv, twoSided: true})
-	case overlap.KindEpochCut:
-		o.truncateOpen()
-		o.epochs = append(o.epochs, epochSums{})
-	}
-}
-
-func (o *epochOracle) finish(stamp time.Duration) {
-	o.advance(stamp)
-	if !o.inLib && stamp > o.lastExit {
-		o.userIntervals = append(o.userIntervals, interval{o.lastExit, stamp})
-	}
-	o.truncateOpen()
-}
-
-func (o *epochOracle) overlapWith(start, end time.Duration) time.Duration {
-	var total time.Duration
-	for _, iv := range o.userIntervals {
-		s, e := max(start, iv.start), min(end, iv.end)
-		if e > s {
-			total += e - s
-		}
-	}
-	return total
-}
 
 // collWL stresses collectives: each step is mostly a mid-sized
 // allreduce, so a crash lands inside one with high probability.
@@ -194,7 +73,6 @@ func ftOracleCases() []ftOracleCase {
 func TestFTBoundsUnderCrash(t *testing.T) {
 	for _, pm := range []progress.Mode{progress.Manual, progress.Piggyback, progress.Thread} {
 		for _, tc := range ftOracleCases() {
-			pm, tc := pm, tc
 			t.Run(tc.name+"/"+pm.String(), func(t *testing.T) {
 				checkFTOracle(t, pm, tc)
 			})
@@ -208,19 +86,11 @@ func checkFTOracle(t *testing.T, pm progress.Mode, tc ftOracleCase) {
 	cost := fabric.DefaultCostModel()
 	table := cluster.Calibrate(cost, nil, 0)
 
-	traces := make([][]overlap.Event, procs)
+	ic, logs := captured(table, 0, procs)
 	cfg := cluster.Config{
-		Procs: procs,
-		Cost:  cost,
-		MPI: mpi.Config{
-			Progress: progress.Config{Mode: pm},
-			Instrument: &mpi.InstrumentConfig{
-				Table: table,
-				TraceSinkFor: func(rank int) func(overlap.Event) {
-					return func(e overlap.Event) { traces[rank] = append(traces[rank], e) }
-				},
-			},
-		},
+		Procs:       procs,
+		Cost:        cost,
+		MPI:         mpi.Config{Progress: progress.Config{Mode: pm}, Instrument: ic},
 		RecordTruth: true,
 		Crashes: &fabric.CrashPlan{Crashes: []fabric.Crash{
 			{Node: 2, At: vtime.Time(tc.crash)},
@@ -240,77 +110,9 @@ func checkFTOracle(t *testing.T, pm progress.Mode, tc ftOracleCase) {
 		t.Fatalf("recovery did not happen: completed=%v epochs=%d", res.Completed, res.Epochs)
 	}
 
-	truth := make(map[uint64]fabric.Transfer, len(res.Transfers))
-	for _, tr := range res.Transfers {
-		truth[tr.XferID] = tr
-	}
-	eps := cost.LinkLatency + cost.DMAStartup + 2*time.Microsecond
-
-	for rank := 0; rank < procs; rank++ {
-		rep := res.Reports[rank]
-		if rep == nil {
-			t.Fatalf("rank %d has no report", rank)
-		}
-		o := newEpochOracle(table)
-		for _, e := range traces[rank] {
-			o.apply(e)
-		}
-		o.finish(rep.Duration)
-
-		// (1) Whole-run internal consistency.
-		var sumMin, sumMax, sumData time.Duration
-		var count int
-		for _, e := range o.epochs {
-			sumMin += e.sumMin
-			sumMax += e.sumMax
-			sumData += e.sumData
-			count += e.count
-		}
-		tot := rep.Total()
-		if sumMin != tot.MinOverlapped || sumMax != tot.MaxOverlapped ||
-			sumData != tot.DataTransferTime || count != tot.Count {
-			t.Fatalf("rank %d: oracle totals (n=%d min=%v max=%v data=%v) != monitor (n=%d min=%v max=%v data=%v)",
-				rank, count, sumMin, sumMax, sumData,
-				tot.Count, tot.MinOverlapped, tot.MaxOverlapped, tot.DataTransferTime)
-		}
-
-		// (2) Per-epoch consistency: the report's epoch breakdown must
-		// match the oracle's epoch slices entry for entry (survivors
-		// only: the dead rank never cuts, so its report has no epochs).
-		if len(rep.Epochs) > 0 {
-			if len(rep.Epochs) != len(o.epochs) {
-				t.Fatalf("rank %d: report has %d epochs, oracle %d", rank, len(rep.Epochs), len(o.epochs))
-			}
-			for i, er := range rep.Epochs {
-				oe := o.epochs[i]
-				if er.Total.MinOverlapped != oe.sumMin || er.Total.MaxOverlapped != oe.sumMax ||
-					er.Total.DataTransferTime != oe.sumData || er.Total.Count != oe.count ||
-					er.Truncated != oe.truncated {
-					t.Errorf("rank %d epoch %d: report (n=%d min=%v max=%v data=%v trunc=%d) != oracle (n=%d min=%v max=%v data=%v trunc=%d)",
-						rank, i, er.Total.Count, er.Total.MinOverlapped, er.Total.MaxOverlapped,
-						er.Total.DataTransferTime, er.Truncated,
-						oe.count, oe.sumMin, oe.sumMax, oe.sumData, oe.truncated)
-				}
-			}
-		}
-
-		// (3) Physical validity: bounds bracket the true overlap of every
-		// transfer the wire completed.
-		for _, r := range o.results {
-			tr, ok := truth[r.id]
-			if !ok {
-				continue // swallowed by the crash: never delivered
-			}
-			trueOv := o.overlapWith(tr.Start.Duration(), tr.End.Duration())
-			fudge := eps + time.Duration(float64(tr.End-tr.Start)/20)
-			if r.minOv > trueOv+fudge {
-				t.Errorf("rank %d xfer %d (size %d): min bound %v exceeds true overlap %v (+%v)",
-					rank, r.id, r.size, r.minOv, trueOv, fudge)
-			}
-			if trueOv > r.maxOv+fudge {
-				t.Errorf("rank %d xfer %d (size %d): true overlap %v exceeds max bound %v (+%v)",
-					rank, r.id, r.size, trueOv, r.maxOv, fudge)
-			}
-		}
-	}
+	// Whole-run totals, the report's epoch breakdown entry for entry
+	// (survivors only: the dead rank never cuts, so its report has no
+	// epochs), and the bounds of every transfer the wire completed —
+	// those swallowed by the crash were never delivered.
+	checkOracle(t, logs, res.Reports, res.Transfers, table, slack(cost, 0, true))
 }

@@ -71,62 +71,21 @@ func randomARMCIWorkload(p int, seed int64) func(pr *armci.Proc) {
 func TestARMCIBoundsAgainstGroundTruth(t *testing.T) {
 	for _, p := range []int{2, 4} {
 		for seed := int64(1); seed <= 5; seed++ {
-			p, seed := p, seed
 			t.Run("", func(t *testing.T) {
 				cost := fabric.DefaultCostModel()
 				table := cluster.Calibrate(cost, nil, 0)
-				traces := make([][]overlap.Event, p)
+				logs := make([]overlap.EventLog, p)
 				res := cluster.RunARMCI(cluster.ARMCIConfig{
 					Procs: p,
 					Cost:  cost,
 					ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{
 						Table:     table,
 						QueueSize: 32,
-						TraceSinkFor: func(rank int) func(overlap.Event) {
-							return func(e overlap.Event) { traces[rank] = append(traces[rank], e) }
-						},
+						SinkFor:   func(rank int) overlap.Sink { return &logs[rank] },
 					}},
 					RecordTruth: true,
 				}, randomARMCIWorkload(p, seed))
-
-				truth := make(map[uint64]fabric.Transfer, len(res.Transfers))
-				for _, tr := range res.Transfers {
-					truth[tr.XferID] = tr
-				}
-				eps := cost.LinkLatency + cost.DMAStartup + 2*time.Microsecond
-
-				for rank := 0; rank < p; rank++ {
-					rep := res.Reports[rank]
-					o := &traceOracle{table: table, open: map[uint64]oracleOpen{}}
-					for _, e := range traces[rank] {
-						o.apply(e)
-					}
-					o.finish(rep.Duration)
-
-					tot := rep.Total()
-					if o.sumMin != tot.MinOverlapped || o.sumMax != tot.MaxOverlapped ||
-						o.count != tot.Count {
-						t.Fatalf("rank %d seed %d: oracle (n=%d %v/%v) != monitor (n=%d %v/%v)",
-							rank, seed, o.count, o.sumMin, o.sumMax,
-							tot.Count, tot.MinOverlapped, tot.MaxOverlapped)
-					}
-					for _, r := range o.results {
-						tr, ok := truth[r.id]
-						if !ok {
-							continue
-						}
-						trueOv := o.overlapWith(tr.Start.Duration(), tr.End.Duration())
-						if r.minOv > trueOv+eps {
-							t.Errorf("rank %d xfer %d: min %v > true %v (+%v)",
-								rank, r.id, r.minOv, trueOv, eps)
-						}
-						fudge := eps + time.Duration(float64(tr.End-tr.Start)/20)
-						if trueOv > r.maxOv+fudge {
-							t.Errorf("rank %d xfer %d: true %v > max %v (+%v)",
-								rank, r.id, trueOv, r.maxOv, fudge)
-						}
-					}
-				}
+				checkOracle(t, logs, res.Reports, res.Transfers, table, slack(cost, 0, false))
 			})
 		}
 	}

@@ -90,9 +90,11 @@ type InstrumentConfig struct {
 	// when ModelCost is set; zero selects defaults (40ns, 25ns).
 	EventCost         time.Duration
 	DrainCostPerEvent time.Duration
-	// TraceSinkFor, if non-nil, supplies a per-rank event sink for
-	// validation against ground truth. Production configs leave it nil.
-	TraceSinkFor func(rank int) func(overlap.Event)
+	// SinkFor, if non-nil, supplies a per-rank sink for the raw event
+	// stream (an *overlap.EventLog, say), for validation against ground
+	// truth; with a Tracer attached both see every event. Production
+	// configs leave it nil.
+	SinkFor func(rank int) overlap.Sink
 }
 
 // Config parameterizes a World.
@@ -374,15 +376,15 @@ func (r *Rank) attach(p *vtime.Proc) {
 				r.traceCost = ic.EventCost
 			}
 		}
-		if ic.TraceSinkFor != nil {
-			mc.TraceSink = ic.TraceSinkFor(r.id)
+		if ic.SinkFor != nil {
+			mc.Sink = ic.SinkFor(r.id)
 		}
 		if r.trk != nil {
 			// Overlap events ride on the same host track; the monitor's
 			// Charge path already models their logging cost. The name
 			// resolver reads r.mon lazily: it is set below, before any
 			// region event can fire.
-			mc.Sink = trace.OverlapSink(r.trk, 0, func(idx int32) string { return r.mon.RegionName(idx) })
+			mc.Sink = overlap.Tee(mc.Sink, trace.OverlapSink(r.trk, 0, func(idx int32) string { return r.mon.RegionName(idx) }))
 			m := r.w.cfg.Tracer.Metrics()
 			drains := m.Counter("overlap.drains")
 			drained := m.Counter("overlap.drained_events")

@@ -27,6 +27,33 @@ type Sink interface {
 	OverlapEvent(e Event)
 }
 
+// EventLog is a Sink that keeps every event it is handed, in order —
+// what the ground-truth oracle, the ASCII timeline and tests read a
+// process's raw stream from.
+type EventLog []Event
+
+// OverlapEvent appends e to the log.
+func (l *EventLog) OverlapEvent(e Event) { *l = append(*l, e) }
+
+// Tee returns a Sink that hands every event to a and then to b; a nil
+// side is left out, so the result is nil when both are.
+func Tee(a, b Sink) Sink {
+	switch {
+	case a == nil:
+		return b
+	case b == nil:
+		return a
+	}
+	return tee{a, b}
+}
+
+type tee struct{ a, b Sink }
+
+func (t tee) OverlapEvent(e Event) {
+	t.a.OverlapEvent(e)
+	t.b.OverlapEvent(e)
+}
+
 // Config parameterizes a Monitor.
 type Config struct {
 	// Clock supplies time-stamps. Required.
@@ -65,10 +92,6 @@ type Config struct {
 	// invocations are not charged by the monitor; a simulation that
 	// models tracing cost charges it at the emission layer instead.
 	Sink Sink
-	// TraceSink is the legacy per-event callback, kept as an adapter
-	// over the same stream Sink sees; both may be set. New code should
-	// prefer Sink.
-	TraceSink func(Event)
 	// OnDrain, if non-nil, is invoked after the processing module
 	// folds n queued events into the running measures (n > 0 only), so
 	// an observer can record queue-drain activity.
@@ -100,7 +123,12 @@ type Monitor struct {
 	regionNames []string
 	regionStack []int32
 
-	st        procState
+	// The data processing module (process.go): the bounds fold, the
+	// running measures it feeds, and the cumulative state at each cut.
+	fold    Fold
+	regions []*regionAcc
+	epochs  []EpochReport
+
 	finalized bool
 }
 
@@ -123,22 +151,18 @@ func NewMonitor(cfg Config) *Monitor {
 	if cfg.BinBounds == nil {
 		cfg.BinBounds = DefaultBinBounds()
 	}
-	if cfg.UserIntervalWindow == 0 {
-		cfg.UserIntervalWindow = DefaultUserIntervalWindow
-	}
 	for i := 1; i < len(cfg.BinBounds); i++ {
 		if cfg.BinBounds[i] <= cfg.BinBounds[i-1] {
 			panic("overlap: bin bounds must be strictly ascending")
 		}
 	}
-	m := &Monitor{
+	return &Monitor{
 		cfg:         cfg,
 		q:           newRing(cfg.QueueSize),
 		regionIndex: map[string]int32{"": 0},
 		regionNames: []string{""},
+		fold:        NewFold(cfg.UserIntervalWindow),
 	}
-	m.st.init(m)
-	return m
 }
 
 // log records an event in the circular queue, draining the queue
@@ -149,9 +173,6 @@ func (m *Monitor) log(e Event) {
 	}
 	if m.cfg.Charge != nil && m.cfg.EventCost > 0 {
 		m.cfg.Charge(m.cfg.EventCost)
-	}
-	if m.cfg.TraceSink != nil {
-		m.cfg.TraceSink(e)
 	}
 	if m.cfg.Sink != nil {
 		m.cfg.Sink.OverlapEvent(e)
@@ -174,7 +195,7 @@ func (m *Monitor) log(e Event) {
 
 // process drains the queue into the running measures.
 func (m *Monitor) process() {
-	n := m.q.drain(m.st.apply)
+	n := m.q.drain(m.apply)
 	if m.cfg.Charge != nil && m.cfg.DrainCostPerEvent > 0 {
 		m.cfg.Charge(time.Duration(n) * m.cfg.DrainCostPerEvent)
 	}
@@ -332,5 +353,5 @@ func (m *Monitor) Finalize() *Report {
 	m.process()
 	m.finalized = true
 	m.q.release()
-	return m.st.finish(m.cfg.Clock.Now())
+	return m.finish(m.cfg.Clock.Now())
 }

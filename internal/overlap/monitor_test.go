@@ -550,44 +550,3 @@ func TestMeasuresHelpers(t *testing.T) {
 		t.Error("zero measures should give 0 percentages")
 	}
 }
-
-func TestEventKindStrings(t *testing.T) {
-	kinds := map[Kind]string{
-		KindCallEnter:  "CALL_ENTER",
-		KindCallExit:   "CALL_EXIT",
-		KindXferBegin:  "XFER_BEGIN",
-		KindXferEnd:    "XFER_END",
-		KindRegionPush: "REGION_PUSH",
-		KindRegionPop:  "REGION_POP",
-	}
-	for k, want := range kinds {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
-		}
-	}
-}
-
-func TestTraceSinkSeesAllEvents(t *testing.T) {
-	var kinds []Kind
-	c := &fakeClock{}
-	m := NewMonitor(Config{
-		Clock:     c,
-		Table:     flatTable(t, us),
-		QueueSize: 8,
-		TraceSink: func(e Event) { kinds = append(kinds, e.Kind) },
-	})
-	m.CallEnter()
-	m.XferBegin(1, 10)
-	m.XferEnd(1, 10)
-	m.CallExit()
-	m.Finalize()
-	want := []Kind{KindCallEnter, KindXferBegin, KindXferEnd, KindCallExit}
-	if len(kinds) != len(want) {
-		t.Fatalf("trace saw %v, want %v", kinds, want)
-	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("trace saw %v, want %v", kinds, want)
-		}
-	}
-}

@@ -6,21 +6,16 @@ import "time"
 // refinement the paper names as future work ("if it were possible to
 // obtain time-stamps on data transfers from the network interface
 // card, a more precise characterization of the overlap would be
-// possible").
+// possible"). When the substrate can report an operation's physical
+// transfer interval, the library calls XferExact instead of the
+// XferBegin/XferEnd pair and the fold intersects the interval with the
+// process's recent user-computation intervals: the bounds coincide.
 //
-// When the communication substrate can report the physical transfer
-// interval of an operation, the library calls XferExact instead of the
-// XferBegin/XferEnd pair. The processing module then intersects the
-// interval with the process's recent user-computation intervals and
-// records the exact overlap: the minimum and maximum bounds coincide.
-//
-// To stay a profiler rather than a tracer, the module retains only a
-// bounded window of recent computation intervals
-// (Config.UserIntervalWindow). A transfer that began before the oldest
-// retained interval — which requires a transfer outstanding across
-// hundreds of library calls — degrades gracefully back to bounds: the
-// unknown prefix counts as potentially-overlapped in the maximum and
-// not at all in the minimum.
+// To stay a profiler rather than a tracer, only a bounded window of
+// recent intervals is retained (Config.UserIntervalWindow). A transfer
+// that began before the oldest — outstanding across hundreds of library
+// calls — degrades gracefully back to bounds: the unknown prefix counts
+// as potentially overlapped in the maximum and not at all in the minimum.
 
 // DefaultUserIntervalWindow is the default number of recent
 // user-computation intervals retained for precise intersection.
@@ -45,75 +40,4 @@ func (m *Monitor) XferExact(id uint64, size int, start, end time.Duration) {
 		End:   end,
 		Stamp: m.cfg.Clock.Now(),
 	})
-}
-
-// userInterval is one closed computation interval [start, end).
-type userInterval struct {
-	start, end time.Duration
-}
-
-// recordUserInterval appends a closed computation interval, keeping at
-// most the configured window and advancing the horizon past dropped
-// entries.
-func (st *procState) recordUserInterval(start, end time.Duration) {
-	if end <= start {
-		return
-	}
-	window := st.m.cfg.UserIntervalWindow
-	if len(st.userIvals) >= window {
-		drop := len(st.userIvals) - window + 1
-		st.horizon = st.userIvals[drop-1].end
-		st.userIvals = append(st.userIvals[:0], st.userIvals[drop:]...)
-	}
-	st.userIvals = append(st.userIvals, userInterval{start, end})
-}
-
-// applyExact folds one hardware-stamped transfer into the measures.
-func (st *procState) applyExact(e *Event) {
-	start, end := e.Start, e.End
-	known := time.Duration(0)
-	for _, iv := range st.userIvals {
-		lo, hi := start, end
-		if iv.start > lo {
-			lo = iv.start
-		}
-		if iv.end < hi {
-			hi = iv.end
-		}
-		if hi > lo {
-			known += hi - lo
-		}
-	}
-	// Prefix predating the retained window: unknowable, so it widens
-	// the bracket instead of corrupting the point estimate.
-	var unknown time.Duration
-	if start < st.horizon {
-		cut := end
-		if st.horizon < cut {
-			cut = st.horizon
-		}
-		unknown = cut - start
-	}
-	st.accountExact(st.curRegion, e.Size, end-start, known, known+unknown)
-}
-
-// accountExact adds a hardware-stamped transfer: data transfer time is
-// the measured interval, and the bounds are exact (or nearly so, see
-// applyExact).
-func (st *procState) accountExact(region int32, size int64, data, minOv, maxOv time.Duration) {
-	if maxOv > data {
-		maxOv = data
-	}
-	if minOv > maxOv {
-		minOv = maxOv
-	}
-	r := st.region(region)
-	bin := st.binFor(size)
-	for _, m := range []*Measures{&r.total, &r.bins[bin]} {
-		m.Count++
-		m.Exact++
-		m.DataTransferTime += data
-		m.MinOverlapped += minOv
-		m.MaxOverlapped += maxOv
-	}
 }

@@ -2,54 +2,9 @@ package overlap
 
 import "time"
 
-// openXfer is the compact record kept for a transfer whose XFER_BEGIN
-// has been processed but whose XFER_END has not. Only cumulative-time
-// snapshots are retained, so open transfers survive queue drains
-// without tracing.
-type openXfer struct {
-	size           int64
-	cumUserAtBegin time.Duration
-	cumLibAtBegin  time.Duration
-	callSeq        uint64 // outermost-call sequence number at begin
-	region         int32
-}
-
-// procState is the data processing module: it replays queued events in
-// order and folds each completed transfer into the running measures
-// using the paper's three-case bounds algorithm (Sec. 2.2).
-type procState struct {
-	m *Monitor
-
-	lastStamp time.Duration
-	inLib     bool
-	callSeq   uint64
-	curRegion int32
-	lastExit  time.Duration
-
-	// Recent closed user-computation intervals, for precise
-	// (hardware-stamped) transfers; horizon is the end of the last
-	// dropped interval.
-	userIvals []userInterval
-	horizon   time.Duration
-
-	cumUser time.Duration // total user computation time so far
-	cumLib  time.Duration // total communication call time so far
-
-	open    map[uint64]openXfer
-	regions []*regionAcc
-	cuts    []epochMark
-}
-
-// epochMark is the cumulative state snapshot taken at one EpochCut;
-// consecutive marks delimit the per-epoch deltas reported as
-// EpochReports.
-type epochMark struct {
-	stamp     time.Duration
-	cumUser   time.Duration
-	cumLib    time.Duration
-	total     Measures
-	truncated int
-}
+// The data processing module: the Monitor drains its queue through the
+// Fold (fold.go), prices each resolved transfer at once and keeps only
+// the running per-region, per-bin measures — profiling, not tracing.
 
 // regionAcc accumulates measures for one monitored region.
 type regionAcc struct {
@@ -59,235 +14,124 @@ type regionAcc struct {
 	bins     []Measures
 }
 
-func (st *procState) init(m *Monitor) {
-	st.m = m
-	st.open = make(map[uint64]openXfer)
-	st.regions = []*regionAcc{st.newRegionAcc()}
-}
-
-func (st *procState) newRegionAcc() *regionAcc {
-	return &regionAcc{bins: make([]Measures, len(st.m.cfg.BinBounds)+1)}
-}
-
 // region returns the accumulator for region index idx, growing the
 // table as new regions appear in the event stream.
-func (st *procState) region(idx int32) *regionAcc {
-	for int32(len(st.regions)) <= idx {
-		st.regions = append(st.regions, st.newRegionAcc())
+func (m *Monitor) region(idx int32) *regionAcc {
+	for int32(len(m.regions)) <= idx {
+		m.regions = append(m.regions, &regionAcc{bins: make([]Measures, len(m.cfg.BinBounds)+1)})
 	}
-	return st.regions[idx]
+	return m.regions[idx]
 }
 
 // binFor maps a message size to its bin index.
-func (st *procState) binFor(size int64) int {
-	for i, b := range st.m.cfg.BinBounds {
+func (m *Monitor) binFor(size int64) int {
+	for i, b := range m.cfg.BinBounds {
 		if size <= int64(b) {
 			return i
 		}
 	}
-	return len(st.m.cfg.BinBounds)
+	return len(m.cfg.BinBounds)
 }
 
-// advance accounts the wall segment ending at stamp to user or library
-// time according to the current mode.
-func (st *procState) advance(stamp time.Duration) {
-	span := stamp - st.lastStamp
-	if span < 0 {
-		panic("overlap: non-monotonic event stamps")
+// apply folds one queued event in stream order.
+func (m *Monitor) apply(e *Event) {
+	f := &m.fold
+	region, user, lib := f.region, f.cumUser, f.cumLib
+	var buf [1]Sample // only a cut resolves more
+	out, err := f.Step(e, buf[:0])
+	if err != nil {
+		panic("overlap: " + err.Error())
 	}
-	if st.inLib {
-		st.cumLib += span
-		st.region(st.curRegion).libTime += span
-	} else {
-		st.cumUser += span
-		st.region(st.curRegion).userTime += span
-	}
-	st.lastStamp = stamp
-}
-
-// apply processes one event in stream order.
-func (st *procState) apply(e *Event) {
-	st.advance(e.Stamp)
-	switch e.Kind {
-	case KindCallEnter:
-		st.inLib = true
-		st.callSeq++
-		st.recordUserInterval(st.lastExit, e.Stamp)
-	case KindCallExit:
-		st.inLib = false
-		st.lastExit = e.Stamp
-	case KindXferExact:
-		st.applyExact(e)
-	case KindRegionPush, KindRegionPop:
-		st.curRegion = e.Region
-	case KindXferBegin:
-		st.open[e.ID] = openXfer{
-			size:           e.Size,
-			cumUserAtBegin: st.cumUser,
-			cumLibAtBegin:  st.cumLib,
-			callSeq:        st.callSeq,
-			region:         st.curRegion,
-		}
-	case KindXferEnd:
-		st.completeXfer(e)
-	case KindEpochCut:
-		st.cut(e.Stamp)
+	m.settle(region, user, lib, out)
+	if e.Kind == KindEpochCut {
+		m.markEpoch(e.Stamp, len(out)) // the samples are what the cut truncated
 	}
 }
 
-// completeXfer applies the three-case bounds computation for the
-// transfer ending at event e.
-func (st *procState) completeXfer(e *Event) {
-	rec, seen := st.open[e.ID]
-	if !seen {
-		// Case 3: only XFER_END was time-stamped (e.g. the receiver of
-		// an eager transfer, to whom initiation is invisible). Nothing
-		// conclusive can be said: minimum zero, maximum the full
-		// transfer time.
-		st.account(st.curRegion, e.Size, 0, st.xferTime(e.Size), caseSingleStamp)
-		return
-	}
-	delete(st.open, e.ID)
-	xt := st.xferTime(rec.size)
-	if rec.callSeq == st.callSeq && st.inLib {
-		// Case 1: begin and end fell inside the same communication
-		// call; the application could not compute meanwhile.
-		st.account(rec.region, rec.size, 0, 0, caseSameCall)
-		return
-	}
-	// Case 2: both stamped with interleaved user/library periods in
-	// between.
-	computation := st.cumUser - rec.cumUserAtBegin
-	noncomputation := st.cumLib - rec.cumLibAtBegin
-	maxOv := xt
-	if computation < xt {
-		maxOv = computation
-	}
-	minOv := xt - noncomputation
-	if minOv < 0 {
-		minOv = 0
-	}
-	// The library's completion events can fire before the physical
-	// transfer ends (a sender's CQE precedes remote delivery), which
-	// deflates noncomputation_time and can push the lower bound above
-	// the upper one. Clamp so the bracket stays well-formed.
-	if minOv > maxOv {
-		minOv = maxOv
-	}
-	st.account(rec.region, rec.size, minOv, maxOv, caseBothStamps)
-}
-
-func (st *procState) xferTime(size int64) time.Duration {
-	return st.m.cfg.Table.XferTime(int(size))
-}
-
-// account folds one transfer's bounds into its region and size bin.
-func (st *procState) account(region int32, size int64, minOv, maxOv time.Duration, c caseKind) {
-	xt := st.xferTime(size)
-	r := st.region(region)
-	bin := st.binFor(size)
-	for _, m := range []*Measures{&r.total, &r.bins[bin]} {
-		m.Count++
-		m.DataTransferTime += xt
-		m.MinOverlapped += minOv
-		m.MaxOverlapped += maxOv
-		switch c {
-		case caseSameCall:
-			m.SameCall++
-		case caseBothStamps:
-			m.BothStamps++
-		case caseSingleStamp:
-			m.SingleStamp++
+// settle charges what the fold's clocks gained since (user, lib) to
+// region — the one in force before the step, which is the one the time
+// was spent in — and prices the samples the step resolved.
+func (m *Monitor) settle(region int32, user, lib time.Duration, out []Sample) {
+	acc := m.region(region)
+	acc.userTime += m.fold.cumUser - user
+	acc.libTime += m.fold.cumLib - lib
+	for i := range out {
+		s := &out[i]
+		xt, minOv, maxOv := s.Bounds(m.cfg.Table)
+		r := m.region(s.Region)
+		for _, ms := range []*Measures{&r.total, &r.bins[m.binFor(s.Size)]} {
+			ms.Count++
+			ms.DataTransferTime += xt
+			ms.MinOverlapped += minOv
+			ms.MaxOverlapped += maxOv
+			switch s.Case {
+			case CaseSameCall:
+				ms.SameCall++
+			case CaseBothStamps:
+				ms.BothStamps++
+			case CaseSingleStamp, CaseTruncated:
+				ms.SingleStamp++
+			case CaseExact:
+				ms.Exact++
+			}
 		}
 	}
 }
 
-type caseKind int
-
-const (
-	caseSameCall caseKind = iota
-	caseBothStamps
-	caseSingleStamp
-)
-
-// sumTotals aggregates every region's running total.
-func (st *procState) sumTotals() Measures {
-	var t Measures
-	for _, acc := range st.regions {
-		t.Add(acc.total)
+// markEpoch closes an epoch at stamp with a snapshot of the cumulative
+// state; epochReports turns consecutive snapshots into deltas.
+func (m *Monitor) markEpoch(stamp time.Duration, truncated int) {
+	ep := EpochReport{
+		Epoch:           len(m.epochs),
+		End:             stamp,
+		UserComputeTime: m.fold.cumUser,
+		CommCallTime:    m.fold.cumLib,
+		Truncated:       truncated,
 	}
-	return t
+	for _, acc := range m.regions {
+		ep.Total.Add(acc.total)
+	}
+	m.epochs = append(m.epochs, ep)
 }
 
-// cut closes the current epoch at stamp: the trailing wall segment is
-// accounted, transfers still open are resolved as truncated
-// single-stamp observations (their completion belongs to a failed
-// epoch and will never arrive), and the cumulative state is
-// snapshotted so finish can emit per-epoch deltas.
-func (st *procState) cut(stamp time.Duration) {
-	st.advance(stamp)
-	trunc := 0
-	for id, rec := range st.open {
-		st.account(rec.region, rec.size, 0, st.xferTime(rec.size), caseSingleStamp)
-		delete(st.open, id)
-		trunc++
-	}
-	st.cuts = append(st.cuts, epochMark{
-		stamp:     stamp,
-		cumUser:   st.cumUser,
-		cumLib:    st.cumLib,
-		total:     st.sumTotals(),
-		truncated: trunc,
-	})
-}
-
-// epochReports converts the cut snapshots plus the final state into
-// per-epoch deltas. Empty when no cut ever happened.
-func (st *procState) epochReports(stamp time.Duration) []EpochReport {
-	if len(st.cuts) == 0 {
+// epochReports closes the last epoch at stamp and returns the per-epoch
+// breakdown. Empty when no cut ever happened.
+func (m *Monitor) epochReports(stamp time.Duration) []EpochReport {
+	if len(m.epochs) == 0 {
 		return nil
 	}
-	final := epochMark{stamp: stamp, cumUser: st.cumUser, cumLib: st.cumLib, total: st.sumTotals()}
-	marks := append(append([]epochMark(nil), st.cuts...), final)
-	var out []EpochReport
-	prev := epochMark{}
-	for i, mk := range marks {
-		ep := EpochReport{
-			Epoch:           i,
-			Start:           prev.stamp,
-			End:             mk.stamp,
-			UserComputeTime: mk.cumUser - prev.cumUser,
-			CommCallTime:    mk.cumLib - prev.cumLib,
-			Truncated:       mk.truncated,
-		}
-		ep.Total = mk.total
-		ep.Total.Sub(prev.total)
-		out = append(out, ep)
-		prev = mk
+	m.markEpoch(stamp, 0)
+	for i := len(m.epochs) - 1; i > 0; i-- {
+		ep, prev := &m.epochs[i], &m.epochs[i-1]
+		ep.Start = prev.End
+		ep.UserComputeTime -= prev.UserComputeTime
+		ep.CommCallTime -= prev.CommCallTime
+		ep.Total.Sub(prev.Total)
 	}
-	return out
+	return m.epochs
 }
 
 // finish closes the stream at the given stamp: accounts the trailing
-// segment, resolves still-open transfers as single-stamped (case 3),
-// and builds the report.
-func (st *procState) finish(stamp time.Duration) *Report {
-	st.advance(stamp)
-	for id, rec := range st.open {
-		st.account(rec.region, rec.size, 0, st.xferTime(rec.size), caseSingleStamp)
-		delete(st.open, id)
+// segment, resolves still-open transfers as truncated, and builds the
+// report.
+func (m *Monitor) finish(stamp time.Duration) *Report {
+	f := &m.fold
+	region, user, lib := f.region, f.cumUser, f.cumLib
+	if err := f.advance(stamp); err != nil {
+		panic("overlap: " + err.Error())
 	}
+	m.settle(region, user, lib, f.Finish(stamp, nil))
 	rep := &Report{
 		Duration:  stamp,
-		BinBounds: append([]int(nil), st.m.cfg.BinBounds...),
-		Epochs:    st.epochReports(stamp),
+		BinBounds: append([]int(nil), m.cfg.BinBounds...),
+		Epochs:    m.epochReports(stamp),
 	}
-	if d := st.m.cfg.ClockDomain; d != "" && d != "virtual" {
+	if d := m.cfg.ClockDomain; d != "" && d != "virtual" {
 		rep.ClockDomain = d
 	}
-	for i, acc := range st.regions {
+	for i, acc := range m.regions {
 		rep.Regions = append(rep.Regions, RegionReport{
-			Name:            st.m.regionNames[i],
+			Name:            m.regionNames[i],
 			UserComputeTime: acc.userTime,
 			CommCallTime:    acc.libTime,
 			Total:           acc.total,

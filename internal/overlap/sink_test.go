@@ -5,22 +5,14 @@ import (
 	"time"
 )
 
-// collectSink records every event it is handed, asserting the Sink
-// interface contract.
-type collectSink struct{ events []Event }
-
-func (s *collectSink) OverlapEvent(e Event) { s.events = append(s.events, e) }
-
 func TestSinkReceivesEveryEvent(t *testing.T) {
-	sink := &collectSink{}
-	var legacy []Event
+	var sink, second EventLog
 	c := &fakeClock{}
 	m := NewMonitor(Config{
 		Clock:     c,
 		Table:     flatTable(t, 10*us),
 		QueueSize: 16,
-		Sink:      sink,
-		TraceSink: CollectTrace(&legacy), // both paths may be set
+		Sink:      Tee(&sink, &second), // two consumers, one stream
 	})
 	c.at(0)
 	m.CallEnter()
@@ -30,23 +22,27 @@ func TestSinkReceivesEveryEvent(t *testing.T) {
 	m.CallExit()
 	m.Finalize()
 
-	if len(sink.events) != 4 {
-		t.Fatalf("sink got %d events, want 4", len(sink.events))
+	if len(sink) != 4 {
+		t.Fatalf("sink got %d events, want 4", len(sink))
 	}
 	want := []Kind{KindCallEnter, KindXferBegin, KindXferEnd, KindCallExit}
-	for i, e := range sink.events {
+	for i, e := range sink {
 		if e.Kind != want[i] {
 			t.Fatalf("event %d kind %v, want %v", i, e.Kind, want[i])
 		}
 	}
-	// The legacy TraceSink sees the identical stream.
-	if len(legacy) != len(sink.events) {
-		t.Fatalf("legacy sink got %d events, sink got %d", len(legacy), len(sink.events))
+	// The second sink of the tee sees the identical stream.
+	if len(second) != len(sink) {
+		t.Fatalf("second sink got %d events, first got %d", len(second), len(sink))
 	}
-	for i := range legacy {
-		if legacy[i] != sink.events[i] {
-			t.Fatalf("event %d differs between sinks: %+v vs %+v", i, legacy[i], sink.events[i])
+	for i := range second {
+		if second[i] != sink[i] {
+			t.Fatalf("event %d differs between sinks: %+v vs %+v", i, second[i], sink[i])
 		}
+	}
+	// A tee with one side missing is the other side, not a wrapper.
+	if Tee(nil, &sink) != Sink(&sink) || Tee(&sink, nil) != Sink(&sink) || Tee(nil, nil) != nil {
+		t.Fatal("Tee must drop nil sides")
 	}
 }
 

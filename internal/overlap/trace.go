@@ -3,16 +3,15 @@ package overlap
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 )
 
 // Trace formatting: a human-readable rendering of an event stream
-// captured through Config.TraceSink, for debugging instrumented
-// libraries and inspecting how the bounds algorithm will see a run.
-// Production tracing goes through Config.Sink into the trace
-// package's per-rank rings and Chrome export; this text rendering
-// remains the quick single-stream view.
+// captured in an EventLog, for debugging instrumented libraries and
+// inspecting how the bounds algorithm will see a run. Production
+// tracing goes through the trace package's OverlapSink into per-rank
+// rings and Chrome export; this text rendering remains the quick
+// single-stream view.
 
 // FormatTrace writes one line per event, with a gutter marking
 // library (|) versus computation (.) periods and transfer intervals.
@@ -25,27 +24,21 @@ func FormatTrace(w io.Writer, events []Event) error {
 		if inLib {
 			mode = "|"
 		}
-		var desc string
+		desc := e.Kind.String()
 		switch e.Kind {
 		case KindCallEnter:
 			inLib = true
-			desc = "CALL_ENTER"
 		case KindCallExit:
 			inLib = false
-			desc = "CALL_EXIT"
 		case KindXferBegin:
-			desc = fmt.Sprintf("XFER_BEGIN  id=%d size=%s", e.ID, formatSize(e.Size))
+			desc = fmt.Sprintf("%-11s id=%d size=%s", desc, e.ID, formatSize(e.Size))
 		case KindXferEnd:
-			desc = fmt.Sprintf("XFER_END    id=%d", e.ID)
+			desc = fmt.Sprintf("%-11s id=%d", desc, e.ID)
 		case KindXferExact:
-			desc = fmt.Sprintf("XFER_EXACT  id=%d size=%s interval=[%v, %v]",
-				e.ID, formatSize(e.Size), e.Start, e.End)
-		case KindRegionPush:
-			desc = fmt.Sprintf("REGION_PUSH -> %d", e.Region)
-		case KindRegionPop:
-			desc = fmt.Sprintf("REGION_POP  -> %d", e.Region)
-		default:
-			desc = "?"
+			desc = fmt.Sprintf("%-11s id=%d size=%s interval=[%v, %v]",
+				desc, e.ID, formatSize(e.Size), e.Start, e.End)
+		case KindRegionPush, KindRegionPop:
+			desc = fmt.Sprintf("%-11s -> %d", desc, e.Region)
 		}
 		if _, err := fmt.Fprintf(w, "%6d  %12v  %s +%-12v %s\n",
 			i, e.Stamp, mode, gap, desc); err != nil {
@@ -54,15 +47,6 @@ func FormatTrace(w io.Writer, events []Event) error {
 		last = e.Stamp
 	}
 	return nil
-}
-
-// TraceString renders events via FormatTrace into a string.
-func TraceString(events []Event) string {
-	var b strings.Builder
-	if err := FormatTrace(&b, events); err != nil {
-		panic(err) // strings.Builder never errors
-	}
-	return b.String()
 }
 
 func formatSize(n int64) string {
@@ -74,10 +58,4 @@ func formatSize(n int64) string {
 	default:
 		return fmt.Sprintf("%dB", n)
 	}
-}
-
-// CollectTrace returns a TraceSink that appends events to the given
-// slice — the common test/debug wiring in one place.
-func CollectTrace(dst *[]Event) func(Event) {
-	return func(e Event) { *dst = append(*dst, e) }
 }

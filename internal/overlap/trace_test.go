@@ -3,17 +3,16 @@ package overlap
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFormatTrace(t *testing.T) {
-	var events []Event
+	var events EventLog
 	c := &fakeClock{}
 	m := NewMonitor(Config{
 		Clock:     c,
 		Table:     flatTable(t, 10*us),
 		QueueSize: 16,
-		TraceSink: CollectTrace(&events),
+		Sink:      &events,
 	})
 	c.at(0)
 	m.PushRegion("x")
@@ -28,18 +27,23 @@ func TestFormatTrace(t *testing.T) {
 	c.at(25 * us)
 	m.CallExit()
 	m.PopRegion()
+	m.EpochCut()
 	m.Finalize()
 
-	out := TraceString(events)
+	var b strings.Builder
+	if err := FormatTrace(&b, events); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
 	for _, want := range []string{
-		"CALL_ENTER", "CALL_EXIT", "XFER_BEGIN", "XFER_END", "XFER_EXACT",
-		"REGION_PUSH", "REGION_POP", "2.0MiB", "512B", "id=1",
+		"CALL_ENTER", "CALL_EXIT", "XFER_BEGIN  id=1", "XFER_END    id=1", "XFER_EXACT  id=2",
+		"REGION_PUSH -> 1", "REGION_POP  -> 0", "EPOCH_CUT", "2.0MiB", "512B",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q:\n%s", want, out)
 		}
 	}
-	// Eight events, eight lines.
+	// One line per event, every kind named.
 	if got := strings.Count(out, "\n"); got != len(events) {
 		t.Errorf("%d lines for %d events", got, len(events))
 	}
@@ -55,15 +59,5 @@ func TestFormatSizeUnits(t *testing.T) {
 		if got := formatSize(n); got != want {
 			t.Errorf("formatSize(%d) = %q, want %q", n, got, want)
 		}
-	}
-}
-
-func TestCollectTraceAppends(t *testing.T) {
-	var events []Event
-	sink := CollectTrace(&events)
-	sink(Event{Kind: KindCallEnter, Stamp: time.Microsecond})
-	sink(Event{Kind: KindCallExit, Stamp: 2 * time.Microsecond})
-	if len(events) != 2 || events[0].Kind != KindCallEnter {
-		t.Fatalf("collected %+v", events)
 	}
 }

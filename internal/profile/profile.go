@@ -17,7 +17,7 @@
 //   - cross-rank aggregation: per-site totals, a slack (per-transfer
 //     gap) distribution, and top-N offenders.
 //
-// The replay uses the exact arithmetic of overlap/process.go, so the
+// The replay steps the monitor's own bounds fold (overlap.Fold), so the
 // per-site gaps sum — by construction, and verified by tests — to the
 // overlap report's max−min bound gap: attribution conserves the
 // quantity it explains.

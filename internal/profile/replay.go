@@ -4,23 +4,20 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"ovlp/internal/overlap"
 )
 
 // The replay reconstructs, per rank, the exact event sequence the
 // overlap monitor processed — from the trace's call spans (emitted at
 // call exit, so each span record follows the overlap instants that
 // fired inside it) and overlap instants (emitted in true order) — and
-// re-runs the bounds algorithm of overlap/process.go at per-transfer
-// granularity. Matching the monitor's arithmetic operation-for-
-// operation is what makes attribution conservative: the per-transfer
-// gaps sum to the report's max−min bound gap exactly.
+// steps the monitor's own bounds fold (overlap.Fold) over it at
+// per-transfer granularity. Sharing the fold is what makes attribution
+// conservative: the per-transfer gaps sum to the report's max−min
+// bound gap exactly.
 //
-// The state machine itself lives in stream.go (RankReplay), shared
-// with the live time-resolved analyzer; this file is the offline
-// driver that prices samples against the calibration table and
-// classifies blame.
+// The reconstruction lives in stream.go (RankReplay), shared with the
+// live time-resolved analyzer; this file is the offline driver that
+// prices samples against the calibration table and classifies blame.
 
 // xferObs is one replayed transfer with its bounds and blame.
 type xferObs struct {
@@ -35,29 +32,7 @@ type xferObs struct {
 	blame  Blame
 }
 
-// rkEvent is one reconstructed monitor event.
-type rkEvent struct {
-	kind       overlap.Kind
-	at         time.Duration // stamp on the shared virtual timeline
-	id         uint64
-	size       int64
-	region     int32
-	op         string        // call name (enter/exit events)
-	start, end time.Duration // exact transfer interval (KindXferExact)
-}
-
 type parkSpan struct{ start, end time.Duration }
-
-// openX is the monitor's open-transfer record plus what blame needs.
-type openX struct {
-	size           int64
-	cumUserAtBegin time.Duration
-	cumLibAtBegin  time.Duration
-	callSeq        uint64
-	region         int32
-	op             string
-	beginAt        time.Duration
-}
 
 // replayRank rebuilds rank rs's monitor event stream and replays it.
 // The second result is the rank's final recovery epoch (the number of
@@ -76,29 +51,20 @@ func replayRank(rs *RankStream, in *Input, wire *wirePhases) ([]xferObs, int, er
 		rs.Protocol = rr.Protocol()
 	}
 	if rr.Events() == 0 {
-		return nil, rr.epoch, nil
+		return nil, rr.fold.Epoch(), nil
 	}
 	if in.Table == nil {
 		return nil, 0, fmt.Errorf("overlap events present but no calibration table to replay bounds with")
 	}
-	// Transfers issued by a nonblocking-collective schedule are owned
-	// by the schedule, not by whichever call (or progress-thread poll,
-	// rendered "(outside)") happened to be active when the protocol
-	// moved them: rename their site so starvation blame lands on e.g.
-	// "Iallreduce[ring]".
-	labels := rr.Labels()
 	out := make([]xferObs, 0, len(samples))
 	for i := range samples {
 		x := &samples[i]
-		if lbl, ok := labels[x.ID]; ok {
-			x.Op = lbl
-		}
 		xt, minOv, maxOv := x.Bounds(in.Table)
-		out = append(out, xferObs{id: x.ID, size: x.Size, region: x.Region, op: x.Op,
+		out = append(out, xferObs{id: x.ID, size: x.Size, region: x.Region, op: rr.Op(x),
 			epoch: x.Epoch, xt: xt, minOv: minOv, maxOv: maxOv,
 			blame: classify(x, minOv, maxOv, in, wire, rs.Protocol, rr)})
 	}
-	return out, rr.epoch, nil
+	return out, rr.fold.Epoch(), nil
 }
 
 // Recovery-phase region names the cluster FT runner brackets its

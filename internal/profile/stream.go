@@ -1,166 +1,53 @@
 package profile
 
 import (
-	"fmt"
 	"time"
 
-	"ovlp/internal/calib"
 	"ovlp/internal/overlap"
 	"ovlp/internal/trace"
 )
 
-// This file is the streaming half of the replay: RankReplay runs the
-// reconstruction + bounds state machine of replay.go one trace record
-// at a time, so live consumers (internal/timeres via a trace.Sink) can
+// This file is the streaming half of the replay: RankReplay turns
+// trace records back into the monitor's event stream one record at a
+// time and steps overlap.Fold — the state machine the monitor itself
+// runs — so live consumers (internal/timeres via a trace.Sink) can
 // compute per-transfer overlap bounds while the run is still going,
-// and the offline path (replayRank) reuses the identical machine —
-// one arithmetic, two drivers, no post-hoc re-parse.
+// and the offline path (replayRank) reuses the identical machine.
 
-// Case is the monitor's transfer-observation taxonomy, exported so
-// deferred-bounds consumers can reason about sample provenance.
-type Case int
+// XferSample and its cases are the bounds fold's: the replay adds only
+// the call label (Call, an index RankReplay.Op resolves) to what the
+// monitor itself would see.
+type XferSample = overlap.Sample
 
 const (
-	// CaseSameCall: begin and end fell inside one library call — no
-	// overlap is possible and none is uncertain.
-	CaseSameCall Case = iota
-	// CaseBothStamps: both endpoints observed, at least one call
-	// boundary between them; bounds come from the cumulative user/lib
-	// clock deltas.
-	CaseBothStamps
-	// CaseSingleStamp: only the completion was visible to this rank.
-	CaseSingleStamp
-	// CaseTruncated: still open when the stream ended; downgraded to
-	// single-stamp bounds.
-	CaseTruncated
-	// CaseExact: a hardware-stamped physical interval, bounded by the
-	// retained user-interval window.
-	CaseExact
+	CaseBothStamps  = overlap.CaseBothStamps
+	CaseSingleStamp = overlap.CaseSingleStamp
+	CaseTruncated   = overlap.CaseTruncated
+	CaseExact       = overlap.CaseExact
 )
-
-func (c Case) String() string {
-	switch c {
-	case CaseSameCall:
-		return "same-call"
-	case CaseBothStamps:
-		return "both-stamps"
-	case CaseSingleStamp:
-		return "single-stamp"
-	case CaseTruncated:
-		return "truncated"
-	case CaseExact:
-		return "exact"
-	}
-	return "invalid"
-}
-
-// XferSample is one replayed transfer carrying the raw measures the
-// bounds arithmetic needs, with the calibration-table lookup deferred
-// to Bounds. The deferral matters for streaming: a live sink attaches
-// before the run calibrates, so samples are collected table-free and
-// priced once the table exists.
-type XferSample struct {
-	ID     uint64
-	Size   int64
-	Region int32
-	Op     string
-	Case   Case
-	// Epoch is the recovery epoch the sample is charged to: the epoch
-	// in force when its completion (or truncation) was observed. Zero
-	// for failure-free runs.
-	Epoch int
-	// Cut marks a CaseTruncated sample closed by an epoch cut (it was
-	// in flight when a failure was agreed) rather than by stream end.
-	Cut bool
-	// BeginAt/At are the observation window endpoints on the shared
-	// virtual timeline: initiation (zero when unseen) and completion
-	// stamp. For CaseExact, At is the physical end of the wire
-	// interval; for CaseTruncated it is the stream's end stamp.
-	BeginAt time.Duration
-	At      time.Duration
-	// Computation/Noncomputation are the user/lib cumulative-clock
-	// deltas over the window (CaseBothStamps only).
-	Computation    time.Duration
-	Noncomputation time.Duration
-	// Known/Unknown/Data are the exact-case measures: overlap proven
-	// by retained user intervals, the unknowable prefix predating the
-	// window horizon, and the physical interval length.
-	Known, Unknown, Data time.Duration
-}
-
-// Bounds prices the sample against a calibration table and returns
-// the estimated transfer time with the min/max overlap bounds —
-// exactly the arithmetic of overlap/process.go per case. The table is
-// only consulted for estimated (non-exact) cases; CaseExact works
-// with a nil table.
-func (x *XferSample) Bounds(table *calib.Table) (xt, minOv, maxOv time.Duration) {
-	if x.Case == CaseExact {
-		xt = x.Data
-		minOv = x.Known
-		maxOv = x.Known + x.Unknown
-		if maxOv > xt {
-			maxOv = xt
-		}
-		if minOv > maxOv {
-			minOv = maxOv
-		}
-		return xt, minOv, maxOv
-	}
-	xt = table.XferTime(int(x.Size))
-	switch x.Case {
-	case CaseSameCall:
-		return xt, 0, 0
-	case CaseSingleStamp, CaseTruncated:
-		return xt, 0, xt
-	}
-	// CaseBothStamps.
-	maxOv = xt
-	if x.Computation < xt {
-		maxOv = x.Computation
-	}
-	minOv = xt - x.Noncomputation
-	if minOv < 0 {
-		minOv = 0
-	}
-	if minOv > maxOv {
-		minOv = maxOv
-	}
-	return xt, minOv, maxOv
-}
 
 // RankReplay reconstructs one rank's monitor event stream record by
 // record and replays the bounds state machine, emitting an XferSample
 // per completed transfer. Feed records in the host track's emission
 // order; call Finish exactly once when the stream ends.
 type RankReplay struct {
-	emit   func(XferSample)
-	window int
+	emit func(XferSample)
 
-	// Reconstruction state (the pending/flush discipline of
-	// replay.go's reconstruct): overlap instants are held until the
-	// call span that contained them is emitted at call exit, so
-	// instants stamped before the call began replay as user-code
-	// events.
-	pending  []rkEvent
+	// Reconstruction state: overlap instants are held until the call
+	// span that contained them is emitted at call exit, so instants
+	// stamped before the call began replay as user-code events.
+	pending  []overlap.Event
 	parks    []parkSpan
 	labels   map[uint64]string
 	done     time.Duration
 	protocol string
 	events   int
 
-	// Replay state, mirroring overlap.procState.
-	lastStamp time.Duration
-	inLib     bool
-	callSeq   uint64
-	curRegion int32
-	curOp     string
-	epoch     int
-	lastExit  time.Duration
-	userIvals []struct{ start, end time.Duration }
-	horizon   time.Duration
-	cumUser   time.Duration
-	cumLib    time.Duration
-	open      map[uint64]openX
+	// The bounds state machine — the monitor's own — and the call
+	// names its samples' labels index.
+	fold  overlap.Fold
+	ops   []string
+	opIdx map[string]int32
 
 	finished bool
 	err      error
@@ -171,14 +58,24 @@ type RankReplay struct {
 // overlap.DefaultUserIntervalWindow); emit receives each completed
 // transfer and must not be nil.
 func NewRankReplay(window int, emit func(XferSample)) *RankReplay {
-	if window <= 0 {
-		window = overlap.DefaultUserIntervalWindow
+	return &RankReplay{emit: emit, fold: overlap.NewFold(window),
+		ops: []string{"", opOutside: "(outside)"}, opIdx: map[string]int32{}}
+}
+
+// opOutside labels a transfer that surfaced with no call in progress (a
+// progress thread moved it); label 0 is "no call seen yet".
+const opOutside = 1
+
+// Op returns the site x is charged to: the library call, unless a
+// nonblocking-collective schedule issued the transfer. The schedule owns
+// it then, not whichever call (or progress-thread poll) happened to be
+// active when the protocol moved it, so starvation blame lands on e.g.
+// "Iallreduce[ring]".
+func (r *RankReplay) Op(x *XferSample) string {
+	if lbl, ok := r.labels[x.ID]; ok {
+		return lbl
 	}
-	return &RankReplay{
-		emit:   emit,
-		window: window,
-		open:   make(map[uint64]openX),
-	}
+	return r.ops[x.Call]
 }
 
 // Err returns the first replay error; once set, further Feed calls
@@ -195,10 +92,6 @@ func (r *RankReplay) Done() time.Duration { return r.done }
 // Protocol returns the library protocol from the attach instant (""
 // when none was seen).
 func (r *RankReplay) Protocol() string { return r.protocol }
-
-// Labels returns the collective-schedule ownership labels keyed by
-// transfer id (nil when none).
-func (r *RankReplay) Labels() map[uint64]string { return r.labels }
 
 // ParkTime sums the rank's parked time inside [from, to].
 func (r *RankReplay) ParkTime(from, to time.Duration) time.Duration {
@@ -246,27 +139,36 @@ func (r *RankReplay) Feed(rec trace.Rec) {
 		// stamped before the call began happened in user code.
 		start := rec.Start.Duration()
 		r.flush(start, false)
-		r.applyChecked(&rkEvent{kind: overlap.KindCallEnter, at: start, op: rec.Name})
+		idx, ok := r.opIdx[rec.Name]
+		if !ok {
+			idx = int32(len(r.ops))
+			r.ops = append(r.ops, rec.Name)
+			r.opIdx[rec.Name] = idx
+		}
+		r.fold.Call = idx
+		r.step(&overlap.Event{Kind: overlap.KindCallEnter, Stamp: start})
 		r.flush(0, true)
-		r.applyChecked(&rkEvent{kind: overlap.KindCallExit, at: end, op: rec.Name})
+		r.step(&overlap.Event{Kind: overlap.KindCallExit, Stamp: end})
 	case "overlap":
-		ev := rkEvent{at: rec.Start.Duration(), id: rec.Args.ID, size: rec.Args.Size}
+		ev := overlap.Event{Stamp: rec.Start.Duration(), ID: rec.Args.ID, Size: rec.Args.Size}
 		switch rec.Name {
 		case "xfer-begin":
-			ev.kind = overlap.KindXferBegin
+			ev.Kind = overlap.KindXferBegin
 		case "xfer-end":
-			ev.kind = overlap.KindXferEnd
+			ev.Kind = overlap.KindXferEnd
 		case "xfer-exact":
-			ev.kind = overlap.KindXferExact
-			ev.start, ev.end = rec.Start.Duration(), rec.End().Duration()
+			// The span is the physical interval; when it was detected
+			// is not recorded, and the fold does not ask.
+			ev.Kind = overlap.KindXferExact
+			ev.Start, ev.End = ev.Stamp, end
 		case "region-push":
-			ev.kind = overlap.KindRegionPush
-			ev.region = int32(rec.Args.ID)
+			ev.Kind = overlap.KindRegionPush
+			ev.Region = int32(rec.Args.ID)
 		case "region-pop":
-			ev.kind = overlap.KindRegionPop
-			ev.region = int32(rec.Args.ID)
+			ev.Kind = overlap.KindRegionPop
+			ev.Region = int32(rec.Args.ID)
 		case "epoch-cut":
-			ev.kind = overlap.KindEpochCut
+			ev.Kind = overlap.KindEpochCut
 		default:
 			return
 		}
@@ -295,186 +197,48 @@ func (r *RankReplay) flush(upto time.Duration, all bool) {
 	n := 0
 	for i := range r.pending {
 		ev := &r.pending[i]
-		if !all && (ev.kind == overlap.KindXferExact || ev.at >= upto) {
+		if !all && (ev.Kind == overlap.KindXferExact || ev.Stamp >= upto) {
 			break
 		}
-		r.applyChecked(ev)
+		r.step(ev)
 		n++
 	}
 	r.pending = r.pending[n:]
 }
 
-func (r *RankReplay) applyChecked(e *rkEvent) {
+// step folds one reconstructed monitor event and forwards what it
+// resolved.
+func (r *RankReplay) step(e *overlap.Event) {
 	if r.err != nil {
 		return
 	}
 	r.events++
-	if err := r.apply(e); err != nil {
+	var buf [1]overlap.Sample // only a cut resolves more
+	out, err := r.fold.Step(e, buf[:0])
+	if err != nil {
+		// A hostile or damaged trace, not a bug: the monitor that wrote
+		// a sound one read a monotonic clock.
 		r.err = err
-	}
-}
-
-func (r *RankReplay) apply(e *rkEvent) error {
-	if e.kind == overlap.KindXferExact {
-		// The event's stamps are the physical interval, not the
-		// detection time the monitor's clock advanced on. Exact mode
-		// never reads the cumulative clocks, so skip advancing them.
-		r.applyExact(e)
-		return nil
-	}
-	if err := r.advance(e.at); err != nil {
-		return err
-	}
-	switch e.kind {
-	case overlap.KindCallEnter:
-		r.inLib = true
-		r.callSeq++
-		r.curOp = e.op
-		r.recordUserInterval(r.lastExit, e.at)
-	case overlap.KindCallExit:
-		r.inLib = false
-		r.lastExit = e.at
-	case overlap.KindRegionPush, overlap.KindRegionPop:
-		r.curRegion = e.region
-	case overlap.KindXferBegin:
-		r.open[e.id] = openX{
-			size:           e.size,
-			cumUserAtBegin: r.cumUser,
-			cumLibAtBegin:  r.cumLib,
-			callSeq:        r.callSeq,
-			region:         r.curRegion,
-			op:             r.curOp,
-			beginAt:        e.at,
-		}
-	case overlap.KindXferEnd:
-		r.completeXfer(e)
-	case overlap.KindEpochCut:
-		r.cutEpoch(e.at)
-	}
-	return nil
-}
-
-// cutEpoch mirrors overlap.procState.cut: transfers still open are
-// resolved as truncated inside the closing epoch (their completion
-// belongs to the failed epoch and will never arrive), and subsequent
-// samples are charged to the next epoch.
-func (r *RankReplay) cutEpoch(at time.Duration) {
-	for _, id := range sortedIDs(r.open) {
-		rec := r.open[id]
-		r.emit(XferSample{ID: id, Size: rec.size, Region: rec.region, Op: rec.op,
-			Case: CaseTruncated, Cut: true, Epoch: r.epoch, BeginAt: rec.beginAt, At: at})
-		delete(r.open, id)
-	}
-	r.epoch++
-}
-
-// sortedIDs returns the open-transfer ids ascending, for deterministic
-// map iteration.
-func sortedIDs(open map[uint64]openX) []uint64 {
-	ids := make([]uint64, 0, len(open))
-	for id := range open {
-		ids = append(ids, id)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	return ids
-}
-
-func (r *RankReplay) advance(stamp time.Duration) error {
-	span := stamp - r.lastStamp
-	if span < 0 {
-		return fmt.Errorf("non-monotonic reconstructed stamps (%v after %v)", stamp, r.lastStamp)
-	}
-	if r.inLib {
-		r.cumLib += span
-	} else {
-		r.cumUser += span
-	}
-	r.lastStamp = stamp
-	return nil
-}
-
-func (r *RankReplay) recordUserInterval(start, end time.Duration) {
-	if end <= start {
 		return
 	}
-	if len(r.userIvals) >= r.window {
-		drop := len(r.userIvals) - r.window + 1
-		r.horizon = r.userIvals[drop-1].end
-		r.userIvals = append(r.userIvals[:0], r.userIvals[drop:]...)
-	}
-	r.userIvals = append(r.userIvals, struct{ start, end time.Duration }{start, end})
+	r.forward(out)
 }
 
-// completeXfer is overlap.procState.completeXfer, emitting the raw
-// sample instead of priced bounds.
-func (r *RankReplay) completeXfer(e *rkEvent) {
-	rec, seen := r.open[e.id]
-	if !seen {
-		// Single-stamp: initiation was invisible to this rank.
-		op := r.curOp
-		if !r.inLib {
-			op = "(outside)"
+// forward hands the fold's samples on. The fold labels a transfer whose
+// initiation it never saw with the call in progress; when none is, the
+// site is "(outside)".
+func (r *RankReplay) forward(out []overlap.Sample) {
+	for i := range out {
+		if c := out[i].Case; (c == CaseSingleStamp || c == CaseExact) && !r.fold.InLib() {
+			out[i].Call = opOutside
 		}
-		r.emit(XferSample{ID: e.id, Size: e.size, Region: r.curRegion, Op: op,
-			Case: CaseSingleStamp, Epoch: r.epoch, At: e.at})
-		return
+		r.emit(out[i])
 	}
-	delete(r.open, e.id)
-	if rec.callSeq == r.callSeq && r.inLib {
-		r.emit(XferSample{ID: e.id, Size: rec.size, Region: rec.region, Op: rec.op,
-			Case: CaseSameCall, Epoch: r.epoch, BeginAt: rec.beginAt, At: e.at})
-		return
-	}
-	r.emit(XferSample{ID: e.id, Size: rec.size, Region: rec.region, Op: rec.op,
-		Case:        CaseBothStamps,
-		Epoch:       r.epoch,
-		BeginAt:     rec.beginAt,
-		At:          e.at,
-		Computation: r.cumUser - rec.cumUserAtBegin, Noncomputation: r.cumLib - rec.cumLibAtBegin})
-}
-
-// applyExact mirrors overlap.procState.applyExact: the only gap an
-// exact transfer can carry is the unknowable prefix predating the
-// retained user-interval window.
-func (r *RankReplay) applyExact(e *rkEvent) {
-	start, end := e.start, e.end
-	known := time.Duration(0)
-	for _, iv := range r.userIvals {
-		lo, hi := start, end
-		if iv.start > lo {
-			lo = iv.start
-		}
-		if iv.end < hi {
-			hi = iv.end
-		}
-		if hi > lo {
-			known += hi - lo
-		}
-	}
-	var unknown time.Duration
-	if start < r.horizon {
-		cut := end
-		if r.horizon < cut {
-			cut = r.horizon
-		}
-		unknown = cut - start
-	}
-	op := r.curOp
-	if !r.inLib {
-		op = "(outside)"
-	}
-	r.emit(XferSample{ID: e.id, Size: e.size, Region: r.curRegion, Op: op,
-		Case: CaseExact, Epoch: r.epoch, BeginAt: start, At: end,
-		Known: known, Unknown: unknown, Data: end - start})
 }
 
 // Finish flushes pending instants and resolves still-open transfers
-// as the monitor does at Finalize: downgraded to single-stamp bounds,
-// marked truncated. Safe to call once; further Feeds are ignored.
+// as the monitor does at Finalize: truncated, in ascending id order.
+// Safe to call once; further Feeds are ignored.
 func (r *RankReplay) Finish() {
 	if r.finished {
 		return
@@ -484,10 +248,5 @@ func (r *RankReplay) Finish() {
 	if r.err != nil {
 		return
 	}
-	for _, id := range sortedIDs(r.open) {
-		rec := r.open[id]
-		r.emit(XferSample{ID: id, Size: rec.size, Region: rec.region, Op: rec.op,
-			Case: CaseTruncated, Epoch: r.epoch, BeginAt: rec.beginAt, At: r.done})
-		delete(r.open, id)
-	}
+	r.forward(r.fold.Finish(r.done, nil))
 }

@@ -21,15 +21,13 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // artifact. Regenerate with: go test ./internal/report -run Golden -update
 func TestTimelineGolden(t *testing.T) {
 	const procs = 3
-	traces := make([][]overlap.Event, procs)
+	traces := make([]overlap.EventLog, procs)
 	cfg := cluster.Config{
 		Procs: procs,
 		MPI: mpi.Config{
 			Protocol: mpi.DirectRDMARead,
 			Instrument: &mpi.InstrumentConfig{
-				TraceSinkFor: func(rank int) func(overlap.Event) {
-					return func(e overlap.Event) { traces[rank] = append(traces[rank], e) }
-				},
+				SinkFor: func(rank int) overlap.Sink { return &traces[rank] },
 			},
 		},
 		RecordTruth: true,

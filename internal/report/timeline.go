@@ -34,9 +34,9 @@ const (
 )
 
 // RenderTimeline writes the activity chart. traces[r] is rank r's
-// event stream (captured via overlap.Config.TraceSink); transfers is
-// the fabric's ground-truth log.
-func RenderTimeline(w io.Writer, traces [][]overlap.Event, transfers []fabric.Transfer, cfg TimelineConfig) error {
+// event stream (captured via overlap.Config.Sink); transfers is the
+// fabric's ground-truth log.
+func RenderTimeline(w io.Writer, traces []overlap.EventLog, transfers []fabric.Transfer, cfg TimelineConfig) error {
 	width := cfg.Width
 	if width <= 0 {
 		width = 100
@@ -157,7 +157,7 @@ func wireLane(transfers []fabric.Transfer, rank int, dur time.Duration, width in
 }
 
 // TimelineString renders to a string.
-func TimelineString(traces [][]overlap.Event, transfers []fabric.Transfer, cfg TimelineConfig) string {
+func TimelineString(traces []overlap.EventLog, transfers []fabric.Transfer, cfg TimelineConfig) string {
 	var b strings.Builder
 	if err := RenderTimeline(&b, traces, transfers, cfg); err != nil {
 		return "(" + err.Error() + ")"

@@ -15,7 +15,7 @@ func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 func TestRenderTimelineLanes(t *testing.T) {
 	// One rank: library [0,25µs) and [75µs,100µs), compute between;
 	// one wire transfer [30µs, 60µs) — fully over the compute span.
-	traces := [][]overlap.Event{{
+	traces := []overlap.EventLog{{
 		{Kind: overlap.KindCallEnter, Stamp: 0},
 		{Kind: overlap.KindCallExit, Stamp: us(25)},
 		{Kind: overlap.KindCallEnter, Stamp: us(75)},
@@ -52,7 +52,7 @@ func TestRenderTimelineLanes(t *testing.T) {
 }
 
 func TestRenderTimelineNestedCalls(t *testing.T) {
-	traces := [][]overlap.Event{{
+	traces := []overlap.EventLog{{
 		{Kind: overlap.KindCallEnter, Stamp: 0},
 		{Kind: overlap.KindCallEnter, Stamp: us(10)}, // nested
 		{Kind: overlap.KindCallExit, Stamp: us(20)},
@@ -72,7 +72,7 @@ func TestRenderTimelineEmpty(t *testing.T) {
 }
 
 func TestRenderTimelineUnclosedCall(t *testing.T) {
-	traces := [][]overlap.Event{{
+	traces := []overlap.EventLog{{
 		{Kind: overlap.KindCallEnter, Stamp: us(5)},
 	}}
 	out := TimelineString(traces, nil, TimelineConfig{Width: 10, Duration: us(10)})

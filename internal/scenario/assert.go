@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 
 	"ovlp/internal/diagnose"
 	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
 	"ovlp/internal/overlap"
+	"ovlp/internal/overlap/oracle"
 	"ovlp/internal/vtime"
 )
 
@@ -290,8 +292,14 @@ func findError(rr *RunResult, a *Assertion) (matched bool, seen string) {
 	return false, seen
 }
 
-// checkBoundsValid runs the independent oracle over every rank's raw
-// event stream (see oracle.go).
+// checkBoundsValid runs the independent bounds oracle (overlap/oracle)
+// over every rank's raw event stream: totals equal to the monitor's
+// report, and min ≤ true overlap ≤ max for every transfer the fabric
+// double-stamped, within the library-view tolerance. Under a chaos
+// schedule that additionally absorbs injected jitter and — for
+// bandwidth-degraded windows — the stretch of the physical transfer
+// beyond its calibrated time, since calibration describes the healthy
+// network the instrumentation was characterized on.
 func checkBoundsValid(rr *RunResult, add func(check, expected, observed string)) {
 	if rr.Res.Calib == nil {
 		add("bounds_valid", "a calibrated instrumented run", "no calibration table in result")
@@ -302,8 +310,15 @@ func checkBoundsValid(rr *RunResult, add func(check, expected, observed string))
 		add("bounds_valid", "compilable chaos schedule", err.Error())
 		return
 	}
-	truth := rr.truthByID()
+	truth := oracle.Truth(rr.Res.Transfers)
 	cost := fabric.DefaultCostModel()
+	eps := cost.LinkLatency + cost.DMAStartup + 2*time.Microsecond + maxJitter(plan)
+	slack := func(wire, xfer time.Duration) (lower, upper time.Duration) {
+		// 5% calibration slack plus, under bandwidth degradation, the
+		// stretch of the wire interval beyond the calibrated estimate.
+		fudge := eps + wire/20 + max(0, wire-xfer)
+		return fudge, fudge
+	}
 	for rank := 0; rank < rr.Procs; rank++ {
 		var rep *overlap.Report
 		if rank < len(rr.Res.Reports) {
@@ -312,11 +327,47 @@ func checkBoundsValid(rr *RunResult, add func(check, expected, observed string))
 		if rep == nil && len(rr.Events[rank]) == 0 {
 			continue // rank wedged before finalize: nothing to replay
 		}
-		if msg := checkBounds(rank, rr.Events[rank], rep, truth, rr.Res.Calib, cost, plan); msg != "" {
-			add("bounds_valid", "min <= true overlap <= max per transfer", msg)
+		var bad []string
+		if rep == nil {
+			bad = []string{"no instrumentation report to check bounds against"}
+		} else {
+			o := oracle.Run(rr.Events[rank], rep.Duration, rr.Res.Calib, 0)
+			bad = append(append(o.Violations, o.CheckTotals(rep)...), o.CheckTruth(truth, slack)...)
+		}
+		if len(bad) > 0 {
+			add("bounds_valid", "min <= true overlap <= max per transfer", fmt.Sprintf("rank %d: %s", rank, bad[0]))
 			return
 		}
 	}
+}
+
+// maxJitter returns the largest jitter any part of the plan can
+// inject (the time-dependent part of the oracle tolerance).
+func maxJitter(plan *fabric.FaultPlan) time.Duration {
+	if plan == nil {
+		return 0
+	}
+	m := plan.Default.JitterMax
+	for _, lf := range plan.Links {
+		if lf.JitterMax > m {
+			m = lf.JitterMax
+		}
+	}
+	for i := range plan.Schedule {
+		ev := &plan.Schedule[i]
+		if ev.Default != nil && ev.Default.JitterMax > m {
+			m = ev.Default.JitterMax
+		}
+		if ev.NodeFaults.JitterMax > m {
+			m = ev.NodeFaults.JitterMax
+		}
+		for _, lf := range ev.Links {
+			if lf.JitterMax > m {
+				m = lf.JitterMax
+			}
+		}
+	}
+	return m
 }
 
 // checkConservation asserts the profiler's attribution conserves the

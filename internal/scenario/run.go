@@ -82,7 +82,7 @@ type RunResult struct {
 	Err error
 	// Events holds each rank's raw instrumentation event stream (the
 	// oracle's input).
-	Events [][]overlap.Event
+	Events []overlap.EventLog
 	// Profile is the offline blame analysis (nil when it could not be
 	// produced, e.g. a run wedged before emitting any stream).
 	Profile *profile.Profile
@@ -183,13 +183,11 @@ func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult
 
 	tracer := trace.New(trace.Options{})
 	mpiCfg.Instrument = &mpi.InstrumentConfig{}
-	var events [][]overlap.Event
+	var events []overlap.EventLog
 	var tres *timeres.Analyzer
 	if primary {
-		events = make([][]overlap.Event, procs)
-		mpiCfg.Instrument.TraceSinkFor = func(rank int) func(overlap.Event) {
-			return func(e overlap.Event) { events[rank] = append(events[rank], e) }
-		}
+		events = make([]overlap.EventLog, procs)
+		mpiCfg.Instrument.SinkFor = func(rank int) overlap.Sink { return &events[rank] }
 		if opts.TimeRes || opts.Findings || s.wantsTimeRes() {
 			tres = timeres.New(timeres.Options{Window: s.timeResWindow(opts.TimeResWindow)})
 			tracer.AddSink(tres)
@@ -357,13 +355,4 @@ func (rr *RunResult) realClock() bool { return rr.Opts.Backend == cluster.Backen
 func hashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// truthByID indexes the ground-truth transfer log for the oracle.
-func (rr *RunResult) truthByID() map[uint64]fabric.Transfer {
-	m := make(map[uint64]fabric.Transfer, len(rr.Res.Transfers))
-	for _, tr := range rr.Res.Transfers {
-		m[tr.XferID] = tr
-	}
-	return m
 }
