@@ -26,7 +26,8 @@ type ARMCIConfig struct {
 	// ARMCI configures the library; a nil Instrument.Table is filled
 	// by calibration, as for MPI runs.
 	ARMCI armci.Config
-	// RecordTruth retains the ground-truth transfer log.
+	// RecordTruth retains the ground-truth transfer log (see
+	// Config.RecordTruth).
 	RecordTruth bool
 	// Faults optionally injects deterministic fabric faults; an
 	// active plan fills a nil ARMCI.Reliable with defaults, as for
@@ -96,6 +97,7 @@ func RunARMCIE(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
 	sim := newSim(cfg.Backend, cfg.Clock)
 	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
 	defer fab.Shutdown()
+	fab.RetainTruth(cfg.RecordTruth)
 	if cfg.Faults.Active() {
 		if err := fab.SetFaults(cfg.Faults); err != nil {
 			return ARMCIResult{}, err
@@ -136,9 +138,7 @@ func RunARMCIE(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
 		res.LibTimes[p.ID()] = p.LibTime()
 		res.RelStats[p.ID()] = p.RelStats()
 	}
-	if cfg.RecordTruth {
-		res.Transfers = fab.Transfers()
-	}
+	res.Transfers = fab.Transfers() // nil unless RecordTruth had the fabric retain it
 	res.Metrics = foldMetrics(cfg.Trace, res.Duration, res.FaultStats, res.RelStats, res.Reports)
 	return res, err
 }

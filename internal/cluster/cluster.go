@@ -38,8 +38,10 @@ type Config struct {
 	// Calibrate on the same cost model first — exactly the paper's
 	// a-priori characterization step.
 	MPI mpi.Config
-	// RecordTruth retains the fabric's ground-truth transfer log in
-	// the result (costs memory proportional to message count).
+	// RecordTruth has the fabric keep its ground-truth transfer log and
+	// returns it in the result (costs memory proportional to message
+	// count). Without it — and without a Trace, whose wire spans carry
+	// the same intervals — the fabric records nothing per transfer.
 	RecordTruth bool
 	// Faults, when non-nil and active, injects deterministic link and
 	// NIC faults (see fabric.FaultPlan). An active plan implies
@@ -153,6 +155,7 @@ func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
 	sim := newSim(cfg.Backend, cfg.Clock)
 	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
 	defer fab.Shutdown()
+	fab.RetainTruth(cfg.RecordTruth)
 	if cfg.Faults.Active() {
 		if err := fab.SetFaults(cfg.Faults); err != nil {
 			return Result{}, err
@@ -204,9 +207,7 @@ func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
 		res.MPITimes[r.ID()] = r.MPITime()
 		res.RelStats[r.ID()] = r.RelStats()
 	}
-	if cfg.RecordTruth {
-		res.Transfers = fab.Transfers()
-	}
+	res.Transfers = fab.Transfers() // nil unless RecordTruth had the fabric retain it
 	res.Metrics = foldMetrics(cfg.Trace, res.Duration, res.FaultStats, res.RelStats, res.Reports)
 	if ic := cfg.MPI.Instrument; ic != nil {
 		res.Calib = ic.Table

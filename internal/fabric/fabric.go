@@ -24,7 +24,8 @@
 // The fabric keeps a ground-truth log of the physical transfer
 // interval of every user-data operation. Real hardware cannot offer
 // this; the simulator uses it to validate the instrumentation's
-// min/max overlap bounds in tests.
+// min/max overlap bounds in tests. A run that will not read the log
+// says so (RetainTruth) and pays nothing for it.
 package fabric
 
 import (
@@ -209,11 +210,18 @@ type Fabric struct {
 	nics  []*NIC
 	xseq  uint64
 	wrseq uint64
-	truth []Transfer
 
-	faults    *faultState       // nil on a perfect network
-	truthSeen map[seenKey]bool  // sequenced deliveries already recorded
-	phases    map[uint64]string // xfer id -> protocol-phase tag
+	// The ground-truth log, kept while someone will read Transfers
+	// (keepTruth), and the protocol-phase tag of every transfer id —
+	// ids are NewXferID's, sequential from 1, so the tags are a slice
+	// indexed by id — kept while the log or a tracer's wire spans will
+	// carry them.
+	keepTruth bool
+	truth     []Transfer
+	phases    []string
+
+	faults    *faultState      // nil on a perfect network
+	truthSeen map[seenKey]bool // sequenced deliveries already recorded
 
 	crashAt    map[NodeID]vtime.Time // crash-stop plan: node -> death instant
 	crashStats CrashStats
@@ -237,7 +245,7 @@ type Fabric struct {
 // starts one egress goroutine per NIC; call Shutdown when the run is
 // over to stop them.
 func New(sim *vtime.Sim, n int, cost CostModel) *Fabric {
-	f := &Fabric{sim: sim, cost: cost, truthSeen: make(map[seenKey]bool)}
+	f := &Fabric{sim: sim, cost: cost, keepTruth: true, truthSeen: make(map[seenKey]bool)}
 	f.nics = make([]*NIC, n)
 	for i := range f.nics {
 		f.nics[i] = &NIC{fab: f, id: NodeID(i)}
@@ -349,32 +357,47 @@ func (f *Fabric) NewXferID() uint64 {
 	return f.xseq
 }
 
-// TagXfer labels transfer id with the protocol phase that produced it
-// ("eager", "pipelined-frag", "direct-read", ...). The tag rides on
-// the ground-truth log entries and the exported wire spans; tagging an
-// id that never reaches the wire (a receiver-side virtual transfer) is
-// harmless.
+// TagXfer labels transfer id, which NewXferID issued, with the protocol
+// phase that produced it ("eager", "pipelined-frag", "direct-read",
+// ...). The tag rides on the ground-truth log entries and the exported
+// wire spans, and is dropped on the spot when the run has neither;
+// tagging an id that never reaches the wire (a receiver-side virtual
+// transfer) is harmless.
 func (f *Fabric) TagXfer(id uint64, phase string) {
-	if id == 0 || phase == "" {
+	if id == 0 || phase == "" || !f.observed() {
 		return
 	}
-	if f.phases == nil {
-		f.phases = make(map[uint64]string)
+	if id > f.xseq {
+		panic(fmt.Sprintf("fabric: TagXfer(%d): NewXferID has issued only %d ids", id, f.xseq))
+	}
+	for uint64(len(f.phases)) <= id {
+		f.phases = append(f.phases, "")
 	}
 	f.phases[id] = phase
 }
 
-// XferPhase returns the phase tag for transfer id ("" when untagged).
-func (f *Fabric) XferPhase(id uint64) string { return f.phases[id] }
+// RetainTruth says whether anyone will read Transfers when the run is
+// over. A fabric retains the log unless told otherwise; cluster runs
+// pass their RecordTruth setting, so a run that asked for no ground
+// truth builds none.
+func (f *Fabric) RetainTruth(on bool) { f.keepTruth = on }
+
+// observed reports whether a transfer's record has a reader: the
+// ground-truth log or a tracer's wire spans.
+func (f *Fabric) observed() bool { return f.keepTruth || f.tr != nil }
 
 // Transfers returns the ground-truth log of all user-data transfers
-// recorded so far, in completion order.
+// recorded so far, in completion order (nil after RetainTruth(false)).
 func (f *Fabric) Transfers() []Transfer { return f.truth }
 
 func (f *Fabric) record(t Transfer) {
-	if t.XferID != 0 {
-		t.Phase = f.phases[t.XferID]
-		f.truth = append(f.truth, t)
+	if t.XferID != 0 && f.observed() {
+		if t.XferID < uint64(len(f.phases)) {
+			t.Phase = f.phases[t.XferID]
+		}
+		if f.keepTruth {
+			f.truth = append(f.truth, t)
+		}
 		if f.tr != nil {
 			// The wire span is the oracle interval verbatim; tests assert
 			// the trace's NIC spans equal Transfers() exactly.

@@ -424,3 +424,114 @@ func TestRecordSteadyStateAllocs(t *testing.T) {
 		t.Errorf("first tracer's fabric.transfers moved to %d after SetTrace", got)
 	}
 }
+
+// ledgerPhases are the tags the ledger tests hand out in rotation; the
+// empty one leaves its transfer untagged.
+var ledgerPhases = []string{"eager", "pipelined-frag", "", "direct-read"}
+
+// ledgerRun posts n tagged RDMA writes through a two-node fabric,
+// configured by setup before the run, and returns the fabric.
+func ledgerRun(t *testing.T, n int, setup func(f *Fabric)) *Fabric {
+	t.Helper()
+	sim, f := twoNodes(t)
+	setup(f)
+	nic := f.NIC(0)
+	poster := sim.Spawn("post", func(p *vtime.Proc) {
+		for i := 0; i < n; i++ {
+			id := f.NewXferID()
+			f.TagXfer(id, ledgerPhases[i%len(ledgerPhases)])
+			nic.RDMAWrite(p, 1, 64+i%7, id, nil)
+			for !nic.Pending() || nic.PollCQ(p) == nil {
+				p.Park("cq")
+			}
+		}
+	})
+	nic.SetNotify(poster.Unpark)
+	sim.Run()
+	return f
+}
+
+// wireSpans flattens a tracer's NIC wire spans into Transfers.
+func wireSpans(tr *trace.Tracer) []Transfer {
+	var out []Transfer
+	for _, tk := range tr.Tracks() {
+		for _, r := range tk.Recs() {
+			if r.Cat == "wire" {
+				out = append(out, Transfer{XferID: r.Args.ID, Src: NodeID(tk.ID()), Dst: NodeID(r.Args.Peer),
+					Size: int(r.Args.Size), Start: r.Start, End: r.End(), Phase: r.Args.Phase})
+			}
+		}
+	}
+	return out
+}
+
+// What the fabric keeps per transfer follows who will read it: the log
+// for Transfers (RetainTruth, on unless a cluster run turns it off),
+// the phase tags for the log or a tracer's wire spans, and nothing at
+// all for a run with neither — whose log and spans, had it kept them,
+// would be the ones the other runs produce.
+func TestLedgerFollowsItsReaders(t *testing.T) {
+	const n = 10_000
+	want := ledgerRun(t, n, func(*Fabric) {}).Transfers()
+	if len(want) != n {
+		t.Fatalf("a fabric left alone retained %d transfers, want %d", len(want), n)
+	}
+	for i, x := range want {
+		if x.XferID != uint64(i+1) || x.Phase != ledgerPhases[i%len(ledgerPhases)] {
+			t.Fatalf("transfer %d = %+v, want id %d tagged %q", i, x, i+1, ledgerPhases[i%len(ledgerPhases)])
+		}
+	}
+	same := func(what string, got []Transfer) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d transfers, want %d", what, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: transfer %d = %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+
+	// Nobody reading: no log, no tags, and no allocation per transfer.
+	f := ledgerRun(t, n, func(f *Fabric) { f.RetainTruth(false) })
+	if f.Transfers() != nil || f.truth != nil || f.phases != nil {
+		t.Errorf("unread fabric holds %d log entries and %d tags after %d transfers, want none",
+			len(f.truth), len(f.phases), n)
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		id := f.NewXferID()
+		f.TagXfer(id, "eager")
+		f.record(Transfer{XferID: id, Src: 0, Dst: 1, Size: 64})
+	}); allocs != 0 {
+		t.Errorf("unread TagXfer+record allocated %v times per transfer, want 0", allocs)
+	}
+
+	// A tracer alone: the same wire spans, tags included, and still no log.
+	tr := trace.New(trace.Options{})
+	f = ledgerRun(t, n, func(f *Fabric) { f.RetainTruth(false); f.SetTrace(tr) })
+	if f.Transfers() != nil {
+		t.Errorf("traced fabric with RetainTruth(false) kept a log of %d", len(f.Transfers()))
+	}
+	same("tracer alone: wire spans", wireSpans(tr))
+
+	// Both readers: log and spans, equal to each other and to the rest.
+	tr = trace.New(trace.Options{})
+	f = ledgerRun(t, n, func(f *Fabric) { f.SetTrace(tr) })
+	same("traced and retained: log", f.Transfers())
+	same("traced and retained: wire spans", wireSpans(tr))
+}
+
+// Tags live in a slice indexed by the ids NewXferID hands out, so an id
+// it never issued is a caller bug, not a key.
+func TestTagXferRejectsUnissuedID(t *testing.T) {
+	_, f := twoNodes(t)
+	f.TagXfer(0, "eager") // the "no transfer" id stays a no-op
+	f.TagXfer(f.NewXferID(), "eager")
+	defer func() {
+		if recover() == nil {
+			t.Error("TagXfer of an id NewXferID never issued did not panic")
+		}
+	}()
+	f.TagXfer(1<<40, "eager")
+}

@@ -4,10 +4,33 @@ import (
 	"testing"
 
 	"ovlp/internal/coll"
+	"ovlp/internal/fabric"
 )
 
 // Schedules exposes the rank's schedule memo to the external tests.
 func (r *Rank) Schedules() map[coll.Params]*coll.Schedule { return r.schedules }
+
+// OutstandingWRs is the length of the completion-routing table: work
+// requests the rank posted and has not yet polled a completion for.
+func (r *Rank) OutstandingWRs() int { return len(r.wrs) }
+
+// StaleWRs counts work requests abandoned at an epoch cut whose
+// completions have not arrived yet.
+func (r *Rank) StaleWRs() int { return len(r.staleWR) }
+
+// HandleCQE routes one completion as the progress sweep would.
+func (r *Rank) HandleCQE(cqe *fabric.CQE) { r.handleCQE(cqe) }
+
+// PostTrackedRead posts an RDMA read of size bytes from src on behalf of
+// a fresh receive request, as the direct rendezvous does once a receive
+// is matched, and returns the request and the read's work-request id.
+func (r *Rank) PostTrackedRead(src, size int) (*Request, uint64) {
+	req := r.newReq(reqRecv, src, 0, size)
+	xid := r.w.fab.NewXferID()
+	wr := r.nic.RDMARead(r.driver, fabric.NodeID(src), size, xid)
+	r.trackWR(wr, pendingWR{kind: wrRead, req: req, xferID: xid, size: size})
+	return req, wr
+}
 
 // UseReferenceAdvance runs every schedule sweep of the test on
 // referenceAdvance. Not for parallel tests: the switch is package-wide.

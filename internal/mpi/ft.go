@@ -389,9 +389,7 @@ func (r *Rank) unwindCalls() {
 			r.mon.CallExit()
 			r.depth--
 		}
-		d := r.proc.Now().Sub(r.enterAt)
-		r.mpiTime += d
-		r.callTimes[r.curOp] += d
+		r.chargeCall(r.proc.Now().Sub(r.enterAt))
 	}
 	r.mon.UnwindRegions()
 }
@@ -626,10 +624,11 @@ func (r *Rank) EpochCut() {
 		r.eng.OpDone() // rebalance the engine's outstanding-work count
 	}
 	r.colPending = nil
-	for wr := range r.wrMap {
-		r.staleWR[wr] = true
+	for i := range r.wrs {
+		r.staleWR[r.wrs[i].id] = true
 	}
-	r.wrMap = make(map[uint64]pendingWR)
+	clear(r.wrs)
+	r.wrs = r.wrs[:0]
 	r.colSeq = 0
 	if r.worldComm != nil {
 		r.worldComm.colSeq = 0

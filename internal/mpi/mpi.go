@@ -290,11 +290,11 @@ type Rank struct {
 	recvQ  []*Request // posted, unmatched receives, in post order
 	unexpQ []inbound  // arrived, unmatched messages, in arrival order
 
-	wrMap      map[uint64]pendingWR // CQE routing
-	staleWR    map[uint64]bool      // WRs abandoned at an epoch cut
-	ctsWaiters map[uint64]*Request  // sender reqID -> rendezvous send
-	rxActive   map[uint64]*Request  // receiver reqID -> rendezvous recv
-	pump       []*Request           // pipelined sends with fragments to post
+	wrs        []wrEntry           // CQE routing: posted, uncompleted work requests
+	staleWR    map[uint64]bool     // WRs abandoned at an epoch cut
+	ctsWaiters map[uint64]*Request // sender reqID -> rendezvous send
+	rxActive   map[uint64]*Request // receiver reqID -> rendezvous recv
+	pump       []*Request          // pipelined sends with fragments to post
 
 	ft *ftState // fault tolerance, nil unless Config.FT
 
@@ -315,7 +315,7 @@ type Rank struct {
 	curPeer   int   // peer of the outermost call, -1 when none
 	curSize   int64 // message size of the outermost call, -1 when none
 	mpiTime   time.Duration
-	callTimes map[string]time.Duration
+	callTimes []opTime // library time by outermost call type, in first-return order
 	waiting   bool
 
 	trk       *trace.Track  // nil when untraced
@@ -331,12 +331,11 @@ func newRank(w *World, id int) *Rank {
 		w:          w,
 		id:         id,
 		nic:        w.fab.NIC(fabric.NodeID(id)),
-		wrMap:      make(map[uint64]pendingWR),
 		staleWR:    make(map[uint64]bool),
 		ctsWaiters: make(map[uint64]*Request),
 		rxActive:   make(map[uint64]*Request),
 		regCache:   make(map[regKey]bool),
-		callTimes:  make(map[string]time.Duration),
+		callTimes:  make([]opTime, 0, 8),
 	}
 }
 
@@ -520,10 +519,34 @@ func (r *Rank) MPITime() time.Duration { return r.mpiTime }
 // MPI_Wait". The returned map is a copy.
 func (r *Rank) CallTimes() map[string]time.Duration {
 	out := make(map[string]time.Duration, len(r.callTimes))
-	for k, v := range r.callTimes {
-		out[k] = v
+	for _, c := range r.callTimes {
+		out[c.op] = c.d
 	}
 	return out
+}
+
+// opTime is one row of Rank.callTimes.
+type opTime struct {
+	op string
+	d  time.Duration
+}
+
+// chargeCall books d, the time the outermost call just spent in the
+// library, to the rank's total and to its call type. A program makes a
+// handful of call types, nearly always named by the same string
+// constant, so finding the row is a few pointer-equal comparisons
+// rather than a string hash per call. The row appears when a call of
+// its type first returns (or is unwound), not when it is entered: a
+// rank left wedged inside a call reports no time for it.
+func (r *Rank) chargeCall(d time.Duration) {
+	r.mpiTime += d
+	for i := range r.callTimes {
+		if c := &r.callTimes[i]; c.op == r.curOp {
+			c.d += d
+			return
+		}
+	}
+	r.callTimes = append(r.callTimes, opTime{r.curOp, d})
 }
 
 // enterOp/exit bracket every public library call: they drive the
@@ -589,9 +612,7 @@ func (r *Rank) exit() {
 			r.trk.Span("mpi", r.curOp, r.enterAt, r.proc.Now(),
 				trace.Args{Peer: r.curPeer, Size: r.curSize})
 		}
-		d := r.proc.Now().Sub(r.enterAt)
-		r.mpiTime += d
-		r.callTimes[r.curOp] += d
+		r.chargeCall(r.proc.Now().Sub(r.enterAt))
 	}
 }
 

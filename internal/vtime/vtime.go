@@ -355,12 +355,19 @@ func (p *Proc) run(yield func(struct{}) bool) {
 	if s.obs != nil {
 		s.obs.ProcResumed(p)
 	}
+	p.deliverKill()
+	p.fn(p)
+}
+
+// deliverKill raises a pending Kill, exactly once, at the point where p
+// regains control: the panic unwinds the proc's stack; cleanup code
+// that recovers it may block again without re-triggering.
+func (p *Proc) deliverKill() {
 	if p.killed != nil {
 		err := p.killed
 		p.killed = nil
 		panic(err)
 	}
-	p.fn(p)
 }
 
 // schedule enqueues e to fire at time at and returns its seq.
@@ -506,20 +513,16 @@ func (p *Proc) block(st procState, where string) {
 	if p.sim.obs != nil {
 		p.sim.obs.ProcResumed(p)
 	}
-	if p.killed != nil {
-		// Deliver a pending Kill exactly once: the panic unwinds the
-		// proc's stack; cleanup code that recovers it may block again
-		// without re-triggering.
-		err := p.killed
-		p.killed = nil
-		panic(err)
-	}
+	p.deliverKill()
 }
 
 // Compute advances the proc's view of time by d, modelling a stretch
 // of user computation (or any busy period). Other events continue to
 // fire during the interval. Compute(0) yields to already-scheduled
-// events at the current instant and then continues.
+// events at the current instant and then continues. When no queued
+// event can fire during the interval the call only moves the clock and
+// never touches the heap — indistinguishable, to the program and to an
+// Observer, from pushing a timer and popping it straight back.
 func (p *Proc) Compute(d time.Duration) {
 	if d < 0 {
 		panic("vtime: negative compute duration")
@@ -529,8 +532,31 @@ func (p *Proc) Compute(d time.Duration) {
 		p.computeReal(d)
 		return
 	}
-	p.timer = s.schedule(s.now.Add(d), event{kind: evTimer, p: p})
-	p.block(stateComputing, "Compute")
+	at := s.now.Add(d)
+	if (len(s.events) > 0 && at >= s.events[0].at) || (s.deadline != 0 && at >= s.deadline) {
+		p.timer = s.schedule(at, event{kind: evTimer, p: p})
+		p.block(stateComputing, "Compute")
+		return
+	}
+	// Lookahead: nothing queued can fire at or before the proc's own
+	// timer — the heap is empty or its head lies strictly later, and at
+	// is inside the deadline. Pushing the timer would make it the head;
+	// the loop would pop it at once, fire nothing else — no dead event
+	// sits above the head to be dropped — and dispatch p back to itself.
+	// So the timer is never pushed: it still takes its seq (later events
+	// keep theirs), the observer sees the same two callbacks at the same
+	// two instants, and a Kill that arrived while p ran is delivered as
+	// at any resume. The comparison is strict because an event already
+	// queued for at has the lower seq and must fire first.
+	s.seq++
+	if s.obs != nil {
+		s.obs.ProcBlocked(p, stateComputing.String(), "Compute")
+	}
+	s.now = at
+	if s.obs != nil {
+		s.obs.ProcResumed(p)
+	}
+	p.deliverKill()
 }
 
 // Sleep is an alias for Compute, for callers modelling idle waiting
