@@ -8,7 +8,7 @@
 //	calibrate [-out calib.table] [-reps 5] [-backend virtual|real]
 //
 // -backend virtual (the default) measures the deterministic simulated
-// fabric; -backend real times actual goroutine transfers on the wall
+// fabric; -backend real times the same transfers waited out on the wall
 // clock. The resulting table is stamped with its clock domain, and
 // runs reject a table measured on the other kind of clock — virtual
 // transfer costs say nothing about the machine's real wire, and vice

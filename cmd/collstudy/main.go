@@ -36,7 +36,6 @@ import (
 	"ovlp/internal/cluster"
 	"ovlp/internal/cmdutil"
 	"ovlp/internal/coll"
-	"ovlp/internal/faultflag"
 	"ovlp/internal/mpi"
 	"ovlp/internal/progress"
 	"ovlp/internal/report"
@@ -88,10 +87,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cmdutil.CheckFaultNodes(faults, []int{*procs}); err != nil {
 		return fail2(err)
 	}
-	if bf.Real() && faults != nil {
-		return fail2(fmt.Errorf("fault injection needs -backend virtual"))
-	}
-	if desc := faultflag.Describe(faults); desc != "" {
+	if desc := cmdutil.DescribeFaults(faults); desc != "" {
 		fmt.Fprintf(stdout, "%s\n\n", desc)
 	}
 	op := strings.ToLower(strings.TrimSpace(*opFlag))

@@ -88,11 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "faultstudy: %v\n", err)
 		return 2
 	}
-	if bf.Real() {
-		// The whole study is fault injection, which needs deterministic
-		// virtual-time scheduling.
-		return fail2(fmt.Errorf("faultstudy is virtual-only: fault injection needs -backend virtual"))
-	}
 	rates, err := parseRates(*ratesFlag)
 	if err != nil {
 		return fail2(err)
@@ -116,7 +111,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if i == len(rates)-1 {
 			tr = obs.Tracer()
 		}
-		row, err := runPoint(rate, base, ff.Seed(), *reps, tr, obs)
+		row, err := runPoint(rate, base, ff.Seed(), *reps, bf, tr, obs)
 		if err != nil {
 			fmt.Fprintf(stderr, "faultstudy: drop rate %g: %v\n", rate, err)
 			return 1
@@ -194,7 +189,7 @@ func pointPlan(rate float64, base *fabric.FaultPlan, seed int64) *fabric.FaultPl
 	return &p
 }
 
-func runPoint(rate float64, base *fabric.FaultPlan, seed int64, reps int, tr *trace.Tracer, obs *cmdutil.Obs) (point, error) {
+func runPoint(rate float64, base *fabric.FaultPlan, seed int64, reps int, bf *cmdutil.BackendFlag, tr *trace.Tracer, obs *cmdutil.Obs) (point, error) {
 	cfg := cluster.Config{
 		Procs: studyProcs,
 		MPI: mpi.Config{
@@ -204,6 +199,7 @@ func runPoint(rate float64, base *fabric.FaultPlan, seed int64, reps int, tr *tr
 		Faults: pointPlan(rate, base, seed),
 		Trace:  tr,
 	}
+	bf.Apply(&cfg)
 	var waits [2]time.Duration
 	res, err := cluster.RunE(cfg, func(r *mpi.Rank) {
 		peer := 1 - r.ID()

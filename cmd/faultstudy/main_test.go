@@ -92,7 +92,7 @@ chaos:
 	if code != 2 {
 		t.Fatalf("exit = %d, want 2 (stderr: %s)", code, stderr)
 	}
-	want := "faultstudy: faultflag: schedule event 0 names node 3 but the run uses 2 process(es) (nodes 0-1)\n"
+	want := "faultstudy: fabric: schedule event 0 names node 3 outside [0, 2)\n"
 	if stderr != want {
 		t.Fatalf("stderr = %q\nwant     %q", stderr, want)
 	}

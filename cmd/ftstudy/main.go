@@ -74,11 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ftstudy: %v\n", err)
 		return 2
 	}
-	if bf.Real() {
-		// Crash-stop failures and recovery need deterministic
-		// virtual-time scheduling.
-		return fail2(fmt.Errorf("ftstudy is virtual-only: crash injection needs -backend virtual"))
-	}
 	if *procs < 2 || *size <= 0 || *steps <= 0 || *compute < 0 || *retries == 0 {
 		return fail2(fmt.Errorf("need -procs >= 2, positive -size/-steps, non-negative -compute and a non-zero -retries"))
 	}
@@ -126,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if tr == nil {
 			tr = trace.New(trace.Options{Generator: cmdutil.Version()})
 		}
-		res, p, err := runPoint(r.plan, opt, wl, *procs, *retries, tr)
+		res, p, err := runPoint(r.plan, opt, wl, *procs, *retries, bf, tr)
 		if err != nil {
 			fmt.Fprintf(stderr, "ftstudy: %s run: %v\n", r.label, err)
 			return 1
@@ -162,7 +157,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // the recovery blame columns. A nil profile (a stream too short to
 // analyze) leaves the blame columns empty rather than failing the run.
 func runPoint(plan *fabric.CrashPlan, opt cluster.FTOptions, wl cluster.Checkpointable,
-	procs, retries int, tr *trace.Tracer) (*cluster.FTResult, *profile.Profile, error) {
+	procs, retries int, bf *cmdutil.BackendFlag, tr *trace.Tracer) (*cluster.FTResult, *profile.Profile, error) {
 	cfg := cluster.Config{
 		Procs: procs,
 		MPI: mpi.Config{
@@ -174,6 +169,7 @@ func runPoint(plan *fabric.CrashPlan, opt cluster.FTOptions, wl cluster.Checkpoi
 		Deadline: 30 * time.Second,
 		Trace:    tr,
 	}
+	bf.Apply(&cfg)
 	res, err := cluster.RunFT(cfg, opt, wl)
 	if err != nil {
 		return nil, nil, err

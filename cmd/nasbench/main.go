@@ -40,7 +40,6 @@ import (
 
 	"ovlp/internal/cmdutil"
 	"ovlp/internal/fabric"
-	"ovlp/internal/faultflag"
 	"ovlp/internal/mpi"
 	"ovlp/internal/nas"
 	"ovlp/internal/overlap"
@@ -106,9 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail2(err)
 	}
-	if bf.Real() && faults != nil {
-		return fail2(fmt.Errorf("fault injection needs -backend virtual"))
-	}
 	// Validate the whole sweep configuration before any simulation: a
 	// malformed -procs or -classes exits 2 up front, not mid-sweep.
 	if _, err := cmdutil.ParseProcs(*procsFlag, nil); err != nil {
@@ -118,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail2(err)
 	}
-	if desc := faultflag.Describe(faults); desc != "" {
+	if desc := cmdutil.DescribeFaults(faults); desc != "" {
 		fmt.Fprintf(stdout, "%s\n\n", desc)
 	}
 
@@ -204,6 +200,7 @@ func runBench(w io.Writer, name string, classes []nas.Class, procs []int, iters 
 				MaxIters:     iters,
 				HWTimestamps: hw,
 				Faults:       faults,
+				Backend:      bf.Backend(),
 				Trace:        obs.Tracer(),
 				Overlap:      overlapped,
 				CollAlgo:     cf.Algo,
@@ -287,7 +284,7 @@ func runMGARMCI(w io.Writer, classes []nas.Class, procs []int, iters int, faults
 	start := time.Now()
 	for _, class := range classes {
 		for _, p := range procs {
-			opt := nas.Options{MaxIters: iters, Faults: faults}
+			opt := nas.Options{MaxIters: iters, Faults: faults, Backend: bf.Backend()}
 			b := nas.CharacterizeMGARMCIOpts(class, p, nas.MGBlocking, opt)
 			// Only the non-blocking variant is traced: one trace file
 			// holds one run, and that variant is the one whose overlap

@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"ovlp/internal/overlap"
 )
 
 func runCmd(t *testing.T, args ...string) (int, string, string) {
@@ -59,5 +63,36 @@ func TestQuickBenchRuns(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "NAS EP") {
 		t.Fatalf("no characterization table in output:\n%s", stdout)
+	}
+}
+
+// TestBackendFlagReachesTheRun: -backend real must select the kernel
+// the benchmark runs on, not just parse — the saved reports say which
+// clock stamped them.
+func TestBackendFlagReachesTheRun(t *testing.T) {
+	for _, bench := range []string{"CG", "MG-ARMCI"} {
+		dir := t.TempDir()
+		code, _, stderr := runCmd(t, "-bench", bench, "-classes", "S", "-procs", "2", "-iters", "1",
+			"-backend", "real", "-json", dir, "-trace", filepath.Join(dir, "trace.json"))
+		if code != 0 {
+			t.Fatalf("%s: exit = %d, stderr: %s", bench, code, stderr)
+		}
+		trace, err := os.ReadFile(filepath.Join(dir, "trace.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(trace, []byte(`"clockDomain":"real"`)) {
+			t.Errorf("%s: -backend real exported a trace with no real clock domain", bench)
+		}
+		if bench == "MG-ARMCI" {
+			continue // -json covers the MPI benchmarks only
+		}
+		rep, err := overlap.LoadJSON(filepath.Join(dir, "cg-S-p2-rank0.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.ClockDomain != "real" {
+			t.Errorf("%s: report ClockDomain = %q, want real", bench, rep.ClockDomain)
+		}
 	}
 }

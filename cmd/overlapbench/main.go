@@ -12,12 +12,12 @@
 //	            [-coll-algo auto] [-progress manual]
 //	            [-trace out.json] [-metrics] [-profile out.txt] [-diagnose -]
 //
-// -fig 0 (the default) runs every figure. -backend real executes the
-// exchanges as concurrent goroutines with the fabric sleeping actual
-// wire time, so the printed bounds are wall-clock measurements (use
-// small -reps; fault injection is virtual-only). The fault flags (see
-// internal/faultflag) rerun the figures on a deterministically lossy
-// network: the library retransmits behind the instrumentation's back,
+// -fig 0 (the default) runs every figure. -backend real runs the same
+// kernel waiting out every modelled cost on the wall clock, so the
+// printed bounds are wall-clock measurements (use small -reps). The
+// fault flags (see cmdutil.RegisterFaults), on either backend, rerun
+// the figures on a deterministically lossy network: the library
+// retransmits behind the instrumentation's back,
 // and the printed wait times and bounds show what the repair traffic
 // costs. With -trace (which needs a single -fig), the figure's final
 // computation point is rerun once more under the tracer and exported
@@ -41,7 +41,6 @@ import (
 	"ovlp/internal/cluster"
 	"ovlp/internal/cmdutil"
 	"ovlp/internal/fabric"
-	"ovlp/internal/faultflag"
 	"ovlp/internal/micro"
 	"ovlp/internal/report"
 )
@@ -91,10 +90,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := cmdutil.CheckFaultNodes(faults, []int{2}); err != nil {
 		return fail2(err) // microbenchmarks always run 2 processes
 	}
-	if bf.Real() && faults != nil {
-		return fail2(fmt.Errorf("fault injection needs -backend virtual"))
-	}
-	if desc := faultflag.Describe(faults); desc != "" {
+	if desc := cmdutil.DescribeFaults(faults); desc != "" {
 		fmt.Fprintf(stdout, "%s\n\n", desc)
 	}
 

@@ -25,8 +25,8 @@
 //	              trace_hash and report_hash assertions are skipped,
 //	              each printing a named "SKIP <check>: <reason>" line
 //	              under the scenario's summary rather than passing
-//	              silently; chaos/crash scenarios are rejected (fault
-//	              injection is virtual-only)
+//	              silently; chaos and crash scenarios run like any
+//	              other
 //	-report DIR   write each scenario's run-report JSON into DIR
 //	-golden DIR   byte-compare each report against DIR/<name>.json
 //	-write-golden (re)write the golden files instead of comparing

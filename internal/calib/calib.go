@@ -33,7 +33,7 @@ type Point struct {
 type Table struct {
 	points []Point
 	// domain names the clock the samples were measured against
-	// ("virtual", "real", "fake"); empty means virtual — tables
+	// ("virtual", "real"); empty means virtual — tables
 	// written before clock domains existed carry no marker. A table
 	// is only valid for runs on the same kind of clock: virtual-time
 	// transfer costs say nothing about a machine's real wire, and

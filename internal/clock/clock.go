@@ -1,18 +1,14 @@
-// Package clock abstracts the passage of time behind a small Clock
-// interface so the same instrumentation stack runs in deterministic
-// virtual time, on the machine's monotonic clock, or against a fake
-// clock in tests.
+// Package clock is the time a real-clock vtime kernel waits on: a
+// Clock is read and slept on by the kernel's one event loop, nothing
+// else.
 //
-// Three implementations exist:
+// Two implementations exist:
 //
 //   - Real() — wall time with monotonic reads. Sleep uses a hybrid
 //     coarse-sleep + spin tail so modelled costs in the hundreds of
 //     nanoseconds land within a few microseconds of target.
-//   - vtime's Sim.Clock() — the virtual-time kernel viewed through
-//     this interface (lives in internal/vtime to keep this package
-//     dependency-free).
-//   - NewFake / NewFakeAuto — a test clock advanced manually (or
-//     auto-advanced on Sleep) that fires timers in timestamp order.
+//   - Stepped — a clock that moves exactly when slept on, which makes
+//     the real-clock kernel reproduce the virtual one byte for byte.
 //
 // The Domain a Clock reports is threaded through calibration tables,
 // trace exports, and overlap reports so an artifact always says which
@@ -21,7 +17,7 @@ package clock
 
 import (
 	"runtime"
-	"sync/atomic"
+	"sync"
 	"time"
 )
 
@@ -36,8 +32,6 @@ const (
 	Virtual Domain = "virtual"
 	// RealDomain is the machine's monotonic wall clock.
 	RealDomain Domain = "real"
-	// FakeDomain is a manually- or auto-advanced test clock.
-	FakeDomain Domain = "fake"
 )
 
 // ParseDomain validates a domain string. The empty string means
@@ -46,17 +40,18 @@ func ParseDomain(s string) (Domain, bool) {
 	switch Domain(s) {
 	case "":
 		return Virtual, true
-	case Virtual, RealDomain, FakeDomain:
+	case Virtual, RealDomain:
 		return Domain(s), true
 	}
 	return "", false
 }
 
-// Clock is a source of time plus the blocking primitives the fabric
-// and kernel need. Implementations must be safe for concurrent use.
+// Clock is a source of time the kernel can wait on. One thread — the
+// kernel's event loop — reads and sleeps on it, so an implementation
+// need not be safe for concurrent use.
 type Clock interface {
-	// Now returns the current time. Real clocks return monotonic
-	// readings; fake clocks return their internal time.
+	// Now returns the current time; real clocks return monotonic
+	// readings.
 	Now() time.Time
 	// Since is Now().Sub(t), using the monotonic reading when the
 	// clock has one.
@@ -64,61 +59,59 @@ type Clock interface {
 	// Sleep blocks the caller for d. Non-positive d returns
 	// immediately.
 	Sleep(d time.Duration)
-	// AfterFunc runs fn on its own goroutine once d has elapsed and
-	// returns a Timer whose Stop prevents an unfired fn from running.
-	AfterFunc(d time.Duration, fn func()) Timer
-	// NewTimer returns a Timer that delivers the firing time on C
-	// after d.
-	NewTimer(d time.Duration) Timer
 	// Domain names the kind of time this clock keeps.
 	Domain() Domain
 }
 
-// Timer is a cancellable pending firing, mirroring time.Timer's
-// contract: Stop reports whether it prevented the firing, Reset
-// re-arms and reports whether the timer had been active.
-type Timer interface {
-	// C delivers the firing time for timers made with NewTimer; it is
-	// nil for AfterFunc timers.
-	C() <-chan time.Time
-	// Stop cancels the pending firing. It returns false if the timer
-	// already fired or was stopped; a false return from an AfterFunc
-	// timer does not guarantee fn has finished.
-	Stop() bool
-	// Reset re-arms the timer to fire after d, returning whether the
-	// timer was active.
-	Reset(d time.Duration) bool
-}
+// A real Sleep busy-waits its last stretch instead of handing it to
+// time.Sleep, whose wake-up slop would swamp the sub-microsecond costs
+// the fabric models (PostOverhead 250ns, PollOverhead 100ns). The
+// stretch has to cover that slop, which is a property of the host —
+// tens of microseconds of timer slack on an idle desktop, over a
+// millisecond on a small shared VM — so it is measured, once, and held
+// between a floor and a cap. Only the kernel's event loop sleeps, so a
+// long tail spins one core, however many ranks the run has.
+const (
+	minSpin = 100 * time.Microsecond
+	maxSpin = 4 * time.Millisecond
+)
 
-// spinThreshold is the tail of every real Sleep that busy-waits
-// instead of calling time.Sleep: the scheduler routinely oversleeps by
-// tens of microseconds, which would swamp the sub-microsecond costs
-// the fabric models (PostOverhead 250ns, PollOverhead 100ns).
-const spinThreshold = 100 * time.Microsecond
+// spinTail is twice the worst oversleep of a few minSpin sleeps,
+// measured at the first Real(): the sample is taken on an idle process,
+// and a run's sleeps compete with its own collector.
+var spinTail = sync.OnceValue(func() time.Duration {
+	var worst time.Duration
+	for i := 0; i < 8; i++ {
+		start := time.Now()
+		time.Sleep(minSpin)
+		worst = max(worst, time.Since(start)-minSpin)
+	}
+	return min(max(2*worst, minSpin), maxSpin)
+})
 
 // realClock keeps wall time with monotonic readings.
-type realClock struct{}
+type realClock struct{ spin time.Duration }
 
 // Real returns the wall clock. All readings carry Go's monotonic
 // component, so Since is immune to wall-clock steps.
-func Real() Clock { return realClock{} }
+func Real() Clock { return realClock{spin: spinTail()} }
 
 func (realClock) Now() time.Time                  { return time.Now() }
 func (realClock) Since(t time.Time) time.Duration { return time.Since(t) }
 func (realClock) Domain() Domain                  { return RealDomain }
 
 // Sleep blocks for d with a precise tail: the bulk of the wait uses
-// time.Sleep, the last spinThreshold spins on the monotonic clock.
-// Callers sleeping modelled protocol costs (sub-µs) therefore get
-// durations accurate to the spin granularity rather than to the
-// scheduler's wake-up slop.
-func (realClock) Sleep(d time.Duration) {
+// time.Sleep, the last c.spin spins on the monotonic clock. Callers
+// sleeping modelled protocol costs (sub-µs) therefore get durations
+// accurate to the spin granularity rather than to the scheduler's
+// wake-up slop.
+func (c realClock) Sleep(d time.Duration) {
 	if d <= 0 {
 		return
 	}
 	target := time.Now().Add(d)
-	if d > spinThreshold {
-		time.Sleep(d - spinThreshold)
+	if d > c.spin {
+		time.Sleep(d - c.spin)
 	}
 	for {
 		rem := time.Until(target)
@@ -131,70 +124,19 @@ func (realClock) Sleep(d time.Duration) {
 	}
 }
 
-// realTimer backs both AfterFunc and NewTimer for the real clock.
-// AfterFunc timers run a goroutine doing a precise Sleep and then a
-// compare-and-swap on a generation counter, so callbacks fire with
-// the same accuracy as Sleep; NewTimer delegates to time.Timer
-// (channel waiters tolerate scheduler slop anyway — they pay it on
-// wake-up regardless).
-//
-// The generation counter is even while a firing is armed and odd once
-// it fired or was stopped; Stop and the run goroutine race on one CAS
-// so exactly one of them wins.
-type realTimer struct {
-	t   *time.Timer // nil for AfterFunc timers
-	c   <-chan time.Time
-	fn  func()
-	gen atomic.Int64
-}
+// Stepped is a clock that moves exactly when slept on, by exactly the
+// time asked for. A real-clock kernel over it fires every event at its
+// modelled instant, so its runs are the virtual kernel's byte for byte
+// — which is why its domain is Virtual, and what tests hold the
+// real-clock kernel to. The zero value is ready; use one per run.
+type Stepped struct{ now time.Duration }
 
-func (t *realTimer) C() <-chan time.Time { return t.c }
+func (c *Stepped) Now() time.Time                  { return time.Unix(0, 0).Add(c.now) }
+func (c *Stepped) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c *Stepped) Domain() Domain                  { return Virtual }
 
-// disarm moves an even (armed) generation to odd, reporting whether
-// it was the one to do so.
-func (t *realTimer) disarm() bool {
-	for {
-		g := t.gen.Load()
-		if g&1 == 1 {
-			return false
-		}
-		if t.gen.CompareAndSwap(g, g+1) {
-			return true
-		}
+func (c *Stepped) Sleep(d time.Duration) {
+	if d > 0 {
+		c.now += d
 	}
-}
-
-func (t *realTimer) Stop() bool {
-	if t.t != nil {
-		return t.t.Stop()
-	}
-	return t.disarm()
-}
-
-func (t *realTimer) Reset(d time.Duration) bool {
-	if t.t != nil {
-		return t.t.Reset(d)
-	}
-	active := t.disarm()
-	g := t.gen.Add(1) // odd → even: newly armed generation
-	go t.run(d, g)
-	return active
-}
-
-func (t *realTimer) run(d time.Duration, g int64) {
-	realClock{}.Sleep(d)
-	if t.gen.CompareAndSwap(g, g+1) {
-		t.fn()
-	}
-}
-
-func (realClock) AfterFunc(d time.Duration, fn func()) Timer {
-	t := &realTimer{fn: fn}
-	go t.run(d, 0)
-	return t
-}
-
-func (realClock) NewTimer(d time.Duration) Timer {
-	tt := time.NewTimer(d)
-	return &realTimer{t: tt, c: tt.C}
 }

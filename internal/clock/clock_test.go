@@ -1,13 +1,9 @@
 package clock
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
-
-var t0 = time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 
 func TestParseDomain(t *testing.T) {
 	cases := []struct {
@@ -18,7 +14,6 @@ func TestParseDomain(t *testing.T) {
 		{"", Virtual, true},
 		{"virtual", Virtual, true},
 		{"real", RealDomain, true},
-		{"fake", FakeDomain, true},
 		{"wall", "", false},
 	}
 	for _, c := range cases {
@@ -26,225 +21,6 @@ func TestParseDomain(t *testing.T) {
 		if ok != c.ok || got != c.want {
 			t.Errorf("ParseDomain(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
 		}
-	}
-}
-
-// Zero-duration timers are already due: AfterFunc(0) fires before
-// returning, NewTimer(0) has the firing time waiting on C.
-func TestFakeZeroDurationTimers(t *testing.T) {
-	f := NewFake(t0)
-	fired := false
-	f.AfterFunc(0, func() { fired = true })
-	if !fired {
-		t.Fatal("AfterFunc(0) did not fire synchronously")
-	}
-	tm := f.NewTimer(0)
-	select {
-	case at := <-tm.C():
-		if !at.Equal(t0) {
-			t.Fatalf("NewTimer(0) delivered %v, want %v", at, t0)
-		}
-	default:
-		t.Fatal("NewTimer(0) did not deliver immediately")
-	}
-	if n := f.PendingTimers(); n != 0 {
-		t.Fatalf("PendingTimers = %d after zero-duration firings, want 0", n)
-	}
-	// A negative duration behaves like zero.
-	fired = false
-	f.AfterFunc(-time.Second, func() { fired = true })
-	if !fired {
-		t.Fatal("AfterFunc(-1s) did not fire synchronously")
-	}
-}
-
-// Stop racing the firing: exactly one side wins. Either the callback
-// ran and Stop reports false, or Stop reports true and the callback
-// never runs.
-func TestFakeAfterFuncStopRace(t *testing.T) {
-	for i := 0; i < 200; i++ {
-		f := NewFake(t0)
-		var fired atomic.Int32
-		tm := f.AfterFunc(time.Millisecond, func() { fired.Add(1) })
-		var stopped atomic.Bool
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() { defer wg.Done(); stopped.Store(tm.Stop()) }()
-		go func() { defer wg.Done(); f.Advance(time.Millisecond) }()
-		wg.Wait()
-		if stopped.Load() == (fired.Load() != 0) {
-			t.Fatalf("iteration %d: stopped=%v fired=%d — exactly one side must win",
-				i, stopped.Load(), fired.Load())
-		}
-		if fired.Load() > 1 {
-			t.Fatalf("callback fired %d times", fired.Load())
-		}
-	}
-}
-
-func TestRealAfterFuncStopRace(t *testing.T) {
-	clk := Real()
-	for i := 0; i < 100; i++ {
-		var fired atomic.Int32
-		tm := clk.AfterFunc(50*time.Microsecond, func() { fired.Add(1) })
-		time.Sleep(time.Duration(i) * time.Microsecond)
-		stopped := tm.Stop()
-		time.Sleep(200 * time.Microsecond) // let an unstopped firing land
-		if stopped && fired.Load() != 0 {
-			t.Fatalf("iteration %d: Stop returned true but callback fired", i)
-		}
-		if !stopped && fired.Load() != 1 {
-			t.Fatalf("iteration %d: Stop returned false but callback fired %d times", i, fired.Load())
-		}
-	}
-}
-
-// Multiple concurrent sleepers with distinct targets must be released
-// in timestamp order: each sleeper records its departure sequence and
-// the order must match the target order even though the goroutines
-// start in reverse.
-func TestFakeWaitersReleasedInTimestampOrder(t *testing.T) {
-	f := NewFake(t0)
-	const n = 8
-	var order [n]int
-	var next atomic.Int32
-	var wg sync.WaitGroup
-	for i := n - 1; i >= 0; i-- {
-		wg.Add(1)
-		d := time.Duration(i+1) * time.Millisecond
-		idx := i
-		go func() {
-			defer wg.Done()
-			f.Sleep(d)
-			order[idx] = int(next.Add(1))
-		}()
-		// Ensure sleeper idx is parked before starting the next, so
-		// arrival order is the reverse of target order.
-		f.BlockUntilWaiters(n - idx)
-	}
-	f.Advance(n * time.Millisecond)
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		if order[i] != i+1 {
-			t.Fatalf("sleeper with target %dms departed %dth, want %dth (full order %v)",
-				i+1, order[i], i+1, order)
-		}
-	}
-	if got := f.Now(); !got.Equal(t0.Add(n * time.Millisecond)) {
-		t.Fatalf("Now = %v after advance, want %v", got, t0.Add(n*time.Millisecond))
-	}
-}
-
-// Advance past several pending timers fires them in due order with
-// the clock reading each timer's due time during its callback — not
-// the advance target.
-func TestFakeAdvancePastSeveralTimers(t *testing.T) {
-	f := NewFake(t0)
-	type firing struct {
-		label string
-		at    time.Time
-	}
-	var fires []firing
-	rec := func(label string) func() {
-		return func() { fires = append(fires, firing{label, f.Now()}) }
-	}
-	// Armed out of order, including a tie (b1/b2 share a due time and
-	// must fire in arming order).
-	f.AfterFunc(3*time.Millisecond, rec("c"))
-	f.AfterFunc(1*time.Millisecond, rec("a"))
-	f.AfterFunc(2*time.Millisecond, rec("b1"))
-	f.AfterFunc(2*time.Millisecond, rec("b2"))
-	f.AfterFunc(10*time.Millisecond, rec("far")) // beyond the advance window
-	if n := f.PendingTimers(); n != 5 {
-		t.Fatalf("PendingTimers = %d, want 5", n)
-	}
-	f.Advance(5 * time.Millisecond)
-	want := []firing{
-		{"a", t0.Add(1 * time.Millisecond)},
-		{"b1", t0.Add(2 * time.Millisecond)},
-		{"b2", t0.Add(2 * time.Millisecond)},
-		{"c", t0.Add(3 * time.Millisecond)},
-	}
-	if len(fires) != len(want) {
-		t.Fatalf("fired %d timers, want %d: %v", len(fires), len(want), fires)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("firing %d = %+v, want %+v", i, fires[i], want[i])
-		}
-	}
-	if got := f.Now(); !got.Equal(t0.Add(5 * time.Millisecond)) {
-		t.Fatalf("Now = %v, want advance target %v", got, t0.Add(5*time.Millisecond))
-	}
-	if n := f.PendingTimers(); n != 1 {
-		t.Fatalf("PendingTimers = %d after advance, want 1 (the far timer)", n)
-	}
-	f.Advance(5 * time.Millisecond)
-	if len(fires) != 5 || fires[4].label != "far" {
-		t.Fatalf("far timer did not fire on the second advance: %v", fires)
-	}
-}
-
-// A callback arming a timer inside the advance window gets fired by
-// the same Advance, at its own due time.
-func TestFakeAdvanceFiresTimersArmedMidAdvance(t *testing.T) {
-	f := NewFake(t0)
-	var log []string
-	f.AfterFunc(time.Millisecond, func() {
-		log = append(log, "outer@"+f.Since(t0).String())
-		f.AfterFunc(time.Millisecond, func() {
-			log = append(log, "inner@"+f.Since(t0).String())
-		})
-	})
-	f.Advance(5 * time.Millisecond)
-	if len(log) != 2 || log[0] != "outer@1ms" || log[1] != "inner@2ms" {
-		t.Fatalf("log = %v, want [outer@1ms inner@2ms]", log)
-	}
-}
-
-func TestFakeAutoAdvanceSleep(t *testing.T) {
-	f := NewFakeAuto(t0)
-	var fired []time.Duration
-	f.AfterFunc(2*time.Millisecond, func() { fired = append(fired, f.Since(t0)) })
-	done := make(chan struct{})
-	go func() {
-		f.Sleep(5 * time.Millisecond) // must not block
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("auto-advance Sleep blocked")
-	}
-	if got := f.Since(t0); got != 5*time.Millisecond {
-		t.Fatalf("clock advanced %v, want 5ms", got)
-	}
-	if len(fired) != 1 || fired[0] != 2*time.Millisecond {
-		t.Fatalf("timer fired at %v, want [2ms]", fired)
-	}
-}
-
-func TestFakeTimerReset(t *testing.T) {
-	f := NewFake(t0)
-	n := 0
-	tm := f.AfterFunc(time.Millisecond, func() { n++ })
-	if !tm.Reset(3 * time.Millisecond) {
-		t.Fatal("Reset of an armed timer returned false")
-	}
-	f.Advance(2 * time.Millisecond)
-	if n != 0 {
-		t.Fatal("timer fired at its pre-Reset due time")
-	}
-	f.Advance(2 * time.Millisecond)
-	if n != 1 {
-		t.Fatalf("timer fired %d times after Reset, want 1", n)
-	}
-	if tm.Reset(time.Millisecond) {
-		t.Fatal("Reset of a fired timer returned true")
-	}
-	f.Advance(time.Millisecond)
-	if n != 2 {
-		t.Fatalf("re-armed timer fired %d times, want 2", n)
 	}
 }
 
@@ -260,21 +36,6 @@ func TestRealClockBasics(t *testing.T) {
 	}
 	clk.Sleep(0)
 	clk.Sleep(-time.Second) // must not block
-
-	ch := make(chan struct{})
-	clk.AfterFunc(time.Millisecond, func() { close(ch) })
-	select {
-	case <-ch:
-	case <-time.After(2 * time.Second):
-		t.Fatal("real AfterFunc never fired")
-	}
-
-	tm := clk.NewTimer(time.Millisecond)
-	select {
-	case <-tm.C():
-	case <-time.After(2 * time.Second):
-		t.Fatal("real NewTimer never delivered")
-	}
 }
 
 // Short real sleeps should be far more accurate than the scheduler's
@@ -294,5 +55,38 @@ func TestRealSleepPrecision(t *testing.T) {
 	}
 	if worst > 20*time.Millisecond {
 		t.Fatalf("worst oversleep %v for %v sleeps — spin tail not engaged?", worst, d)
+	}
+}
+
+// The spin tail is whatever the host's timer slack was measured to be,
+// inside fixed bounds, and the same for every Real().
+func TestSpinTailMeasuredOnceWithinBounds(t *testing.T) {
+	tail := Real().(realClock).spin
+	if tail < minSpin || tail > maxSpin {
+		t.Fatalf("spin tail %v outside [%v, %v]", tail, minSpin, maxSpin)
+	}
+	if again := Real().(realClock).spin; again != tail {
+		t.Fatalf("second Real() spins %v, first %v", again, tail)
+	}
+	t.Logf("spin tail on this host: %v", tail)
+}
+
+// A stepped clock moves when slept on, by what was asked, and at no
+// other time.
+func TestSteppedMovesOnlyWhenSleptOn(t *testing.T) {
+	var clk Stepped
+	if clk.Domain() != Virtual {
+		t.Fatalf("Domain = %q, want virtual", clk.Domain())
+	}
+	start := clk.Now()
+	if d := clk.Since(start); d != 0 {
+		t.Fatalf("clock moved %v between two reads", d)
+	}
+	clk.Sleep(3 * time.Microsecond)
+	clk.Sleep(0)
+	clk.Sleep(-time.Second)
+	clk.Sleep(7 * time.Nanosecond)
+	if d := clk.Since(start); d != 3*time.Microsecond+7*time.Nanosecond {
+		t.Fatalf("clock moved %v, want exactly 3.007µs", d)
 	}
 }

@@ -16,17 +16,17 @@ import (
 // scenario oracle certifies against ground-truth wire intervals — and
 // on the real backend, where the bounds come from actual wall-clock
 // timestamps. The two estimates must agree within a documented
-// tolerance band: the real fabric sleeps the same modelled wire and
-// DMA times the virtual kernel advances past, so a systematic
-// disagreement means one of the clock domains is measured wrong.
+// tolerance band: the real kernel waits out the same modelled wire and
+// DMA times the virtual one jumps past, so a systematic disagreement
+// means one of the clock domains is measured wrong.
 //
 // Tolerances (percentage points of data-transfer time):
 //
 //   - bandTol 20: the real bounds band [min, max] must intersect the
 //     virtual band widened by this much on each side. Wall-clock runs
-//     carry scheduler jitter and lock-handoff slop the virtual kernel
-//     does not model, which shifts both bounds by a few percent on a
-//     quiet machine and more under -race or CI load.
+//     carry sleep jitter and the host time between events, which the
+//     virtual kernel does not model and which shifts both bounds by a
+//     few percent on a quiet machine and more under -race or CI load.
 //   - widthTol 25: the real band may be at most this much wider than
 //     the virtual band. The width is the estimator's uncertainty;
 //     jitter widens it but must not blow it up.

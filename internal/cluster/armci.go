@@ -17,7 +17,6 @@ type ARMCIConfig struct {
 	// Procs is the number of processes (one per node).
 	Procs int
 	// Backend selects the execution substrate (see Config.Backend).
-	// Real runs reject Faults and ARMCI.Reliable.
 	Backend Backend
 	// Clock drives a BackendReal run; nil selects clock.Real().
 	Clock clock.Clock
@@ -75,14 +74,6 @@ func RunARMCIE(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
 	if (cfg.Cost == fabric.CostModel{}) {
 		cfg.Cost = fabric.DefaultCostModel()
 	}
-	if cfg.Backend == BackendReal {
-		if cfg.Faults.Active() {
-			return ARMCIResult{}, errRealFaults()
-		}
-		if cfg.ARMCI.Reliable != nil {
-			return ARMCIResult{}, errRealReliable()
-		}
-	}
 	if ic := cfg.ARMCI.Instrument; ic != nil {
 		if err := checkTableDomain(ic.Table, cfg.Backend, cfg.Clock); err != nil {
 			return ARMCIResult{}, err
@@ -96,15 +87,11 @@ func RunARMCIE(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
 	}
 	sim := newSim(cfg.Backend, cfg.Clock)
 	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
-	defer fab.Shutdown()
 	fab.RetainTruth(cfg.RecordTruth)
 	if cfg.Faults.Active() {
 		if err := fab.SetFaults(cfg.Faults); err != nil {
 			return ARMCIResult{}, err
 		}
-	}
-	if cfg.Backend == BackendReal && cfg.Deadline == 0 {
-		cfg.Deadline = DefaultRealDeadline
 	}
 	if cfg.Deadline > 0 {
 		sim.SetDeadline(vtime.Time(cfg.Deadline))

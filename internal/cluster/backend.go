@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"ovlp/internal/calib"
 	"ovlp/internal/clock"
@@ -10,20 +9,20 @@ import (
 	"ovlp/internal/vtime"
 )
 
-// Backend selects the execution substrate of a run: the deterministic
-// virtual-time kernel, or genuinely concurrent goroutines on a real
-// (or fake) clock.
+// Backend selects the clock a run's kernel keeps: virtual time it
+// jumps through, or a clock.Clock it waits on.
 type Backend int
 
 const (
 	// BackendVirtual is the deterministic discrete-event simulation:
-	// bit-for-bit reproducible, with ground-truth oracle access.
+	// bit-for-bit reproducible.
 	BackendVirtual Backend = iota
-	// BackendReal runs procs as concurrent goroutines against a
-	// clock.Clock, with the fabric really sleeping wire and DMA times
-	// on per-NIC goroutines. Nondeterministic by nature; fault/crash
-	// injection, fault tolerance and reliable delivery are
-	// virtual-only and rejected.
+	// BackendReal is the same kernel, fabric and libraries with every
+	// modelled cost — compute, DMA start-up, wire, link latency,
+	// retransmission timeouts, crash instants — waited for on a
+	// clock.Clock. On the machine's clock a run takes its modelled time
+	// plus whatever the host code in between really costs, so it is
+	// nondeterministic by nature.
 	BackendReal
 )
 
@@ -49,11 +48,6 @@ func ParseBackend(s string) (Backend, error) {
 	return 0, fmt.Errorf("unknown backend %q (want %s or %s)", s, BackendVirtual, BackendReal)
 }
 
-// DefaultRealDeadline bounds real-clock runs that set no explicit
-// deadline: unlike virtual mode, a wedged real run cannot be detected
-// by event exhaustion, only by the watchdog.
-const DefaultRealDeadline = 2 * time.Minute
-
 // newSim builds the kernel for a backend. A nil clk on BackendReal
 // selects the machine's monotonic clock.
 func newSim(b Backend, clk clock.Clock) *vtime.Sim {
@@ -70,7 +64,7 @@ func runDomain(b Backend, clk clock.Clock) string {
 		return string(clock.Virtual)
 	}
 	if clk == nil {
-		clk = clock.Real()
+		return string(clock.RealDomain)
 	}
 	return string(clk.Domain())
 }
@@ -90,38 +84,9 @@ func checkTableDomain(t *calib.Table, b Backend, clk clock.Clock) error {
 	return nil
 }
 
-func errRealFaults() error {
-	return fmt.Errorf("cluster: fault injection needs -backend virtual (deterministic scheduling)")
-}
-
-func errRealReliable() error {
-	return fmt.Errorf("cluster: reliable delivery needs -backend virtual (the real backend's wire is lossless)")
-}
-
-// validateBackend rejects configuration that only the virtual kernel
-// supports.
-func validateBackend(cfg *Config) error {
-	if cfg.Backend != BackendReal {
-		return nil
-	}
-	if cfg.Faults.Active() {
-		return errRealFaults()
-	}
-	if cfg.Crashes.Active() {
-		return fmt.Errorf("cluster: crash injection needs -backend virtual (deterministic scheduling)")
-	}
-	if cfg.MPI.FT != nil {
-		return fmt.Errorf("cluster: fault tolerance needs -backend virtual (crash injection is virtual-only)")
-	}
-	if cfg.MPI.Reliable != nil {
-		return errRealReliable()
-	}
-	return nil
-}
-
 // CalibrateBackend measures the transfer-time table on the given
 // backend: the virtual fabric for BackendVirtual (identical to
-// Calibrate), or real goroutine wire timings for BackendReal. The
+// Calibrate), or the same ping-pong timed on clk for BackendReal. The
 // returned table is stamped with the clock domain it was measured in,
 // so loaders can reject cross-domain use.
 func CalibrateBackend(b Backend, clk clock.Clock, cost fabric.CostModel, sizes []int, reps int) *calib.Table {

@@ -20,15 +20,15 @@ import (
 type Config struct {
 	// Procs is the number of ranks (one per node).
 	Procs int
-	// Backend selects the execution substrate: BackendVirtual (the
-	// default) runs the deterministic discrete-event kernel;
-	// BackendReal runs ranks as concurrent goroutines with the fabric
-	// sleeping real wire time. Real runs reject Faults, Crashes,
-	// MPI.FT and MPI.Reliable.
+	// Backend selects the clock the kernel runs on: BackendVirtual
+	// (the default) jumps from event to event, deterministically;
+	// BackendReal waits for each event's instant on Clock. Everything
+	// else — faults, crashes, FT, reliable delivery — is the same code
+	// on both.
 	Backend Backend
 	// Clock drives a BackendReal run; nil selects the machine's
-	// monotonic clock (clock.Real()). Tests substitute a clock.Fake.
-	// Ignored for BackendVirtual.
+	// monotonic clock (clock.Real()). Tests substitute a
+	// clock.Stepped. Ignored for BackendVirtual.
 	Clock clock.Clock
 	// Cost is the fabric cost model; the zero value selects
 	// fabric.DefaultCostModel.
@@ -61,9 +61,7 @@ type Config struct {
 	// Deadline, when positive, bounds the run time: if the simulation
 	// is still live at this (virtual or wall-clock, per Backend) time,
 	// RunE returns a *vtime.DeadlockError describing every stuck
-	// process instead of simulating forever. BackendReal runs with a
-	// zero Deadline get DefaultRealDeadline — a wedged real run has no
-	// event-exhaustion signal, only the watchdog.
+	// process instead of simulating forever.
 	Deadline time.Duration
 	// Trace, when non-nil, traces the whole run into the given tracer:
 	// kernel scheduling spans, library call spans, overlap events,
@@ -138,9 +136,6 @@ func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
 	if (cfg.Cost == fabric.CostModel{}) {
 		cfg.Cost = fabric.DefaultCostModel()
 	}
-	if err := validateBackend(&cfg); err != nil {
-		return Result{}, err
-	}
 	if ic := cfg.MPI.Instrument; ic != nil {
 		if err := checkTableDomain(ic.Table, cfg.Backend, cfg.Clock); err != nil {
 			return Result{}, err
@@ -154,15 +149,11 @@ func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
 	}
 	sim := newSim(cfg.Backend, cfg.Clock)
 	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
-	defer fab.Shutdown()
 	fab.RetainTruth(cfg.RecordTruth)
 	if cfg.Faults.Active() {
 		if err := fab.SetFaults(cfg.Faults); err != nil {
 			return Result{}, err
 		}
-	}
-	if cfg.Backend == BackendReal && cfg.Deadline == 0 {
-		cfg.Deadline = DefaultRealDeadline
 	}
 	if cfg.Deadline > 0 {
 		sim.SetDeadline(vtime.Time(cfg.Deadline))
@@ -226,9 +217,6 @@ func Calibrate(cost fabric.CostModel, sizes []int, reps int) *calib.Table {
 }
 
 // calibrate runs the ping-pong characterization on the given kernel.
-// The same proc bodies work on both backends: on a real sim the fabric
-// actually sleeps wire time and the shared posted/totals variables are
-// serialized by the kernel lock.
 func calibrate(sim *vtime.Sim, cost fabric.CostModel, sizes []int, reps int) *calib.Table {
 	if (cost == fabric.CostModel{}) {
 		cost = fabric.DefaultCostModel()
@@ -239,11 +227,7 @@ func calibrate(sim *vtime.Sim, cost fabric.CostModel, sizes []int, reps int) *ca
 	if reps <= 0 {
 		reps = 5
 	}
-	if sim.IsReal() {
-		sim.SetDeadline(vtime.Time(DefaultRealDeadline))
-	}
 	fab := fabric.New(sim, 2, cost)
-	defer fab.Shutdown()
 	src, dst := fab.NIC(0), fab.NIC(1)
 
 	type token struct{ seq int }

@@ -20,12 +20,10 @@ import (
 	"ovlp/internal/coll"
 	"ovlp/internal/diagnose"
 	"ovlp/internal/fabric"
-	"ovlp/internal/faultflag"
 	"ovlp/internal/mpi"
 	"ovlp/internal/overlap"
 	"ovlp/internal/profile"
 	"ovlp/internal/progress"
-	"ovlp/internal/scenario"
 	"ovlp/internal/timeres"
 	"ovlp/internal/trace"
 )
@@ -95,23 +93,6 @@ func ParseProcs(s string, def []int) ([]int, error) {
 	return out, nil
 }
 
-// CheckFaultNodes rejects a fault plan naming nodes beyond the
-// smallest processor count in a sweep, before any simulation starts —
-// every run in the sweep has at least that many nodes, so the smallest
-// is the binding constraint.
-func CheckFaultNodes(plan *fabric.FaultPlan, procs []int) error {
-	if len(procs) == 0 {
-		return nil
-	}
-	min := procs[0]
-	for _, p := range procs[1:] {
-		if p < min {
-			min = p
-		}
-	}
-	return faultflag.CheckNodes(plan, min)
-}
-
 // BackendFlag is the shared -backend flag state: which execution
 // substrate (cluster.Backend) the driver's runs use.
 type BackendFlag struct {
@@ -126,7 +107,7 @@ func RegisterBackend(fs *flag.FlagSet) *BackendFlag {
 		fs = flag.CommandLine
 	}
 	bf := &BackendFlag{}
-	fs.Func("backend", "execution backend: virtual (deterministic simulation, default) or real (concurrent goroutines on the wall clock)", func(s string) error {
+	fs.Func("backend", "execution backend: virtual (deterministic simulation, default) or real (the same simulation waiting out every modelled cost on the wall clock)", func(s string) error {
 		b, err := cluster.ParseBackend(s)
 		if err != nil {
 			return err
@@ -146,65 +127,6 @@ func (bf *BackendFlag) Real() bool { return bf.b == cluster.BackendReal }
 
 // Apply copies the selection into a cluster.Config.
 func (bf *BackendFlag) Apply(cfg *cluster.Config) { cfg.Backend = bf.b }
-
-// Faults is the shared fault-injection flag state: the legacy
-// faultflag knobs (-drop/-dup/-jitter/-stall/-fault-seed, now sugar
-// for a one-event chaos schedule) plus -scenario, which loads a
-// declarative scenario file and uses its chaos schedule, stall list
-// and seed. The two sources are mutually exclusive, so a flag typo
-// cannot silently half-override a scenario.
-type Faults struct {
-	// ScenarioPath is the -scenario file ("" = none).
-	ScenarioPath string
-
-	fs     *flag.FlagSet
-	legacy func() (*fabric.FaultPlan, error)
-}
-
-// RegisterFaults installs the fault-injection flags on fs (the default
-// command-line set when fs is nil): everything faultflag.Register
-// provides plus -scenario.
-func RegisterFaults(fs *flag.FlagSet) *Faults {
-	if fs == nil {
-		fs = flag.CommandLine
-	}
-	f := &Faults{fs: fs, legacy: faultflag.Register(fs)}
-	fs.StringVar(&f.ScenarioPath, "scenario", "",
-		"load the chaos schedule (chaos, stalls, seed) from this scenario file instead of the legacy fault flags")
-	return f
-}
-
-// Plan builds the fault plan from whichever source was used: the
-// scenario file's compiled chaos schedule, or the legacy flags' sugar
-// plan. Nil when neither asked for faults.
-func (f *Faults) Plan() (*fabric.FaultPlan, error) {
-	legacy, err := f.legacy()
-	if err != nil {
-		return nil, err
-	}
-	if f.ScenarioPath == "" {
-		return legacy, nil
-	}
-	if legacy != nil {
-		return nil, fmt.Errorf("-scenario and the legacy fault flags (-drop/-dup/-jitter/-stall) are mutually exclusive")
-	}
-	s, err := scenario.LoadFile(f.ScenarioPath)
-	if err != nil {
-		return nil, err
-	}
-	return s.FaultPlan()
-}
-
-// Seed returns the -fault-seed value (the default when the flag set
-// has not been parsed yet).
-func (f *Faults) Seed() int64 {
-	if g, ok := f.fs.Lookup("fault-seed").Value.(flag.Getter); ok {
-		if v, ok := g.Get().(int64); ok {
-			return v
-		}
-	}
-	return 1
-}
 
 // Coll holds the shared nonblocking-collective flag state: which
 // schedule algorithm to build, the pipelining chunk, and which

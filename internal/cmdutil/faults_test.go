@@ -1,4 +1,4 @@
-package faultflag
+package cmdutil
 
 import (
 	"flag"
@@ -9,30 +9,30 @@ import (
 	"ovlp/internal/vtime"
 )
 
-func parse(t *testing.T, args ...string) (*fabric.FaultPlan, error) {
+func parseFaults(t *testing.T, args ...string) (*fabric.FaultPlan, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	build := Register(fs)
+	ff := RegisterFaults(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("flag parse: %v", err)
 	}
-	return build()
+	return ff.Plan()
 }
 
 func TestNoFlagsMeansNoPlan(t *testing.T) {
-	p, err := parse(t)
+	p, err := parseFaults(t)
 	if err != nil || p != nil {
 		t.Fatalf("want nil plan without fault flags, got %v, %v", p, err)
 	}
 	// A bare seed still means "no faults": nothing to reproduce.
-	p, err = parse(t, "-fault-seed", "7")
+	p, err = parseFaults(t, "-fault-seed", "7")
 	if err != nil || p != nil {
 		t.Fatalf("seed alone should not activate faults, got %v, %v", p, err)
 	}
 }
 
 func TestDropAndStallParse(t *testing.T) {
-	p, err := parse(t, "-fault-seed", "3", "-drop", "0.1", "-jitter", "2us",
+	p, err := parseFaults(t, "-fault-seed", "3", "-drop", "0.1", "-jitter", "2us",
 		"-stall", "1@2ms+500us, 0@1ms+forever")
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +49,8 @@ func TestDropAndStallParse(t *testing.T) {
 	if p.Default != (fabric.LinkFaults{}) {
 		t.Fatalf("legacy Default should stay zero, got %+v", p.Default)
 	}
-	if d := Describe(p); d != "faults: seed 3, drop 0.1, jitter 2µs, 2 stall window(s)" {
-		t.Fatalf("Describe = %q", d)
+	if d := DescribeFaults(p); d != "faults: seed 3, drop 0.1, jitter 2µs, 2 stall window(s)" {
+		t.Fatalf("DescribeFaults = %q", d)
 	}
 	want := []fabric.StallWindow{
 		{Node: 1, Start: vtime.Time(2 * time.Millisecond), End: vtime.Time(2*time.Millisecond + 500*time.Microsecond)},
@@ -69,7 +69,7 @@ func TestBadInputsRejected(t *testing.T) {
 		{"-stall", "0@1ms+never"},                // bad duration word
 		{"-drop", "0.1", "-stall", "0@-1ms+1ms"}, // negative start
 	} {
-		if _, err := parse(t, args...); err == nil {
+		if _, err := parseFaults(t, args...); err == nil {
 			t.Errorf("args %v: want error, got none", args)
 		}
 	}

@@ -100,9 +100,6 @@ func (f *Fabric) SetCrashes(plan *CrashPlan) error {
 	if !plan.Active() {
 		return nil
 	}
-	if f.sim.IsReal() {
-		return fmt.Errorf("fabric: crash injection needs a virtual-clock run (deterministic scheduling); use -backend virtual")
-	}
 	if err := plan.Validate(); err != nil {
 		return err
 	}

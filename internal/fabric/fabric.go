@@ -30,7 +30,6 @@ package fabric
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ovlp/internal/trace"
@@ -234,24 +233,14 @@ type Fabric struct {
 	// no instruments behind) and reset by SetTrace.
 	mTransfers, mWireBytes *trace.Counter
 	mXferSize              *trace.Histogram
-
-	// Real-clock backend (see real.go): per-NIC egress goroutines,
-	// nil on virtual sims.
-	rnics  []*realNIC
-	realWG sync.WaitGroup
 }
 
-// New creates a fabric of n nodes. On a real-clock sim the fabric
-// starts one egress goroutine per NIC; call Shutdown when the run is
-// over to stop them.
+// New creates a fabric of n nodes.
 func New(sim *vtime.Sim, n int, cost CostModel) *Fabric {
 	f := &Fabric{sim: sim, cost: cost, keepTruth: true, truthSeen: make(map[seenKey]bool)}
 	f.nics = make([]*NIC, n)
 	for i := range f.nics {
 		f.nics[i] = &NIC{fab: f, id: NodeID(i)}
-	}
-	if sim.IsReal() {
-		f.startReal()
 	}
 	return f
 }
@@ -267,35 +256,11 @@ func (f *Fabric) SetFaults(plan *FaultPlan) error {
 	if !plan.Active() {
 		return nil
 	}
-	if f.sim.IsReal() {
-		return fmt.Errorf("fabric: fault injection needs a virtual-clock run (deterministic scheduling); use -backend virtual")
-	}
 	if err := plan.Validate(); err != nil {
 		return err
 	}
-	for l := range plan.Links {
-		if int(l.Src) < 0 || int(l.Src) >= len(f.nics) || int(l.Dst) < 0 || int(l.Dst) >= len(f.nics) {
-			return fmt.Errorf("fabric: fault link %d->%d names a node outside [0, %d)", l.Src, l.Dst, len(f.nics))
-		}
-	}
-	for i, w := range plan.Stalls {
-		if int(w.Node) < 0 || int(w.Node) >= len(f.nics) {
-			return fmt.Errorf("fabric: stall window %d names node %d outside [0, %d)", i, w.Node, len(f.nics))
-		}
-	}
-	for i := range plan.Schedule {
-		ev := &plan.Schedule[i]
-		for l := range ev.Links {
-			if int(l.Src) < 0 || int(l.Src) >= len(f.nics) || int(l.Dst) < 0 || int(l.Dst) >= len(f.nics) {
-				return fmt.Errorf("fabric: %s link %d->%d names a node outside [0, %d)",
-					ev.name(i), l.Src, l.Dst, len(f.nics))
-			}
-		}
-		for _, n := range ev.Nodes {
-			if int(n) < 0 || int(n) >= len(f.nics) {
-				return fmt.Errorf("fabric: %s names node %d outside [0, %d)", ev.name(i), n, len(f.nics))
-			}
-		}
+	if err := plan.CheckNodes(len(f.nics)); err != nil {
+		return err
 	}
 	f.faults = newFaultState(*plan)
 	return nil
@@ -582,12 +547,6 @@ func (n *NIC) transmitSeq(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire
 		f.crashStats.SwallowedTx++
 		return wr
 	}
-	if f.rnics != nil {
-		// Real clock: the transfer runs on goroutines really sleeping
-		// the modelled times (faults and crashes are virtual-only and
-		// were rejected at install).
-		return n.transmitReal(dst, kind, size, wire, xferID, payload, deliver, seq, wr)
-	}
 	target := f.NIC(dst)
 	earliest := f.sim.Now().Add(f.cost.DMAStartup)
 	var drop, dup bool
@@ -727,9 +686,6 @@ func (n *NIC) RDMARead(p *vtime.Proc, src NodeID, size int, xferID uint64) uint6
 	if f.crashed(n.id, f.sim.Now()) {
 		f.crashStats.SwallowedTx++
 		return wr
-	}
-	if f.rnics != nil {
-		return n.rdmaReadReal(src, size, xferID, wr)
 	}
 	remote := f.NIC(src)
 	// Request packet: DMA startup + a header-sized hop to src.

@@ -262,6 +262,40 @@ func (p *FaultPlan) Validate() error {
 	return nil
 }
 
+// CheckNodes verifies that every node the plan names exists on a
+// machine of n nodes: the fabric's check when a plan is installed, and
+// a driver's before a sweep starts its first run.
+func (p *FaultPlan) CheckNodes(n int) error {
+	if p == nil {
+		return nil
+	}
+	outside := func(id NodeID) bool { return int(id) < 0 || int(id) >= n }
+	for l := range p.Links {
+		if outside(l.Src) || outside(l.Dst) {
+			return fmt.Errorf("fabric: fault link %d->%d names a node outside [0, %d)", l.Src, l.Dst, n)
+		}
+	}
+	for i, w := range p.Stalls {
+		if outside(w.Node) {
+			return fmt.Errorf("fabric: stall window %d names node %d outside [0, %d)", i, w.Node, n)
+		}
+	}
+	for i := range p.Schedule {
+		ev := &p.Schedule[i]
+		for l := range ev.Links {
+			if outside(l.Src) || outside(l.Dst) {
+				return fmt.Errorf("fabric: %s link %d->%d names a node outside [0, %d)", ev.name(i), l.Src, l.Dst, n)
+			}
+		}
+		for _, id := range ev.Nodes {
+			if outside(id) {
+				return fmt.Errorf("fabric: %s names node %d outside [0, %d)", ev.name(i), id, n)
+			}
+		}
+	}
+	return nil
+}
+
 // FaultStats counts the faults actually injected during a run.
 type FaultStats struct {
 	Dropped    int // packets and RDMA ops lost

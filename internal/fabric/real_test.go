@@ -15,7 +15,6 @@ func TestRealFabricExchange(t *testing.T) {
 	sim := vtime.NewRealSim(nil)
 	sim.SetDeadline(vtime.Time(30 * time.Second))
 	f := New(sim, 2, DefaultCostModel())
-	defer f.Shutdown()
 
 	const size = 64 << 10
 	var gotPackets []Packet
@@ -80,7 +79,7 @@ func TestRealFabricExchange(t *testing.T) {
 			t.Fatalf("transfer %d has non-positive wire interval [%v, %v]", x.XferID, x.Start, x.End)
 		}
 		// The wire interval must be at least the serialization time of
-		// the payload — the egress goroutine really slept it.
+		// the payload — the kernel really waited it out.
 		if got, min := x.End.Sub(x.Start), f.Cost().Wire(size); got < min {
 			t.Fatalf("transfer %d wire interval %v shorter than serialization %v", x.XferID, got, min)
 		}
@@ -93,7 +92,6 @@ func TestRealFabricEgressSerializes(t *testing.T) {
 	sim := vtime.NewRealSim(nil)
 	sim.SetDeadline(vtime.Time(30 * time.Second))
 	f := New(sim, 2, DefaultCostModel())
-	defer f.Shutdown()
 
 	const size = 256 << 10
 	sim.Spawn("sender", func(p *vtime.Proc) {
@@ -134,23 +132,62 @@ func TestRealFabricEgressSerializes(t *testing.T) {
 	if b.Start < a.Start {
 		a, b = b, a
 	}
-	// The egress engine slept the first payload's full serialization
-	// before starting the second, so the starts are at least one wire
-	// time apart. (Transfer.End also includes delivery-side lock
-	// acquisition, so it is not a tight wire-release bound here.)
+	// The egress engine is reserved for the first payload's full
+	// serialization before the second starts, so the starts are at
+	// least one wire time apart.
 	if gap, wire := b.Start.Sub(a.Start), f.Cost().Wire(size); gap < wire {
 		t.Fatalf("egress overlap: second start only %v after first, want >= serialization %v", gap, wire)
 	}
 }
 
-func TestRealFabricRejectsFaultsAndCrashes(t *testing.T) {
+// Faults and crashes are events on the one heap, so a wall-clock fabric
+// takes the same plans a virtual one does: a link that drops everything
+// loses the packet after an OK completion, and a crash instant waited
+// for on the wall clock swallows what is posted after it.
+func TestRealFabricAcceptsFaultsAndCrashes(t *testing.T) {
 	sim := vtime.NewRealSim(nil)
+	sim.SetDeadline(vtime.Time(30 * time.Second))
 	f := New(sim, 2, DefaultCostModel())
-	defer f.Shutdown()
-	if err := f.SetFaults(&FaultPlan{Seed: 1, Default: LinkFaults{DropRate: 0.5}}); err == nil {
-		t.Fatal("SetFaults accepted a plan on a real sim")
+	if err := f.SetFaults(&FaultPlan{Seed: 1, Default: LinkFaults{DropRate: 1}}); err != nil {
+		t.Fatalf("SetFaults on a real sim: %v", err)
 	}
-	if err := f.SetCrashes(&CrashPlan{Crashes: []Crash{{Node: 0, At: 1}}}); err == nil {
-		t.Fatal("SetCrashes accepted a plan on a real sim")
+	const crashAt = 2 * time.Millisecond
+	if err := f.SetCrashes(&CrashPlan{Crashes: []Crash{{Node: 0, At: vtime.Time(crashAt)}}}); err != nil {
+		t.Fatalf("SetCrashes on a real sim: %v", err)
+	}
+	var crashed []NodeID
+	f.OnCrash(func(n NodeID) { crashed = append(crashed, n) })
+	completions := 0
+	sim.Spawn("sender", func(p *vtime.Proc) {
+		nic := f.NIC(0)
+		nic.Send(p, 1, 1024, f.NewXferID(), "lost")
+		p.Compute(time.Millisecond)
+		for nic.PollCQ(p) != nil {
+			completions++
+		}
+		p.Compute(2 * crashAt)
+		nic.Send(p, 1, 1024, f.NewXferID(), "swallowed")
+		p.Compute(time.Millisecond)
+		for nic.PollCQ(p) != nil {
+			completions++
+		}
+	})
+	if _, err := sim.RunE(); err != nil {
+		t.Fatal(err)
+	}
+	if completions != 1 {
+		t.Fatalf("sender saw %d completions, want 1 (the dropped send completes, the post-crash one is swallowed)", completions)
+	}
+	if f.NIC(1).Pending() {
+		t.Fatal("a packet crossed a link that drops everything")
+	}
+	if st := f.FaultStats(); st.Dropped != 1 {
+		t.Fatalf("FaultStats = %+v, want 1 drop", st)
+	}
+	if len(crashed) != 1 || crashed[0] != 0 {
+		t.Fatalf("OnCrash saw %v, want [0]", crashed)
+	}
+	if st := f.CrashStats(); st.SwallowedTx != 1 {
+		t.Fatalf("CrashStats = %+v, want 1 swallowed post", st)
 	}
 }

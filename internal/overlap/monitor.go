@@ -61,7 +61,7 @@ type Config struct {
 	// Table is the a-priori transfer-time table. Required.
 	Table *calib.Table
 	// ClockDomain names the clock the stamps are read from ("virtual",
-	// "real", "fake"); it is copied into the report so downstream
+	// "real"); it is copied into the report so downstream
 	// analysis knows whether the bounds are deterministic virtual-time
 	// quantities or wall-clock measurements. Empty means virtual.
 	ClockDomain string

@@ -104,7 +104,7 @@ type Report struct {
 	// byte-identical to prior releases.
 	Epochs []EpochReport `json:",omitempty"`
 	// ClockDomain names the clock the report's stamps were read from
-	// ("real", "fake"); empty — omitted from JSON, so virtual reports
+	// ("real"); empty — omitted from JSON, so virtual reports
 	// are byte-identical to prior releases — means virtual.
 	ClockDomain string `json:",omitempty"`
 }

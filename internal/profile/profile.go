@@ -243,7 +243,7 @@ type Profile struct {
 	Slack    SlackHist    `json:"slack"`
 	Critical CriticalPath `json:"critical"`
 	// ClockDomain names the clock of the analyzed run's timestamps
-	// ("real", "fake"); omitted for virtual runs, keeping their JSON
+	// ("real"); omitted for virtual runs, keeping their JSON
 	// byte-identical to prior releases.
 	ClockDomain string `json:"clockDomain,omitempty"`
 }
@@ -281,7 +281,7 @@ type Input struct {
 	// 0 selects overlap.DefaultUserIntervalWindow.
 	Window int
 	// ClockDomain names the clock the trace's timestamps were read
-	// from ("real", "fake"); empty means virtual. Recovered from the
+	// from ("real"); empty means virtual. Recovered from the
 	// trace file's top-level "clockDomain" key (absent in virtual
 	// exports) so the replay knows whether bounds are deterministic or
 	// wall-clock measurements.

@@ -55,8 +55,8 @@ type Opts struct {
 	// Backend selects the execution substrate (see
 	// cluster.Config.Backend). On the real backend the hash and
 	// determinism assertions are skipped with a named reason — wall
-	// clocks are not replayable — and chaos scenarios are rejected,
-	// since fault injection needs the virtual fabric.
+	// clocks are not replayable; everything else, chaos and crash
+	// plans included, runs as it does on the virtual one.
 	Backend cluster.Backend
 }
 
@@ -176,9 +176,6 @@ func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult
 	plan, err := s.FaultPlan()
 	if err != nil {
 		return nil, nil, err
-	}
-	if opts.Backend == cluster.BackendReal && (plan != nil || s.wantsFT()) {
-		return nil, nil, fmt.Errorf("scenario %s: chaos and crash injection need the virtual backend; drop -backend real", s.Name)
 	}
 
 	tracer := trace.New(trace.Options{})

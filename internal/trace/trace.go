@@ -121,7 +121,7 @@ type Options struct {
 	// golden traces are unaffected unless a caller opts in.
 	Generator string
 	// ClockDomain names the clock the run's timestamps were read from
-	// ("virtual", "real", "fake"). Non-virtual domains are stamped into
+	// ("virtual", "real"). Non-virtual domains are stamped into
 	// exported trace files as a top-level "clockDomain" key so offline
 	// analysis knows the timestamps are wall-clock measurements, not
 	// deterministic virtual time. Empty or "virtual" adds nothing —

@@ -2,7 +2,6 @@ package vtime
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,8 +26,8 @@ func TestRealSimComputesOverlapInWallTime(t *testing.T) {
 	if end.Duration() < d {
 		t.Fatalf("run ended at %v, before a single compute of %v", end, d)
 	}
-	if !s.IsReal() || s.ClockDomain() != clock.RealDomain {
-		t.Fatalf("IsReal=%v domain=%q", s.IsReal(), s.ClockDomain())
+	if s.ClockDomain() != clock.RealDomain {
+		t.Fatalf("domain = %q, want real", s.ClockDomain())
 	}
 }
 
@@ -73,52 +72,89 @@ func TestRealSimPermitBeforePark(t *testing.T) {
 
 func TestRealSimAfterAndCancel(t *testing.T) {
 	s := NewRealSim(nil)
-	var fired, cancelledFired atomic.Int32
+	var fired, cancelledFired int
 	s.Spawn("arm", func(p *Proc) {
-		s.After(time.Millisecond, func() { fired.Add(1) })
-		cancel := s.AfterCancel(time.Millisecond, func() { cancelledFired.Add(1) })
+		s.After(time.Millisecond, func() { fired++ })
+		cancel := s.AfterCancel(time.Millisecond, func() { cancelledFired++ })
 		cancel()
 		p.Compute(10 * time.Millisecond)
 	})
 	if _, err := s.RunE(); err != nil {
 		t.Fatal(err)
 	}
-	if fired.Load() != 1 {
-		t.Fatalf("After fired %d times, want 1", fired.Load())
+	if fired != 1 {
+		t.Fatalf("After fired %d times, want 1", fired)
 	}
-	if cancelledFired.Load() != 0 {
+	if cancelledFired != 0 {
 		t.Fatal("cancelled timer fired")
 	}
 }
 
-func TestRealSimDeadlineAbortsParkedProcs(t *testing.T) {
+// A deadline on the wall clock is waited out and diagnosed exactly as
+// on the virtual one: the dump names the parked proc, the stamp is the
+// deadline, and the proc is left suspended — nothing unwinds it.
+func TestRealSimDeadlineLeavesProcsSuspended(t *testing.T) {
+	const deadline = 10 * time.Millisecond
 	s := NewRealSim(nil)
-	s.SetDeadline(Time(10 * time.Millisecond))
-	recovered := make(chan error, 1)
-	s.Spawn("stuck", func(p *Proc) {
-		defer func() {
-			if r := recover(); r != nil {
-				recovered <- r.(error)
-				panic(r) // keep the kernel's view of an unwound proc
-			}
-		}()
-		p.Park("test.never")
+	s.SetDeadline(Time(deadline))
+	unwound := false
+	var stuck *Proc
+	stuck = s.Spawn("stuck", func(p *Proc) {
+		defer func() { unwound = true }()
+		for {
+			s.After(4*time.Millisecond, stuck.Unpark) // events never run out: only the deadline ends this
+			p.Park("test.never")
+		}
 	})
-	_, err := s.RunE()
+	start := time.Now()
+	end, err := s.RunE()
+	if wall := time.Since(start); wall < deadline {
+		t.Fatalf("RunE returned after %v, before the %v deadline", wall, deadline)
+	}
 	var de *DeadlockError
 	if !errors.As(err, &de) {
 		t.Fatalf("err = %v, want DeadlockError", err)
 	}
-	if len(de.Procs) != 1 || de.Procs[0].Where != "test.never" {
+	if len(de.Procs) != 1 || de.Procs[0].Where != "test.never" || de.Procs[0].State != "parked" {
 		t.Fatalf("dump = %+v, want the parked proc at test.never", de.Procs)
 	}
-	select {
-	case kerr := <-recovered:
-		if !errors.Is(kerr, ErrAborted) {
-			t.Fatalf("proc unwound with %v, want ErrAborted", kerr)
+	if de.Now < Time(deadline) || end != de.Now {
+		t.Fatalf("diagnosed at %v (RunE returned %v), want the %v deadline or just after", de.Now, end, deadline)
+	}
+	if unwound {
+		t.Fatal("the deadline unwound the parked proc")
+	}
+}
+
+// With every wake-up on the heap, a wedged run is visible on the wall
+// clock the moment it wedges: no watchdog has to expire first.
+func TestRealSimDeadlockIsImmediate(t *testing.T) {
+	diagnose := func(s *Sim) *DeadlockError {
+		s.Spawn("a", func(p *Proc) {
+			p.Compute(time.Millisecond)
+			p.Park("test.a")
+		})
+		s.Spawn("b", func(p *Proc) { p.Park("test.b") })
+		_, err := s.RunE()
+		var de *DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("err = %v, want DeadlockError", err)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("parked proc was not unwound by the abort")
+		return de
+	}
+	start := time.Now()
+	real := diagnose(NewRealSim(nil))
+	if wall := time.Since(start); wall > time.Second {
+		t.Fatalf("a wedged real run took %v to say so", wall)
+	}
+	virt := diagnose(NewSim())
+	if real.Reason != virt.Reason || len(real.Procs) != len(virt.Procs) {
+		t.Fatalf("real diagnosis %v\nvirtual diagnosis %v", real, virt)
+	}
+	for i, p := range real.Procs {
+		if v := virt.Procs[i]; p.ID != v.ID || p.Name != v.Name || p.State != v.State || p.Where != v.Where {
+			t.Fatalf("proc %d: real dump %+v, virtual dump %+v", i, p, v)
+		}
 	}
 }
 
@@ -161,50 +197,35 @@ func TestRealSimKill(t *testing.T) {
 	}
 }
 
-// kernelLog records observer callbacks; under the kernel lock no
-// synchronization is needed, which is itself part of what the test
-// checks under -race. parked is closed when a proc blocks in Park.
+// kernelLog counts observer callbacks.
 type kernelLog struct {
 	blocked, resumed, done, unparked int
-	parked                           chan struct{}
 }
 
-func (l *kernelLog) ProcBlocked(p *Proc, state, where string) {
-	l.blocked++
-	if state == stateParked.String() {
-		close(l.parked)
-	}
-}
-func (l *kernelLog) ProcResumed(p *Proc)            { l.resumed++ }
-func (l *kernelLog) ProcDone(p *Proc)               { l.done++ }
-func (l *kernelLog) Deadlock(e *DeadlockError)      {}
-func (l *kernelLog) ProcUnparked(p *Proc, by *Proc) { l.unparked++ }
+func (l *kernelLog) ProcBlocked(p *Proc, state, where string) { l.blocked++ }
+func (l *kernelLog) ProcResumed(p *Proc)                      { l.resumed++ }
+func (l *kernelLog) ProcDone(p *Proc)                         { l.done++ }
+func (l *kernelLog) Deadlock(e *DeadlockError)                {}
+func (l *kernelLog) ProcUnparked(p *Proc, by *Proc)           { l.unparked++ }
 
 func TestRealSimObserverCallbacks(t *testing.T) {
 	s := NewRealSim(nil)
-	log := &kernelLog{parked: make(chan struct{})}
+	log := &kernelLog{}
 	s.SetObserver(log)
 	sleeper := s.Spawn("sleeper", func(p *Proc) {
 		p.Compute(time.Millisecond)
 		p.Park("test.sleep")
 	})
+	// The worker's timer is scheduled after the sleeper's and for later,
+	// so on one heap the Park always precedes the Unpark: nothing here
+	// depends on how fast the host is.
 	s.Spawn("worker", func(p *Proc) {
-		p.Compute(time.Millisecond)
+		p.Compute(2 * time.Millisecond)
+		sleeper.Unpark()
 	})
-	// The wake-up waits for the sleeper's ProcBlocked(parked) callback,
-	// not for a wall-clock margin: an Unpark that beats the Park on a
-	// loaded machine leaves a permit, and the Park neither blocks nor is
-	// unparked ("blocked = 2, want 3").
-	woke := make(chan struct{})
-	go func() {
-		defer close(woke)
-		<-log.parked
-		s.Enter(sleeper.Unpark)
-	}()
 	if _, err := s.RunE(); err != nil {
 		t.Fatal(err)
 	}
-	<-woke
 	if log.done != 2 {
 		t.Fatalf("done = %d, want 2", log.done)
 	}
@@ -222,49 +243,19 @@ func TestRealSimObserverCallbacks(t *testing.T) {
 
 func TestRealSimMidRunSpawn(t *testing.T) {
 	s := NewRealSim(nil)
-	var childRan atomic.Bool
+	childRan := false
 	s.Spawn("parent", func(p *Proc) {
 		p.Compute(time.Millisecond)
 		s.Spawn("child", func(c *Proc) {
 			c.Compute(time.Millisecond)
-			childRan.Store(true)
+			childRan = true
 		})
 		p.Compute(time.Millisecond)
 	})
 	if _, err := s.RunE(); err != nil {
 		t.Fatal(err)
 	}
-	if !childRan.Load() {
+	if !childRan {
 		t.Fatal("mid-run spawned proc never ran")
-	}
-}
-
-func TestVirtualSimClockAdapter(t *testing.T) {
-	s := NewSim()
-	clk := s.Clock()
-	if clk.Domain() != clock.Virtual {
-		t.Fatalf("domain = %q, want virtual", clk.Domain())
-	}
-	var fired bool
-	var slept time.Duration
-	s.Spawn("user", func(p *Proc) {
-		start := clk.Now()
-		clk.Sleep(5 * time.Millisecond) // models Compute on the proc
-		slept = clk.Since(start)
-		clk.AfterFunc(time.Millisecond, func() { fired = true })
-		tm := clk.AfterFunc(time.Millisecond, func() { t.Error("stopped timer fired") })
-		if !tm.Stop() {
-			t.Error("Stop of an armed virtual timer returned false")
-		}
-		p.Compute(2 * time.Millisecond)
-	})
-	if _, err := s.RunE(); err != nil {
-		t.Fatal(err)
-	}
-	if slept != 5*time.Millisecond {
-		t.Fatalf("virtual Sleep advanced %v, want exactly 5ms", slept)
-	}
-	if !fired {
-		t.Fatal("virtual AfterFunc did not fire")
 	}
 }

@@ -13,9 +13,9 @@
 // program is bit-for-bit reproducible. Events that fire at the same
 // virtual time execute in the order they were scheduled.
 //
-// There is no scheduler goroutine and no channel. Each proc is created
-// with iter.Pull, and RunE is a trampoline that switches into whichever
-// proc was dispatched last. A proc that blocks (Compute, Park,
+// There is no scheduler goroutine, no channel and no lock. Each proc is
+// created with iter.Pull, and RunE is a trampoline that switches into
+// whichever proc was dispatched last. A proc that blocks (Compute, Park,
 // returning) keeps the baton and fires events from the heap on its own
 // coroutine until one of them dispatches a proc: if that proc is
 // itself it just returns — no switch at all — otherwise it records the
@@ -33,16 +33,24 @@
 // semaphore in the style of LockSupport) or through callbacks
 // scheduled with After.
 //
+// A real-clock Sim (NewRealSim) is the same kernel waiting on a clock:
+// Now reads it, the loop sleeps until the head event's instant before
+// firing it, and Compute never skips that wait. Every proc is blocked
+// on the heap whenever the kernel sleeps, so "all waiters are blocked,
+// move to the next deadline" is the one loop on both clocks — the
+// virtual one jumps where the real one waits.
+//
 // The kernel is the substrate for the fabric, mpi and armci packages:
 // NIC DMA engines are event chains, ranks are procs, and the overlap
-// instrumentation reads its time-stamps from the virtual clock.
+// instrumentation reads its time-stamps from the sim's clock.
 package vtime
 
 import (
 	"fmt"
 	"iter"
-	"sync"
 	"time"
+
+	"ovlp/internal/clock"
 )
 
 // Time is an instant in virtual time, in nanoseconds since the start
@@ -224,10 +232,11 @@ type EdgeObserver interface {
 	ProcUnparked(p *Proc, by *Proc)
 }
 
-// Sim is a deterministic virtual-time simulator. The zero value is not
-// usable; create one with NewSim.
+// Sim is a deterministic discrete-event simulator, on virtual time
+// (NewSim) or waiting on a clock (NewRealSim). The zero value is not
+// usable.
 type Sim struct {
-	now      Time
+	now      Time // instant of the last event fired; the clock itself on a virtual sim
 	seq      uint64
 	events   []key   // min-heap on (at, seq)
 	slab     []event // the events the keys point at, by key.slot
@@ -244,10 +253,10 @@ type Sim struct {
 	panicked any // what ended the run early: a proc's wrapped panic, or an event's raw one
 	running  bool
 
-	// rt is non-nil for real-clock sims (see real.go): procs run as
-	// concurrent goroutines under a kernel lock and time comes from a
-	// clock.Clock instead of the event heap.
-	rt *realState
+	// clk is non-nil on a real-clock sim: time is clk's, read since
+	// epoch, and an event's instant is waited for instead of jumped to.
+	clk   clock.Clock
+	epoch time.Time
 }
 
 // SetObserver installs the kernel observer (nil to remove). It must be
@@ -260,15 +269,38 @@ func NewSim() *Sim {
 	return &Sim{}
 }
 
-// Now returns the current virtual time: the event clock on a virtual
-// sim, nanoseconds of real clock time since construction on a real
-// one.
+// NewRealSim returns a simulator that runs on clk (nil means the
+// machine's monotonic clock): the same events in the same order as a
+// virtual sim would fire them, each no earlier than its instant on
+// clk. Time zero is the moment of this call.
+func NewRealSim(clk clock.Clock) *Sim {
+	if clk == nil {
+		clk = clock.Real()
+	}
+	return &Sim{clk: clk, epoch: clk.Now()}
+}
+
+// ClockDomain names the kind of time the sim's timestamps are
+// denominated in.
+func (s *Sim) ClockDomain() clock.Domain {
+	if s.clk != nil {
+		return s.clk.Domain()
+	}
+	return clock.Virtual
+}
+
+// Now returns the current time: the event clock on a virtual sim,
+// nanoseconds of clock time since construction on a real one.
 func (s *Sim) Now() Time {
-	if s.rt != nil {
-		return s.realNow()
+	if s.clk != nil {
+		return Time(s.clk.Since(s.epoch))
 	}
 	return s.now
 }
+
+// await blocks a real sim until its clock reads t: it sleeps what is
+// left, which is nothing for an instant already past.
+func (s *Sim) await(t Time) { s.clk.Sleep(t.Sub(s.Now())) }
 
 // Proc is a simulated thread of control. Procs are created with
 // Sim.Spawn and run under the kernel's coroutine discipline: all Proc
@@ -293,8 +325,6 @@ type Proc struct {
 
 	killed error  // pending Kill, delivered as a panic at the next resume
 	timer  uint64 // seq of the pending Compute timer; 0 when none, or once Kill cancelled it
-
-	cond *sync.Cond // real mode: wakes the proc's Park; waits on rt.mu
 }
 
 // ID returns the proc's index in spawn order, starting at zero.
@@ -314,9 +344,6 @@ func (p *Proc) Now() Time { return p.sim.Now() }
 // simulation (a proc or callback); the new proc starts at the current
 // virtual time.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	if s.rt != nil {
-		return s.spawnReal(name, fn)
-	}
 	p := &Proc{
 		sim:   s,
 		id:    len(s.procs),
@@ -326,7 +353,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	s.procs = append(s.procs, p)
 	s.live++
-	s.schedule(s.now, event{kind: evStart, p: p})
+	s.schedule(s.Now(), event{kind: evStart, p: p})
 	return p
 }
 
@@ -436,6 +463,9 @@ func (s *Sim) advance() (next *Proc) {
 		if s.deadline > 0 && top.at >= s.deadline && s.live > 0 {
 			return nil
 		}
+		if s.clk != nil {
+			s.await(top.at)
+		}
 		k, e := s.pop()
 		if k.at < s.now {
 			panic("vtime: time went backwards")
@@ -467,18 +497,25 @@ func (s *Sim) pass(p *Proc) (self bool) {
 	return false
 }
 
+// delay checks an After delay. A negative one is a bug on a virtual
+// sim. On a real sim it is what is left of an instant the caller worked
+// out from an earlier reading of a clock that has since moved past it,
+// and means now.
+func (s *Sim) delay(d time.Duration) time.Duration {
+	if d >= 0 {
+		return d
+	}
+	if s.clk == nil {
+		panic("vtime: negative delay")
+	}
+	return 0
+}
+
 // After schedules fn to run in event context d from now. It may be
 // called from any simulation context. fn must not block; to perform
 // blocking work, have fn Unpark a proc or Spawn one.
 func (s *Sim) After(d time.Duration, fn func()) {
-	if d < 0 {
-		panic("vtime: negative delay")
-	}
-	if s.rt != nil {
-		s.afterReal(d, fn)
-		return
-	}
-	s.schedule(s.now.Add(d), event{fn: fn})
+	s.schedule(s.Now().Add(s.delay(d)), event{fn: fn})
 }
 
 // AfterCancel is After returning a cancel function. A cancelled event
@@ -487,14 +524,8 @@ func (s *Sim) After(d time.Duration, fn func()) {
 // (retransmission timeouts, watchdogs) do not distort the measured run
 // duration. Cancelling twice, or after the event fired, is a no-op.
 func (s *Sim) AfterCancel(d time.Duration, fn func()) (cancel func()) {
-	if d < 0 {
-		panic("vtime: negative delay")
-	}
-	if s.rt != nil {
-		return s.afterReal(d, fn)
-	}
 	cancelled := new(bool)
-	s.schedule(s.now.Add(d), event{fn: fn, cancel: cancelled})
+	s.schedule(s.Now().Add(s.delay(d)), event{fn: fn, cancel: cancelled})
 	return func() { *cancelled = true }
 }
 
@@ -502,7 +533,7 @@ func (s *Sim) AfterCancel(d time.Duration, fn func()) (cancel func()) {
 // called from the proc's goroutine.
 func (p *Proc) block(st procState, where string) {
 	p.state = st
-	p.blockedSince = p.sim.now
+	p.blockedSince = p.sim.Now()
 	p.blockedAt = where
 	if p.sim.obs != nil {
 		p.sim.obs.ProcBlocked(p, st.String(), where)
@@ -520,20 +551,18 @@ func (p *Proc) block(st procState, where string) {
 // of user computation (or any busy period). Other events continue to
 // fire during the interval. Compute(0) yields to already-scheduled
 // events at the current instant and then continues. When no queued
-// event can fire during the interval the call only moves the clock and
-// never touches the heap — indistinguishable, to the program and to an
-// Observer, from pushing a timer and popping it straight back.
+// event can fire during the interval the call only moves the virtual
+// clock and never touches the heap — indistinguishable, to the program
+// and to an Observer, from pushing a timer and popping it straight
+// back. A real clock cannot be moved, so there the timer is always
+// pushed and waited for.
 func (p *Proc) Compute(d time.Duration) {
 	if d < 0 {
 		panic("vtime: negative compute duration")
 	}
 	s := p.sim
-	if s.rt != nil {
-		p.computeReal(d)
-		return
-	}
-	at := s.now.Add(d)
-	if (len(s.events) > 0 && at >= s.events[0].at) || (s.deadline != 0 && at >= s.deadline) {
+	at := s.Now().Add(d)
+	if (len(s.events) > 0 && at >= s.events[0].at) || (s.deadline != 0 && at >= s.deadline) || s.clk != nil {
 		p.timer = s.schedule(at, event{kind: evTimer, p: p})
 		p.block(stateComputing, "Compute")
 		return
@@ -572,10 +601,6 @@ func (p *Proc) Yield() { p.Compute(0) }
 // consumes it and returns immediately. The where label is reported in
 // deadlock dumps.
 func (p *Proc) Park(where string) {
-	if p.sim.rt != nil {
-		p.parkReal(where)
-		return
-	}
 	if p.permit {
 		p.permit = false
 		return
@@ -589,17 +614,13 @@ func (p *Proc) Park(where string) {
 // idempotent. Unpark must be called from simulation context (a proc or
 // an After callback), never from outside Run.
 func (p *Proc) Unpark() {
-	if p.sim.rt != nil {
-		p.unparkReal()
-		return
-	}
 	if p.state == stateParked && !p.permit {
 		p.permit = true
 		s := p.sim
 		if eo, ok := s.obs.(EdgeObserver); ok {
 			eo.ProcUnparked(p, s.current)
 		}
-		s.schedule(s.now, event{kind: evUnpark, p: p})
+		s.schedule(s.Now(), event{kind: evUnpark, p: p})
 		return
 	}
 	p.permit = true
@@ -620,10 +641,6 @@ func (p *Proc) Kill(err error) {
 	if err == nil {
 		panic("vtime: Kill with nil error")
 	}
-	if p.sim.rt != nil {
-		p.killReal(err)
-		return
-	}
 	if p.state == stateDone || p.killed != nil {
 		return
 	}
@@ -642,7 +659,7 @@ func (p *Proc) Kill(err error) {
 		// check at the proc's next resume or before its body runs.
 		return
 	}
-	p.sim.schedule(p.sim.now, event{kind: evKill, p: p})
+	p.sim.schedule(p.sim.Now(), event{kind: evKill, p: p})
 }
 
 // SetDeadline arms a watchdog: if the simulation reaches virtual time d
@@ -685,7 +702,7 @@ func (e *DeadlockError) Error() string {
 
 // deadlockError builds the structured dump of every non-finished proc.
 func (s *Sim) deadlockError(reason string) *DeadlockError {
-	e := &DeadlockError{Now: s.now, Reason: reason}
+	e := &DeadlockError{Now: s.Now(), Reason: reason}
 	for _, p := range s.procs { // already in id order
 		if p.state == stateDone {
 			continue
@@ -708,9 +725,6 @@ func (s *Sim) deadlockError(reason string) *DeadlockError {
 // recovered and returned as an error, wrapped so errors.Is/As see the
 // original value when it was itself an error.
 func (s *Sim) RunE() (t Time, err error) {
-	if s.rt != nil {
-		return s.runRealE()
-	}
 	if s.running {
 		panic("vtime: Run called reentrantly")
 	}
@@ -725,13 +739,16 @@ func (s *Sim) RunE() (t Time, err error) {
 	if pv := s.panicked; pv != nil {
 		s.panicked = nil
 		if e, ok := pv.(error); ok {
-			return s.now, e
+			return s.Now(), e
 		}
-		return s.now, fmt.Errorf("vtime: %v", pv)
+		return s.Now(), fmt.Errorf("vtime: %v", pv)
 	}
 	if s.live > 0 {
 		reason := "no pending events"
 		if len(s.events) > 0 { // advance stopped short of the event that crosses the deadline
+			if s.clk != nil {
+				s.await(s.deadline)
+			}
 			s.now = s.deadline
 			reason = fmt.Sprintf("deadline %v expired", s.deadline)
 		}
@@ -739,9 +756,9 @@ func (s *Sim) RunE() (t Time, err error) {
 		if s.obs != nil {
 			s.obs.Deadlock(de)
 		}
-		return s.now, de
+		return de.Now, de
 	}
-	return s.now, nil
+	return s.Now(), nil
 }
 
 // Run is RunE for callers that treat failure as fatal: it panics with
