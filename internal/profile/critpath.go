@@ -41,25 +41,21 @@ func timelineSpan(rec *trace.Rec) bool {
 
 func criticalPath(in *Input, duration time.Duration) CriticalPath {
 	lines := make(map[int]*rankTimeline)
-	nspans := 0
+	// The timelines are scratch (see spanScratch): the path's segments
+	// copy what they need out of them.
+	defer func() {
+		for _, tl := range lines {
+			spanScratch.Put(tl.spans[:cap(tl.spans)])
+		}
+	}()
 	for i := range in.Ranks {
 		rs := &in.Ranks[i]
 		tl := &rankTimeline{rank: rs.Rank, name: rs.Name, unparks: make(map[time.Duration]int)}
-		// Most of a rank's records are not timeline spans: count first,
-		// so the slice is allocated once at its final size.
-		n := 0
-		for j := range rs.Recs {
-			if timelineSpan(&rs.Recs[j]) {
-				n++
-			}
-		}
-		tl.spans = make([]tlSpan, 0, n)
-		nspans += n
 		for j := range rs.Recs {
 			rec := &rs.Recs[j]
 			switch {
 			case timelineSpan(rec):
-				tl.spans = append(tl.spans, tlSpan{
+				tl.spans = pushScratch(&spanScratch, tl.spans, tlSpan{
 					start: rec.Start.Duration(),
 					end:   rec.End().Duration(),
 					park:  rec.Name == "park",
@@ -80,7 +76,7 @@ func criticalPath(in *Input, duration time.Duration) CriticalPath {
 		dst int
 		end time.Duration
 	}
-	arrivals := make(map[arrKey]*WireSpan)
+	arrivals := make(map[arrKey]*WireSpan, len(in.Wire))
 	for i := range in.Wire {
 		w := &in.Wire[i]
 		k := arrKey{w.Dst, w.End}
@@ -108,12 +104,13 @@ func criticalPath(in *Input, duration time.Duration) CriticalPath {
 		return cp
 	}
 
-	// Every segment but a wire hop consumes a span, and the path is on
-	// one rank at a time: about a rank's share of the spans, in all.
-	segs := make([]PathSegment, 0, nspans/len(lines))
+	// The walk emits segments newest-first into scratch; how many there
+	// are is known only once it is back at t=0.
+	var walk []PathSegment
+	defer func() { segScratch.Put(walk[:cap(walk)]) }()
 	push := func(s PathSegment) {
 		if s.End > s.Start {
-			segs = append(segs, s)
+			walk = pushScratch(&segScratch, walk, s)
 		}
 	}
 	cursor := duration
@@ -174,9 +171,10 @@ func criticalPath(in *Input, duration time.Duration) CriticalPath {
 		hops = 0
 	}
 
-	// The walk emitted segments newest-first; report them in time order.
-	for l, r := 0, len(segs)-1; l < r; l, r = l+1, r-1 {
-		segs[l], segs[r] = segs[r], segs[l]
+	// Report them in time order, in a slice of exactly their number.
+	segs := make([]PathSegment, len(walk))
+	for i := range walk {
+		segs[len(walk)-1-i] = walk[i]
 	}
 	cp.Segments = segs
 	totals := map[string]time.Duration{}

@@ -27,8 +27,9 @@ func FromTracer(tr *trace.Tracer, table *calib.Table, reports []*overlap.Report)
 		case trace.GroupHost:
 			in.Ranks = append(in.Ranks, RankStream{Rank: tk.ID(), Name: tk.Name(), Recs: tk.Recs()})
 		case trace.GroupNIC:
-			for _, rec := range tk.Recs() {
-				ingestNICRec(&in, tk.ID(), rec)
+			recs := tk.Recs()
+			for i := range recs {
+				ingestNICRec(&in, tk.ID(), &recs[i])
 			}
 		}
 	}
@@ -52,7 +53,9 @@ const maxRegionIndex = 1 << 16
 // attached (offline ingestion, metrics-less runs).
 func harvestRegionNames(in *Input) {
 	for i := range in.Ranks {
-		for _, rec := range in.Ranks[i].Recs {
+		recs := in.Ranks[i].Recs
+		for j := range recs {
+			rec := &recs[j]
 			if rec.Cat != "overlap" || rec.Name != "region-push" || rec.Args.Detail == "" {
 				continue
 			}
@@ -68,7 +71,7 @@ func harvestRegionNames(in *Input) {
 	}
 }
 
-func ingestNICRec(in *Input, node int, rec trace.Rec) {
+func ingestNICRec(in *Input, node int, rec *trace.Rec) {
 	switch {
 	case rec.Cat == "wire" && rec.Name == "xfer":
 		in.Wire = append(in.Wire, WireSpan{
@@ -155,7 +158,8 @@ func FromChromeJSON(r io.Reader, table *calib.Table) (Input, error) {
 			}
 			last.add(e.Rec())
 		case trace.GroupNIC:
-			ingestNICRec(&in, e.Tid-1, e.Rec())
+			rec := e.Rec()
+			ingestNICRec(&in, e.Tid-1, &rec)
 		}
 		return nil
 	})

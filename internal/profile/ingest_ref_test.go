@@ -80,7 +80,7 @@ func referenceFromChromeJSON(r io.Reader, table *calib.Table) (Input, error) {
 			rs.Recs = append(rs.Recs, rec)
 		case trace.GroupNIC:
 			rec.Args = args
-			ingestNICRec(&in, e.Tid-1, rec)
+			ingestNICRec(&in, e.Tid-1, &rec)
 		}
 	}
 	for _, k := range order {

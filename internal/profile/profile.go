@@ -43,8 +43,9 @@ var ErrEmptyTrace = errors.New("empty trace: no span records in any host stream"
 // missing or span-free (instants alone cannot anchor a replay).
 func (in *Input) CheckNonEmpty() error {
 	for i := range in.Ranks {
-		for _, r := range in.Ranks[i].Recs {
-			if !r.Instant() {
+		recs := in.Ranks[i].Recs
+		for j := range recs {
+			if !recs[j].Instant() {
 				return nil
 			}
 		}
@@ -305,8 +306,23 @@ type WireSpan struct {
 	Phase      string
 }
 
-// Analyze replays the input streams and produces the profile.
+// Analyze replays the input streams and produces the profile:
+// AnalyzeTransfers, then the critical path.
 func Analyze(in Input) (*Profile, error) {
+	p, err := AnalyzeTransfers(in)
+	if err != nil {
+		return nil, err
+	}
+	p.Critical = criticalPath(&in, p.Duration)
+	return p, nil
+}
+
+// AnalyzeTransfers is Analyze without the critical-path walk: the
+// bounds replay and everything folded from it (sites, totals, epochs,
+// slack) plus the duration, with Critical left empty. For a caller that
+// reads only the attribution — the scenario engine's determinism re-run,
+// whose report carries Totals.Gap and Totals.Blame and nothing else.
+func AnalyzeTransfers(in Input) (*Profile, error) {
 	if len(in.Ranks) == 0 {
 		return nil, fmt.Errorf("profile: no host streams in input")
 	}
@@ -320,52 +336,52 @@ func Analyze(in Input) (*Profile, error) {
 	wire := &wirePhases{wire: in.Wire}
 	sites := make(map[siteKey]*Site)
 	var epochs []EpochTotals
+	tally := func(x xferObs) {
+		k := siteKey{region: regionName(in.RegionNames, x.region), op: x.op}
+		s, ok := sites[k]
+		if !ok {
+			s = &Site{Region: k.region, Op: k.op}
+			sites[k] = s
+		}
+		gap := x.maxOv - x.minOv
+		s.Count++
+		s.DataTransferTime += x.xt
+		s.MinOverlapped += x.minOv
+		s.MaxOverlapped += x.maxOv
+		s.Gap += gap
+		if gap > s.MaxXferGap {
+			s.MaxXferGap = gap
+		}
+		s.Blame.Add(x.blame)
+		p.Slack.observe(gap)
+
+		p.Totals.Transfers++
+		p.Totals.DataTransferTime += x.xt
+		p.Totals.MinOverlapped += x.minOv
+		p.Totals.MaxOverlapped += x.maxOv
+		p.Totals.Gap += gap
+		p.Totals.Blame.Add(x.blame)
+
+		for len(epochs) <= x.epoch {
+			epochs = append(epochs, EpochTotals{Epoch: len(epochs)})
+		}
+		et := &epochs[x.epoch]
+		et.Transfers++
+		et.DataTransferTime += x.xt
+		et.MinOverlapped += x.minOv
+		et.MaxOverlapped += x.maxOv
+		et.Gap += gap
+		et.Blame.Add(x.blame)
+	}
 	maxEpoch := 0
 	for i := range in.Ranks {
 		rs := &in.Ranks[i]
-		obs, rankEpochs, err := replayRank(rs, &in, wire)
+		rankEpochs, err := replayRank(rs, &in, wire, tally)
 		if err != nil {
 			return nil, fmt.Errorf("profile: rank %d (%s): %w", rs.Rank, rs.Name, err)
 		}
 		if rankEpochs > maxEpoch {
 			maxEpoch = rankEpochs
-		}
-		for _, x := range obs {
-			k := siteKey{region: regionName(in.RegionNames, x.region), op: x.op}
-			s, ok := sites[k]
-			if !ok {
-				s = &Site{Region: k.region, Op: k.op}
-				sites[k] = s
-			}
-			gap := x.maxOv - x.minOv
-			s.Count++
-			s.DataTransferTime += x.xt
-			s.MinOverlapped += x.minOv
-			s.MaxOverlapped += x.maxOv
-			s.Gap += gap
-			if gap > s.MaxXferGap {
-				s.MaxXferGap = gap
-			}
-			s.Blame.Add(x.blame)
-			p.Slack.observe(gap)
-
-			p.Totals.Transfers++
-			p.Totals.DataTransferTime += x.xt
-			p.Totals.MinOverlapped += x.minOv
-			p.Totals.MaxOverlapped += x.maxOv
-			p.Totals.Gap += gap
-			p.Totals.Blame.Add(x.blame)
-
-			for len(epochs) <= x.epoch {
-				epochs = append(epochs, EpochTotals{Epoch: len(epochs)})
-			}
-			et := &epochs[x.epoch]
-			et.Transfers++
-			et.DataTransferTime += x.xt
-			et.MinOverlapped += x.minOv
-			et.MaxOverlapped += x.maxOv
-			et.Gap += gap
-			et.Blame.Add(x.blame)
 		}
 	}
 	if maxEpoch > 0 {
@@ -394,7 +410,6 @@ func Analyze(in Input) (*Profile, error) {
 	if p.Duration == 0 {
 		p.Duration = maxStreamEnd(&in)
 	}
-	p.Critical = criticalPath(&in, p.Duration)
 	return p, nil
 }
 
@@ -413,8 +428,9 @@ func regionName(names []string, idx int32) string {
 func maxStreamEnd(in *Input) time.Duration {
 	var end time.Duration
 	for i := range in.Ranks {
-		for _, r := range in.Ranks[i].Recs {
-			if e := r.End().Duration(); e > end {
+		recs := in.Ranks[i].Recs
+		for j := range recs {
+			if e := recs[j].End().Duration(); e > end {
 				end = e
 			}
 		}

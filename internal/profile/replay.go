@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"ovlp/internal/ringpool"
 )
 
 // The replay reconstructs, per rank, the exact event sequence the
@@ -21,8 +23,6 @@ import (
 
 // xferObs is one replayed transfer with its bounds and blame.
 type xferObs struct {
-	id     uint64
-	size   int64
 	region int32
 	op     string
 	epoch  int
@@ -34,37 +34,67 @@ type xferObs struct {
 
 type parkSpan struct{ start, end time.Duration }
 
-// replayRank rebuilds rank rs's monitor event stream and replays it.
-// The second result is the rank's final recovery epoch (the number of
-// epoch cuts seen).
-func replayRank(rs *RankStream, in *Input, wire *wirePhases) ([]xferObs, int, error) {
+// Scratch that lives for one Analyze call — a rank's samples until they
+// are priced, its timeline spans and the path's segments until the
+// critical path is walked — comes from these lists and goes back before
+// the call returns, so a sweep's analyses write over one another's
+// instead of allocating (and zeroing) a trace's worth each. Like every
+// ringpool buffer it is not cleared: pushScratch appends, and nothing
+// reads past what it appended.
+var (
+	sampleScratch ringpool.List[XferSample]
+	spanScratch   ringpool.List[tlSpan]
+	segScratch    ringpool.List[PathSegment]
+)
+
+// minScratch is the capacity a scratch buffer starts at.
+const minScratch = 256
+
+// pushScratch appends v to scratch buffer b, which it draws from l and
+// grows through it — always by doubling, so that the capacities every
+// caller asks for are the same few. Hand the final b[:cap(b)] back with
+// l.Put.
+func pushScratch[T any](l *ringpool.List[T], b []T, v T) []T {
+	if len(b) == cap(b) {
+		grown := l.Get(max(minScratch, 2*cap(b)))[:len(b)]
+		copy(grown, b)
+		l.Put(b[:cap(b)])
+		b = grown
+	}
+	return append(b, v)
+}
+
+// replayRank rebuilds rank rs's monitor event stream, replays it and
+// hands each transfer, priced and blamed, to tally. It returns the
+// rank's final recovery epoch (the number of epoch cuts seen).
+func replayRank(rs *RankStream, in *Input, wire *wirePhases, tally func(xferObs)) (int, error) {
 	var samples []XferSample
-	rr := NewRankReplay(in.Window, func(x XferSample) { samples = append(samples, x) })
-	for _, rec := range rs.Recs {
-		rr.Feed(rec)
+	defer func() { sampleScratch.Put(samples[:cap(samples)]) }()
+	rr := NewRankReplay(in.Window, func(x XferSample) { samples = pushScratch(&sampleScratch, samples, x) })
+	for i := range rs.Recs {
+		rr.feed(&rs.Recs[i])
 	}
 	rr.Finish()
 	if err := rr.Err(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if rs.Protocol == "" {
 		rs.Protocol = rr.Protocol()
 	}
 	if rr.Events() == 0 {
-		return nil, rr.fold.Epoch(), nil
+		return rr.fold.Epoch(), nil
 	}
 	if in.Table == nil {
-		return nil, 0, fmt.Errorf("overlap events present but no calibration table to replay bounds with")
+		return 0, fmt.Errorf("overlap events present but no calibration table to replay bounds with")
 	}
-	out := make([]xferObs, 0, len(samples))
 	for i := range samples {
 		x := &samples[i]
 		xt, minOv, maxOv := x.Bounds(in.Table)
-		out = append(out, xferObs{id: x.ID, size: x.Size, region: x.Region, op: rr.Op(x),
+		tally(xferObs{region: x.Region, op: rr.Op(x),
 			epoch: x.Epoch, xt: xt, minOv: minOv, maxOv: maxOv,
 			blame: classify(x, minOv, maxOv, in, wire, rs.Protocol, rr)})
 	}
-	return out, rr.fold.Epoch(), nil
+	return rr.fold.Epoch(), nil
 }
 
 // Recovery-phase region names the cluster FT runner brackets its

@@ -118,7 +118,10 @@ func (r *RankReplay) ParkTime(from, to time.Duration) time.Duration {
 }
 
 // Feed consumes one host-track record.
-func (r *RankReplay) Feed(rec trace.Rec) {
+func (r *RankReplay) Feed(rec trace.Rec) { r.feed(&rec) }
+
+// feed is Feed reading the record where it lies.
+func (r *RankReplay) feed(rec *trace.Rec) {
 	if r.err != nil || r.finished {
 		return
 	}
@@ -203,7 +206,11 @@ func (r *RankReplay) flush(upto time.Duration, all bool) {
 		r.step(ev)
 		n++
 	}
-	r.pending = r.pending[n:]
+	// Keep the array: re-slicing from n would walk the queue off the
+	// front of it and make Feed's next append reallocate, call after call.
+	if n > 0 {
+		r.pending = r.pending[:copy(r.pending, r.pending[n:])]
+	}
 }
 
 // step folds one reconstructed monitor event and forwards what it

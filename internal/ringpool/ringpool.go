@@ -1,10 +1,11 @@
-// Package ringpool is the bounded free list behind the fixed-size
-// buffers a run sets up and a sweep would otherwise set up again: the
-// tracer's per-track record rings (internal/trace) and the monitor's
-// circular event queue (internal/overlap). Each of those packages keeps
-// one package-private List; a buffer enters it at the point where it
-// already becomes garbage and the next run draws it instead of a zeroed
-// allocation.
+// Package ringpool is the bounded free list behind the buffers a run
+// sets up and a sweep would otherwise set up again: the tracer's
+// per-track record rings and the slices it flattens them into
+// (internal/trace), the monitor's circular event queue
+// (internal/overlap) and the offline analysis' scratch
+// (internal/profile). Each of those packages keeps package-private
+// Lists; a buffer enters one at the point where it already becomes
+// garbage and the next run draws it instead of a zeroed allocation.
 package ringpool
 
 import (
@@ -13,9 +14,9 @@ import (
 )
 
 // MaxBytes bounds what one List retains. A pass over the scenario
-// corpus leaves some sixty full trace rings (6.6 MB) listed; the bound
-// is what keeps a 1024-rank run from pinning all 200 MB of its monitor
-// queues for the rest of the process.
+// corpus leaves 6.9 MB of trace rings and 18 MB of flattened slices
+// listed; the bound is what keeps a 1024-rank run from pinning all
+// 200 MB of its monitor queues for the rest of the process.
 const MaxBytes = 32 << 20
 
 // List is a free list of []T keyed by length, safe for concurrent use.

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -123,5 +124,48 @@ func TestRerunStillTripsDeterminism(t *testing.T) {
 	}
 	if want := "rerun produced " + short(other.ReportHash); observed[1] != want {
 		t.Errorf("report violation observed %q, want %q", observed[1], want)
+	}
+}
+
+// TestRerunWalksNoCriticalPath: the report carries the profile's gap
+// and blame and nothing else of it, so the re-run stops at
+// profile.AnalyzeTransfers — no critical path — and still encodes the
+// primary run's report, byte for byte, on every scenario.
+func TestRerunWalksNoCriticalPath(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size corpus runs skipped in -short mode")
+	}
+	for _, s := range rerunCorpus(t) {
+		s := s
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			first, err := Run(s, Opts{})
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			lean, _, err := simulate(s, Opts{}, false, nil)
+			if err != nil {
+				t.Fatalf("lean re-run: %v", err)
+			}
+			if (first.Profile == nil) != (lean.Profile == nil) {
+				t.Fatalf("profile present in one run only: primary %v, re-run %v", first.Profile != nil, lean.Profile != nil)
+			}
+			if p := first.Profile; p != nil {
+				if p.Critical.Length != p.Duration || len(p.Critical.Segments) == 0 {
+					t.Errorf("primary run's critical path covers %v of %v", p.Critical.Length, p.Duration)
+				}
+				if c := lean.Profile.Critical; c.Length != 0 || c.Segments != nil || c.ByKind != nil {
+					t.Errorf("re-run walked a critical path of %d segments", len(c.Segments))
+				}
+			}
+			lean.TraceHash = hashBytes(lean.TraceBytes)
+			report, err := encodeReport(lean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(report, first.ReportBytes) {
+				t.Errorf("re-run's report differs from the primary's (%s vs %s)", short(hashBytes(report)), short(first.ReportHash))
+			}
+		})
 	}
 }

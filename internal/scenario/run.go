@@ -152,7 +152,8 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 // primary additionally attaches what only Run's callers read and no
 // artifact byte depends on: the per-rank Events capture (a passive
 // monitor tap, the oracle's input), the time-resolved analyzer (a
-// trace sink, returned for Run to finalize) and opts.Sink.
+// trace sink, returned for Run to finalize), opts.Sink and the
+// profile's critical path.
 func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult, *timeres.Analyzer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
@@ -233,10 +234,20 @@ func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult
 
 	// The offline profile is best-effort: a run that wedged at t=0 may
 	// not have enough stream to analyze, and assertions that need the
-	// profile report its absence as their own violation.
-	if p, err := profile.Analyze(profile.FromTracer(tracer, res.Calib, res.Reports)); err == nil {
+	// profile report its absence as their own violation. The report
+	// reads the profile's totals only, so the re-run walks no critical
+	// path.
+	analyze := profile.Analyze
+	if !primary {
+		analyze = profile.AnalyzeTransfers
+	}
+	if p, err := analyze(profile.FromTracer(tracer, res.Calib, res.Reports)); err == nil {
 		rr.Profile = p
 	}
+	// Nothing past this point holds a record slice — the profile, the
+	// analyzer and any opts.Sink copied what they keep — so the next
+	// run may flatten into this one's memory.
+	tracer.Release()
 	return rr, tres, nil
 }
 

@@ -240,7 +240,7 @@ func (a *Analyzer) TraceRec(tk *trace.Track, r trace.Rec) {
 	}
 	switch tk.Group() {
 	case trace.GroupHost:
-		a.feedHost(trackRef{tk.Group(), tk.ID()}, tk.Name(), r)
+		a.feedHost(trackRef{tk.Group(), tk.ID()}, tk.Name(), &r)
 	case trace.GroupNIC:
 		if r.Cat == "wire" && r.Name == "xfer" {
 			a.feedWire(tk.ID(), r.Args.Peer, r.Start.Duration(), r.End().Duration())
@@ -248,7 +248,7 @@ func (a *Analyzer) TraceRec(tk *trace.Track, r trace.Rec) {
 	}
 }
 
-func (a *Analyzer) feedHost(ref trackRef, name string, r trace.Rec) {
+func (a *Analyzer) feedHost(ref trackRef, name string, r *trace.Rec) {
 	if e := r.End().Duration(); e > a.seen {
 		a.seen = e
 	}
@@ -267,7 +267,7 @@ func (a *Analyzer) feedHost(ref trackRef, name string, r trace.Rec) {
 		}
 		a.tracks[ref] = ts
 	}
-	ts.rr.Feed(r)
+	ts.rr.Feed(*r)
 	if r.Cat == "overlap" && r.Name == "epoch-cut" {
 		at := r.Start.Duration()
 		ts.cuts = append(ts.cuts, at)
@@ -691,8 +691,8 @@ func FromInput(in profile.Input, opts Options) (*Snapshot, error) {
 	for i := range in.Ranks {
 		rs := &in.Ranks[i]
 		ref := trackRef{trace.GroupHost, rs.Rank}
-		for _, rec := range rs.Recs {
-			a.feedHost(ref, rs.Name, rec)
+		for j := range rs.Recs {
+			a.feedHost(ref, rs.Name, &rs.Recs[j])
 		}
 	}
 	for _, ws := range in.Wire {

@@ -14,7 +14,7 @@ import (
 
 // tracedExchange runs a traced, instrumented exchange on a lossy link —
 // long enough for the host and NIC tracks to spill — and returns the
-// exported trace.
+// exported trace, its tracer released.
 func tracedExchange(seed int64) []byte {
 	tr := trace.New(trace.Options{})
 	cluster.Run(cluster.Config{
@@ -31,13 +31,15 @@ func tracedExchange(seed int64) []byte {
 			r.Waitall(s, q)
 		}
 	})
-	return tr.AppendChrome(nil)
+	out := tr.AppendChrome(nil)
+	tr.Release()
+	return out
 }
 
 // TestParallelRunsShareRings is for the race detector: whole cluster
-// runs on concurrent goroutines trade rings through the one free list,
-// each drawing what another just drained, and every one must still
-// export the bytes it exports alone.
+// runs on concurrent goroutines trade rings and flats through the free
+// lists, each drawing what another just drained or released, and every
+// one must still export the bytes it exports alone.
 func TestParallelRunsShareRings(t *testing.T) {
 	var want [4][]byte
 	for seed := range want {

@@ -16,8 +16,9 @@
 // fixed-size hot buffer that, when full, is handed whole to the track's
 // chunk list and replaced, so the steady-state emission path neither
 // allocates nor copies. Rings outlive their tracer: Recs returns them
-// to a process-wide free list once their records are flattened, and the
-// next run's tracks draw from it (see rings). Under the simulator's
+// to a process-wide free list once their records are flattened, Release
+// does the same for the flattened slices, and the next run's tracks draw
+// from both (see rings, flats). Under the simulator's
 // coroutine discipline exactly one goroutine runs at a time, so the ring
 // needs no locks; the same single-writer-per-track layout is what a
 // lock-free ring gives an instrumented real system.
@@ -31,6 +32,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"ovlp/internal/ringpool"
@@ -152,6 +154,7 @@ type Tracer struct {
 	tracks []*Track
 	index  map[trackKey]*Track
 	reg    *Registry
+	spills *Counter // "trace.spills", bound on the first hand-over
 	sinks  []Sink
 }
 
@@ -274,6 +277,26 @@ const firstRing = 8
 // last run's records, bounded with the list (ringpool.MaxBytes).
 var rings ringpool.List[Rec]
 
+// flats recycles the slices Recs flattens into, which only Release
+// lists: a flat is its caller's until the tracer's owner says nobody
+// holds it. Like a ring a flat is not cleared — Recs overwrites all it
+// returns. Flats are listed by capacity, and flatClass is what lets runs
+// of different lengths meet on one.
+var flats ringpool.List[Rec]
+
+// flatClass rounds a flat's length up to its size class: 4, 5, 6 or 7
+// times a power of two, four classes an octave. A tracer nobody releases
+// (the CLIs, tests) so over-allocates by less than a quarter, where
+// powers of two would charge it up to double, and a sweep's runs still
+// land on few enough classes to find each other's flats.
+func flatClass(n int) int {
+	if n <= 8 {
+		return n
+	}
+	shift := bits.Len(uint(n-1)) - 3 // leaves the top three bits: 4..7
+	return ((n-1)>>shift + 1) << shift
+}
+
 // Group returns the track's group.
 func (k *Track) Group() Group { return k.group }
 
@@ -350,16 +373,20 @@ func (k *Track) full() {
 		k.spillCtr = k.t.reg.Counter(fmt.Sprintf("trace.spills.%s.%s", k.group, k.name))
 	}
 	k.spillCtr.Inc()
-	k.t.reg.Counter("trace.spills").Inc()
+	if k.t.spills == nil {
+		k.t.spills = k.t.reg.Counter("trace.spills")
+	}
+	k.t.spills.Inc()
 }
 
 // Recs returns every record in emission order, draining the hot ring
 // first. Intended for export and tests after the run: it flattens the
-// chunk list into one exact-size slice, which a repeated call returns
-// as is until the track emits again. The rings it copied from go to the
-// free list — the hot ring too, so a track that emits after a drain
-// starts again from a small ring; the slice it returns is the caller's
-// and never does.
+// chunk list into one slice (drawn from flats, so its capacity is the
+// length's size class), which a repeated call returns as is until the
+// track emits again. The rings it copied from go to the free list — the
+// hot ring too, so a track that emits after a drain starts again from a
+// small ring; the slice it returns is the caller's until the tracer is
+// Released.
 func (k *Track) Recs() []Rec {
 	if k == nil {
 		return nil
@@ -371,7 +398,7 @@ func (k *Track) Recs() []Rec {
 	for _, c := range k.chunks {
 		total += len(c)
 	}
-	flat := append(make([]Rec, 0, total), k.flat...)
+	flat := append(flats.Get(flatClass(total))[:0], k.flat...)
 	for i, c := range k.chunks {
 		flat = append(flat, c...)
 		k.chunks[i] = nil
@@ -381,4 +408,27 @@ func (k *Track) Recs() []Rec {
 	rings.Put(k.ring)
 	k.ring, k.chunks, k.flat, k.n = nil, k.chunks[:0], flat, 0
 	return flat
+}
+
+// Release hands everything the tracer's tracks retain — hot rings,
+// handed-over chunks and the slices Recs returned — to the free lists
+// and leaves the tracer empty: its tracks keep their names and ids, Recs
+// returns nil and an export carries metadata and metrics only. Whoever
+// owns the tracer calls it once nobody holds a slice Recs returned (a
+// copied Rec, its strings included, is fine to keep); the next run's
+// Recs then copies into that memory instead of a zeroed allocation.
+// Optional: an unreleased tracer is ordinary garbage. A nil tracer
+// ignores the call.
+func (t *Tracer) Release() {
+	if t == nil {
+		return
+	}
+	for _, k := range t.tracks {
+		for _, c := range k.chunks {
+			rings.Put(c)
+		}
+		rings.Put(k.ring)
+		flats.Put(k.flat[:cap(k.flat)])
+		k.ring, k.chunks, k.flat, k.n = nil, nil, nil, 0
+	}
 }
