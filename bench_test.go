@@ -68,7 +68,7 @@ func benchNAS(b *testing.B, name string, class nas.Class, procs int, proto mpi.L
 	b.Helper()
 	var r nas.OverlapResult
 	for i := 0; i < b.N; i++ {
-		r = nas.Characterize(name, class, procs, proto, 3)
+		_, r = nas.CharacterizeAllReports(name, class, procs, nas.Options{Protocol: proto, MaxIters: 3})
 	}
 	b.ReportMetric(r.MinPct, "min%")
 	b.ReportMetric(r.MaxPct, "max%")
@@ -86,8 +86,8 @@ func BenchmarkFig13NASFT(b *testing.B) { benchNAS(b, nas.FT, nas.ClassA, 8, mpi.
 func BenchmarkFig14to18SPStudy(b *testing.B) {
 	var orig, mod nas.SPResult
 	for i := 0; i < b.N; i++ {
-		orig = nas.CharacterizeSP(nas.ClassA, 9, false, 3)
-		mod = nas.CharacterizeSP(nas.ClassA, 9, true, 3)
+		orig = nas.CharacterizeSP(nas.ClassA, 9, false, nas.Options{MaxIters: 3})
+		mod = nas.CharacterizeSP(nas.ClassA, 9, true, nas.Options{MaxIters: 3})
 	}
 	b.ReportMetric(orig.SectionMaxPct, "orig_max%")
 	b.ReportMetric(mod.SectionMaxPct, "mod_max%")
@@ -99,8 +99,8 @@ func BenchmarkFig14to18SPStudy(b *testing.B) {
 func BenchmarkFig19MGARMCI(b *testing.B) {
 	var blk, nb nas.OverlapResult
 	for i := 0; i < b.N; i++ {
-		blk = nas.CharacterizeMGARMCI(nas.ClassA, 8, nas.MGBlocking, 2)
-		nb = nas.CharacterizeMGARMCI(nas.ClassA, 8, nas.MGNonblocking, 2)
+		blk = nas.CharacterizeMGARMCI(nas.ClassA, 8, nas.MGBlocking, nas.Options{MaxIters: 2})
+		nb = nas.CharacterizeMGARMCI(nas.ClassA, 8, nas.MGNonblocking, nas.Options{MaxIters: 2})
 	}
 	b.ReportMetric(blk.MaxPct, "blk_max%")
 	b.ReportMetric(nb.MaxPct, "nb_max%")
@@ -112,7 +112,7 @@ func BenchmarkFig19MGARMCI(b *testing.B) {
 func BenchmarkFig20Overhead(b *testing.B) {
 	var r nas.OverheadResult
 	for i := 0; i < b.N; i++ {
-		r = nas.MeasureOverhead(nas.LU, nas.ClassW, 4, mpi.DirectRDMARead, 3)
+		r = nas.MeasureOverhead(nas.LU, nas.ClassW, 4, nas.Options{Protocol: mpi.DirectRDMARead, MaxIters: 3})
 	}
 	b.ReportMetric(r.OverheadPct, "overhead%")
 }
@@ -318,12 +318,12 @@ func BenchmarkHWTimestampsBracketWidth(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var width float64
 			for i := 0; i < b.N; i++ {
-				rep, _ := nas.CharacterizeReport(nas.LU, nas.ClassW, 4, nas.Options{
+				reps, _ := nas.CharacterizeAllReports(nas.LU, nas.ClassW, 4, nas.Options{
 					Protocol:     mpi.DirectRDMARead,
 					MaxIters:     3,
 					HWTimestamps: hw,
 				})
-				tot := rep.Total()
+				tot := reps[0].Total()
 				width = tot.MaxPercent() - tot.MinPercent()
 			}
 			b.ReportMetric(width, "bracket_width_pct")
@@ -363,7 +363,7 @@ func BenchmarkStridedVsContiguous(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var dur time.Duration
 			for i := 0; i < b.N; i++ {
-				res := cluster.RunARMCI(cluster.ARMCIConfig{Procs: 2}, func(p *armci.Proc) {
+				res, err := cluster.RunARMCI(cluster.ARMCIConfig{Procs: 2}, func(p *armci.Proc) {
 					if p.ID() == 0 {
 						for k := 0; k < 20; k++ {
 							if strided {
@@ -375,6 +375,9 @@ func BenchmarkStridedVsContiguous(b *testing.B) {
 					}
 					p.Barrier()
 				})
+				if err != nil {
+					b.Fatal(err)
+				}
 				dur = res.Duration
 			}
 			b.ReportMetric(float64(dur.Microseconds()), "vtime_µs")

@@ -285,12 +285,12 @@ func runMGARMCI(w io.Writer, classes []nas.Class, procs []int, iters int, faults
 	for _, class := range classes {
 		for _, p := range procs {
 			opt := nas.Options{MaxIters: iters, Faults: faults, Backend: bf.Backend()}
-			b := nas.CharacterizeMGARMCIOpts(class, p, nas.MGBlocking, opt)
+			b := nas.CharacterizeMGARMCI(class, p, nas.MGBlocking, opt)
 			// Only the non-blocking variant is traced: one trace file
 			// holds one run, and that variant is the one whose overlap
 			// the figure is about.
 			opt.Trace = obs.Tracer()
-			n := nas.CharacterizeMGARMCIOpts(class, p, nas.MGNonblocking, opt)
+			n := nas.CharacterizeMGARMCI(class, p, nas.MGNonblocking, opt)
 			t.AddRow(class, p, b.MinPct, b.MaxPct, n.MinPct, n.MaxPct)
 		}
 	}

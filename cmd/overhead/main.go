@@ -43,7 +43,7 @@ func main() {
 		if b == nas.BT || b == nas.CG {
 			proto = mpi.PipelinedRDMA
 		}
-		r := nas.MeasureOverheadOpts(b, class, *procs, *iters, nas.Options{Protocol: proto, Backend: bf.Backend()})
+		r := nas.MeasureOverhead(b, class, *procs, nas.Options{Protocol: proto, MaxIters: *iters, Backend: bf.Backend()})
 		t.AddRow(b, r.Plain.Round(time.Microsecond),
 			r.Instrumented.Round(time.Microsecond),
 			fmt.Sprintf("%.3f", r.OverheadPct))

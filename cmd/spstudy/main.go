@@ -68,11 +68,11 @@ func main() {
 			fmt.Sprintf("SP class %s — total MPI time (paper Fig. 18)", class),
 			"procs", "orig", "modified", "change%")
 		for _, p := range procs {
-			orig := nas.CharacterizeSPOpts(class, p, false, nas.Options{
+			orig := nas.CharacterizeSP(class, p, false, nas.Options{
 				MaxIters: *iters,
 				Backend:  bf.Backend(),
 			})
-			mod := nas.CharacterizeSPOpts(class, p, true, nas.Options{
+			mod := nas.CharacterizeSP(class, p, true, nas.Options{
 				MaxIters: *iters,
 				Trace:    obs.Tracer(),
 				Backend:  bf.Backend(),

@@ -30,7 +30,7 @@ func main() {
 	)
 
 	run := func(nonblocking bool) cluster.ARMCIResult {
-		return cluster.RunARMCI(cluster.ARMCIConfig{
+		res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 			Procs: procs,
 			ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{}},
 		}, func(p *armci.Proc) {
@@ -47,6 +47,11 @@ func main() {
 			}
 			p.Barrier()
 		})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "onesided:", err)
+			os.Exit(1)
+		}
+		return res
 	}
 
 	t := report.NewTable("one-sided streaming pipeline — blocking vs non-blocking puts",

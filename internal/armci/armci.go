@@ -37,7 +37,7 @@ var (
 
 // CommError is the structured failure of a one-sided operation,
 // raised as a panic from the failing call and recovered into an
-// ordinary error by cluster.RunARMCIE.
+// ordinary error by cluster.RunARMCI.
 type CommError struct {
 	Proc     int
 	Peer     int
@@ -393,7 +393,7 @@ func (p *Proc) progress() bool {
 }
 
 // commFail converts a delivery failure into the library's structured
-// error and aborts the proc with it (recovered by cluster.RunARMCIE).
+// error and aborts the proc with it (recovered by cluster.RunARMCI).
 func (p *Proc) commFail(err error) {
 	var de *fabric.DeliveryError
 	if errors.As(err, &de) {

@@ -10,11 +10,15 @@ import (
 
 func runA(t *testing.T, n int, main func(p *armci.Proc)) cluster.ARMCIResult {
 	t.Helper()
-	return cluster.RunARMCI(cluster.ARMCIConfig{
+	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs:       n,
 		ARMCI:       armci.Config{Instrument: &armci.InstrumentConfig{}},
 		RecordTruth: true,
 	}, main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestBlockingPutZeroOverlap(t *testing.T) {

@@ -1,6 +1,7 @@
 package armci_test
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func TestPutStridedMovesAllSegments(t *testing.T) {
 
 func TestStridedSlowerThanContiguousSameBytes(t *testing.T) {
 	run := func(strided bool) time.Duration {
-		res := cluster.RunARMCI(cluster.ARMCIConfig{Procs: 2}, func(p *armci.Proc) {
+		res, err := cluster.RunARMCI(cluster.ARMCIConfig{Procs: 2}, func(p *armci.Proc) {
 			if p.ID() == 0 {
 				for i := 0; i < 10; i++ {
 					if strided {
@@ -45,6 +46,9 @@ func TestStridedSlowerThanContiguousSameBytes(t *testing.T) {
 			}
 			p.Barrier()
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 		return res.Duration
 	}
 	contig, strided := run(false), run(true)
@@ -70,14 +74,12 @@ func TestNbPutStridedOverlaps(t *testing.T) {
 }
 
 func TestStridedRejectsZeroSegments(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	cluster.RunARMCI(cluster.ARMCIConfig{Procs: 2}, func(p *armci.Proc) {
+	_, err := cluster.RunARMCI(cluster.ARMCIConfig{Procs: 2}, func(p *armci.Proc) {
 		if p.ID() == 0 {
 			p.PutStrided(1, 0, 1024)
 		}
 	})
+	if err == nil || !strings.Contains(err.Error(), "at least one segment") {
+		t.Fatalf("zero-segment strided put: got %v, want it rejected", err)
+	}
 }

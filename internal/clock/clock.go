@@ -34,18 +34,6 @@ const (
 	RealDomain Domain = "real"
 )
 
-// ParseDomain validates a domain string. The empty string means
-// Virtual: artifacts written before domains existed carry no marker.
-func ParseDomain(s string) (Domain, bool) {
-	switch Domain(s) {
-	case "":
-		return Virtual, true
-	case Virtual, RealDomain:
-		return Domain(s), true
-	}
-	return "", false
-}
-
 // Clock is a source of time the kernel can wait on. One thread — the
 // kernel's event loop — reads and sleeps on it, so an implementation
 // need not be safe for concurrent use.

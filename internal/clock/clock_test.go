@@ -5,25 +5,6 @@ import (
 	"time"
 )
 
-func TestParseDomain(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Domain
-		ok   bool
-	}{
-		{"", Virtual, true},
-		{"virtual", Virtual, true},
-		{"real", RealDomain, true},
-		{"wall", "", false},
-	}
-	for _, c := range cases {
-		got, ok := ParseDomain(c.in)
-		if ok != c.ok || got != c.want {
-			t.Errorf("ParseDomain(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
-		}
-	}
-}
-
 func TestRealClockBasics(t *testing.T) {
 	clk := Real()
 	if clk.Domain() != RealDomain {

@@ -9,7 +9,6 @@ import (
 	"ovlp/internal/fabric"
 	"ovlp/internal/overlap"
 	"ovlp/internal/trace"
-	"ovlp/internal/vtime"
 )
 
 // ARMCIConfig describes a one-sided (ARMCI) run.
@@ -56,51 +55,30 @@ type ARMCIResult struct {
 }
 
 // RunARMCI executes main on every process of a fresh machine using the
-// one-sided library. Errors panic; use RunARMCIE to receive them.
-func RunARMCI(cfg ARMCIConfig, main func(p *armci.Proc)) ARMCIResult {
-	res, err := RunARMCIE(cfg, main)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// RunARMCIE is RunARMCI returning simulation failures (retry
-// exhaustion, deadlock) as errors instead of panicking.
-func RunARMCIE(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
-	if cfg.Procs <= 0 {
-		panic("cluster: Procs must be positive")
-	}
-	if (cfg.Cost == fabric.CostModel{}) {
-		cfg.Cost = fabric.DefaultCostModel()
-	}
+// one-sided library. The machine is built as RunE builds it (see
+// build); failures — retry exhaustion, deadlock, a process's
+// structured communication error — come back as errors, with the
+// observations made up to them, as from RunE.
+func RunARMCI(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
+	var table **calib.Table
 	if ic := cfg.ARMCI.Instrument; ic != nil {
-		if err := checkTableDomain(ic.Table, cfg.Backend, cfg.Clock); err != nil {
-			return ARMCIResult{}, err
-		}
-		if ic.Table == nil {
-			ic.Table = CalibrateBackend(cfg.Backend, cfg.Clock, cfg.Cost, calib.StandardSizes(), 5)
-		}
+		table = &ic.Table
 	}
-	if cfg.Faults.Active() && cfg.ARMCI.Reliable == nil {
-		cfg.ARMCI.Reliable = &fabric.ReliableParams{}
-	}
-	sim := newSim(cfg.Backend, cfg.Clock)
-	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
-	fab.RetainTruth(cfg.RecordTruth)
-	if cfg.Faults.Active() {
-		if err := fab.SetFaults(cfg.Faults); err != nil {
-			return ARMCIResult{}, err
-		}
-	}
-	if cfg.Deadline > 0 {
-		sim.SetDeadline(vtime.Time(cfg.Deadline))
+	sim, fab, err := build(&Config{
+		Procs:       cfg.Procs,
+		Backend:     cfg.Backend,
+		Clock:       cfg.Clock,
+		Cost:        cfg.Cost,
+		RecordTruth: cfg.RecordTruth,
+		Faults:      cfg.Faults,
+		Deadline:    cfg.Deadline,
+		Trace:       cfg.Trace,
+	}, table, &cfg.ARMCI.Reliable)
+	if err != nil {
+		return ARMCIResult{}, err
 	}
 	if cfg.Trace != nil {
-		sim.SetObserver(cfg.Trace.KernelObserver())
-		fab.SetTrace(cfg.Trace)
 		cfg.ARMCI.Tracer = cfg.Trace
-		cfg.Trace.SetClockDomain(runDomain(cfg.Backend, cfg.Clock))
 	}
 	world := armci.NewWorld(sim, fab, cfg.ARMCI)
 
@@ -111,7 +89,7 @@ func RunARMCIE(cfg ARMCIConfig, main func(p *armci.Proc)) (ARMCIResult, error) {
 	})
 	end, simErr := sim.RunE()
 	rankErrs := world.RankErrors()
-	err := combineErrors(rankErrs, simErr)
+	err = combineErrors(rankErrs, simErr)
 
 	res := ARMCIResult{
 		Reports:    world.Reports(),

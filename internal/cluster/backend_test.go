@@ -12,6 +12,10 @@ import (
 	"ovlp/internal/cluster"
 	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
+	"ovlp/internal/nas"
+	"ovlp/internal/overlap"
+	"ovlp/internal/profile"
+	"ovlp/internal/trace"
 	"ovlp/internal/vtime"
 )
 
@@ -116,7 +120,7 @@ func TestRealRunSurvivesDroppedPackets(t *testing.T) {
 }
 
 func TestRealARMCIRunWithReliableDelivery(t *testing.T) {
-	res, err := cluster.RunARMCIE(cluster.ARMCIConfig{
+	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs:    2,
 		Backend:  cluster.BackendReal,
 		ARMCI:    armci.Config{Reliable: &fabric.ReliableParams{}},
@@ -197,5 +201,50 @@ func TestRealDeadlockIsDiagnosedAtOnce(t *testing.T) {
 		if p != virt.Procs[i] {
 			t.Fatalf("proc %d: real dump %+v, virtual dump %+v", i, p, virt.Procs[i])
 		}
+	}
+}
+
+// tickingClock moves exactly when slept on, like clock.Stepped, and
+// also by 700 ns on every reading: host time passing while ranks run.
+type tickingClock struct{ now time.Duration }
+
+func (c *tickingClock) Now() time.Time {
+	c.now += 700 * time.Nanosecond
+	return time.Unix(0, 0).Add(c.now)
+}
+func (c *tickingClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c *tickingClock) Domain() clock.Domain            { return clock.RealDomain }
+func (c *tickingClock) Sleep(d time.Duration) {
+	if d > 0 {
+		c.now += d
+	}
+}
+
+// TestRealClockConservesGap: on a clock that moves between blocking
+// points, the monitor's call stamps, the call spans and the trace's
+// transfer instants are still one reading per moment, so the
+// profiler's replay of the trace attributes exactly the gap the
+// monitor folded.
+func TestRealClockConservesGap(t *testing.T) {
+	tracer := trace.New(trace.Options{})
+	res, err := cluster.RunE(cluster.Config{
+		Procs:   4,
+		Backend: cluster.BackendReal,
+		Clock:   &tickingClock{},
+		MPI:     mpi.Config{Instrument: &mpi.InstrumentConfig{}},
+		Trace:   tracer,
+	}, func(r *mpi.Rank) {
+		nas.Run(nas.LU, r, nas.Params{Class: nas.ClassS, MaxIters: 2})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := profile.Analyze(profile.FromTracer(tracer, res.Calib, res.Reports))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := overlap.Aggregate(res.Reports).Total()
+	if want := agg.MaxOverlapped - agg.MinOverlapped; p.Totals.Gap != want {
+		t.Fatalf("attributed gap %v, report gap %v", p.Totals.Gap, want)
 	}
 }

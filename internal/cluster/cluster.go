@@ -130,39 +130,16 @@ func Run(cfg Config, main func(r *mpi.Rank)) Result {
 // partition that times out five ranks reports all five, not just the
 // first. Non-error panics (bugs) still abort the run.
 func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
-	if cfg.Procs <= 0 {
-		panic("cluster: Procs must be positive")
-	}
-	if (cfg.Cost == fabric.CostModel{}) {
-		cfg.Cost = fabric.DefaultCostModel()
-	}
+	var table **calib.Table
 	if ic := cfg.MPI.Instrument; ic != nil {
-		if err := checkTableDomain(ic.Table, cfg.Backend, cfg.Clock); err != nil {
-			return Result{}, err
-		}
-		if ic.Table == nil {
-			ic.Table = CalibrateBackend(cfg.Backend, cfg.Clock, cfg.Cost, calib.StandardSizes(), 5)
-		}
+		table = &ic.Table
 	}
-	if (cfg.Faults.Active() || cfg.Crashes.Active()) && cfg.MPI.Reliable == nil {
-		cfg.MPI.Reliable = &fabric.ReliableParams{}
-	}
-	sim := newSim(cfg.Backend, cfg.Clock)
-	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
-	fab.RetainTruth(cfg.RecordTruth)
-	if cfg.Faults.Active() {
-		if err := fab.SetFaults(cfg.Faults); err != nil {
-			return Result{}, err
-		}
-	}
-	if cfg.Deadline > 0 {
-		sim.SetDeadline(vtime.Time(cfg.Deadline))
+	sim, fab, err := build(&cfg, table, &cfg.MPI.Reliable)
+	if err != nil {
+		return Result{}, err
 	}
 	if cfg.Trace != nil {
-		sim.SetObserver(cfg.Trace.KernelObserver())
-		fab.SetTrace(cfg.Trace)
 		cfg.MPI.Tracer = cfg.Trace
-		cfg.Trace.SetClockDomain(runDomain(cfg.Backend, cfg.Clock))
 	}
 	world := mpi.NewWorld(sim, fab, cfg.MPI)
 	if cfg.Crashes.Active() {
@@ -184,7 +161,7 @@ func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
 	})
 	end, simErr := sim.RunE()
 	rankErrs := world.RankErrors()
-	err := combineErrors(rankErrs, simErr)
+	err = combineErrors(rankErrs, simErr)
 
 	res := Result{
 		Reports:    world.Reports(),
@@ -204,6 +181,52 @@ func RunE(cfg Config, main func(r *mpi.Rank)) (Result, error) {
 		res.Calib = ic.Table
 	}
 	return res, err
+}
+
+// build assembles the machine a run executes on from the settings MPI
+// and ARMCI runs share: it fills a zero cost model with the default,
+// checks an instrument table's clock domain and calibrates a missing
+// one on the run's own backend (table is nil for an uninstrumented
+// run), fills nil reliable-delivery parameters when faults or crashes
+// are active, and builds the kernel and fabric with the run's faults,
+// deadline and tracer wired in. The caller hands cfg.Trace to its
+// library; crash plans are the caller's, since only MPI ranks can be
+// killed.
+func build(cfg *Config, table **calib.Table, rel **fabric.ReliableParams) (*vtime.Sim, *fabric.Fabric, error) {
+	if cfg.Procs <= 0 {
+		panic("cluster: Procs must be positive")
+	}
+	if (cfg.Cost == fabric.CostModel{}) {
+		cfg.Cost = fabric.DefaultCostModel()
+	}
+	if table != nil {
+		if err := checkTableDomain(*table, cfg.Backend, cfg.Clock); err != nil {
+			return nil, nil, err
+		}
+		if *table == nil {
+			*table = CalibrateBackend(cfg.Backend, cfg.Clock, cfg.Cost, calib.StandardSizes(), 5)
+		}
+	}
+	if (cfg.Faults.Active() || cfg.Crashes.Active()) && *rel == nil {
+		*rel = &fabric.ReliableParams{}
+	}
+	sim := newSim(cfg.Backend, cfg.Clock)
+	fab := fabric.New(sim, cfg.Procs, cfg.Cost)
+	fab.RetainTruth(cfg.RecordTruth)
+	if cfg.Faults.Active() {
+		if err := fab.SetFaults(cfg.Faults); err != nil {
+			return nil, nil, err
+		}
+	}
+	if cfg.Deadline > 0 {
+		sim.SetDeadline(vtime.Time(cfg.Deadline))
+	}
+	if cfg.Trace != nil {
+		sim.SetObserver(cfg.Trace.KernelObserver())
+		fab.SetTrace(cfg.Trace)
+		cfg.Trace.SetClockDomain(runDomain(cfg.Backend, cfg.Clock))
+	}
+	return sim, fab, nil
 }
 
 // Calibrate measures the fabric's transfer time for each message size

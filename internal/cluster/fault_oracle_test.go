@@ -296,7 +296,7 @@ func TestDeadlineExpiryReturnsError(t *testing.T) {
 // puts, gets and barriers complete through retransmission and the
 // repair work is visible in the counters.
 func TestARMCIUnderFaults(t *testing.T) {
-	res, err := cluster.RunARMCIE(cluster.ARMCIConfig{
+	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs: 2,
 		ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{}},
 		Faults: &fabric.FaultPlan{

@@ -75,7 +75,7 @@ func TestARMCIBoundsAgainstGroundTruth(t *testing.T) {
 				cost := fabric.DefaultCostModel()
 				table := cluster.Calibrate(cost, nil, 0)
 				logs := make([]overlap.EventLog, p)
-				res := cluster.RunARMCI(cluster.ARMCIConfig{
+				res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 					Procs: p,
 					Cost:  cost,
 					ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{
@@ -85,6 +85,9 @@ func TestARMCIBoundsAgainstGroundTruth(t *testing.T) {
 					}},
 					RecordTruth: true,
 				}, randomARMCIWorkload(p, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
 				checkOracle(t, logs, res.Reports, res.Transfers, table, slack(cost, 0, false))
 			})
 		}

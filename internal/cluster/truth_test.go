@@ -124,11 +124,15 @@ func TestTruthFollowsItsReadersMPI(t *testing.T) {
 
 func TestTruthFollowsItsReadersARMCI(t *testing.T) {
 	checkTruthMatrix(t, func(recordTruth bool, tr *trace.Tracer) []fabric.Transfer {
-		return cluster.RunARMCI(cluster.ARMCIConfig{
+		res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 			Procs:       3,
 			ARMCI:       armci.Config{Instrument: &armci.InstrumentConfig{}},
 			RecordTruth: recordTruth,
 			Trace:       tr,
-		}, randomARMCIWorkload(3, 2)).Transfers
+		}, randomARMCIWorkload(3, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Transfers
 	})
 }

@@ -273,15 +273,6 @@ func (o *Obs) Tracer() *trace.Tracer {
 	return o.tr
 }
 
-// TimeRes returns the live time-resolved analyzer, non-nil once
-// Tracer() has been called with -timeresolved set.
-func (o *Obs) TimeRes() *timeres.Analyzer {
-	if o == nil {
-		return nil
-	}
-	return o.tres
-}
-
 // SetRun records the traced run's calibration table and reports, which
 // the profiler needs for transfer times and region names. Drivers that
 // cannot reach them may skip the call: Finish then calibrates a table

@@ -74,17 +74,6 @@ const (
 	KindImprovement    = "improvement"
 )
 
-// Kinds returns every finding kind the engine can emit, in fixed
-// order.
-func Kinds() []string {
-	return []string{
-		KindStraggler, KindRetransStorm, KindStarvation, KindPhaseCollapse,
-		KindSerHotspot, KindIdleTail,
-		KindRankFailure, KindSlowRecovery, KindCkptOverhead,
-		KindGapRegression, KindWallRegression, KindEffRegression, KindImprovement,
-	}
-}
-
 // AnalyzeKinds returns the kinds Analyze itself can emit — the
 // diff-only kinds excluded. The scenario engine validates `finding`
 // assertions against this list: asserting a kind only Diff produces

@@ -150,10 +150,6 @@ func (f *Fabric) OnCrash(fn func(NodeID)) { f.onCrash = fn }
 // CrashStats returns the crash-effect counters.
 func (f *Fabric) CrashStats() CrashStats { return f.crashStats }
 
-// CrashTimes returns the resolved crash instant of every node the plan
-// kills (nil when no plan is active). The map is shared; do not modify.
-func (f *Fabric) CrashTimes() map[NodeID]vtime.Time { return f.crashAt }
-
 // crashed reports whether node n is dead at time t.
 func (f *Fabric) crashed(n NodeID, t vtime.Time) bool {
 	if f.crashAt == nil {

@@ -406,9 +406,6 @@ type NIC struct {
 	track *trace.Track // Fabric.nicTrack's cache; nil until first traced event
 }
 
-// ID returns the NIC's node id.
-func (n *NIC) ID() NodeID { return n.id }
-
 // SetNotify registers fn to be called, in simulation event context,
 // whenever a CQE or packet arrives at this NIC. Libraries use it to
 // unpark a rank blocked inside a library call. fn must not block.

@@ -170,9 +170,6 @@ func regionMeasures(rep *overlap.Report) *overlap.Measures {
 	return &reg.Total
 }
 
-// Figure identifies the paper figures reproducible by this package.
-type Figure int
-
 // PaperFigure returns the experiment matching the given paper figure
 // number (3-9), with the paper's message size and computation sweep.
 func PaperFigure(fig int, reps int) Experiment {

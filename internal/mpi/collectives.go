@@ -46,17 +46,6 @@ func (r *Rank) waitBoth(a, b *Request) {
 	r.waitUntil(func() bool { return a.done && b.done })
 }
 
-func (r *Rank) waitAll(reqs []*Request) {
-	r.waitUntil(func() bool {
-		for _, q := range reqs {
-			if !q.done {
-				return false
-			}
-		}
-		return true
-	})
-}
-
 // tokenSize is the payload of synchronization-only internal messages.
 const tokenSize = 4
 
@@ -90,13 +79,3 @@ func (r *Rank) Alltoall(size int) { r.World().Alltoall(size) }
 // sizes must have one entry per rank; the entry for the caller itself
 // is copied locally.
 func (r *Rank) Alltoallv(sizes []int) { r.World().Alltoallv(sizes) }
-
-// Allgather collects size bytes from every rank on every rank (ring
-// algorithm: P-1 steps).
-func (r *Rank) Allgather(size int) { r.World().Allgather(size) }
-
-// Gather collects size bytes from every rank onto root (linear).
-func (r *Rank) Gather(root, size int) { r.World().Gather(root, size) }
-
-// Scatter distributes size bytes from root to every rank (linear).
-func (r *Rank) Scatter(root, size int) { r.World().Scatter(root, size) }

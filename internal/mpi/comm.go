@@ -1,22 +1,16 @@
 package mpi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Comm is a communicator: an ordered group of world ranks with its own
 // rank numbering, isolated point-to-point tag space and collective
-// context — the MPI_Comm_split machinery NPB codes use for row/column
-// reductions and transposes.
+// context.
 //
 // Communicators are created with Rank.World (the world communicator)
-// and Comm.Split. As in MPI, Split is collective: every member of the
-// parent must call it, and members choosing the same color form a new
-// communicator ordered by (key, world rank).
+// and Rank.Shrink (the survivors of a fault-tolerance agreement).
 type Comm struct {
 	r       *Rank
-	id      int   // globally agreed communicator id
+	id      int   // 0 for the world, the agreement generation for Shrink
 	members []int // world ranks, index = communicator rank
 	myIdx   int
 	colSeq  int
@@ -25,28 +19,6 @@ type Comm struct {
 // maxUserTag bounds user tags on communicator point-to-point calls so
 // the communicator id can share the tag space.
 const maxUserTag = 1 << 20
-
-// commKey identifies a Split group for id agreement.
-type commKey struct {
-	parent, seq, color int
-}
-
-// commID returns the agreed id for a split group, assigning a fresh
-// one on first request. The world's registry is shared state, but the
-// simulator's coroutine discipline serializes access, and ids only
-// need to be agreed upon, not dense or ordered.
-func (w *World) commID(k commKey) int {
-	if w.commIDs == nil {
-		w.commIDs = make(map[commKey]int)
-	}
-	id, ok := w.commIDs[k]
-	if !ok {
-		w.nextCommID++
-		id = w.nextCommID
-		w.commIDs[k] = id
-	}
-	return id
-}
 
 // World returns the communicator spanning all ranks, with communicator
 // ranks equal to world ranks.
@@ -71,9 +43,6 @@ func (c *Comm) Host() *Rank { return c.r }
 
 // Size returns the number of members.
 func (c *Comm) Size() int { return len(c.members) }
-
-// WorldRank translates a communicator rank to a world rank.
-func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
 
 // tag scopes a user tag to this communicator.
 func (c *Comm) tag(t int) int {
@@ -104,15 +73,6 @@ func (c *Comm) nextSeq() int {
 	return s
 }
 
-// peekSeq returns the sequence number the next collective will use,
-// without consuming it.
-func (c *Comm) peekSeq() int {
-	if c.id == 0 {
-		return c.r.colSeq
-	}
-	return c.colSeq
-}
-
 // translateSrc maps a communicator source (or AnySource) to the world
 // rank for matching.
 func (c *Comm) translateSrc(src int) int {
@@ -136,16 +96,6 @@ func (c *Comm) commStatus(st Status) Status {
 	return st
 }
 
-// Send transmits size bytes to communicator rank dst.
-func (c *Comm) Send(dst, tag, size int) {
-	c.r.Send(c.members[dst], c.tag(tag), size)
-}
-
-// Recv receives a message from communicator rank src (or AnySource).
-func (c *Comm) Recv(src, tag int) Status {
-	return c.commStatus(c.r.Recv(c.translateSrc(src), c.tag(tag)))
-}
-
 // Isend starts a non-blocking send to communicator rank dst.
 func (c *Comm) Isend(dst, tag, size int) *Request {
 	return c.r.Isend(c.members[dst], c.tag(tag), size)
@@ -161,105 +111,6 @@ func (c *Comm) Sendrecv(dst, sendTag, sendSize, src, recvTag int) Status {
 	return c.commStatus(c.r.Sendrecv(
 		c.members[dst], c.tag(sendTag), sendSize,
 		c.translateSrc(src), c.tag(recvTag)))
-}
-
-// splitMsg is one member's contribution to a Split.
-type splitMsg struct {
-	color, key, worldRank int
-}
-
-// splitGather collects contributions for one Split instance in the
-// world registry; reads counts consumers so the entry can be reclaimed
-// once every member has built its communicator.
-type splitGather struct {
-	contrib []splitMsg
-	reads   int
-}
-
-// Split partitions the communicator: members passing the same color
-// form a new communicator, ordered by (key, world rank). Every member
-// must call Split; a member passing a negative color receives nil
-// (MPI_UNDEFINED).
-//
-// The grouping metadata moves through the world's shared registry (the
-// simulator's equivalent of the payload bytes a real MPI would carry),
-// while an Allgather of the 12-byte (color, key, rank) triples models
-// the traffic and provides the required synchronization: a member's
-// ring allgather cannot complete until every member has entered — and
-// therefore deposited.
-func (c *Comm) Split(color, key int) *Comm {
-	r := c.r
-	seq := c.peekSeq() // the sequence the Allgather below will consume
-	k := commKey{parent: c.id, seq: seq, color: 0}
-	w := r.w
-	if w.splitBuf == nil {
-		w.splitBuf = make(map[commKey]*splitGather)
-	}
-	g := w.splitBuf[k]
-	if g == nil {
-		g = &splitGather{}
-		w.splitBuf[k] = g
-	}
-	g.contrib = append(g.contrib, splitMsg{color, key, r.id})
-
-	c.Allgather(12)
-
-	groups := groupByColor(g.contrib)
-	myGroup := groups[color]
-	g.reads++
-	if g.reads == len(c.members) {
-		delete(w.splitBuf, k)
-	}
-	if color < 0 {
-		return nil
-	}
-	return c.buildComm(seq, color, myGroup)
-}
-
-// groupByColor partitions contributions, ordering each group by
-// (key, world rank). Negative colors are dropped (MPI_UNDEFINED).
-func groupByColor(contrib []splitMsg) map[int][]splitMsg {
-	groups := make(map[int][]splitMsg)
-	for _, m := range contrib {
-		if m.color < 0 {
-			continue
-		}
-		groups[m.color] = append(groups[m.color], m)
-	}
-	for _, g := range groups {
-		sort.Slice(g, func(i, j int) bool {
-			if g[i].key != g[j].key {
-				return g[i].key < g[j].key
-			}
-			return g[i].worldRank < g[j].worldRank
-		})
-	}
-	return groups
-}
-
-// buildComm assembles the new communicator from a group.
-func (c *Comm) buildComm(seq, color int, group []splitMsg) *Comm {
-	if color < 0 {
-		return nil
-	}
-	r := c.r
-	members := make([]int, len(group))
-	myIdx := -1
-	for i, m := range group {
-		members[i] = m.worldRank
-		if m.worldRank == r.id {
-			myIdx = i
-		}
-	}
-	if myIdx < 0 {
-		panic("mpi: split group does not contain the caller")
-	}
-	return &Comm{
-		r:       r,
-		id:      r.w.commID(commKey{parent: c.id, seq: seq, color: color}),
-		members: members,
-		myIdx:   myIdx,
-	}
 }
 
 // --- Collectives over a communicator --------------------------------
@@ -374,23 +225,6 @@ func (c *Comm) Alltoall(size int) {
 	}
 }
 
-// Allgather collects size bytes from every member on every member
-// (ring).
-func (c *Comm) Allgather(size int) {
-	r := c.r
-	r.enterOp("Allgather")
-	defer r.exit()
-	seq := c.nextSeq()
-	p := c.Size()
-	next := c.members[(c.myIdx+1)%p]
-	prev := c.members[(c.myIdx-1+p)%p]
-	for step := 0; step < p-1; step++ {
-		s := r.isendCol(next, c.ctag(seq, step), size)
-		q := r.irecvCol(prev, c.ctag(seq, step))
-		r.waitBoth(s, q)
-	}
-}
-
 // Alltoallv exchanges sizes[i] bytes with member i (pairwise
 // exchange). sizes must have one entry per member; the caller's own
 // entry is copied locally.
@@ -411,153 +245,4 @@ func (c *Comm) Alltoallv(sizes []int) {
 		q := r.irecvCol(src, c.ctag(seq, i))
 		r.waitBoth(s, q)
 	}
-}
-
-// Gather collects size bytes from every member onto root (linear).
-func (c *Comm) Gather(root, size int) {
-	r := c.r
-	r.enterOp("Gather")
-	defer r.exit()
-	seq := c.nextSeq()
-	if c.myIdx == root {
-		var reqs []*Request
-		for i := 0; i < c.Size(); i++ {
-			if i == root {
-				continue
-			}
-			reqs = append(reqs, r.irecvCol(c.members[i], c.ctag(seq, 0)))
-		}
-		r.waitAll(reqs)
-		return
-	}
-	s := r.isendCol(c.members[root], c.ctag(seq, 0), size)
-	r.waitUntil(func() bool { return s.done })
-}
-
-// Scatter distributes size bytes from root to every member (linear).
-func (c *Comm) Scatter(root, size int) {
-	r := c.r
-	r.enterOp("Scatter")
-	defer r.exit()
-	seq := c.nextSeq()
-	if c.myIdx == root {
-		var reqs []*Request
-		for i := 0; i < c.Size(); i++ {
-			if i == root {
-				continue
-			}
-			reqs = append(reqs, r.isendCol(c.members[i], c.ctag(seq, 0), size))
-		}
-		r.waitAll(reqs)
-		return
-	}
-	q := r.irecvCol(c.members[root], c.ctag(seq, 0))
-	r.waitUntil(func() bool { return q.done })
-}
-
-// Scan computes an inclusive prefix reduction over size bytes: member
-// i ends with the combination of contributions from members 0..i
-// (linear chain, as small-world MPIs implement MPI_Scan).
-func (c *Comm) Scan(size int) {
-	r := c.r
-	r.enterOp("Scan")
-	defer r.exit()
-	seq := c.nextSeq()
-	if c.myIdx > 0 {
-		q := r.irecvCol(c.members[c.myIdx-1], c.ctag(seq, 0))
-		r.waitUntil(func() bool { return q.done })
-		r.proc.Compute(r.reduceCost(size))
-	}
-	if c.myIdx < c.Size()-1 {
-		s := r.isendCol(c.members[c.myIdx+1], c.ctag(seq, 0), size)
-		r.waitUntil(func() bool { return s.done })
-	}
-}
-
-// Exscan computes an exclusive prefix reduction: member i ends with
-// the combination of members 0..i-1 (member 0's result is undefined,
-// as in MPI_Exscan).
-func (c *Comm) Exscan(size int) {
-	r := c.r
-	r.enterOp("Exscan")
-	defer r.exit()
-	seq := c.nextSeq()
-	// Chain: receive the prefix, forward prefix+own.
-	if c.myIdx > 0 {
-		q := r.irecvCol(c.members[c.myIdx-1], c.ctag(seq, 0))
-		r.waitUntil(func() bool { return q.done })
-	}
-	if c.myIdx < c.Size()-1 {
-		if c.myIdx > 0 {
-			r.proc.Compute(r.reduceCost(size))
-		}
-		s := r.isendCol(c.members[c.myIdx+1], c.ctag(seq, 0), size)
-		r.waitUntil(func() bool { return s.done })
-	}
-}
-
-// ReduceScatter combines per-member blocks of blockSize bytes and
-// leaves each member with its own combined block (pairwise-exchange
-// algorithm: each member receives every other member's contribution to
-// its block).
-func (c *Comm) ReduceScatter(blockSize int) {
-	r := c.r
-	r.enterOp("ReduceScatter")
-	defer r.exit()
-	seq := c.nextSeq()
-	p := c.Size()
-	for i := 1; i < p; i++ {
-		dst := c.members[(c.myIdx+i)%p]
-		src := c.members[(c.myIdx-i+p)%p]
-		s := r.isendCol(dst, c.ctag(seq, i), blockSize)
-		q := r.irecvCol(src, c.ctag(seq, i))
-		r.waitBoth(s, q)
-		r.proc.Compute(r.reduceCost(blockSize))
-	}
-}
-
-// Allgatherv collects sizes[i] bytes from member i on every member
-// (ring algorithm; step k forwards the block originated by member
-// myIdx-k).
-func (c *Comm) Allgatherv(sizes []int) {
-	r := c.r
-	r.enterOp("Allgatherv")
-	defer r.exit()
-	if len(sizes) != c.Size() {
-		panic("mpi: Allgatherv needs one size per rank")
-	}
-	seq := c.nextSeq()
-	p := c.Size()
-	next := c.members[(c.myIdx+1)%p]
-	prev := c.members[(c.myIdx-1+p)%p]
-	for step := 0; step < p-1; step++ {
-		outOrigin := (c.myIdx - step + p) % p
-		s := r.isendCol(next, c.ctag(seq, step), sizes[outOrigin])
-		q := r.irecvCol(prev, c.ctag(seq, step))
-		r.waitBoth(s, q)
-	}
-}
-
-// Gatherv collects sizes[i] bytes from member i onto root (linear).
-func (c *Comm) Gatherv(root int, sizes []int) {
-	r := c.r
-	r.enterOp("Gatherv")
-	defer r.exit()
-	if len(sizes) != c.Size() {
-		panic("mpi: Gatherv needs one size per rank")
-	}
-	seq := c.nextSeq()
-	if c.myIdx == root {
-		var reqs []*Request
-		for i := 0; i < c.Size(); i++ {
-			if i == root {
-				continue
-			}
-			reqs = append(reqs, r.irecvCol(c.members[i], c.ctag(seq, 0)))
-		}
-		r.waitAll(reqs)
-		return
-	}
-	s := r.isendCol(c.members[root], c.ctag(seq, 0), sizes[c.myIdx])
-	r.waitUntil(func() bool { return s.done })
 }

@@ -652,36 +652,24 @@ func (r *Rank) Epoch() int {
 	return r.ft.epoch
 }
 
-// Failed returns the rank's current view of the failed-rank set,
-// ascending (agreed or merely suspected). Empty when FT is off.
-func (r *Rank) Failed() []int {
-	if r.ft == nil {
-		return nil
-	}
-	return r.ft.deadList()
-}
-
 // Shrink builds the communicator of surviving ranks after an
 // agreement: members are the active survivors of the last Agree round
 // (live ranks that already finished are excluded alongside the dead),
 // in ascending world order, remapped to dense communicator ranks. All
-// survivors of the same agreement build the same communicator (the id
-// is keyed by the agreement generation). Rank-level collectives
-// (r.Barrier() etc.) still span the whole world including the dead —
-// after a failure, communicate through the shrunken communicator.
+// survivors of the same agreement build the same communicator: its id
+// is the agreement generation, which is at least 1 once an Agree has
+// run and so never the world's 0. Rank-level collectives (r.Barrier()
+// etc.) still span the whole world including the dead — after a
+// failure, communicate through the shrunken communicator.
 func (r *Rank) Shrink() *Comm {
 	ft := r.ft
 	if ft == nil {
 		panic("mpi: Shrink requires Config.FT")
 	}
-	members := ft.members
-	if members == nil {
-		for id := range r.w.ranks {
-			if !ft.dead[id] {
-				members = append(members, id)
-			}
-		}
+	if ft.gen == 0 {
+		panic("mpi: Shrink before any Agree")
 	}
+	members := ft.members
 	myIdx := -1
 	for i, m := range members {
 		if m == r.id {
@@ -693,7 +681,7 @@ func (r *Rank) Shrink() *Comm {
 	}
 	return &Comm{
 		r:       r,
-		id:      r.w.commID(commKey{parent: -1, seq: ft.gen, color: 0}),
+		id:      ft.gen,
 		members: members,
 		myIdx:   myIdx,
 	}

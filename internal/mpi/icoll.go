@@ -48,10 +48,6 @@ type schedAction struct {
 // Done reports completion without progressing; use TestColl to poll.
 func (cr *CollRequest) Done() bool { return cr.done }
 
-// Label returns the schedule's site label ("Iallreduce[ring]"), the
-// name under which the profiler attributes its transfers.
-func (cr *CollRequest) Label() string { return cr.label }
-
 func (cr *CollRequest) String() string {
 	return fmt.Sprintf("%s(seq=%d %d/%d done=%v)", cr.label, cr.seq, cr.nDone, len(cr.acts), cr.done)
 }

@@ -196,14 +196,11 @@ type World struct {
 	reports []*overlap.Report
 	errs    []error
 
-	// Communicator bookkeeping (accessed under the simulator's
-	// coroutine discipline, so no locking is needed).
-	commIDs    map[commKey]int
-	nextCommID int
-	splitBuf   map[commKey]*splitGather
-	ftRounds   map[int]*ftRound
-	ftFin      map[int]bool // ranks that finalized (implicit agreement votes)
-	ftFinVer   int          // bumped on every retirement; Agree's wait condition
+	// Agreement bookkeeping (accessed under the simulator's coroutine
+	// discipline, so no locking is needed).
+	ftRounds map[int]*ftRound
+	ftFin    map[int]bool // ranks that finalized (implicit agreement votes)
+	ftFinVer int          // bumped on every retirement; Agree's wait condition
 }
 
 // NewWorld creates a world spanning every node of the fabric.
@@ -221,12 +218,6 @@ func NewWorld(sim *vtime.Sim, fab *fabric.Fabric, cfg Config) *World {
 	}
 	return w
 }
-
-// Config returns the world's (defaults-filled) configuration.
-func (w *World) Config() Config { return w.cfg }
-
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
 
 // Start spawns one proc per rank, each executing main. The simulation
 // must be run (sim.Run) afterwards to execute them.
@@ -503,10 +494,6 @@ func (r *Rank) PushRegion(name string) { r.mon.PushRegion(name) }
 
 // PopRegion closes the innermost monitored section.
 func (r *Rank) PopRegion() { r.mon.PopRegion() }
-
-// Report returns the rank's finalized report (nil until main returns
-// or when uninstrumented).
-func (r *Rank) Report() *overlap.Report { return r.w.reports[r.id] }
 
 // MPITime returns the aggregate time this rank has spent inside
 // library calls, maintained independently of the instrumentation so

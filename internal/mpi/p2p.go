@@ -84,20 +84,6 @@ func (r *Rank) Iprobe(src, tag int) bool {
 	return r.findUnexpected(src, tag, r.ectx(ctxUser)) >= 0
 }
 
-// Probe blocks until a message matching (src, tag) is available and
-// returns its envelope without consuming it.
-func (r *Rank) Probe(src, tag int) Status {
-	r.enterOp("Probe")
-	defer r.exit()
-	var idx int
-	r.waitUntil(func() bool {
-		idx = r.findUnexpected(src, tag, r.ectx(ctxUser))
-		return idx >= 0
-	})
-	ib := r.unexpQ[idx]
-	return Status{Source: ib.src, Tag: ib.tag, Size: ib.size}
-}
-
 // Sendrecv performs a simultaneous send to dst and receive from src,
 // blocking until both complete; it returns the receive status.
 func (r *Rank) Sendrecv(dst, sendTag, sendSize, src, recvTag int) Status {

@@ -273,17 +273,11 @@ func (r *Rank) sendCtl(dst fabric.NodeID, payload any) {
 // MPI_Send's short-message path on InfiniBand MPIs. Non-blocking sends
 // complete at the local CQE, as in Open MPI.
 func (r *Rank) startSend(req *Request, ctx int, buffered bool) {
-	r.startSendWith(req, ctx, buffered, false)
-}
-
-// startSendWith adds the synchronous-mode option: sync forces the
-// rendezvous protocol regardless of size (MPI_Ssend semantics).
-func (r *Rank) startSendWith(req *Request, ctx int, buffered, sync bool) {
 	ctx = r.ectx(ctx)
 	c := r.cost()
 	cfg := &r.w.cfg
 	dst := fabric.NodeID(req.peer)
-	if !sync && req.size <= cfg.EagerThreshold {
+	if req.size <= cfg.EagerThreshold {
 		// Eager: copy into a pre-registered bounce buffer and ship it.
 		r.driver.Compute(c.Copy(req.size))
 		xid := r.w.fab.NewXferID()
@@ -317,9 +311,6 @@ func (r *Rank) startSendWith(req *Request, ctx int, buffered, sync bool) {
 		// Request-to-send carries the first (eager-limit-sized)
 		// fragment; the rest waits for the receiver's acknowledgment.
 		frag0 := cfg.EagerThreshold
-		if frag0 > req.size {
-			frag0 = req.size // sync mode can rendezvous small messages
-		}
 		if frag0 < 1 {
 			frag0 = 1
 		}

@@ -208,41 +208,6 @@ func TestTestEventuallyCompletes(t *testing.T) {
 	})
 }
 
-func TestWaitany(t *testing.T) {
-	cluster.Run(cluster.Config{Procs: 3}, func(r *mpi.Rank) {
-		switch r.ID() {
-		case 0:
-			r.Compute(5 * time.Millisecond) // slow sender
-			r.Send(2, 0, 1024)
-		case 1:
-			r.Send(2, 1, 1024) // fast sender
-		case 2:
-			slow := r.Irecv(0, 0)
-			fast := r.Irecv(1, 1)
-			idx, st := r.Waitany(slow, fast)
-			if idx != 1 || st.Source != 1 {
-				t.Errorf("Waitany returned %d (%+v), want the fast request", idx, st)
-			}
-			r.Wait(slow)
-		}
-	})
-}
-
-func TestTestall(t *testing.T) {
-	cluster.Run(cluster.Config{Procs: 2}, func(r *mpi.Rank) {
-		if r.ID() == 0 {
-			r.Send(1, 0, 128)
-			r.Send(1, 1, 128)
-			return
-		}
-		a := r.Irecv(0, 0)
-		b := r.Irecv(0, 1)
-		for !r.Testall(a, b) {
-			r.Compute(20 * time.Microsecond)
-		}
-	})
-}
-
 func TestRegistrationCacheSpeedsRepeatedRendezvous(t *testing.T) {
 	run := func(pinned bool) time.Duration {
 		res := cluster.Run(cluster.Config{

@@ -61,11 +61,8 @@ type Request struct {
 	fragsQueued bool   // request is on the rank's pump list
 }
 
-// Done reports whether the operation has completed. It performs no
-// progress; use Test to poll the progress engine.
-func (q *Request) Done() bool { return q.done }
-
-// Status returns the completion status; valid once Done.
+// Status returns the completion status; valid once the request has
+// completed.
 func (q *Request) Status() Status { return q.status }
 
 func (q *Request) String() string {

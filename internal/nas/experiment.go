@@ -66,22 +66,9 @@ type Options struct {
 	Backend cluster.Backend
 }
 
-// Characterize runs one MPI benchmark instrumented and returns process
-// 0's overlap measures.
-func Characterize(name string, class Class, procs int, proto mpi.LongProtocol, maxIters int) OverlapResult {
-	_, res := CharacterizeReport(name, class, procs, Options{Protocol: proto, MaxIters: maxIters})
-	return res
-}
-
-// CharacterizeReport is Characterize with full control and access to
-// process 0's complete report (regions and per-size-bin breakdown).
-func CharacterizeReport(name string, class Class, procs int, opt Options) (*overlap.Report, OverlapResult) {
-	reports, res := CharacterizeAllReports(name, class, procs, opt)
-	return reports[0], res
-}
-
-// CharacterizeAllReports additionally returns every rank's report, for
-// cross-rank aggregation or saving per-process output files.
+// CharacterizeAllReports runs one MPI benchmark instrumented and
+// returns every rank's report, for cross-rank aggregation or saving
+// per-process output files, with process 0's overlap measures.
 func CharacterizeAllReports(name string, class Class, procs int, opt Options) ([]*overlap.Report, OverlapResult) {
 	res := cluster.Run(cluster.Config{
 		Procs:   procs,
@@ -138,14 +125,9 @@ type SPResult struct {
 
 // CharacterizeSP runs SP (original or Iprobe-modified) under the
 // direct-RDMA-read library (MVAPICH2, as in the paper) and reports the
-// case-study measures.
-func CharacterizeSP(class Class, procs int, modified bool, maxIters int) SPResult {
-	return CharacterizeSPOpts(class, procs, modified, Options{MaxIters: maxIters})
-}
-
-// CharacterizeSPOpts is CharacterizeSP with full Options (Protocol is
-// fixed to direct RDMA read, as the case study prescribes).
-func CharacterizeSPOpts(class Class, procs int, modified bool, opt Options) SPResult {
+// case-study measures. opt.Protocol is ignored: the case study fixes
+// direct RDMA read.
+func CharacterizeSP(class Class, procs int, modified bool, opt Options) SPResult {
 	res := cluster.Run(cluster.Config{
 		Procs:   procs,
 		Backend: opt.Backend,
@@ -181,15 +163,10 @@ func CharacterizeSPOpts(class Class, procs int, modified bool, opt Options) SPRe
 }
 
 // CharacterizeMGARMCI runs the one-sided MG variant and reports
-// process 0's overlap measures (Fig. 19).
-func CharacterizeMGARMCI(class Class, procs int, variant MGVariant, maxIters int) OverlapResult {
-	return CharacterizeMGARMCIOpts(class, procs, variant, Options{MaxIters: maxIters})
-}
-
-// CharacterizeMGARMCIOpts is CharacterizeMGARMCI with full Options
-// (only MaxIters and Faults apply to the one-sided library).
-func CharacterizeMGARMCIOpts(class Class, procs int, variant MGVariant, opt Options) OverlapResult {
-	res := cluster.RunARMCI(cluster.ARMCIConfig{
+// process 0's overlap measures (Fig. 19). Only MaxIters, Faults, Trace
+// and Backend apply to the one-sided library. A failed run panics.
+func CharacterizeMGARMCI(class Class, procs int, variant MGVariant, opt Options) OverlapResult {
+	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs:   procs,
 		Backend: opt.Backend,
 		ARMCI:   armci.Config{Instrument: &armci.InstrumentConfig{}},
@@ -198,8 +175,10 @@ func CharacterizeMGARMCIOpts(class Class, procs int, variant MGVariant, opt Opti
 	}, func(pr *armci.Proc) {
 		RunMGARMCI(pr, Params{Class: class, MaxIters: opt.MaxIters}, variant)
 	})
-	out := summarize("MG/"+variant.String(), class, procs, res.Reports[0], res.Duration, res.LibTimes[0])
-	return out
+	if err != nil {
+		panic(err)
+	}
+	return summarize("MG/"+variant.String(), class, procs, res.Reports[0], res.Duration, res.LibTimes[0])
 }
 
 // OverheadResult compares instrumented and uninstrumented run times of
@@ -215,21 +194,17 @@ type OverheadResult struct {
 
 // MeasureOverhead runs a benchmark twice — uninstrumented, and with
 // the instrumentation's modelled CPU costs charged to the ranks — and
-// reports the run-time overhead percentage.
-func MeasureOverhead(name string, class Class, procs int, proto mpi.LongProtocol, maxIters int) OverheadResult {
-	return MeasureOverheadOpts(name, class, procs, maxIters, Options{Protocol: proto})
-}
-
-// MeasureOverheadOpts is MeasureOverhead with full Options — on the
-// real backend the comparison is of actual wall-clock run times.
-func MeasureOverheadOpts(name string, class Class, procs, maxIters int, opt Options) OverheadResult {
+// reports the run-time overhead percentage. Only Protocol, MaxIters
+// and Backend apply; on the real backend the comparison is of actual
+// wall-clock run times.
+func MeasureOverhead(name string, class Class, procs int, opt Options) OverheadResult {
 	run := func(instr *mpi.InstrumentConfig) time.Duration {
 		res := cluster.Run(cluster.Config{
 			Procs:   procs,
 			Backend: opt.Backend,
 			MPI:     mpi.Config{Protocol: opt.Protocol, Instrument: instr},
 		}, func(r *mpi.Rank) {
-			Run(name, r, Params{Class: class, MaxIters: maxIters})
+			Run(name, r, Params{Class: class, MaxIters: opt.MaxIters})
 		})
 		return res.Duration
 	}

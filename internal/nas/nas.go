@@ -35,9 +35,6 @@ const (
 
 func (c Class) String() string { return string(c) }
 
-// Classes lists the supported classes smallest-first.
-func Classes() []Class { return []Class{ClassS, ClassW, ClassA, ClassB} }
-
 // Machine models the compute node: the sustained floating-point rate
 // that converts kernel flop counts into virtual computation time.
 type Machine struct {

@@ -11,6 +11,13 @@ import (
 
 const probeIters = 3
 
+// characterize runs one benchmark instrumented under proto and returns
+// process 0's overlap measures.
+func characterize(name string, class Class, procs int, proto mpi.LongProtocol, maxIters int) OverlapResult {
+	_, res := CharacterizeAllReports(name, class, procs, Options{Protocol: proto, MaxIters: maxIters})
+	return res
+}
+
 func TestAllBenchmarksCompleteAllClasses(t *testing.T) {
 	for _, name := range Names() {
 		procs := 4
@@ -18,7 +25,7 @@ func TestAllBenchmarksCompleteAllClasses(t *testing.T) {
 			procs = 4 // square
 		}
 		for _, class := range []Class{ClassS, ClassW} {
-			r := Characterize(name, class, procs, mpi.DirectRDMARead, 2)
+			r := characterize(name, class, procs, mpi.DirectRDMARead, 2)
 			if r.Duration <= 0 {
 				t.Errorf("%s class %s: no virtual time elapsed", name, class)
 			}
@@ -45,7 +52,7 @@ func TestBenchmarksOnVariousProcCounts(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, p := range c.procs {
-			r := Characterize(c.name, ClassS, p, mpi.PipelinedRDMA, 2)
+			r := characterize(c.name, ClassS, p, mpi.PipelinedRDMA, 2)
 			if r.Duration <= 0 {
 				t.Errorf("%s on %d procs: no time elapsed", c.name, p)
 			}
@@ -56,8 +63,8 @@ func TestBenchmarksOnVariousProcCounts(t *testing.T) {
 func TestCGOverlapExceedsBT(t *testing.T) {
 	// Paper Sec. 4.1: "the overlap results are higher for CG than for
 	// BT" (both under Open MPI's pipelined protocol).
-	bt := Characterize(BT, ClassA, 16, mpi.PipelinedRDMA, probeIters)
-	cg := Characterize(CG, ClassA, 16, mpi.PipelinedRDMA, probeIters)
+	bt := characterize(BT, ClassA, 16, mpi.PipelinedRDMA, probeIters)
+	cg := characterize(CG, ClassA, 16, mpi.PipelinedRDMA, probeIters)
 	if cg.MaxPct <= bt.MaxPct {
 		t.Errorf("CG max overlap %.1f%% should exceed BT's %.1f%%", cg.MaxPct, bt.MaxPct)
 	}
@@ -66,8 +73,8 @@ func TestCGOverlapExceedsBT(t *testing.T) {
 func TestBTOverlapDropsWithProblemSize(t *testing.T) {
 	// Paper Sec. 4.1: larger problems mean longer messages and less
 	// overlap.
-	small := Characterize(BT, ClassS, 4, mpi.PipelinedRDMA, probeIters)
-	large := Characterize(BT, ClassA, 4, mpi.PipelinedRDMA, probeIters)
+	small := characterize(BT, ClassS, 4, mpi.PipelinedRDMA, probeIters)
+	large := characterize(BT, ClassA, 4, mpi.PipelinedRDMA, probeIters)
 	if large.MaxPct >= small.MaxPct {
 		t.Errorf("BT max overlap should drop with problem size: S %.1f%% -> A %.1f%%",
 			small.MaxPct, large.MaxPct)
@@ -79,7 +86,7 @@ func TestLUHighOverlapRisingWithProcs(t *testing.T) {
 	// maximum overlap, increasing with processor count.
 	var prev float64
 	for i, procs := range []int{4, 8, 16} {
-		r := Characterize(LU, ClassA, procs, mpi.DirectRDMARead, probeIters)
+		r := characterize(LU, ClassA, procs, mpi.DirectRDMARead, probeIters)
 		if r.MaxPct < 70 {
 			t.Errorf("LU A on %d procs: max overlap %.1f%%, paper reports >70%%", procs, r.MaxPct)
 		}
@@ -94,7 +101,7 @@ func TestFTLowOverlap(t *testing.T) {
 	// Paper Sec. 4.2 / Fig. 13: FT's Alltoall-dominated traffic leaves
 	// little scope for overlap.
 	for _, procs := range []int{4, 8} {
-		r := Characterize(FT, ClassA, procs, mpi.DirectRDMARead, probeIters)
+		r := characterize(FT, ClassA, procs, mpi.DirectRDMARead, probeIters)
 		if r.MaxPct > 15 {
 			t.Errorf("FT A on %d procs: max overlap %.1f%%, paper reports near zero", procs, r.MaxPct)
 		}
@@ -106,8 +113,8 @@ func TestSPModificationImprovesOverlapAndMPITime(t *testing.T) {
 	// overlap windows raises the overlapping-section bounds
 	// substantially and cuts total MPI time.
 	for _, procs := range []int{4, 9, 16} {
-		orig := CharacterizeSP(ClassA, procs, false, probeIters)
-		mod := CharacterizeSP(ClassA, procs, true, probeIters)
+		orig := CharacterizeSP(ClassA, procs, false, Options{MaxIters: probeIters})
+		mod := CharacterizeSP(ClassA, procs, true, Options{MaxIters: probeIters})
 		if mod.SectionMaxPct < orig.SectionMaxPct+20 {
 			t.Errorf("P=%d: section max overlap %.1f%% -> %.1f%%, want a large improvement",
 				procs, orig.SectionMaxPct, mod.SectionMaxPct)
@@ -133,8 +140,8 @@ func TestMGARMCIBlockingVsNonblocking(t *testing.T) {
 	// high maximum overlap (99% reported for class B), the blocking
 	// variant none.
 	for _, procs := range []int{2, 4, 8} {
-		b := CharacterizeMGARMCI(ClassA, procs, MGBlocking, 2)
-		n := CharacterizeMGARMCI(ClassA, procs, MGNonblocking, 2)
+		b := CharacterizeMGARMCI(ClassA, procs, MGBlocking, Options{MaxIters: 2})
+		n := CharacterizeMGARMCI(ClassA, procs, MGNonblocking, Options{MaxIters: 2})
 		if b.MaxPct > 1 {
 			t.Errorf("P=%d: blocking ARMCI MG max overlap %.1f%%, want ~0", procs, b.MaxPct)
 		}
@@ -149,7 +156,7 @@ func TestInstrumentationOverheadUnderOnePercent(t *testing.T) {
 	// execution time for all test cases.
 	for _, name := range []string{BT, CG, LU, FT} {
 		procs := 4
-		r := MeasureOverhead(name, ClassW, procs, mpi.DirectRDMARead, probeIters)
+		r := MeasureOverhead(name, ClassW, procs, Options{Protocol: mpi.DirectRDMARead, MaxIters: probeIters})
 		if r.OverheadPct > 0.9 {
 			t.Errorf("%s: instrumentation overhead %.2f%%, paper reports <0.9%%", name, r.OverheadPct)
 		}
@@ -160,8 +167,8 @@ func TestInstrumentationOverheadUnderOnePercent(t *testing.T) {
 }
 
 func TestDeterministicCharacterization(t *testing.T) {
-	a := Characterize(LU, ClassS, 4, mpi.DirectRDMARead, 2)
-	b := Characterize(LU, ClassS, 4, mpi.DirectRDMARead, 2)
+	a := characterize(LU, ClassS, 4, mpi.DirectRDMARead, 2)
+	b := characterize(LU, ClassS, 4, mpi.DirectRDMARead, 2)
 	if a != b {
 		t.Errorf("characterization not deterministic:\n%+v\n%+v", a, b)
 	}
@@ -209,7 +216,7 @@ func TestUnknownBenchmarkPanics(t *testing.T) {
 			t.Fatal("expected panic for unknown benchmark")
 		}
 	}()
-	Characterize("XX", ClassS, 4, mpi.PipelinedRDMA, 1)
+	characterize("XX", ClassS, 4, mpi.PipelinedRDMA, 1)
 }
 
 func TestSqGridNeighborsMutual(t *testing.T) {

@@ -21,7 +21,7 @@ func TestOverlappedVariantsComplete(t *testing.T) {
 				Overlap:  true,
 				Progress: progress.Config{Mode: mode},
 			}
-			_, res := CharacterizeReport(name, ClassS, 4, opt)
+			_, res := CharacterizeAllReports(name, ClassS, 4, opt)
 			if res.Duration <= 0 {
 				t.Errorf("%s overlapped (%v): no virtual time elapsed", name, mode)
 			}
@@ -39,8 +39,8 @@ func TestOverlappedCGBeatsBlockingMinBound(t *testing.T) {
 	// overlapped variant with a progress thread advances the allreduce
 	// schedule during the vector updates, which the monitor must see
 	// as a strictly higher whole-run minimum bound.
-	blocking := Characterize(CG, ClassW, 4, mpi.PipelinedRDMA, probeIters)
-	_, overlapped := CharacterizeReport(CG, ClassW, 4, Options{
+	blocking := characterize(CG, ClassW, 4, mpi.PipelinedRDMA, probeIters)
+	_, overlapped := CharacterizeAllReports(CG, ClassW, 4, Options{
 		Protocol: mpi.PipelinedRDMA,
 		MaxIters: probeIters,
 		Overlap:  true,
@@ -56,17 +56,17 @@ func TestOverlappedFTReducesNonOverlap(t *testing.T) {
 	// FT's transpose dominates its communication; pipelining the two
 	// slab halves must recover measurable overlap where the blocking
 	// transpose has essentially none (paper Fig. 13).
-	rep, _ := CharacterizeReport(FT, ClassS, 4, Options{
+	rep, _ := CharacterizeAllReports(FT, ClassS, 4, Options{
 		Protocol: mpi.DirectRDMARead,
 		MaxIters: probeIters,
 	})
-	repOv, _ := CharacterizeReport(FT, ClassS, 4, Options{
+	repOv, _ := CharacterizeAllReports(FT, ClassS, 4, Options{
 		Protocol: mpi.DirectRDMARead,
 		MaxIters: probeIters,
 		Overlap:  true,
 		Progress: progress.Config{Mode: progress.Thread},
 	})
-	if got, base := repOv.Total().MaxOverlapped, rep.Total().MaxOverlapped; got <= base {
+	if got, base := repOv[0].Total().MaxOverlapped, rep[0].Total().MaxOverlapped; got <= base {
 		t.Errorf("overlapped FT max overlap %v not above blocking %v", got, base)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 )
 
 // Profile serialization, mirroring overlap's report files: indented,
@@ -27,27 +26,4 @@ func DecodeJSON(r io.Reader) (*Profile, error) {
 		return nil, fmt.Errorf("profile: decoding profile: %w", err)
 	}
 	return &p, nil
-}
-
-// SaveJSON writes the profile to the named file.
-func (p *Profile) SaveJSON(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := p.EncodeJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadJSON reads a profile file written by SaveJSON.
-func LoadJSON(path string) (*Profile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeJSON(f)
 }

@@ -86,9 +86,6 @@ func (r *RankReplay) Err() error { return r.err }
 // emptiness test offline analysis keys its table requirement on.
 func (r *RankReplay) Events() int { return r.events }
 
-// Done returns the largest record end stamp seen so far.
-func (r *RankReplay) Done() time.Duration { return r.done }
-
 // Protocol returns the library protocol from the attach instant (""
 // when none was seen).
 func (r *RankReplay) Protocol() string { return r.protocol }

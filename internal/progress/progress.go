@@ -114,9 +114,6 @@ func New(sim *vtime.Sim, cfg Config, h Hooks) *Engine {
 	return &Engine{cfg: cfg, h: h, sim: sim}
 }
 
-// Mode reports the configured strategy.
-func (e *Engine) Mode() Mode { return e.cfg.Mode }
-
 // PollOnCall reports whether library call boundaries should poll
 // (Piggyback mode).
 func (e *Engine) PollOnCall() bool { return e.cfg.Mode == Piggyback }

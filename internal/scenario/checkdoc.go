@@ -66,14 +66,6 @@ var knownChecks = func() []string {
 	return names
 }()
 
-// Checks returns the assertion taxonomy (a copy — callers may not
-// mutate the source table).
-func Checks() []CheckDoc {
-	out := make([]CheckDoc, len(checkDocs))
-	copy(out, checkDocs)
-	return out
-}
-
 // WriteChecks renders the taxonomy and the closed vocabularies its
 // fields draw from (cmd/scenario -list-checks).
 func WriteChecks(w io.Writer) error {

@@ -2,11 +2,6 @@
 // experiment harnesses use when aggregating per-rank measurements.
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -45,36 +40,4 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank on a sorted copy.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	if p < 0 || p > 100 {
-		panic("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p == 0 {
-		return sorted[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	return sorted[rank-1]
 }

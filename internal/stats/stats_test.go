@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -18,44 +17,15 @@ func TestBasics(t *testing.T) {
 	if m := Max(xs); m != 4 {
 		t.Errorf("Max = %v", m)
 	}
-	if sd := StdDev(xs); math.Abs(sd-math.Sqrt(1.25)) > 1e-12 {
-		t.Errorf("StdDev = %v", sd)
-	}
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 || StdDev(nil) != 0 || Percentile(nil, 50) != 0 {
+	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
 		t.Fatal("empty inputs should yield zero")
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(xs, 0); p != 1 {
-		t.Errorf("P0 = %v", p)
-	}
-	if p := Percentile(xs, 50); p != 5 {
-		t.Errorf("P50 = %v", p)
-	}
-	if p := Percentile(xs, 100); p != 10 {
-		t.Errorf("P100 = %v", p)
-	}
-	if p := Percentile(xs, 91); p != 10 {
-		t.Errorf("P91 = %v", p)
-	}
-}
-
-func TestPercentileOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Percentile([]float64{1}, 101)
-}
-
-// Property: Min <= Percentile(p) <= Max for any p, and Min <= Mean <=
-// Max.
+// Property: Min <= Mean <= Max, and Min and Max are elements.
 func TestQuickOrderInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -67,13 +37,12 @@ func TestQuickOrderInvariants(t *testing.T) {
 		if mean < lo || mean > hi {
 			return false
 		}
-		for p := 0.0; p <= 100; p += 7 {
-			v := Percentile(xs, p)
-			if v < lo || v > hi {
-				return false
-			}
+		var seenLo, seenHi bool
+		for _, x := range xs {
+			seenLo = seenLo || x == lo
+			seenHi = seenHi || x == hi
 		}
-		return Percentile(xs, 100) == hi
+		return seenLo && seenHi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

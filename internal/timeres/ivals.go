@@ -64,32 +64,6 @@ func intersectSpans(a, b []span) []span {
 	return out
 }
 
-// subtractSpans returns a − b; both inputs must be merged-sorted.
-func subtractSpans(a, b []span) []span {
-	var out []span
-	j := 0
-	for _, sp := range a {
-		lo := sp.s
-		for j < len(b) && b[j].e <= lo {
-			j++
-		}
-		k := j
-		for k < len(b) && b[k].s < sp.e {
-			if b[k].s > lo {
-				out = append(out, span{lo, b[k].s})
-			}
-			if b[k].e > lo {
-				lo = b[k].e
-			}
-			k++
-		}
-		if lo < sp.e {
-			out = append(out, span{lo, sp.e})
-		}
-	}
-	return out
-}
-
 // clipSum returns the total length of v ∩ [lo, hi); v must be
 // merged-sorted.
 func clipSum(v []span, lo, hi time.Duration) time.Duration {

@@ -228,9 +228,6 @@ func (a *Analyzer) SetTable(t *calib.Table) {
 	}
 }
 
-// Window returns the analyzer's window length.
-func (a *Analyzer) Window() time.Duration { return a.opts.Window }
-
 // TraceRec implements trace.Sink.
 func (a *Analyzer) TraceRec(tk *trace.Track, r trace.Rec) {
 	a.mu.Lock()
@@ -336,17 +333,6 @@ func (a *Analyzer) Err() error {
 		}
 	}
 	return nil
-}
-
-// Events returns the replayed monitor-event count across all tracks.
-func (a *Analyzer) Events() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n := 0
-	for _, ts := range a.tracks {
-		n += ts.rr.Events()
-	}
-	return n
 }
 
 // Snapshot computes the current windows, phases and efficiencies. Safe

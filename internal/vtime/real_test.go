@@ -259,3 +259,44 @@ func TestRealSimMidRunSpawn(t *testing.T) {
 		t.Fatal("mid-run spawned proc never ran")
 	}
 }
+
+// tickingClock moves exactly when slept on, like clock.Stepped, and
+// also by 700 ns on every reading: host time passing while procs run.
+type tickingClock struct{ now time.Duration }
+
+func (c *tickingClock) Now() time.Time {
+	c.now += 700 * time.Nanosecond
+	return time.Unix(0, 0).Add(c.now)
+}
+func (c *tickingClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
+func (c *tickingClock) Domain() clock.Domain            { return clock.RealDomain }
+func (c *tickingClock) Sleep(d time.Duration) {
+	if d > 0 {
+		c.now += d
+	}
+}
+
+// TestRealSimNowStandsStillBetweenBlockingPoints: a proc sees one
+// instant from one blocking point to the next however often it asks,
+// and the host time that passed shows at its next dispatch.
+func TestRealSimNowStandsStillBetweenBlockingPoints(t *testing.T) {
+	s := NewRealSim(&tickingClock{})
+	const d = 10 * time.Microsecond
+	s.Spawn("worker", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			t0 := p.Now()
+			for j := 0; j < 5; j++ {
+				if now := p.Now(); now != t0 {
+					t.Errorf("step %d: Now moved from %v to %v without blocking", i, t0, now)
+				}
+			}
+			p.Compute(d)
+			if now := p.Now(); now <= t0.Add(d) {
+				t.Errorf("step %d: after Compute(%v) from %v, Now = %v; want the clock's overshoot too", i, d, t0, now)
+			}
+		}
+	})
+	if _, err := s.RunE(); err != nil {
+		t.Fatal(err)
+	}
+}

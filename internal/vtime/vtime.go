@@ -289,18 +289,21 @@ func (s *Sim) ClockDomain() clock.Domain {
 	return clock.Virtual
 }
 
-// Now returns the current time: the event clock on a virtual sim,
-// nanoseconds of clock time since construction on a real one.
-func (s *Sim) Now() Time {
-	if s.clk != nil {
-		return Time(s.clk.Since(s.epoch))
-	}
-	return s.now
-}
+// Now returns the current time: the event clock on a virtual sim; on a
+// real one, nanoseconds of clock time since construction as read at
+// the latest dispatch. Either way it stands still while a proc runs
+// between two blocking points, so every stamp taken at one moment —
+// a call's exit, its trace span's end, a transfer instant — agrees.
+func (s *Sim) Now() Time { return s.now }
 
-// await blocks a real sim until its clock reads t: it sleeps what is
-// left, which is nothing for an instant already past.
-func (s *Sim) await(t Time) { s.clk.Sleep(t.Sub(s.Now())) }
+// await blocks a real sim until its clock reads t — it sleeps what is
+// left, which is nothing for an instant already past — and returns the
+// clock's reading after. It is the only place a real sim reads its
+// clock.
+func (s *Sim) await(t Time) Time {
+	s.clk.Sleep(t.Sub(Time(s.clk.Since(s.epoch))))
+	return Time(s.clk.Since(s.epoch))
+}
 
 // Proc is a simulated thread of control. Procs are created with
 // Sim.Spawn and run under the kernel's coroutine discipline: all Proc
@@ -463,14 +466,15 @@ func (s *Sim) advance() (next *Proc) {
 		if s.deadline > 0 && top.at >= s.deadline && s.live > 0 {
 			return nil
 		}
+		now := top.at
 		if s.clk != nil {
-			s.await(top.at)
-		}
-		k, e := s.pop()
-		if k.at < s.now {
+			// Host time spent since the last dispatch is charged here.
+			now = max(s.now, now, s.await(now))
+		} else if now < s.now {
 			panic("vtime: time went backwards")
 		}
-		s.now = k.at
+		_, e := s.pop()
+		s.now = now
 		s.fire(e)
 		if p := s.next; p != nil {
 			s.next = nil
