@@ -18,6 +18,7 @@ import (
 
 	"ovlp/internal/armci"
 	"ovlp/internal/cluster"
+	"ovlp/internal/overlap"
 	"ovlp/internal/report"
 )
 
@@ -32,7 +33,7 @@ func main() {
 	run := func(nonblocking bool) cluster.ARMCIResult {
 		res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 			Procs: procs,
-			ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{}},
+			ARMCI: armci.Config{Instrument: &overlap.Instrument{}},
 		}, func(p *armci.Proc) {
 			right := (p.ID() + 1) % p.Size()
 			for s := 0; s < steps; s++ {

@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"ovlp/internal/calib"
 	"ovlp/internal/fabric"
 	"ovlp/internal/overlap"
 	"ovlp/internal/trace"
@@ -53,20 +52,10 @@ func (e *CommError) Error() string {
 
 func (e *CommError) Unwrap() error { return e.err }
 
-// InstrumentConfig enables the overlap instrumentation (see the mpi
-// package's equivalent).
-type InstrumentConfig struct {
-	Table     *calib.Table
-	QueueSize int
-	BinBounds []int
-	ModelCost bool
-	SinkFor   func(rank int) overlap.Sink
-}
-
 // Config parameterizes a World.
 type Config struct {
 	// Instrument enables instrumentation; nil runs uninstrumented.
-	Instrument *InstrumentConfig
+	Instrument *overlap.Instrument
 	// Reliable enables the software reliable-delivery layer (see the
 	// mpi package's equivalent). Required under an active fault plan.
 	Reliable *fabric.ReliableParams
@@ -154,28 +143,16 @@ type Proc struct {
 	proc *vtime.Proc
 	nic  *fabric.NIC
 	rel  *fabric.Reliable // reliable delivery, nil unless Config.Reliable
-	mon  *overlap.Monitor
+
+	// calls brackets every library call for the instrumentation and
+	// the library-time accounting.
+	calls overlap.Calls
 
 	wrMap       map[uint64]*Handle
 	outstanding int // incomplete non-blocking ops (for Fence)
 	tokens      map[barrierToken]int
 	barrierSeq  int
-
-	depth   int
-	enterAt vtime.Time
-	curOp   string
-	curPeer int
-	curSize int64
-	libTime time.Duration
-	waiting bool
-
-	trk       *trace.Track  // nil when untraced
-	traceCost time.Duration // modelled cost per call-span emission
 }
-
-type procClock struct{ p *vtime.Proc }
-
-func (c procClock) Now() time.Duration { return c.p.Now().Duration() }
 
 func (p *Proc) attach(vp *vtime.Proc) {
 	p.proc = vp
@@ -184,45 +161,7 @@ func (p *Proc) attach(vp *vtime.Proc) {
 	if rp := p.w.cfg.Reliable; rp != nil {
 		p.rel = fabric.NewReliable(p.nic, *rp, func() { p.proc.Unpark() })
 	}
-	if tr := p.w.cfg.Tracer; tr != nil {
-		p.trk = tr.Track(trace.GroupHost, vp.ID(), vp.Name())
-		p.trk.Instant("armci", "attach", vp.Now(), trace.None)
-	}
-	if ic := p.w.cfg.Instrument; ic != nil {
-		mc := overlap.Config{
-			Clock:       procClock{vp},
-			Table:       ic.Table,
-			QueueSize:   ic.QueueSize,
-			BinBounds:   ic.BinBounds,
-			ClockDomain: string(vp.Sim().ClockDomain()),
-		}
-		if ic.ModelCost {
-			mc.Charge = func(d time.Duration) { vp.Compute(d) }
-			mc.EventCost = 40 * time.Nanosecond
-			mc.DrainCostPerEvent = 25 * time.Nanosecond
-			if p.trk != nil {
-				p.traceCost = mc.EventCost
-			}
-		}
-		if ic.SinkFor != nil {
-			mc.Sink = ic.SinkFor(p.id)
-		}
-		if p.trk != nil {
-			mc.Sink = overlap.Tee(mc.Sink, trace.OverlapSink(p.trk, 0, func(idx int32) string { return p.mon.RegionName(idx) }))
-			m := p.w.cfg.Tracer.Metrics()
-			drains := m.Counter("overlap.drains")
-			drained := m.Counter("overlap.drained_events")
-			batch := m.Gauge("overlap.drain_batch")
-			trk := p.trk
-			mc.OnDrain = func(n int) {
-				drains.Inc()
-				drained.Add(int64(n))
-				batch.Set(int64(n))
-				trk.Instant("overlap", "queue-drain", vp.Now(), trace.Args{Peer: trace.NoPeer, Size: int64(n)})
-			}
-		}
-		p.mon = overlap.NewMonitor(mc)
-	}
+	p.calls.Attach(vp, &p.proc, p.id, p.w.cfg.Instrument, p.w.cfg.Tracer, "armci", trace.None)
 }
 
 func (p *Proc) finalizeReport() {
@@ -230,21 +169,18 @@ func (p *Proc) finalizeReport() {
 		// Quiesce unacknowledged sequenced sends (barrier tokens) before
 		// exiting, so their retransmission timers are never stranded
 		// without a progress engine.
-		p.enter("Finalize")
+		p.calls.Enter("Finalize", -1, -1)
 		p.waitUntil(func() bool { return p.rel.Outstanding() == 0 })
-		p.exit()
+		p.calls.Exit()
 	}
-	if p.mon != nil {
-		rep := p.mon.Finalize()
-		rep.Rank = p.id
-		p.w.reports[p.id] = rep
-	}
+	p.w.reports[p.id] = p.calls.Report()
 }
 
 // recoverAbort intercepts the process's structured failure panic (a
 // spent retry budget): the error is recorded for World.RankErrors, the
-// interrupted call's accounting is unwound without quiescing, and the
-// report is still produced. Non-error panics are bugs and propagate.
+// interrupted call's accounting and open regions are unwound without
+// quiescing, and the report is still produced. Non-error panics are
+// bugs and propagate.
 func (p *Proc) recoverAbort() {
 	v := recover()
 	if v == nil {
@@ -255,18 +191,8 @@ func (p *Proc) recoverAbort() {
 		panic(v)
 	}
 	p.w.errs[p.id] = err
-	if p.depth > 0 {
-		for p.depth > 0 {
-			p.mon.CallExit()
-			p.depth--
-		}
-		p.libTime += p.proc.Now().Sub(p.enterAt)
-	}
-	if p.mon != nil {
-		rep := p.mon.Finalize()
-		rep.Rank = p.id
-		p.w.reports[p.id] = rep
-	}
+	p.calls.Unwind()
+	p.w.reports[p.id] = p.calls.Report()
 }
 
 // ID returns the process id.
@@ -282,7 +208,7 @@ func (p *Proc) Now() time.Duration { return p.proc.Now().Duration() }
 func (p *Proc) Compute(d time.Duration) { p.proc.Compute(d) }
 
 // LibTime returns the aggregate time spent inside library calls.
-func (p *Proc) LibTime() time.Duration { return p.libTime }
+func (p *Proc) LibTime() time.Duration { return p.calls.LibTime() }
 
 // RelStats returns the proc's reliable-delivery counters (zero value
 // when the reliability layer is disabled).
@@ -294,44 +220,10 @@ func (p *Proc) RelStats() fabric.RelStats {
 }
 
 // PushRegion and PopRegion delimit a monitored section.
-func (p *Proc) PushRegion(name string) { p.mon.PushRegion(name) }
+func (p *Proc) PushRegion(name string) { p.calls.Mon.PushRegion(name) }
 
 // PopRegion closes the innermost monitored section.
-func (p *Proc) PopRegion() { p.mon.PopRegion() }
-
-func (p *Proc) enter(op string) {
-	p.enterPS(op, -1, -1)
-}
-
-// enterPS is enter carrying the call's peer and transfer size for the
-// trace span; calls without them pass -1.
-func (p *Proc) enterPS(op string, peer int, size int64) {
-	p.depth++
-	if p.depth == 1 {
-		p.enterAt = p.proc.Now()
-		p.curOp = op
-		p.curPeer = peer
-		p.curSize = size
-	}
-	p.mon.CallEnter()
-}
-
-func (p *Proc) exit() {
-	p.mon.CallExit()
-	p.depth--
-	if p.depth == 0 {
-		if p.trk != nil {
-			// Charge the span's modelled emission cost before reading the
-			// clock, so the span includes its own overhead (as in mpi).
-			if p.traceCost > 0 {
-				p.proc.Compute(p.traceCost)
-			}
-			p.trk.Span("armci", p.curOp, p.enterAt, p.proc.Now(),
-				trace.Args{Peer: p.curPeer, Size: p.curSize})
-		}
-		p.libTime += p.proc.Now().Sub(p.enterAt)
-	}
-}
+func (p *Proc) PopRegion() { p.calls.Mon.PopRegion() }
 
 // progress drains completions and packets; returns whether anything
 // advanced. Unlike the MPI library there is no protocol to pump: data
@@ -357,7 +249,7 @@ func (p *Proc) progress() bool {
 			p.handleFailedCQE(h, cqe)
 			continue
 		}
-		p.mon.XferEnd(h.xferID, h.size)
+		p.calls.Mon.XferEnd(h.xferID, h.size)
 		h.done = true
 		p.outstanding--
 	}
@@ -367,18 +259,9 @@ func (p *Proc) progress() bool {
 			break
 		}
 		did = true
-		if p.rel != nil {
-			if a, ok := pkt.Payload.(fabric.Ack); ok {
-				p.rel.HandleAck(a)
-				continue
-			}
-			p.rel.NotePeerAlive(pkt.From)
-			if p.rel.Duplicate(pkt) {
-				continue
-			}
+		if p.rel.Accept(pkt) {
+			p.tokens[pkt.Payload.(barrierToken)]++
 		}
-		tok := pkt.Payload.(barrierToken)
-		p.tokens[tok]++
 	}
 	if p.rel != nil {
 		d, err := p.rel.RunDue(p.proc)
@@ -439,9 +322,7 @@ func (p *Proc) waitUntil(cond func() bool) {
 		if cond() || p.nic.Pending() || (p.rel != nil && p.rel.HasDue()) {
 			continue
 		}
-		p.waiting = true
 		p.proc.Park("armci.waitUntil")
-		p.waiting = false
 	}
 }
 
@@ -461,7 +342,7 @@ func (p *Proc) post(dst, size, count int, get bool) *Handle {
 		p.w.fab.TagXfer(xid, "put")
 	}
 	h := &Handle{xferID: xid, size: size * count, dst: dst, block: size, count: count, get: get}
-	p.mon.XferBegin(xid, size*count)
+	p.calls.Mon.XferBegin(xid, size*count)
 	var wr uint64
 	switch {
 	case get:
@@ -478,8 +359,8 @@ func (p *Proc) post(dst, size, count int, get bool) *Handle {
 
 // NbPut starts a non-blocking contiguous put of size bytes to dst.
 func (p *Proc) NbPut(dst, size int) *Handle {
-	p.enterPS("NbPut", dst, int64(size))
-	defer p.exit()
+	p.calls.Enter("NbPut", dst, int64(size))
+	defer p.calls.Exit()
 	return p.post(dst, size, 1, false)
 }
 
@@ -487,46 +368,46 @@ func (p *Proc) NbPut(dst, size int) *Handle {
 // block bytes each — ARMCI's vectored remote update (ARMCI_NbPutS).
 // Each segment pays its own per-packet wire cost.
 func (p *Proc) NbPutStrided(dst, count, block int) *Handle {
-	p.enterPS("NbPutStrided", dst, int64(count)*int64(block))
-	defer p.exit()
+	p.calls.Enter("NbPutStrided", dst, int64(count)*int64(block))
+	defer p.calls.Exit()
 	return p.post(dst, block, count, false)
 }
 
 // NbGet starts a non-blocking contiguous get of size bytes from dst.
 func (p *Proc) NbGet(dst, size int) *Handle {
-	p.enterPS("NbGet", dst, int64(size))
-	defer p.exit()
+	p.calls.Enter("NbGet", dst, int64(size))
+	defer p.calls.Exit()
 	return p.post(dst, size, 1, true)
 }
 
 // WaitHandle blocks until the operation completes.
 func (p *Proc) WaitHandle(h *Handle) {
-	p.enter("WaitHandle")
-	defer p.exit()
+	p.calls.Enter("WaitHandle", -1, -1)
+	defer p.calls.Exit()
 	p.waitUntil(func() bool { return h.done })
 }
 
 // Put is the blocking put: initiation and completion inside one
 // library call, so the instrumentation correctly reports zero overlap.
 func (p *Proc) Put(dst, size int) {
-	p.enterPS("Put", dst, int64(size))
-	defer p.exit()
+	p.calls.Enter("Put", dst, int64(size))
+	defer p.calls.Exit()
 	h := p.post(dst, size, 1, false)
 	p.waitUntil(func() bool { return h.done })
 }
 
 // PutStrided is the blocking strided put (ARMCI_PutS).
 func (p *Proc) PutStrided(dst, count, block int) {
-	p.enterPS("PutStrided", dst, int64(count)*int64(block))
-	defer p.exit()
+	p.calls.Enter("PutStrided", dst, int64(count)*int64(block))
+	defer p.calls.Exit()
 	h := p.post(dst, block, count, false)
 	p.waitUntil(func() bool { return h.done })
 }
 
 // Get is the blocking get.
 func (p *Proc) Get(dst, size int) {
-	p.enterPS("Get", dst, int64(size))
-	defer p.exit()
+	p.calls.Enter("Get", dst, int64(size))
+	defer p.calls.Exit()
 	h := p.post(dst, size, 1, true)
 	p.waitUntil(func() bool { return h.done })
 }
@@ -534,8 +415,8 @@ func (p *Proc) Get(dst, size int) {
 // FenceAll blocks until every outstanding one-sided operation issued
 // by this process has completed.
 func (p *Proc) FenceAll() {
-	p.enter("FenceAll")
-	defer p.exit()
+	p.calls.Enter("FenceAll", -1, -1)
+	defer p.calls.Exit()
 	p.waitUntil(func() bool { return p.outstanding == 0 })
 }
 
@@ -544,8 +425,8 @@ func (p *Proc) FenceAll() {
 // transfers in the instrumentation). It implies FenceAll, like
 // ARMCI_Barrier.
 func (p *Proc) Barrier() {
-	p.enter("Barrier")
-	defer p.exit()
+	p.calls.Enter("Barrier", -1, -1)
+	defer p.calls.Exit()
 	p.waitUntil(func() bool { return p.outstanding == 0 })
 	seq := p.barrierSeq
 	p.barrierSeq++

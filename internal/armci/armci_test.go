@@ -6,13 +6,14 @@ import (
 
 	"ovlp/internal/armci"
 	"ovlp/internal/cluster"
+	"ovlp/internal/overlap"
 )
 
 func runA(t *testing.T, n int, main func(p *armci.Proc)) cluster.ARMCIResult {
 	t.Helper()
 	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs:       n,
-		ARMCI:       armci.Config{Instrument: &armci.InstrumentConfig{}},
+		ARMCI:       armci.Config{Instrument: &overlap.Instrument{}},
 		RecordTruth: true,
 	}, main)
 	if err != nil {

@@ -298,7 +298,7 @@ func TestDeadlineExpiryReturnsError(t *testing.T) {
 func TestARMCIUnderFaults(t *testing.T) {
 	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs: 2,
-		ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{}},
+		ARMCI: armci.Config{Instrument: &overlap.Instrument{}},
 		Faults: &fabric.FaultPlan{
 			Seed:    2,
 			Default: fabric.LinkFaults{DropRate: 0.3, DupRate: 0.1},

@@ -78,7 +78,7 @@ func TestARMCIBoundsAgainstGroundTruth(t *testing.T) {
 				res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 					Procs: p,
 					Cost:  cost,
-					ARMCI: armci.Config{Instrument: &armci.InstrumentConfig{
+					ARMCI: armci.Config{Instrument: &overlap.Instrument{
 						Table:     table,
 						QueueSize: 32,
 						SinkFor:   func(rank int) overlap.Sink { return &logs[rank] },

@@ -9,6 +9,7 @@ import (
 	"ovlp/internal/cluster"
 	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
+	"ovlp/internal/overlap"
 	"ovlp/internal/trace"
 )
 
@@ -126,7 +127,7 @@ func TestTruthFollowsItsReadersARMCI(t *testing.T) {
 	checkTruthMatrix(t, func(recordTruth bool, tr *trace.Tracer) []fabric.Transfer {
 		res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 			Procs:       3,
-			ARMCI:       armci.Config{Instrument: &armci.InstrumentConfig{}},
+			ARMCI:       armci.Config{Instrument: &overlap.Instrument{}},
 			RecordTruth: recordTruth,
 			Trace:       tr,
 		}, randomARMCIWorkload(3, 2))

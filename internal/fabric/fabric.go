@@ -470,7 +470,7 @@ func (n *NIC) PollCQ(p *vtime.Proc) *CQE {
 // arrived packet, or nil if none. Like PollCQ's result the packet is
 // valid until the next PollInbox on this NIC: mpi.handlePacket copies
 // what it queues as unexpected (envelope fields, the RTS by value) and
-// Reliable.Duplicate records only (From, Seq).
+// Reliable.duplicate records only (From, Seq).
 func (n *NIC) PollInbox(p *vtime.Proc) *Packet {
 	p.Compute(n.fab.cost.PollOverhead)
 	return n.inbox.pop()

@@ -143,11 +143,7 @@ func TestReliableRecoversFromLoss(t *testing.T) {
 			progressed := false
 			for pkt := f.NIC(1).PollInbox(p); pkt != nil; pkt = f.NIC(1).PollInbox(p) {
 				progressed = true
-				if a, ok := pkt.Payload.(Ack); ok {
-					rxRel.HandleAck(a)
-					continue
-				}
-				if rxRel.Duplicate(pkt) {
+				if !rxRel.Accept(pkt) {
 					continue
 				}
 				delivered = append(delivered, pkt.Payload.(int))
@@ -177,9 +173,7 @@ func TestReliableRecoversFromLoss(t *testing.T) {
 			progressed := false
 			for pkt := f.NIC(0).PollInbox(p); pkt != nil; pkt = f.NIC(0).PollInbox(p) {
 				progressed = true
-				if a, ok := pkt.Payload.(Ack); ok {
-					txRel.HandleAck(a)
-				}
+				txRel.Accept(pkt)
 			}
 			for cqe := f.NIC(0).PollCQ(p); cqe != nil; cqe = f.NIC(0).PollCQ(p) {
 				progressed = true

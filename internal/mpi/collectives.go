@@ -49,9 +49,13 @@ func (r *Rank) waitBoth(a, b *Request) {
 // tokenSize is the payload of synchronization-only internal messages.
 const tokenSize = 4
 
+// reduceBandwidth is the modelled reduction-operator throughput, in
+// bytes per second.
+const reduceBandwidth = 2e9
+
 // reduceCost models applying the reduction operator to size bytes.
 func (r *Rank) reduceCost(size int) time.Duration {
-	return time.Duration(float64(size) / r.w.cfg.ReduceBandwidth * 1e9)
+	return time.Duration(float64(size) / reduceBandwidth * 1e9)
 }
 
 // Barrier blocks until all ranks have entered it (dissemination

@@ -287,8 +287,8 @@ func (r *Rank) ftSuspect(peer int, op string) {
 	if !ft.recovering && !ft.retired {
 		ft.failed = true
 	}
-	if r.trk != nil {
-		r.trk.Instant("ft", "suspect", r.proc.Now(),
+	if r.calls.Trk != nil {
+		r.calls.Trk.Instant("ft", "suspect", r.proc.Now(),
 			trace.Args{Peer: peer, Detail: op})
 	}
 	dead := ft.deadList()
@@ -319,8 +319,8 @@ func (r *Rank) ftRevoked(m revokeMsg) {
 		if !ft.recovering && !ft.retired {
 			ft.failed = true
 		}
-		if r.trk != nil {
-			r.trk.Instant("ft", "revoke", r.proc.Now(),
+		if r.calls.Trk != nil {
+			r.calls.Trk.Instant("ft", "revoke", r.proc.Now(),
 				trace.Args{Peer: m.src, Detail: fmt.Sprintf("dead=%v", ft.deadList())})
 		}
 	}
@@ -384,14 +384,9 @@ func (r *Rank) Protect(f func()) (err error) {
 // accounting after an abort unwound through it, and pops any monitored
 // regions the application left open on the way out.
 func (r *Rank) unwindCalls() {
-	if r.depth > 0 {
-		for r.depth > 0 {
-			r.mon.CallExit()
-			r.depth--
-		}
-		r.chargeCall(r.proc.Now().Sub(r.enterAt))
+	if d, open := r.calls.Unwind(); open {
+		r.chargeCall(d)
 	}
-	r.mon.UnwindRegions()
 }
 
 // ftRetire deposits the rank's permanent "finished" standing in the
@@ -542,8 +537,8 @@ func (r *Rank) Agree(step int, done bool) AgreeResult {
 		delete(w.ftRounds, ft.gen)
 	}
 	ft.gen++
-	if r.trk != nil {
-		r.trk.Instant("ft", "agree", r.proc.Now(),
+	if r.calls.Trk != nil {
+		r.calls.Trk.Instant("ft", "agree", r.proc.Now(),
 			trace.Args{Peer: trace.NoPeer, Size: int64(len(res.Failed)),
 				Detail: fmt.Sprintf("gen=%d dead=%v min-step=%d", ft.gen, res.Failed, res.MinStep)})
 	}
@@ -633,11 +628,9 @@ func (r *Rank) EpochCut() {
 	if r.worldComm != nil {
 		r.worldComm.colSeq = 0
 	}
-	if r.mon != nil {
-		r.mon.EpochCut()
-	}
-	if r.trk != nil {
-		r.trk.Instant("ft", "epoch", r.proc.Now(),
+	r.calls.Mon.EpochCut()
+	if r.calls.Trk != nil {
+		r.calls.Trk.Instant("ft", "epoch", r.proc.Now(),
 			trace.Args{Peer: trace.NoPeer, Size: int64(ft.epoch),
 				Detail: fmt.Sprintf("dead=%v", ft.deadList())})
 	}

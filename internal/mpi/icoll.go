@@ -256,9 +256,9 @@ func (cr *CollRequest) advance() bool {
 // to attribute the transfer's bounds to the owning collective instead
 // of to whichever call happened to observe it.
 func (r *Rank) noteSchedXfer(label string, xid uint64) {
-	if label == "" || r.trk == nil {
+	if label == "" || r.calls.Trk == nil {
 		return
 	}
-	r.trk.Instant("coll", "sched", r.driver.Now(),
+	r.calls.Trk.Instant("coll", "sched", r.driver.Now(),
 		trace.Args{Peer: trace.NoPeer, ID: xid, Detail: label})
 }

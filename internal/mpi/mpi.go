@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"time"
 
-	"ovlp/internal/calib"
 	"ovlp/internal/coll"
 	"ovlp/internal/fabric"
 	"ovlp/internal/overlap"
@@ -73,29 +72,9 @@ const (
 	AnyTag    = -1
 )
 
-// InstrumentConfig enables the overlap instrumentation inside the
-// library.
-type InstrumentConfig struct {
-	// Table is the a-priori transfer-time table (required).
-	Table *calib.Table
-	// QueueSize and BinBounds configure each rank's Monitor
-	// (zero-values select the overlap package defaults).
-	QueueSize int
-	BinBounds []int
-	// ModelCost, when true, charges the modelled CPU cost of the
-	// instrumentation itself to the rank (used by the overhead
-	// experiment, Fig. 20).
-	ModelCost bool
-	// EventCost and DrainCostPerEvent override the modelled unit costs
-	// when ModelCost is set; zero selects defaults (40ns, 25ns).
-	EventCost         time.Duration
-	DrainCostPerEvent time.Duration
-	// SinkFor, if non-nil, supplies a per-rank sink for the raw event
-	// stream (an *overlap.EventLog, say), for validation against ground
-	// truth; with a Tracer attached both see every event. Production
-	// configs leave it nil.
-	SinkFor func(rank int) overlap.Sink
-}
+// InstrumentConfig is overlap.Instrument under the name this
+// package's callers know it by.
+type InstrumentConfig = overlap.Instrument
 
 // Config parameterizes a World.
 type Config struct {
@@ -116,9 +95,6 @@ type Config struct {
 	// mpi_leave_pinned MRU cache. When false, rendezvous operations
 	// pin on the fly every time (MVAPICH2 behaviour).
 	LeavePinned bool
-	// ReduceBandwidth models the reduction-operator cost in bytes per
-	// second (default 2 GB/s).
-	ReduceBandwidth float64
 	// Reliable enables the software reliable-delivery layer: sequence
 	// numbers, hardware acks, retransmission with exponential backoff
 	// and duplicate suppression. Required when the fabric runs with an
@@ -153,13 +129,14 @@ type Config struct {
 	HWTimestamps bool
 	// Instrument enables the overlap instrumentation; nil runs the
 	// library uninstrumented.
-	Instrument *InstrumentConfig
+	Instrument *overlap.Instrument
 	// Tracer, if non-nil, receives structured trace records: one call
 	// span per outermost library call (tagged with peer and message
 	// size where the call has them) plus the overlap monitor's event
 	// stream, all on the rank's host track. When Instrument.ModelCost
-	// is also set, each call-span emission charges one EventCost to the
-	// rank, so the tracer's overhead is modelled like the monitor's.
+	// is also set, each call-span emission charges one
+	// overlap.EventCost to the rank, so the tracer's overhead is
+	// modelled like the monitor's.
 	Tracer *trace.Tracer
 }
 
@@ -172,17 +149,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.MaxOutstanding == 0 {
 		c.MaxOutstanding = 4
-	}
-	if c.ReduceBandwidth == 0 {
-		c.ReduceBandwidth = 2e9
-	}
-	if ic := c.Instrument; ic != nil && ic.ModelCost {
-		if ic.EventCost == 0 {
-			ic.EventCost = 40 * time.Nanosecond
-		}
-		if ic.DrainCostPerEvent == 0 {
-			ic.DrainCostPerEvent = 25 * time.Nanosecond
-		}
 	}
 }
 
@@ -249,11 +215,6 @@ func (w *World) RankErrors() []error { return w.errs }
 // the simulation has run to completion, nil entries if uninstrumented.
 func (w *World) Reports() []*overlap.Report { return w.reports }
 
-// procClock adapts a vtime proc to the overlap.Clock interface.
-type procClock struct{ p *vtime.Proc }
-
-func (c procClock) Now() time.Duration { return c.p.Now().Duration() }
-
 // Status describes a completed receive.
 type Status struct {
 	Source int
@@ -275,8 +236,11 @@ type Rank struct {
 	driver *vtime.Proc
 	nic    *fabric.NIC
 	rel    *fabric.Reliable // reliable delivery, nil unless Config.Reliable
-	mon    *overlap.Monitor
 	eng    *progress.Engine
+
+	// calls brackets every library call for the instrumentation and
+	// the MPI-time accounting.
+	calls overlap.Calls
 
 	recvQ  []*Request // posted, unmatched receives, in post order
 	unexpQ []inbound  // arrived, unmatched messages, in arrival order
@@ -300,17 +264,8 @@ type Rank struct {
 
 	reqSeq    uint64
 	colSeq    int
-	depth     int
-	enterAt   vtime.Time
-	curOp     string
-	curPeer   int   // peer of the outermost call, -1 when none
-	curSize   int64 // message size of the outermost call, -1 when none
-	mpiTime   time.Duration
 	callTimes []opTime // library time by outermost call type, in first-return order
 	waiting   bool
-
-	trk       *trace.Track  // nil when untraced
-	traceCost time.Duration // modelled cost per call-span emission
 }
 
 type regKey struct {
@@ -343,57 +298,11 @@ func (r *Rank) attach(p *vtime.Proc) {
 	if rp := r.w.cfg.Reliable; rp != nil {
 		r.rel = fabric.NewReliable(r.nic, *rp, func() { r.proc.Unpark() })
 	}
-	if tr := r.w.cfg.Tracer; tr != nil {
-		r.trk = tr.Track(trace.GroupHost, p.ID(), p.Name())
-		r.trk.Instant("mpi", "attach", p.Now(),
-			trace.Args{Peer: trace.NoPeer, Detail: r.w.cfg.Protocol.String()})
-	}
-	if ic := r.w.cfg.Instrument; ic != nil {
-		mc := overlap.Config{
-			Clock:       procClock{p},
-			Table:       ic.Table,
-			QueueSize:   ic.QueueSize,
-			BinBounds:   ic.BinBounds,
-			ClockDomain: string(p.Sim().ClockDomain()),
-		}
-		if ic.ModelCost {
-			// Charge instrumentation cost to whoever drives the event:
-			// the rank normally, the progress thread during its sweeps.
-			mc.Charge = func(d time.Duration) { r.driver.Compute(d) }
-			mc.EventCost = ic.EventCost
-			mc.DrainCostPerEvent = ic.DrainCostPerEvent
-			if r.trk != nil {
-				r.traceCost = ic.EventCost
-			}
-		}
-		if ic.SinkFor != nil {
-			mc.Sink = ic.SinkFor(r.id)
-		}
-		if r.trk != nil {
-			// Overlap events ride on the same host track; the monitor's
-			// Charge path already models their logging cost. The name
-			// resolver reads r.mon lazily: it is set below, before any
-			// region event can fire.
-			mc.Sink = overlap.Tee(mc.Sink, trace.OverlapSink(r.trk, 0, func(idx int32) string { return r.mon.RegionName(idx) }))
-			m := r.w.cfg.Tracer.Metrics()
-			drains := m.Counter("overlap.drains")
-			drained := m.Counter("overlap.drained_events")
-			batch := m.Gauge("overlap.drain_batch")
-			trk := r.trk
-			mc.OnDrain = func(n int) {
-				drains.Inc()
-				drained.Add(int64(n))
-				batch.Set(int64(n))
-				// Size carries the batch size: how many queued events the
-				// processing module just folded.
-				trk.Instant("overlap", "queue-drain", p.Now(), trace.Args{Peer: trace.NoPeer, Size: int64(n)})
-			}
-		}
-		r.mon = overlap.NewMonitor(mc)
-	}
+	r.calls.Attach(p, &r.driver, r.id, r.w.cfg.Instrument, r.w.cfg.Tracer, "mpi",
+		trace.Args{Peer: trace.NoPeer, Detail: r.w.cfg.Protocol.String()})
 	r.eng = progress.New(r.w.sim, r.w.cfg.Progress, progress.Hooks{
 		Poll: func(tp *vtime.Proc) bool {
-			if r.depth > 0 && !r.waiting {
+			if r.calls.Depth() > 0 && !r.waiting {
 				// The application is mid-call and will drive progress
 				// itself before returning; a concurrent sweep would
 				// interleave with the call's own protocol actions.
@@ -440,11 +349,7 @@ func (r *Rank) finalize() {
 	// Stop the progress thread before the simulation drains, or its
 	// parked proc would read as a deadlock.
 	r.eng.Stop()
-	if r.mon != nil {
-		rep := r.mon.Finalize()
-		rep.Rank = r.id
-		r.w.reports[r.id] = rep
-	}
+	r.w.reports[r.id] = r.calls.Report()
 }
 
 // recoverAbort intercepts the rank's structured failure panic (the
@@ -466,11 +371,7 @@ func (r *Rank) recoverAbort() {
 	r.ftStopTick()
 	r.unwindCalls()
 	r.eng.Stop()
-	if r.mon != nil {
-		rep := r.mon.Finalize()
-		rep.Rank = r.id
-		r.w.reports[r.id] = rep
-	}
+	r.w.reports[r.id] = r.calls.Report()
 }
 
 // ID returns the rank number.
@@ -490,15 +391,15 @@ func (r *Rank) Compute(d time.Duration) { r.proc.Compute(d) }
 
 // PushRegion and PopRegion delimit a monitored code section (see
 // overlap.Monitor.PushRegion). No-ops when uninstrumented.
-func (r *Rank) PushRegion(name string) { r.mon.PushRegion(name) }
+func (r *Rank) PushRegion(name string) { r.calls.Mon.PushRegion(name) }
 
 // PopRegion closes the innermost monitored section.
-func (r *Rank) PopRegion() { r.mon.PopRegion() }
+func (r *Rank) PopRegion() { r.calls.Mon.PopRegion() }
 
 // MPITime returns the aggregate time this rank has spent inside
 // library calls, maintained independently of the instrumentation so
 // uninstrumented runs can report it too.
-func (r *Rank) MPITime() time.Duration { return r.mpiTime }
+func (r *Rank) MPITime() time.Duration { return r.calls.LibTime() }
 
 // CallTimes returns the rank's library time broken down by the
 // outermost call type ("Wait", "Send", "Allreduce", ...) — the
@@ -519,27 +420,28 @@ type opTime struct {
 }
 
 // chargeCall books d, the time the outermost call just spent in the
-// library, to the rank's total and to its call type. A program makes a
-// handful of call types, nearly always named by the same string
-// constant, so finding the row is a few pointer-equal comparisons
-// rather than a string hash per call. The row appears when a call of
-// its type first returns (or is unwound), not when it is entered: a
-// rank left wedged inside a call reports no time for it.
+// library, to its call type. A program makes a handful of call types,
+// nearly always named by the same string constant, so finding the row
+// is a few pointer-equal comparisons rather than a string hash per
+// call. The row appears when a call of its type first returns (or is
+// unwound), not when it is entered: a rank left wedged inside a call
+// reports no time for it.
 func (r *Rank) chargeCall(d time.Duration) {
-	r.mpiTime += d
+	op := r.calls.Op
 	for i := range r.callTimes {
-		if c := &r.callTimes[i]; c.op == r.curOp {
+		if c := &r.callTimes[i]; c.op == op {
 			c.d += d
 			return
 		}
 	}
-	r.callTimes = append(r.callTimes, opTime{r.curOp, d})
+	r.callTimes = append(r.callTimes, opTime{op, d})
 }
 
-// enterOp/exit bracket every public library call: they drive the
-// monitor's CALL events and the rank's own MPI-time accounting —
-// total and per call type — and nest so collectives built on
-// point-to-point register once, under the outermost call's name.
+// enterOp/exit bracket every public library call around the shared
+// call bracket (overlap.Calls), adding the rank's own gates: a revoked
+// failure and a mid-sweep progress thread hold the outermost call
+// back, piggyback progress polls inside it, and its time is booked
+// per call type.
 func (r *Rank) enterOp(name string) {
 	r.enterOpPS(name, -1, -1)
 }
@@ -548,7 +450,7 @@ func (r *Rank) enterOp(name string) {
 // the trace span (point-to-point calls know both; collectives and
 // completion calls pass -1).
 func (r *Rank) enterOpPS(name string, peer int, size int64) {
-	if r.depth == 0 {
+	if r.calls.Depth() == 0 {
 		// A revoked failure aborts the call before it starts (a safe
 		// point: no protocol state is in flux).
 		r.ftRaise(name)
@@ -565,41 +467,21 @@ func (r *Rank) enterOpPS(name string, peer int, size int64) {
 			r.stalled = false
 		}
 	}
-	r.depth++
-	if r.depth == 1 {
-		r.enterAt = r.proc.Now()
-		r.curOp = name
-		r.curPeer = peer
-		r.curSize = size
-	}
-	r.mon.CallEnter()
-	if r.depth == 1 && r.eng.PollOnCall() {
-		// Piggyback mode: poll on entry, after CallEnter so the sweep
-		// counts as library time in the overlap bounds.
+	if r.calls.Enter(name, peer, size) && r.eng.PollOnCall() {
+		// Piggyback mode: poll on entry, inside the bracket so the
+		// sweep counts as library time in the overlap bounds.
 		r.progress()
 	}
 }
 
 func (r *Rank) exit() {
-	if r.depth == 1 && r.eng.PollOnCall() {
-		// Piggyback mode: poll on exit, before CallExit for the same
-		// accounting reason as the entry poll.
+	if r.calls.Depth() == 1 && r.eng.PollOnCall() {
+		// Piggyback mode: poll on exit, still inside the bracket for
+		// the same accounting reason as the entry poll.
 		r.progress()
 	}
-	r.mon.CallExit()
-	r.depth--
-	if r.depth == 0 {
-		if r.trk != nil {
-			// Charge the span's modelled emission cost before reading the
-			// clock, so the span — like the monitor's events — includes
-			// its own instrumentation overhead.
-			if r.traceCost > 0 {
-				r.proc.Compute(r.traceCost)
-			}
-			r.trk.Span("mpi", r.curOp, r.enterAt, r.proc.Now(),
-				trace.Args{Peer: r.curPeer, Size: r.curSize})
-		}
-		r.chargeCall(r.proc.Now().Sub(r.enterAt))
+	if d, outer := r.calls.Exit(); outer {
+		r.chargeCall(d)
 	}
 }
 

@@ -15,19 +15,19 @@ import (
 
 func (r *Rank) xferBegin(id uint64, size int) {
 	if !r.w.cfg.HWTimestamps {
-		r.mon.XferBegin(id, size)
+		r.calls.Mon.XferBegin(id, size)
 	}
 }
 
 func (r *Rank) xferEnd(id uint64, size int) {
 	if !r.w.cfg.HWTimestamps {
-		r.mon.XferEnd(id, size)
+		r.calls.Mon.XferEnd(id, size)
 	}
 }
 
 func (r *Rank) xferExact(id uint64, size int, start, end vtime.Time) {
 	if r.w.cfg.HWTimestamps {
-		r.mon.XferExact(id, size, start.Duration(), end.Duration())
+		r.calls.Mon.XferExact(id, size, start.Duration(), end.Duration())
 	}
 }
 
@@ -178,17 +178,9 @@ func (r *Rank) progress() bool {
 			break
 		}
 		did = true
-		if r.rel != nil {
-			if a, ok := pkt.Payload.(fabric.Ack); ok {
-				r.rel.HandleAck(a)
-				continue
-			}
-			r.rel.NotePeerAlive(pkt.From)
-			if r.rel.Duplicate(pkt) {
-				continue
-			}
+		if r.rel.Accept(pkt) {
+			r.handlePacket(pkt)
 		}
-		r.handlePacket(pkt)
 	}
 	for {
 		cqe := r.nic.PollCQ(r.driver)
@@ -231,7 +223,7 @@ func (r *Rank) waitUntil(cond func() bool) {
 	for !cond() {
 		// Safe point: between sweeps, with no protocol state in flux, a
 		// revoked failure aborts the interrupted call.
-		r.ftRaise(r.curOp)
+		r.ftRaise(r.calls.Op)
 		if r.progress() {
 			continue
 		}
@@ -452,7 +444,7 @@ func (r *Rank) handlePacket(pkt *fabric.Packet) {
 		})
 	case ftMsg:
 		// Liveness ping: the hardware ack it provoked is the answer;
-		// NotePeerAlive already ran in the sweep.
+		// Accept already noted the peer alive in the sweep.
 	case ftSyncMsg:
 		// Agreement poke: the arrival alone woke the rank, which
 		// re-reads the vote pool from its wait condition.

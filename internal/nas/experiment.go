@@ -169,7 +169,7 @@ func CharacterizeMGARMCI(class Class, procs int, variant MGVariant, opt Options)
 	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
 		Procs:   procs,
 		Backend: opt.Backend,
-		ARMCI:   armci.Config{Instrument: &armci.InstrumentConfig{}},
+		ARMCI:   armci.Config{Instrument: &overlap.Instrument{}},
 		Faults:  opt.Faults,
 		Trace:   opt.Trace,
 	}, func(pr *armci.Proc) {

@@ -4,9 +4,9 @@
 // minimum and maximum bounds on the overlapped fraction of data
 // transfer time.
 //
-// The framework is embedded in a communication library (see the mpi
-// and armci packages) and observes four events, in the spirit of the
-// PERUSE specification:
+// The framework is embedded in a communication library (the mpi and
+// armci packages both bind it through Calls) and observes four events,
+// in the spirit of the PERUSE specification:
 //
 //   - CALL ENTER / CALL EXIT: the application enters/leaves the
 //     communication library, demarcating user computation from

@@ -21,8 +21,7 @@ func DefaultBinBounds() []int {
 
 // Sink receives a copy of every instrumentation event as it is
 // logged, before it enters the circular queue. Implementations must
-// not call back into the Monitor. The trace package's OverlapSink
-// satisfies this interface.
+// not call back into the Monitor.
 type Sink interface {
 	OverlapEvent(e Event)
 }
@@ -72,35 +71,25 @@ type Config struct {
 	// ascending; nil means DefaultBinBounds().
 	BinBounds []int
 	// Charge, if non-nil, is invoked with the modelled host-CPU cost
-	// of instrumentation work (event logging, queue draining), so a
-	// simulation can account for the framework's own overhead. The
-	// per-unit costs below are only used when Charge is set.
+	// of instrumentation work (EventCost per logged event,
+	// DrainCostPerEvent per folded one), so a simulation can account
+	// for the framework's own overhead.
 	Charge func(time.Duration)
-	// EventCost is the modelled cost of logging one event.
-	EventCost time.Duration
-	// DrainCostPerEvent is the modelled cost of processing one queued
-	// event in the data processing module.
-	DrainCostPerEvent time.Duration
 	// UserIntervalWindow is the number of recent user-computation
 	// intervals retained for XferExact intersection; 0 means
 	// DefaultUserIntervalWindow. Irrelevant unless the substrate
 	// supplies hardware time-stamps.
 	UserIntervalWindow int
 	// Sink, if non-nil, additionally receives every event as it is
-	// logged — the production tracing path (the trace package's
-	// OverlapSink adapter turns events into timeline records). Sink
-	// invocations are not charged by the monitor; a simulation that
-	// models tracing cost charges it at the emission layer instead.
+	// logged — the production tracing path (Calls tees a sink that
+	// turns events into timeline records). Sink invocations are not
+	// charged by the monitor; a simulation that models tracing cost
+	// charges it at the emission layer instead.
 	Sink Sink
 	// OnDrain, if non-nil, is invoked after the processing module
 	// folds n queued events into the running measures (n > 0 only), so
 	// an observer can record queue-drain activity.
 	OnDrain func(n int)
-	// StrictQueue restores the historical behaviour of panicking when
-	// an event arrives at a full queue. By default the monitor drains
-	// the queue through the processing module and keeps going —
-	// profiling degrades gracefully instead of killing the run.
-	StrictQueue bool
 }
 
 // Monitor is the per-process instrumentation instance: the data
@@ -171,8 +160,8 @@ func (m *Monitor) log(e Event) {
 	if m.finalized {
 		panic("overlap: event after Finalize")
 	}
-	if m.cfg.Charge != nil && m.cfg.EventCost > 0 {
-		m.cfg.Charge(m.cfg.EventCost)
+	if m.cfg.Charge != nil {
+		m.cfg.Charge(EventCost)
 	}
 	if m.cfg.Sink != nil {
 		m.cfg.Sink.OverlapEvent(e)
@@ -181,11 +170,8 @@ func (m *Monitor) log(e Event) {
 		// Normally drained at the push that fills the queue; re-entrant
 		// logging (e.g. a Charge callback that triggers events) can
 		// still find it full. Fold the backlog into the running
-		// measures and continue, unless the caller opted into the
-		// historical hard failure.
-		if m.cfg.StrictQueue {
-			panic("overlap: event queue overflow (drain before pushing)")
-		}
+		// measures and continue: profiling degrades gracefully instead
+		// of killing the run.
 		m.process()
 	}
 	if m.q.push(e) {
@@ -196,8 +182,8 @@ func (m *Monitor) log(e Event) {
 // process drains the queue into the running measures.
 func (m *Monitor) process() {
 	n := m.q.drain(m.apply)
-	if m.cfg.Charge != nil && m.cfg.DrainCostPerEvent > 0 {
-		m.cfg.Charge(time.Duration(n) * m.cfg.DrainCostPerEvent)
+	if m.cfg.Charge != nil {
+		m.cfg.Charge(time.Duration(n) * DrainCostPerEvent)
 	}
 	if n > 0 && m.cfg.OnDrain != nil {
 		m.cfg.OnDrain(n)

@@ -372,12 +372,10 @@ func TestChargeAccounting(t *testing.T) {
 	var charged time.Duration
 	c := &fakeClock{}
 	m := NewMonitor(Config{
-		Clock:             c,
-		Table:             flatTable(t, 10*us),
-		QueueSize:         4,
-		Charge:            func(d time.Duration) { charged += d },
-		EventCost:         40 * time.Nanosecond,
-		DrainCostPerEvent: 25 * time.Nanosecond,
+		Clock:     c,
+		Table:     flatTable(t, 10*us),
+		QueueSize: 4,
+		Charge:    func(d time.Duration) { charged += d },
 	})
 	for i := 0; i < 4; i++ { // exactly fills the queue once
 		m.CallEnter()

@@ -43,17 +43,3 @@ func TestQueueOverflowAutoDrains(t *testing.T) {
 		t.Fatalf("report counts %d transfers, want 5 (backlog lost in the drain?)", got)
 	}
 }
-
-// TestQueueOverflowStrictPanics keeps the opt-in hard failure.
-func TestQueueOverflowStrictPanics(t *testing.T) {
-	c := &fakeClock{}
-	m := NewMonitor(Config{Clock: c, Table: flatTable(t, 100*us), QueueSize: 8, StrictQueue: true})
-	fillQueue(m, c)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StrictQueue did not panic on overflow")
-		}
-	}()
-	c.at(100 * us)
-	m.CallEnter()
-}

@@ -3,6 +3,9 @@ package overlap
 import (
 	"testing"
 	"time"
+
+	"ovlp/internal/trace"
+	"ovlp/internal/vtime"
 )
 
 func TestSinkReceivesEveryEvent(t *testing.T) {
@@ -75,5 +78,32 @@ func TestOnDrainBatches(t *testing.T) {
 	}
 	if total != 12 {
 		t.Errorf("drained %d events in total, want 12 (batches %v)", total, drains)
+	}
+}
+
+func TestOverlapSinkMapping(t *testing.T) {
+	tk := trace.New(trace.Options{}).Track(trace.GroupHost, 0, "rank0")
+	m := NewMonitor(Config{Clock: &fakeClock{}, Table: flatTable(t, 10*us)})
+	m.PushRegion("r")
+	s := &trackSink{tk: tk, mon: m}
+	s.OverlapEvent(Event{Kind: KindRegionPush, Region: 1, Stamp: 0})
+	s.OverlapEvent(Event{Kind: KindXferBegin, ID: 9, Size: 4096, Stamp: us})
+	s.OverlapEvent(Event{Kind: KindXferEnd, ID: 9, Stamp: 5 * us})
+	s.OverlapEvent(Event{Kind: KindXferExact, ID: 10, Size: 64, Start: 2 * us, End: 4 * us})
+	s.OverlapEvent(Event{Kind: KindCallEnter, Stamp: 6 * us})
+
+	recs := tk.Recs()
+	if len(recs) != 4 {
+		t.Fatalf("got %d records, want 4 (call events skipped)", len(recs))
+	}
+	if recs[0].Name != "region-push" || recs[0].Args.ID != 1 || recs[0].Args.Detail != "r" || recs[0].Start != 0 {
+		t.Errorf("region-push wrong: %+v", recs[0])
+	}
+	if recs[1].Name != "xfer-begin" || recs[1].Args.Size != 4096 || recs[1].Start != vtime.Time(us) {
+		t.Errorf("xfer-begin wrong: %+v", recs[1])
+	}
+	exact := recs[3]
+	if exact.Name != "xfer-exact" || exact.Start != vtime.Time(2*us) || exact.End() != vtime.Time(4*us) {
+		t.Errorf("xfer-exact must span the physical interval: %+v", exact)
 	}
 }

@@ -40,9 +40,6 @@ type Opts struct {
 	// time_resolved assertion asks for it, so RunResult.TimeRes carries
 	// a snapshot (cmd/scenario -timeresolved sets it).
 	TimeRes bool
-	// TimeResWindow overrides the analyzer's window length when the
-	// scenario's assertions don't declare one (0 = package default).
-	TimeResWindow time.Duration
 	// Sink, when non-nil, is attached to the run's tracer and observes
 	// every trace record as it is emitted (cmd/ovltop's live console).
 	// It never alters the run's bytes, and determinism reruns strip it.
@@ -187,7 +184,7 @@ func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult
 		events = make([]overlap.EventLog, procs)
 		mpiCfg.Instrument.SinkFor = func(rank int) overlap.Sink { return &events[rank] }
 		if opts.TimeRes || opts.Findings || s.wantsTimeRes() {
-			tres = timeres.New(timeres.Options{Window: s.timeResWindow(opts.TimeResWindow)})
+			tres = timeres.New(timeres.Options{Window: s.timeResWindow()})
 			tracer.AddSink(tres)
 		}
 		tracer.AddSink(opts.Sink) // nil-safe no-op when unset

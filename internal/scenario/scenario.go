@@ -586,16 +586,16 @@ func (s *Scenario) hasCheck(kind string) bool {
 }
 
 // timeResWindow picks the analyzer window: the assertions' declared
-// window wins (they were validated to agree), then the engine option,
-// then the package default.
-func (s *Scenario) timeResWindow(override time.Duration) time.Duration {
+// window (they were validated to agree), else 0 for the package
+// default.
+func (s *Scenario) timeResWindow() time.Duration {
 	for i := range s.Assertions {
 		a := &s.Assertions[i]
 		if a.Check == "time_resolved" && a.Window > 0 {
 			return a.Window.D()
 		}
 	}
-	return override
+	return 0
 }
 
 // MinProcs returns the smallest machine this scenario can run on: the

@@ -54,18 +54,15 @@ const Schema = 1
 // zero.
 const DefaultWindow = 100 * time.Microsecond
 
-// DefaultPhaseFrac is the fraction of ranks that must be inside a
-// library call for the run to count as an exchange phase.
-const DefaultPhaseFrac = 0.5
+// phaseFrac is the fraction of ranks that must be inside a library
+// call for the run to count as an exchange phase.
+const phaseFrac = 0.5
 
 // Options parameterizes an Analyzer.
 type Options struct {
 	// Window is the tumbling-window length; 0 means DefaultWindow. The
 	// last window is clipped to the run's end.
 	Window time.Duration
-	// PhaseFrac is the in-library rank fraction marking an exchange
-	// phase; 0 means DefaultPhaseFrac.
-	PhaseFrac float64
 	// Table prices overlap bounds; may be nil at construction and
 	// supplied later via SetTable (a live sink attaches before the run
 	// calibrates).
@@ -205,9 +202,6 @@ type Analyzer struct {
 func New(opts Options) *Analyzer {
 	if opts.Window <= 0 {
 		opts.Window = DefaultWindow
-	}
-	if opts.PhaseFrac <= 0 {
-		opts.PhaseFrac = DefaultPhaseFrac
 	}
 	return &Analyzer{
 		opts:   opts,
@@ -427,7 +421,7 @@ func (a *Analyzer) Snapshot() *Snapshot {
 	}
 
 	// Phases: alternate compute/exchange segments tiling [0, total].
-	for _, ph := range detectPhases(libs, total, a.opts.PhaseFrac) {
+	for _, ph := range detectPhases(libs, total) {
 		s.Phases = append(s.Phases, buildSlice(len(s.Phases), ph.kind, ph.s, ph.e))
 	}
 
@@ -565,11 +559,11 @@ type phaseSeg struct {
 }
 
 // detectPhases sweeps the ranks' in-library interval edges and
-// classifies every instant: when at least ceil(frac·R) ranks (min 1)
+// classifies every instant: when at least ceil(phaseFrac·R) ranks (min 1)
 // are inside a library call the run is exchanging, otherwise
 // computing. Consecutive same-kind segments merge; the result tiles
 // [0, total] exactly.
-func detectPhases(libs [][]span, total time.Duration, frac float64) []phaseSeg {
+func detectPhases(libs [][]span, total time.Duration) []phaseSeg {
 	type edge struct {
 		at    time.Duration
 		delta int
@@ -591,7 +585,7 @@ func detectPhases(libs [][]span, total time.Duration, frac float64) []phaseSeg {
 		}
 		return edges[i].delta > edges[j].delta
 	})
-	thr := int(math.Ceil(frac * float64(len(libs))))
+	thr := int(math.Ceil(phaseFrac * float64(len(libs))))
 	if thr < 1 {
 		thr = 1
 	}

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 
-	"ovlp/internal/overlap"
 	"ovlp/internal/vtime"
 )
 
@@ -108,56 +107,5 @@ func (o *kernelObserver) Deadlock(e *vtime.DeadlockError) {
 			Peer:   NoPeer,
 			Detail: fmt.Sprintf("%s: %s in %s since %v", e.Reason, d.State, d.Where, d.Since),
 		})
-	}
-}
-
-// OverlapSink adapts a host track to the overlap monitor's Sink
-// interface: transfer begin/end approximations become instants,
-// hardware-stamped exact transfers become spans over their physical
-// interval, and region transitions become instants — all in category
-// "overlap". Call enter/exit events are skipped: the communication
-// libraries emit richer named call spans for the same intervals.
-//
-// The origin is the virtual time of the monitor clock's zero, so
-// event stamps (durations since process origin) land on the shared
-// timeline. regionName, when non-nil, resolves region indices to
-// their registered names so push/pop instants carry the name in
-// detail and exported traces stay self-describing offline.
-func OverlapSink(tk *Track, origin vtime.Time, regionName func(int32) string) overlap.Sink {
-	if tk == nil {
-		return nil
-	}
-	return &overlapSink{tk: tk, origin: origin, regionName: regionName}
-}
-
-type overlapSink struct {
-	tk         *Track
-	origin     vtime.Time
-	regionName func(int32) string
-}
-
-func (s *overlapSink) region(idx int32) string {
-	if s.regionName == nil {
-		return ""
-	}
-	return s.regionName(idx)
-}
-
-func (s *overlapSink) OverlapEvent(e overlap.Event) {
-	at := s.origin.Add(e.Stamp)
-	switch e.Kind {
-	case overlap.KindXferBegin:
-		s.tk.Instant("overlap", "xfer-begin", at, Args{Peer: NoPeer, ID: e.ID, Size: e.Size})
-	case overlap.KindXferEnd:
-		s.tk.Instant("overlap", "xfer-end", at, Args{Peer: NoPeer, ID: e.ID, Size: e.Size})
-	case overlap.KindXferExact:
-		s.tk.Span("overlap", "xfer-exact", s.origin.Add(e.Start), s.origin.Add(e.End),
-			Args{Peer: NoPeer, ID: e.ID, Size: e.Size})
-	case overlap.KindRegionPush:
-		s.tk.Instant("overlap", "region-push", at, Args{Peer: NoPeer, ID: uint64(e.Region), Detail: s.region(e.Region)})
-	case overlap.KindRegionPop:
-		s.tk.Instant("overlap", "region-pop", at, Args{Peer: NoPeer, ID: uint64(e.Region), Detail: s.region(e.Region)})
-	case overlap.KindEpochCut:
-		s.tk.Instant("overlap", "epoch-cut", at, Args{Peer: NoPeer})
 	}
 }

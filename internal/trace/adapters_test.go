@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"ovlp/internal/overlap"
 	"ovlp/internal/vtime"
 )
 
@@ -115,32 +114,5 @@ func TestKernelObserverDeadlock(t *testing.T) {
 	}
 	if !found {
 		t.Error("no deadlock instant naming the blocking site")
-	}
-}
-
-func TestOverlapSinkMapping(t *testing.T) {
-	tr := New(Options{})
-	tk := tr.Track(GroupHost, 0, "rank0")
-	s := OverlapSink(tk, us(100), func(idx int32) string { return "r" }) // origin: monitor clock zero at t=100µs
-	s.OverlapEvent(overlap.Event{Kind: overlap.KindRegionPush, Region: 3, Stamp: 0})
-	s.OverlapEvent(overlap.Event{Kind: overlap.KindXferBegin, ID: 9, Size: 4096, Stamp: time.Microsecond})
-	s.OverlapEvent(overlap.Event{Kind: overlap.KindXferEnd, ID: 9, Stamp: 5 * time.Microsecond})
-	s.OverlapEvent(overlap.Event{Kind: overlap.KindXferExact, ID: 10, Size: 64,
-		Start: 2 * time.Microsecond, End: 4 * time.Microsecond})
-	s.OverlapEvent(overlap.Event{Kind: overlap.KindCallEnter, Stamp: 6 * time.Microsecond})
-
-	recs := tk.Recs()
-	if len(recs) != 4 {
-		t.Fatalf("got %d records, want 4 (call events skipped)", len(recs))
-	}
-	if recs[0].Name != "region-push" || recs[0].Args.ID != 3 || recs[0].Start != us(100) {
-		t.Errorf("region-push wrong: %+v", recs[0])
-	}
-	if recs[1].Name != "xfer-begin" || recs[1].Args.Size != 4096 || recs[1].Start != us(101) {
-		t.Errorf("xfer-begin wrong: %+v", recs[1])
-	}
-	exact := recs[3]
-	if exact.Name != "xfer-exact" || exact.Start != us(102) || exact.End() != us(104) {
-		t.Errorf("xfer-exact must span the physical interval offset by origin: %+v", exact)
 	}
 }

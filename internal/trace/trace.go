@@ -26,7 +26,7 @@
 // Tracing overhead is itself measurable: emissions that originate
 // inside an instrumented library are charged to the owning rank
 // through the overlap monitor's existing Config.Charge path (see
-// mpi.InstrumentConfig.ModelCost), so the paper's overhead study
+// overlap.Instrument.ModelCost), so the paper's overhead study
 // extends to the tracer.
 package trace
 
