@@ -298,15 +298,7 @@ func (o *Obs) Finish(w io.Writer) error {
 		return nil
 	}
 	if o.TracePath != "" {
-		f, err := os.Create(o.TracePath)
-		if err != nil {
-			return err
-		}
-		if err := o.tr.WriteChrome(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := createWith(o.TracePath, o.tr.WriteChrome); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "wrote trace to %s (%d tracks)\n", o.TracePath, len(o.tr.Tracks()))
@@ -362,20 +354,13 @@ func (o *Obs) writeDiagnose(w io.Writer) error {
 	if o.DiagnosePath == "-" {
 		return diagnose.WriteText(w, rep)
 	}
-	f, err := os.Create(o.DiagnosePath)
+	err = createWith(o.DiagnosePath, func(f io.Writer) error {
+		if strings.HasSuffix(o.DiagnosePath, ".json") {
+			return diagnose.WriteJSON(f, rep)
+		}
+		return diagnose.WriteText(f, rep)
+	})
 	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(o.DiagnosePath, ".json") {
-		err = diagnose.WriteJSON(f, rep)
-	} else {
-		err = diagnose.WriteText(f, rep)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote diagnosis to %s (%d findings)\n", o.DiagnosePath, len(rep.Findings))
@@ -396,28 +381,35 @@ func (o *Obs) writeTimeRes(w io.Writer) error {
 	if o.TimeResolvedPath == "-" {
 		return s.WriteText(w)
 	}
-	f, err := os.Create(o.TimeResolvedPath)
+	err := createWith(o.TimeResolvedPath, func(f io.Writer) error {
+		switch {
+		case strings.HasSuffix(o.TimeResolvedPath, ".json"):
+			return s.WriteJSON(f)
+		case strings.HasSuffix(o.TimeResolvedPath, ".csv"):
+			return s.WriteCSV(f)
+		}
+		return s.WriteText(f)
+	})
 	if err != nil {
-		return err
-	}
-	switch {
-	case strings.HasSuffix(o.TimeResolvedPath, ".json"):
-		err = s.WriteJSON(f)
-	case strings.HasSuffix(o.TimeResolvedPath, ".csv"):
-		err = s.WriteCSV(f)
-	default:
-		err = s.WriteText(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote time-resolved metrics to %s (%d windows, %d phases)\n",
 		o.TimeResolvedPath, len(s.Windows), len(s.Phases))
 	return nil
+}
+
+// createWith creates path and writes it through write, closing the
+// file on every path; a failed write is reported before a failed close.
+func createWith(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runDuration recovers the run's virtual wall time from the metrics
@@ -448,25 +440,18 @@ func (o *Obs) writeProfile(w io.Writer) error {
 	if o.ProfilePath == "-" {
 		return p.WriteText(w, o.ProfileTop)
 	}
-	f, err := os.Create(o.ProfilePath)
+	err = createWith(o.ProfilePath, func(f io.Writer) error {
+		switch {
+		case strings.HasSuffix(o.ProfilePath, ".json"):
+			return p.EncodeJSON(f)
+		case strings.HasSuffix(o.ProfilePath, ".csv"):
+			return p.WriteCSV(f)
+		case strings.HasSuffix(o.ProfilePath, ".folded"):
+			return p.WriteFolded(f)
+		}
+		return p.WriteText(f, o.ProfileTop)
+	})
 	if err != nil {
-		return err
-	}
-	switch {
-	case strings.HasSuffix(o.ProfilePath, ".json"):
-		err = p.EncodeJSON(f)
-	case strings.HasSuffix(o.ProfilePath, ".csv"):
-		err = p.WriteCSV(f)
-	case strings.HasSuffix(o.ProfilePath, ".folded"):
-		err = p.WriteFolded(f)
-	default:
-		err = p.WriteText(f, o.ProfileTop)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "wrote profile to %s (%d sites, critical path %v)\n",

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"ovlp/internal/diagnose"
@@ -492,43 +491,20 @@ func describeFindings(rep *diagnose.Report) string {
 	return "findings: " + strings.Join(kinds, "; ")
 }
 
-// rerunTrace keeps one export buffer from determinism re-run to
-// re-run (a sweep evaluates scenarios one after another; nobody reads
-// the re-run's trace once it is compared). Concurrent checks do not
-// wait for it: whoever finds it taken exports into a fresh buffer.
-var rerunTrace struct {
-	sync.Mutex
-	buf []byte
-}
-
-// rerunTraceMax bounds the kept buffer — the corpus's traces are a few
-// megabytes — so one outsized scenario does not pin its trace's worth
-// of memory for the rest of the process.
-const rerunTraceMax = 32 << 20
-
 // checkDeterminism re-executes the scenario in-process and compares
-// the two artifacts byte for byte — same seed, same bytes. The re-run
-// is simulate without the primary run's taps, i.e. the same
+// the two artifacts — same seed, same trace hash, same report bytes.
+// The re-run is simulate without the primary run's taps, i.e. the same
 // simulation, tracer, export, profile and report builder, minus what
 // feeds neither artifact: the Events capture, the time-resolved
 // analyzer and the diagnosis engine, and any live sink (a viewer fed
 // twice would double-count; it is not part of the determinism domain).
-// Equal bytes are equal hashes, so the re-run hashes only to word a
-// violation the way the hash comparison it replaces did.
 func checkDeterminism(rr *RunResult, add func(check, expected, observed string)) {
-	rerunTrace.Lock()
-	buf := rerunTrace.buf
-	rerunTrace.buf = nil
-	rerunTrace.Unlock()
-
-	again, _, err := simulate(rr.Scenario, rr.Opts, false, buf)
+	again, _, err := simulate(rr.Scenario, rr.Opts, false)
 	if err != nil {
 		add("determinism", "a repeatable run", "rerun failed: "+err.Error())
 		return
 	}
-	again.TraceHash = rr.TraceHash
-	if !bytes.Equal(again.TraceBytes, rr.TraceBytes) {
-		again.TraceHash = hashBytes(again.TraceBytes)
+	if again.TraceHash != rr.TraceHash {
 		add("determinism", "identical trace hash "+short(rr.TraceHash), "rerun produced "+short(again.TraceHash))
 	}
 	report, err := encodeReport(again)
@@ -537,10 +513,4 @@ func checkDeterminism(rr *RunResult, add func(check, expected, observed string))
 	} else if !bytes.Equal(report, rr.ReportBytes) {
 		add("determinism", "identical report hash "+short(rr.ReportHash), "rerun produced "+short(hashBytes(report)))
 	}
-
-	rerunTrace.Lock()
-	if c := cap(again.TraceBytes); c > cap(rerunTrace.buf) && c <= rerunTraceMax {
-		rerunTrace.buf = again.TraceBytes
-	}
-	rerunTrace.Unlock()
 }

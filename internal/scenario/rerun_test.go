@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ovlp/internal/cluster"
+	"ovlp/internal/mpi"
+	"ovlp/internal/trace"
 )
 
 // rerunCorpus is every committed scenario plus eight generated ones —
@@ -39,14 +43,13 @@ func TestRerunMatchesFullRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second Run: %v", err)
 			}
-			lean, tres, err := simulate(s, Opts{}, false, nil)
+			lean, tres, err := simulate(s, Opts{}, false)
 			if err != nil {
 				t.Fatalf("lean re-run: %v", err)
 			}
 			if tres != nil || lean.Events != nil || lean.Findings != nil || lean.TimeRes != nil {
 				t.Error("lean re-run carried a primary-only tap")
 			}
-			lean.TraceHash = hashBytes(lean.TraceBytes)
 			report, err := encodeReport(lean)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +146,7 @@ func TestRerunWalksNoCriticalPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			lean, _, err := simulate(s, Opts{}, false, nil)
+			lean, _, err := simulate(s, Opts{}, false)
 			if err != nil {
 				t.Fatalf("lean re-run: %v", err)
 			}
@@ -158,7 +161,6 @@ func TestRerunWalksNoCriticalPath(t *testing.T) {
 					t.Errorf("re-run walked a critical path of %d segments", len(c.Segments))
 				}
 			}
-			lean.TraceHash = hashBytes(lean.TraceBytes)
 			report, err := encodeReport(lean)
 			if err != nil {
 				t.Fatal(err)
@@ -169,3 +171,59 @@ func TestRerunWalksNoCriticalPath(t *testing.T) {
 		})
 	}
 }
+
+// TestTraceHashIsTheStream: on a corpus scenario whose tracks spilled,
+// WriteChrome's pieces are AppendChrome's document, and their hash is
+// the TraceHash Run reports — the hash of the document no run keeps.
+func TestTraceHashIsTheStream(t *testing.T) {
+	s, err := LoadFile(corpusDir + "/07-coll-outage.yaml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := Run(s, Opts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The traced run simulate makes, with the tracer kept.
+	mpiCfg, err := s.mpiConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := s.FaultPlan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpiCfg.Instrument = &mpi.InstrumentConfig{}
+	tr := trace.New(trace.Options{})
+	cluster.RunE(cluster.Config{Procs: s.Procs, MPI: mpiCfg, RecordTruth: true, Faults: plan,
+		Deadline: s.Deadline.D(), Trace: tr}, s.Workload.program(false))
+	spills := 0
+	for _, tk := range tr.Tracks() {
+		spills += tk.Spills()
+	}
+	if spills == 0 {
+		t.Fatal("the scenario's tracks never spilled — weak fixture")
+	}
+
+	doc := tr.AppendChrome(nil)
+	var pieces [][]byte
+	if err := tr.WriteChrome(writerFunc(func(p []byte) (int, error) {
+		pieces = append(pieces, bytes.Clone(p))
+		return len(p), nil
+	})); err != nil {
+		t.Fatal(err)
+	}
+	if got := bytes.Join(pieces, nil); !bytes.Equal(got, doc) {
+		t.Fatalf("%d pieces join to %d bytes that are not the %d-byte document", len(pieces), len(got), len(doc))
+	}
+	if len(pieces) < 2 {
+		t.Errorf("a %d-byte document went out in %d piece", len(doc), len(pieces))
+	}
+	if got := hashBytes(doc); got != rr.TraceHash {
+		t.Errorf("document hash %s, Run's TraceHash %s", short(got), short(rr.TraceHash))
+	}
+}
+
+type writerFunc func(p []byte) (int, error)
+
+func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

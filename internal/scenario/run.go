@@ -100,23 +100,21 @@ type RunResult struct {
 	// visible instead of silently passing.
 	Skips []Skip
 
-	TraceBytes  []byte
 	TraceHash   string
 	ReportBytes []byte
 	ReportHash  string
 }
 
 // Run executes the scenario once. The run is a pure function of
-// (scenario, opts): identical inputs produce byte-identical
-// TraceBytes and ReportBytes. Errors returned here are engine-level
+// (scenario, opts): identical inputs produce the same TraceHash and
+// byte-identical ReportBytes. Errors returned here are engine-level
 // (invalid scenario); the workload's own failures land in
 // RunResult.Err where assertions can inspect them.
 func Run(s *Scenario, opts Opts) (*RunResult, error) {
-	rr, tres, err := simulate(s, opts, true, nil)
+	rr, tres, err := simulate(s, opts, true)
 	if err != nil {
 		return nil, err
 	}
-	rr.TraceHash = hashBytes(rr.TraceBytes)
 
 	// Best-effort like the profile: a stream the replay rejects leaves
 	// TimeRes nil and the time_resolved assertions report its absence
@@ -141,17 +139,17 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 }
 
 // simulate is what Run and the determinism re-run share, and all that
-// TraceBytes and ReportBytes depend on: one simulation of s under a
-// fresh tracer, the trace exported onto traceBuf[:0], and the offline
-// profile. The result carries no hashes and no report yet — the report
-// embeds the trace hash, which the two callers obtain differently.
+// TraceHash and ReportBytes depend on: one simulation of s under a
+// fresh tracer, the trace exported straight into a sha256 hasher — no
+// run keeps the document — and the offline profile. The result carries
+// no report yet.
 //
 // primary additionally attaches what only Run's callers read and no
 // artifact byte depends on: the per-rank Events capture (a passive
 // monitor tap, the oracle's input), the time-resolved analyzer (a
 // trace sink, returned for Run to finalize), opts.Sink and the
 // profile's critical path.
-func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult, *timeres.Analyzer, error) {
+func simulate(s *Scenario, opts Opts, primary bool) (*RunResult, *timeres.Analyzer, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -227,7 +225,9 @@ func simulate(s *Scenario, opts Opts, primary bool, traceBuf []byte) (*RunResult
 		Err:      runErr,
 		Events:   events,
 	}
-	rr.TraceBytes = tracer.AppendChrome(traceBuf[:0])
+	h := sha256.New()
+	_ = tracer.WriteChrome(h) // a hash.Hash never returns a write error
+	rr.TraceHash = hexDigest(h.Sum(nil))
 
 	// The offline profile is best-effort: a run that wedged at t=0 may
 	// not have enough stream to analyze, and assertions that need the
@@ -359,5 +359,11 @@ func (rr *RunResult) realClock() bool { return rr.Opts.Backend == cluster.Backen
 
 func hashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hexDigest(sum[:])
+}
+
+// hexDigest spells a sha256 sum in hex; the string is its one allocation.
+func hexDigest(sum []byte) string {
+	var buf [2 * sha256.Size]byte
+	return string(hex.AppendEncode(buf[:0], sum))
 }

@@ -15,34 +15,61 @@ import (
 // metrics snapshot rides along as a top-level "metrics" object (extra
 // top-level keys are explicitly legal per the spec). A nil tracer
 // writes the empty document.
-func (t *Tracer) WriteChrome(w io.Writer) error {
-	_, err := w.Write(t.AppendChrome(nil))
+//
+// The document streams through one chromeChunk-byte chunk, handed to w
+// at a track or record that finds less than recRoom left, before the
+// metrics block and at the end (a longer piece grows it until written).
+// The first error w returns is returned, and nothing more is written.
+func (t *Tracer) WriteChrome(w io.Writer) error { return t.writeChrome(w, chromeChunk) }
+
+const chromeChunk, recRoom = 16 << 10, 512
+
+// writeChrome is WriteChrome with a chunk of the given size.
+func (t *Tracer) writeChrome(w io.Writer, chunk int) (err error) {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(t.chromeSize()) // a bytes.Buffer then allocates once
+	}
+	buf := make([]byte, 0, chunk)
+	t.encodeChrome(buf, func(dst []byte, force bool) []byte {
+		if len(dst) < chunk-recRoom && !force {
+			return dst
+		}
+		if err == nil {
+			_, err = w.Write(dst)
+		}
+		return buf[:0]
+	})
 	return err
 }
 
-// recBytes is the output size AppendChrome reserves per record. The
-// corpus and NAS traces come to 93-99 bytes a record; one whose stamps
-// or details run longer than this only costs append its usual growth.
-const recBytes = 112
-
-// AppendChrome appends the WriteChrome document to dst and returns the
-// extended buffer.
-//
-// The encoder is hand-written rather than encoding/json because
-// byte-identical output is a contract here: field order is fixed,
-// nothing iterates a map, and microsecond timestamps are formatted
-// from integer nanoseconds (never through a float), so a fixed-seed
-// run re-exports to the same bytes. It is append-based because export
-// is on every traced run's path: one output buffer sized from the
-// record count, no reflection and no per-record allocation.
+// AppendChrome appends the WriteChrome document to dst, grown once to
+// chromeSize, and returns the extended buffer.
 func (t *Tracer) AppendChrome(dst []byte) []byte {
-	tracks := t.Tracks()
-	size := 256
-	for _, tk := range tracks {
-		size += 256 + recBytes*len(tk.Recs())
-	}
-	dst = slices.Grow(dst, size)
+	return t.encodeChrome(slices.Grow(dst, t.chromeSize()), func(dst []byte, _ bool) []byte { return dst })
+}
 
+// chromeSize estimates the document at 112 bytes a record; the corpus
+// and NAS traces come to 93-99.
+func (t *Tracer) chromeSize() int {
+	size := 256
+	for _, tk := range t.Tracks() {
+		size += 256 + 112*len(tk.Recs())
+	}
+	return size
+}
+
+// encodeChrome is the encoder behind both: it appends the document to
+// dst through flush, called at every track and record and, forced,
+// before the metrics block and at the end, and returns the last flush.
+//
+// It is hand-written rather than encoding/json because byte-identical
+// output is a contract here: field order is fixed, nothing iterates a
+// map, and microsecond timestamps are formatted from integer
+// nanoseconds (never through a float), so a fixed-seed run re-exports
+// to the same bytes. It is append-based because export is on every
+// traced run's path: no reflection and no per-record allocation.
+func (t *Tracer) encodeChrome(dst []byte, flush func(dst []byte, force bool) []byte) []byte {
+	tracks := t.Tracks()
 	dst = append(dst, `{"displayTimeUnit":"ns","traceEvents":[`...)
 	sep := "\n"
 
@@ -50,6 +77,7 @@ func (t *Tracer) AppendChrome(dst []byte) []byte {
 	// index so Perfetto orders tracks by id rather than by first event.
 	seenGroup := make(map[Group]bool)
 	for _, tk := range tracks {
+		dst = flush(dst, false)
 		if !seenGroup[tk.group] {
 			seenGroup[tk.group] = true
 			pid := int64(tk.group)
@@ -77,6 +105,7 @@ func (t *Tracer) AppendChrome(dst []byte) []byte {
 		tail := tk.appendPidTid(tailBuf[:0]) // the same for every record of the track
 		recs := tk.Recs()
 		for i := range recs {
+			dst = flush(dst, false)
 			r := &recs[i]
 			dst = appendStr(dst, ",\n"+`{"name":`, r.Name)
 			dst = appendStr(dst, `,"cat":`, r.Cat)
@@ -97,7 +126,7 @@ func (t *Tracer) AppendChrome(dst []byte) []byte {
 
 	dst = append(dst, "\n]"...)
 	if snap := t.Metrics().Snapshot(); !snap.Empty() {
-		dst = append(dst, `,"metrics":`...)
+		dst = append(flush(dst, true), `,"metrics":`...)
 		dst = snap.appendJSON(dst)
 	}
 	if t != nil && t.opts.Generator != "" {
@@ -108,7 +137,7 @@ func (t *Tracer) AppendChrome(dst []byte) []byte {
 		// and virtual exports stay byte-identical (golden traces).
 		dst = appendStr(dst, `,"clockDomain":`, d)
 	}
-	return append(dst, "}\n"...)
+	return flush(append(dst, "}\n"...), true)
 }
 
 // appendPidTid appends the `,"pid":P,"tid":T` pair that places an event

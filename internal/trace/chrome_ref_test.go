@@ -298,12 +298,14 @@ func TestAppendChromeAppends(t *testing.T) {
 
 // FuzzChromeEncoder drives one record, a track, the metrics block and
 // the top-level keys with arbitrary strings and numbers and checks the
-// append encoder against the reference.
+// append encoder against the reference — and the stream too, through
+// WriteChrome's chunk and through a chunk of the fuzzer's size, so
+// that the writes split the document at fuzzer-chosen offsets.
 func FuzzChromeEncoder(f *testing.F) {
-	f.Add("Isend", "mpi", "", "eager", int64(1500), int64(3000), 1, int64(1<<20), uint64(7))
-	f.Add(`q"\`, "<&>", "nul\x00\n", "é\xff ", int64(-1500), int64(0), -1, int64(0), uint64(0))
-	f.Add("", "", "", "", int64(1<<53+1), int64(1<<62), 0, int64(-5), uint64(1<<64-1))
-	f.Fuzz(func(t *testing.T, name, cat, detail, phase string, start, dur int64, peer int, size int64, id uint64) {
+	f.Add("Isend", "mpi", "", "eager", int64(1500), int64(3000), 1, int64(1<<20), uint64(7), uint16(0))
+	f.Add(`q"\`, "<&>", "nul\x00\n", "é\xff ", int64(-1500), int64(0), -1, int64(0), uint64(0), uint16(37))
+	f.Add("", "", "", "", int64(1<<53+1), int64(1<<62), 0, int64(-5), uint64(1<<64-1), uint16(600))
+	f.Fuzz(func(t *testing.T, name, cat, detail, phase string, start, dur int64, peer int, size int64, id uint64, chunk uint16) {
 		if start == math.MinInt64 {
 			// The reference negates the stamp, which overflows here and
 			// prints "--9223372036854775.-808"; AppendUsec is pinned on
@@ -318,6 +320,13 @@ func FuzzChromeEncoder(f *testing.F) {
 		tk.emit(Rec{Cat: cat, Name: name, Start: vtime.Time(start), Dur: time.Duration(dur),
 			Args: Args{Peer: peer, Size: size, ID: id, Detail: detail, Phase: phase}})
 		tr.Metrics().Gauge(cat).Set(size)
-		encodeBoth(t, tr)
+		want := encodeBoth(t, tr)
+		var whole, split bytes.Buffer
+		if err := tr.WriteChrome(&whole); err != nil || !bytes.Equal(whole.Bytes(), want) {
+			t.Fatalf("WriteChrome diverges from the reference (%v)\n got: %s\nwant: %s", err, whole.Bytes(), want)
+		}
+		if err := tr.writeChrome(&split, int(chunk)); err != nil || !bytes.Equal(split.Bytes(), want) {
+			t.Fatalf("%d-byte chunks diverge from the reference (%v)\n got: %s\nwant: %s", chunk, err, split.Bytes(), want)
+		}
 	})
 }
