@@ -18,7 +18,7 @@
 // from the artifact it cites — the tests recompute them.
 //
 // The same package also hosts the run-to-run differential profiler
-// (diff.go) cmd/ovldiff builds on.
+// (diff.go) ovlp ovldiff builds on.
 package diagnose
 
 import (
@@ -170,7 +170,7 @@ type Interval struct {
 
 // Input is the evidence Analyze consumes. Profile and TimeRes are each
 // optional — rules that need a missing artifact simply do not fire —
-// but a fully wired caller (the scenario engine, cmdutil -diagnose)
+// but a fully wired caller (the scenario engine, the drivers' -diagnose)
 // provides both.
 type Input struct {
 	Profile  *profile.Profile
@@ -268,7 +268,7 @@ func Analyze(in Input) *Report {
 // Explain summarizes a profile's bound gap in one sentence: the
 // dominant blame cause, its share of the gap, and the hottest site
 // under that cause. Empty when the profile carries no gap to explain
-// — callers (cmd/benchgate -explain) print it verbatim next to the
+// — callers (ovlp benchgate -explain) print it verbatim next to the
 // violation that triggered the diagnosis.
 func Explain(p *profile.Profile) string {
 	if p == nil || p.Totals.Gap <= 0 {

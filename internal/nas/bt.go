@@ -54,7 +54,6 @@ func RunBT(r *mpi.Rank, p Params) {
 	g := newSqGrid(r.ID(), r.Size())
 	c := ceilDiv(spec.n, g.q)       // cell dimension
 	pts := float64(g.q * c * c * c) // points per rank
-	m := p.Machine
 
 	// Message sizes: ghost faces carry 5 solution components over two
 	// layers for each of the rank's q cells; solve stages forward the
@@ -67,12 +66,12 @@ func RunBT(r *mpi.Rank, p Params) {
 	r.Bcast(0, 5*doubleBytes) // timestep parameters
 	iters := p.iters(spec.iters)
 	for it := 0; it < iters; it++ {
-		copyFaces(r, g, faceBytes, tagFace, m.FlopTime(40*pts))
-		r.Compute(m.FlopTime(btRHSFlops * pts))
+		copyFaces(r, g, faceBytes, tagFace, flopTime(40*pts))
+		r.Compute(flopTime(btRHSFlops * pts))
 		for dir := 0; dir < 3; dir++ {
 			btSolve(r, g, dir, stageBytes, tagSolve+dir, p)
 		}
-		r.Compute(m.FlopTime(btAddFlops * pts))
+		r.Compute(flopTime(btAddFlops * pts))
 	}
 	r.Allreduce(5 * doubleBytes) // verification norms
 }
@@ -99,7 +98,7 @@ func btSolve(r *mpi.Rank, g sqGrid, dir, stageBytes, tag int, p Params) {
 	spec := btSpecs[p.Class]
 	c := ceilDiv(spec.n, g.q)
 	pts := float64(g.q * c * c * c)
-	stageWork := p.Machine.FlopTime(btSolveFlops * pts / float64(2*g.q))
+	stageWork := flopTime(btSolveFlops * pts / float64(2*g.q))
 
 	var pred, succ int
 	switch dir {

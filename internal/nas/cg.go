@@ -48,12 +48,11 @@ func RunCG(r *mpi.Rank, p Params) {
 	procRow := r.ID() / npcols
 	procCol := r.ID() % npcols
 	l2npcols := log2(npcols)
-	m := p.Machine
 
 	// Estimated nonzeros of the full matrix and the per-process share.
 	nnz := float64(spec.n) * float64(spec.nonzer+1) * float64(spec.nonzer+2)
-	localMatvec := m.FlopTime(2 * nnz / float64(procs))
-	localVec := m.FlopTime(12 * float64(spec.n/nprows))
+	localMatvec := flopTime(2 * nnz / float64(procs))
+	localVec := flopTime(12 * float64(spec.n/nprows))
 
 	segBytes := doubleBytes * ceilDiv(spec.n, npcols)
 
@@ -75,7 +74,7 @@ func RunCG(r *mpi.Rank, p Params) {
 			for i := 0; i < l2npcols; i++ {
 				partner := procRow*npcols + (procCol ^ (1 << i))
 				r.Sendrecv(partner, tagSum+i, segBytes, partner, tagSum+i)
-				r.Compute(m.FlopTime(float64(segBytes / doubleBytes)))
+				r.Compute(flopTime(float64(segBytes / doubleBytes)))
 			}
 			// Distributed transpose of q.
 			if transpose != r.ID() {

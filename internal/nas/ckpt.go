@@ -58,11 +58,10 @@ func (w *CGCkpt) Init(c *mpi.Comm) {
 
 func (w *CGCkpt) Step(c *mpi.Comm, step int) {
 	r := c.Host()
-	m := w.p.Machine
 	procs := c.Size()
 	nnz := float64(w.spec.n) * float64(w.spec.nonzer+1) * float64(w.spec.nonzer+2)
-	localMatvec := m.FlopTime(2 * nnz / float64(procs))
-	localVec := m.FlopTime(12 * float64(w.spec.n) / float64(procs))
+	localMatvec := flopTime(2 * nnz / float64(procs))
+	localVec := flopTime(12 * float64(w.spec.n) / float64(procs))
 	segBytes := doubleBytes * ceilDiv(w.spec.n, procs)
 
 	for inner := 0; inner < cgInnerIters; inner++ {
@@ -120,28 +119,26 @@ func (w *FTCkpt) blockBytes(procs int) int {
 // iteration state.
 func (w *FTCkpt) Init(c *mpi.Comm) {
 	r := c.Host()
-	m := w.p.Machine
 	procs := c.Size()
 	local := float64(w.total()) / float64(procs)
 	fftFlops := fftCost(w.total(), procs)
 	c.Bcast(0, 3*doubleBytes)
-	r.Compute(m.FlopTime(30 * local)) // indexmap + initial conditions
-	r.Compute(m.FlopTime(fftFlops * 2 / 3))
+	r.Compute(flopTime(30 * local)) // indexmap + initial conditions
+	r.Compute(flopTime(fftFlops * 2 / 3))
 	c.Alltoall(w.blockBytes(procs))
-	r.Compute(m.FlopTime(fftFlops / 3))
+	r.Compute(flopTime(fftFlops / 3))
 }
 
 func (w *FTCkpt) Step(c *mpi.Comm, step int) {
 	r := c.Host()
-	m := w.p.Machine
 	procs := c.Size()
 	local := float64(w.total()) / float64(procs)
 	fftFlops := fftCost(w.total(), procs)
-	r.Compute(m.FlopTime(6 * local)) // evolve
-	r.Compute(m.FlopTime(fftFlops * 2 / 3))
+	r.Compute(flopTime(6 * local)) // evolve
+	r.Compute(flopTime(fftFlops * 2 / 3))
 	c.Alltoall(w.blockBytes(procs))
-	r.Compute(m.FlopTime(fftFlops / 3))
-	r.Compute(m.FlopTime(10 * local / float64(procs)))
+	r.Compute(flopTime(fftFlops / 3))
+	r.Compute(flopTime(10 * local / float64(procs)))
 	c.Reduce(0, complexBytes) // checksum
 	c.Bcast(0, complexBytes)
 }
@@ -200,24 +197,23 @@ func (w *MGCkpt) Init(c *mpi.Comm) {
 
 func (w *MGCkpt) Step(c *mpi.Comm, step int) {
 	r := c.Host()
-	m := w.p.Machine
 	g := newMGGeom(c.Rank(), c.Size())
 	levels := mgLevels(w.spec, g)
 	// Down-cycle: restrict to coarser grids.
 	for l := 0; l < len(levels)-1; l++ {
 		lv := levels[l]
-		r.Compute(m.FlopTime(mgResidFlops * lv.points))
+		r.Compute(flopTime(mgResidFlops * lv.points))
 		mgComm3(c, g, lv)
-		r.Compute(m.FlopTime(mgTransferFlops * lv.points))
+		r.Compute(flopTime(mgTransferFlops * lv.points))
 	}
 	// Coarsest solve.
-	r.Compute(m.FlopTime(mgSmoothFlops * levels[len(levels)-1].points))
+	r.Compute(flopTime(mgSmoothFlops * levels[len(levels)-1].points))
 	// Up-cycle: interpolate and smooth back to the finest grid.
 	for l := len(levels) - 2; l >= 0; l-- {
 		lv := levels[l]
-		r.Compute(m.FlopTime(mgTransferFlops * lv.points))
+		r.Compute(flopTime(mgTransferFlops * lv.points))
 		mgComm3(c, g, lv)
-		r.Compute(m.FlopTime(mgSmoothFlops * lv.points))
+		r.Compute(flopTime(mgSmoothFlops * lv.points))
 	}
 	// Residual norm.
 	c.Allreduce(2 * doubleBytes)

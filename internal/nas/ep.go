@@ -33,7 +33,6 @@ func RunEP(r *mpi.Rank, p Params) {
 	if !ok {
 		panic("nas: EP has no class " + p.Class.String())
 	}
-	m := p.Machine
 
 	// EP generates pairs in batches of 2^16 (NPB's nk blocking); the
 	// iteration cap truncates batches for cheap experiment runs.
@@ -43,7 +42,7 @@ func RunEP(r *mpi.Rank, p Params) {
 		batches = 1
 	}
 	batches = p.iters(batches)
-	r.Compute(m.FlopTime(epFlopsPerPair * float64(batches*batch)))
+	r.Compute(flopTime(epFlopsPerPair * float64(batches*batch)))
 	r.Allreduce(doubleBytes)      // sum X
 	r.Allreduce(doubleBytes)      // sum Y
 	r.Allreduce(10 * doubleBytes) // annulus counts

@@ -40,7 +40,6 @@ func RunFT(r *mpi.Rank, p Params) {
 	procs := r.Size()
 	total := spec.nx * spec.ny * spec.nz
 	local := float64(total) / float64(procs)
-	m := p.Machine
 
 	// Per-pair transpose block: the local slab sliced P ways.
 	blockBytes := total * complexBytes / (procs * procs)
@@ -58,34 +57,34 @@ func RunFT(r *mpi.Rank, p Params) {
 	// computation (and, briefly, each other).
 	fftTranspose := func(pre, post float64) {
 		if !p.Overlap {
-			r.Compute(m.FlopTime(pre))
+			r.Compute(flopTime(pre))
 			r.Alltoall(blockBytes)
-			r.Compute(m.FlopTime(post))
+			r.Compute(flopTime(post))
 			return
 		}
 		halfA := blockBytes / 2
 		halfB := blockBytes - halfA
-		r.Compute(m.FlopTime(pre / 2))
+		r.Compute(flopTime(pre / 2))
 		crA := r.Ialltoall(halfA)
-		r.Compute(m.FlopTime(pre / 2))
+		r.Compute(flopTime(pre / 2))
 		crB := r.Ialltoall(halfB)
 		r.WaitColl(crA)
-		r.Compute(m.FlopTime(post / 2))
+		r.Compute(flopTime(post / 2))
 		r.WaitColl(crB)
-		r.Compute(m.FlopTime(post / 2))
+		r.Compute(flopTime(post / 2))
 	}
 
-	r.Bcast(0, 3*doubleBytes)         // problem parameters
-	r.Compute(m.FlopTime(30 * local)) // compute_indexmap + initial conditions
+	r.Bcast(0, 3*doubleBytes)       // problem parameters
+	r.Compute(flopTime(30 * local)) // compute_indexmap + initial conditions
 	// Forward FFT: local dimensions, transpose, remaining dimension.
 	fftTranspose(fftFlops*2/3, fftFlops*1/3)
 
 	iters := p.iters(spec.iters)
 	for it := 0; it < iters; it++ {
-		r.Compute(m.FlopTime(6 * local)) // evolve
+		r.Compute(flopTime(6 * local)) // evolve
 		// Inverse FFT: local dims, transpose, last dim.
 		fftTranspose(fftFlops*2/3, fftFlops*1/3)
-		r.Compute(m.FlopTime(10 * local / float64(procs)))
+		r.Compute(flopTime(10 * local / float64(procs)))
 		r.Reduce(0, complexBytes) // checksum
 		r.Bcast(0, complexBytes)
 	}

@@ -35,7 +35,6 @@ func RunIS(r *mpi.Rank, p Params) {
 	}
 	procs := r.Size()
 	localKeys := spec.totalKeys / procs
-	m := p.Machine
 
 	keyBlock := localKeys * intBytes / procs
 	if keyBlock == 0 {
@@ -45,14 +44,14 @@ func RunIS(r *mpi.Rank, p Params) {
 	r.Bcast(0, 2*intBytes)
 	iters := p.iters(spec.iters)
 	for it := 0; it < iters; it++ {
-		r.Compute(m.FlopTime(8 * float64(localKeys)))  // bucket counting
-		r.Allreduce(spec.buckets * intBytes)           // global bucket sizes
-		r.Alltoall(procs * intBytes)                   // send/receive counts
-		r.Alltoallv(uniform(procs, keyBlock))          // key redistribution
-		r.Compute(m.FlopTime(12 * float64(localKeys))) // local ranking
+		r.Compute(flopTime(8 * float64(localKeys)))  // bucket counting
+		r.Allreduce(spec.buckets * intBytes)         // global bucket sizes
+		r.Alltoall(procs * intBytes)                 // send/receive counts
+		r.Alltoallv(uniform(procs, keyBlock))        // key redistribution
+		r.Compute(flopTime(12 * float64(localKeys))) // local ranking
 	}
 	// Full verification sort on the last iteration.
-	r.Compute(m.FlopTime(20 * float64(localKeys)))
+	r.Compute(flopTime(20 * float64(localKeys)))
 	r.Allreduce(intBytes)
 }
 

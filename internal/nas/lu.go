@@ -48,7 +48,6 @@ func RunLU(r *mpi.Rank, p Params) {
 	nxl := ceilDiv(spec.n, px) // local x extent
 	nyl := ceilDiv(spec.n, py) // local y extent
 	nz := spec.n
-	m := p.Machine
 
 	// Wavefront pencils: 5 doubles per point of the plane's boundary
 	// row/column. Face exchanges ship 5 doubles per point of a whole
@@ -57,7 +56,7 @@ func RunLU(r *mpi.Rank, p Params) {
 	colBytes := 5 * doubleBytes * nxl
 	faceXBytes := 5 * doubleBytes * nyl * nz
 	faceYBytes := 5 * doubleBytes * nxl * nz
-	planeWork := m.FlopTime(luPlaneFlops * float64(nxl*nyl))
+	planeWork := flopTime(luPlaneFlops * float64(nxl*nyl))
 
 	const tagLow, tagUp, tagFace = 500, 510, 520
 
@@ -102,7 +101,7 @@ func RunLU(r *mpi.Rank, p Params) {
 			}
 		}
 		// RHS update with whole-face ghost exchange (exchange_3).
-		r.Compute(m.FlopTime(luRHSFlops * float64(nxl*nyl*nz)))
+		r.Compute(flopTime(luRHSFlops * float64(nxl*nyl*nz)))
 		luExchange3(r, north, south, west, east, northR, southR, westR, eastR,
 			faceXBytes, faceYBytes, tagFace)
 		if it%luNormEvery == luNormEvery-1 {

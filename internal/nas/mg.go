@@ -110,7 +110,6 @@ func RunMG(r *mpi.Rank, p Params) {
 	}
 	g := newMGGeom(r.ID(), r.Size())
 	levels := mgLevels(spec, g)
-	m := p.Machine
 	const tag = 700
 
 	comm3 := func(lv mgLevel) {
@@ -135,18 +134,18 @@ func RunMG(r *mpi.Rank, p Params) {
 		// Down-cycle: restrict to coarser grids.
 		for l := 0; l < len(levels)-1; l++ {
 			lv := levels[l]
-			r.Compute(m.FlopTime(mgResidFlops * lv.points))
+			r.Compute(flopTime(mgResidFlops * lv.points))
 			comm3(lv)
-			r.Compute(m.FlopTime(mgTransferFlops * lv.points))
+			r.Compute(flopTime(mgTransferFlops * lv.points))
 		}
 		// Coarsest solve.
-		r.Compute(m.FlopTime(mgSmoothFlops * levels[len(levels)-1].points))
+		r.Compute(flopTime(mgSmoothFlops * levels[len(levels)-1].points))
 		// Up-cycle: interpolate and smooth back to the finest grid.
 		for l := len(levels) - 2; l >= 0; l-- {
 			lv := levels[l]
-			r.Compute(m.FlopTime(mgTransferFlops * lv.points))
+			r.Compute(flopTime(mgTransferFlops * lv.points))
 			comm3(lv)
-			r.Compute(m.FlopTime(mgSmoothFlops * lv.points))
+			r.Compute(flopTime(mgSmoothFlops * lv.points))
 		}
 		// Residual norm.
 		if p.Overlap {
@@ -194,7 +193,6 @@ func RunMGARMCI(pr *armci.Proc, p Params, variant MGVariant) {
 	}
 	g := newMGGeom(pr.ID(), pr.Size())
 	levels := mgLevels(spec, g)
-	m := p.Machine
 
 	// comm3 over one-sided puts. The compute argument is the work on
 	// the current dimension's data; the non-blocking variant performs
@@ -214,7 +212,7 @@ func RunMGARMCI(pr *armci.Proc, p Params, variant MGVariant) {
 		}
 		for axis := 0; axis < 3; axis++ {
 			lo, hi := g.neighbors(axis)
-			pack := m.FlopTime(2 * float64(lv.faces[axis]/doubleBytes))
+			pack := flopTime(2 * float64(lv.faces[axis]/doubleBytes))
 			if axis == 0 {
 				pack *= 2 // gather the strided x-face into a buffer
 			}
@@ -235,19 +233,19 @@ func RunMGARMCI(pr *armci.Proc, p Params, variant MGVariant) {
 		pr.Barrier() // notify/consume ghost updates
 	}
 
-	comm3(levels[0], m.FlopTime(mgResidFlops*levels[0].points))
+	comm3(levels[0], flopTime(mgResidFlops*levels[0].points))
 	iters := p.iters(spec.iters)
 	for it := 0; it < iters; it++ {
 		for l := 0; l < len(levels)-1; l++ {
 			lv := levels[l]
-			comm3(lv, m.FlopTime(mgResidFlops*lv.points))
-			pr.Compute(m.FlopTime(mgTransferFlops * lv.points))
+			comm3(lv, flopTime(mgResidFlops*lv.points))
+			pr.Compute(flopTime(mgTransferFlops * lv.points))
 		}
-		pr.Compute(m.FlopTime(mgSmoothFlops * levels[len(levels)-1].points))
+		pr.Compute(flopTime(mgSmoothFlops * levels[len(levels)-1].points))
 		for l := len(levels) - 2; l >= 0; l-- {
 			lv := levels[l]
-			pr.Compute(m.FlopTime(mgTransferFlops * lv.points))
-			comm3(lv, m.FlopTime(mgSmoothFlops*lv.points))
+			pr.Compute(flopTime(mgTransferFlops * lv.points))
+			comm3(lv, flopTime(mgSmoothFlops*lv.points))
 		}
 		pr.Barrier()
 	}

@@ -35,23 +35,13 @@ const (
 
 func (c Class) String() string { return string(c) }
 
-// Machine models the compute node: the sustained floating-point rate
-// that converts kernel flop counts into virtual computation time.
-type Machine struct {
-	// FlopRate is sustained flops per second.
-	FlopRate float64
-}
+// flopRate is the compute model: the paper's 2.4 GHz Pentium 4 Xeon
+// at a sustained 1 GFLOP/s, in flops per second.
+const flopRate = 1e9
 
-// DefaultMachine approximates the paper's 2.4 GHz Pentium 4 Xeon at a
-// sustained 1 GFLOP/s.
-func DefaultMachine() Machine { return Machine{FlopRate: 1e9} }
-
-// FlopTime converts a flop count to computation time.
-func (m Machine) FlopTime(flops float64) time.Duration {
-	if m.FlopRate <= 0 {
-		panic("nas: machine flop rate must be positive")
-	}
-	return time.Duration(flops / m.FlopRate * 1e9)
+// flopTime converts a kernel's flop count to virtual computation time.
+func flopTime(flops float64) time.Duration {
+	return time.Duration(flops / flopRate * 1e9)
 }
 
 // Params configures one benchmark run.
@@ -61,9 +51,6 @@ type Params struct {
 	// standard count). Overlap percentages converge within a few
 	// iterations, so experiments may truncate long benchmarks.
 	MaxIters int
-	// Machine supplies the compute model; the zero value selects
-	// DefaultMachine.
-	Machine Machine
 	// Overlap selects the overlapped-collective variant of the
 	// benchmarks that have one (CG, FT, MG): reductions and transposes
 	// are issued as nonblocking collectives and advanced by the rank's
@@ -73,9 +60,6 @@ type Params struct {
 }
 
 func (p *Params) fill() {
-	if p.Machine.FlopRate == 0 {
-		p.Machine = DefaultMachine()
-	}
 	if p.Class == 0 {
 		p.Class = ClassS
 	}

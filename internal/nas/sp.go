@@ -79,7 +79,6 @@ func RunSP(r *mpi.Rank, p SPParams) {
 	g := newSqGrid(r.ID(), r.Size())
 	c := ceilDiv(spec.n, g.q)
 	pts := float64(g.q * c * c * c)
-	m := p.Machine
 
 	// copy_faces moves two ghost layers of 5 components per cell —
 	// the paper calls out its "substantial volume of data ... with no
@@ -94,12 +93,12 @@ func RunSP(r *mpi.Rank, p SPParams) {
 	r.Bcast(0, 5*doubleBytes)
 	iters := p.iters(spec.iters)
 	for it := 0; it < iters; it++ {
-		copyFaces(r, g, faceBytes, tagFace, m.FlopTime(40*pts))
-		r.Compute(m.FlopTime(spRHSFlops * pts)) // compute_rhs + txinvr
+		copyFaces(r, g, faceBytes, tagFace, flopTime(40*pts))
+		r.Compute(flopTime(spRHSFlops * pts)) // compute_rhs + txinvr
 		for dir := 0; dir < 3; dir++ {
 			spSolve(r, g, dir, stageBytes, tagSolve+dir, p)
 		}
-		r.Compute(m.FlopTime(spAddFlops * pts))
+		r.Compute(flopTime(spAddFlops * pts))
 	}
 	r.Allreduce(5 * doubleBytes)
 }
@@ -112,8 +111,8 @@ func spSolve(r *mpi.Rank, g sqGrid, dir, stageBytes, tag int, p SPParams) {
 	c := ceilDiv(spec.n, g.q)
 	pts := float64(g.q * c * c * c)
 	stageWork := spSolveFlops * pts / float64(2*g.q)
-	lhsWork := p.Machine.FlopTime(stageWork * spLHSShare)
-	elimWork := p.Machine.FlopTime(stageWork * (1 - spLHSShare))
+	lhsWork := flopTime(stageWork * spLHSShare)
+	elimWork := flopTime(stageWork * (1 - spLHSShare))
 
 	var pred, succ int
 	switch dir {

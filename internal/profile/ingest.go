@@ -118,7 +118,7 @@ func findGauge(s *trace.Snapshot, name string) int64 {
 }
 
 // FromChromeJSON rebuilds an Input from a Chrome trace-event file the
-// exporter (or cmd/tracecat) wrote. The caller supplies the
+// exporter (or ovlp tracecat) wrote. The caller supplies the
 // calibration table the run was instrumented with — the file does not
 // embed it. Only files produced by this repo's exporter round-trip:
 // the reader keys on its category/name vocabulary and pid/tid layout.

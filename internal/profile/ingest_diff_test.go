@@ -373,7 +373,7 @@ func TestIngestRespelledFiles(t *testing.T) {
 			}
 		}
 		merged := filepath.Join(dir, "merged.json")
-		cmd := exec.Command(goTool, "run", "ovlp/cmd/tracecat", "-o", merged, filepath.Join(dir, "seed.json"), filepath.Join(dir, "faulted.json"))
+		cmd := exec.Command(goTool, "run", "ovlp/cmd/ovlp", "tracecat", "-o", merged, filepath.Join(dir, "seed.json"), filepath.Join(dir, "faulted.json"))
 		if out, err := cmd.CombinedOutput(); err != nil {
 			t.Fatalf("tracecat: %v\n%s", err, out)
 		}

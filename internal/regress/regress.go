@@ -9,7 +9,7 @@
 // tree reproduces the baseline byte for byte, and any drift — not just
 // slowdowns — means the model changed and the baseline needs a
 // deliberate refresh. Compare therefore flags deviation in either
-// direction beyond the tolerance; cmd/benchgate turns its findings
+// direction beyond the tolerance; ovlp benchgate turns its findings
 // into a non-zero exit for CI.
 package regress
 

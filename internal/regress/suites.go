@@ -25,7 +25,7 @@ import (
 // Artifact is one workload's retained analysis output: the blame
 // profile and windowed efficiency snapshot behind an Entry's numbers.
 // Runners obtained through SuitesTraced keep one Artifact per entry,
-// so cmd/benchgate -explain can hand a regression it just flagged to
+// so ovlp benchgate -explain can hand a regression it just flagged to
 // the diagnosis engine without re-measuring. TimeRes is nil when the
 // stream could not be replayed (the profile alone still explains the
 // blame split).
@@ -113,7 +113,7 @@ func deref(arts *[]Artifact) []Artifact {
 	return *arts
 }
 
-// Suites maps the suite names cmd/benchgate accepts to their runners.
+// Suites maps the suite names ovlp benchgate accepts to their runners.
 func Suites() map[string]func() *Baseline {
 	return map[string]func() *Baseline{
 		"overlap": RunOverlapSuite,

@@ -16,7 +16,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden files")
 
 // TestTimelineGolden locks the ASCII timeline renderer's output on a
-// fixed-seed run of the ring scenario (the cmd/timeline default): the
+// fixed-seed run of the ring scenario (the ovlp timeline default): the
 // simulation is deterministic, so the rendered chart is a stable
 // artifact. Regenerate with: go test ./internal/report -run Golden -update
 func TestTimelineGolden(t *testing.T) {

@@ -2,7 +2,7 @@ package scenario
 
 // The assertion taxonomy as data. checkDocs is the single source the
 // validator derives its known-check vocabulary from and that
-// cmd/scenario -list-checks renders, so the printed catalogue cannot
+// ovlp scenario -list-checks renders, so the printed catalogue cannot
 // drift from what Validate accepts; a test cross-checks every listed
 // field against the Assertion struct's JSON tags.
 
@@ -67,7 +67,7 @@ var knownChecks = func() []string {
 }()
 
 // WriteChecks renders the taxonomy and the closed vocabularies its
-// fields draw from (cmd/scenario -list-checks).
+// fields draw from (ovlp scenario -list-checks).
 func WriteChecks(w io.Writer) error {
 	tw := &errWriter{w: w}
 	tw.printf("Assertion checks (scenario assert: entries):\n\n")

@@ -68,8 +68,8 @@ func TestCorpusSmoke(t *testing.T) {
 // in the simulator/instrumentation or an intentional behaviour
 // change; regenerate with
 //
-//	go run ./cmd/scenario -golden scenarios/golden -write-golden scenarios/
-//	go run ./cmd/scenario -findings scenarios/golden scenarios/09-phase-collapse.yaml scenarios/10-straggler.yaml
+//	go run ./cmd/ovlp scenario -golden scenarios/golden -write-golden scenarios/
+//	go run ./cmd/ovlp scenario -findings scenarios/golden scenarios/09-phase-collapse.yaml scenarios/10-straggler.yaml
 //
 // only after deciding the change is intentional.
 func TestCorpusFullMatchesGoldens(t *testing.T) {
@@ -114,7 +114,7 @@ func TestCorpusFullMatchesGoldens(t *testing.T) {
 				t.Fatalf("WriteJSON: %v", err)
 			}
 			if !bytes.Equal(buf.Bytes(), fGolden) {
-				t.Errorf("findings drifted from golden (%d vs %d bytes); regenerate with cmd/scenario -findings if intentional",
+				t.Errorf("findings drifted from golden (%d vs %d bytes); regenerate with ovlp scenario -findings if intentional",
 					buf.Len(), len(fGolden))
 			}
 		})

@@ -198,7 +198,7 @@ func (r *RunReport) encode() ([]byte, error) {
 }
 
 // WriteText renders a human-readable summary of the run and its
-// assertion verdicts — what cmd/scenario prints per scenario.
+// assertion verdicts — what ovlp scenario prints per scenario.
 func WriteText(w io.Writer, rr *RunResult, violations []Violation) {
 	rep := buildReport(rr)
 	status := "PASS"

@@ -38,15 +38,15 @@ type Opts struct {
 	Smoke bool
 	// TimeRes attaches the time-resolved analyzer even when no
 	// time_resolved assertion asks for it, so RunResult.TimeRes carries
-	// a snapshot (cmd/scenario -timeresolved sets it).
+	// a snapshot (ovlp scenario -timeresolved sets it).
 	TimeRes bool
 	// Sink, when non-nil, is attached to the run's tracer and observes
-	// every trace record as it is emitted (cmd/ovltop's live console).
+	// every trace record as it is emitted (ovlp ovltop's live console).
 	// It never alters the run's bytes, and determinism reruns strip it.
 	Sink trace.Sink
 	// Findings runs the diagnosis engine even when no finding assertion
 	// asks for it, so RunResult.Findings carries a report
-	// (cmd/scenario -findings sets it). Implies the time-resolved
+	// (ovlp scenario -findings sets it). Implies the time-resolved
 	// analyzer.
 	Findings bool
 	// Backend selects the execution substrate (see

@@ -176,7 +176,7 @@ type Workload struct {
 	// Kind: "exchange" (ring/pair nonblocking exchange with inserted
 	// computation, monitored region "exchange"), "nas" (an NPB
 	// benchmark), or "coll" (a compute-overlapped nonblocking
-	// collective, as cmd/collstudy runs).
+	// collective, as ovlp collstudy runs).
 	Kind string `json:"kind"`
 
 	// exchange parameters.

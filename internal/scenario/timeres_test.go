@@ -142,7 +142,7 @@ func TestOptsSinkObservesRun(t *testing.T) {
 // CSV — the live analyzer's full output for scenario phase-collapse —
 // against the committed golden. Regenerate with
 //
-//	go run ./cmd/scenario -golden scenarios/golden -write-golden \
+//	go run ./cmd/ovlp scenario -golden scenarios/golden -write-golden \
 //	    -timeresolved scenarios/golden scenarios/09-phase-collapse.yaml
 func TestTimeResolvedCSVGolden(t *testing.T) {
 	if testing.Short() {

@@ -67,9 +67,6 @@ type Options struct {
 	// supplied later via SetTable (a live sink attaches before the run
 	// calibrates).
 	Table *calib.Table
-	// ReplayWindow is the user-interval retention for hardware-stamped
-	// bounds; 0 selects the overlap monitor's default.
-	ReplayWindow int
 }
 
 // Cell is one rank's exhaustive five-bucket time classification over
@@ -196,6 +193,11 @@ type Analyzer struct {
 	seen     time.Duration
 	total    time.Duration
 	finished bool
+
+	// replayWindow is the user-interval retention for hardware-stamped
+	// bounds: the exported trace's own for FromInput, 0 (the overlap
+	// monitor's default) for a live sink.
+	replayWindow int
 }
 
 // New creates an empty analyzer.
@@ -245,7 +247,7 @@ func (a *Analyzer) feedHost(ref trackRef, name string, r *trace.Rec) {
 	}
 	ts, ok := a.tracks[ref]
 	if !ok {
-		ts = &trackState{rr: profile.NewRankReplay(a.opts.ReplayWindow, func(x profile.XferSample) {
+		ts = &trackState{rr: profile.NewRankReplay(a.replayWindow, func(x profile.XferSample) {
 			a.samples = append(a.samples, x)
 		})}
 		if rank, isRank := rankOf(name); isRank {
@@ -663,10 +665,8 @@ func FromInput(in profile.Input, opts Options) (*Snapshot, error) {
 	if opts.Table == nil {
 		opts.Table = in.Table
 	}
-	if opts.ReplayWindow == 0 {
-		opts.ReplayWindow = in.Window
-	}
 	a := New(opts)
+	a.replayWindow = in.Window
 	a.mu.Lock()
 	for i := range in.Ranks {
 		rs := &in.Ranks[i]

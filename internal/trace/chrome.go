@@ -269,7 +269,7 @@ func appendArgs(dst []byte, a *Args) []byte {
 }
 
 // WriteJSON encodes the snapshot as the trace file's "metrics" block —
-// exported so tools that merge trace files (cmd/tracecat) can re-emit
+// exported so tools that merge trace files (ovlp tracecat) can re-emit
 // a combined snapshot in the same deterministic encoding.
 func (s *Snapshot) WriteJSON(w io.Writer) error {
 	_, err := w.Write(s.appendJSON(nil))

@@ -70,7 +70,7 @@ func TestScanChromeInvertsAppendChrome(t *testing.T) {
 }
 
 // TestScanChromeRawFields: stamps and args reach the caller as written
-// (cmd/tracecat re-emits them), whatever their type.
+// (ovlp tracecat re-emits them), whatever their type.
 func TestScanChromeRawFields(t *testing.T) {
 	events, _, err := scanAll(`{"traceEvents":[
 		{"ts":1.500,"dur":"2.5","args": {"a" : [1, 2]} ,"s":"t"},

@@ -119,7 +119,7 @@ type Options struct {
 	MetricsOnly bool
 	// Generator, when set, is stamped into exported trace files as a
 	// top-level "generator" key — the producing binary's build identity
-	// (cmdutil.Version). Left empty it adds nothing, so byte-stable
+	// (`ovlp -version`). Left empty it adds nothing, so byte-stable
 	// golden traces are unaffected unless a caller opts in.
 	Generator string
 	// ClockDomain names the clock the run's timestamps were read from
