@@ -53,7 +53,7 @@ func benchgateMain(args []string, stdout, stderr io.Writer) int {
 	explain := fs.Bool("explain", false, "diagnose regressed entries (dominant blame cause + ranked findings)")
 	inject := fs.Float64("inject-pct", 0, "inflate measured durations by this percent (gate self-test)")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 
 	runners := regress.Suites()

@@ -51,7 +51,7 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail2 := failWith(stderr, "collstudy", 2)
 	fail := failWith(stderr, "collstudy", 1)

@@ -62,7 +62,7 @@ func faultstudyMain(args []string, stdout, stderr io.Writer) int {
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 
 	fail2 := failWith(stderr, "faultstudy", 2)

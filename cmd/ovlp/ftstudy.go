@@ -49,7 +49,7 @@ func ftstudyMain(args []string, stdout, stderr io.Writer) int {
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail2 := failWith(stderr, "ftstudy", 2)
 	fail := failWith(stderr, "ftstudy", 1)

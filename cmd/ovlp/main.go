@@ -3,9 +3,9 @@
 // table of the paper, runs a study, or analyzes what another one wrote;
 // `ovlp -h` lists them and `ovlp <subcommand> -h` lists its flags.
 //
-// A subcommand exits 0 on success and 1 when a run or an output fails;
-// the drivers that validate their flags before simulating exit 2 on a
-// bad flag or configuration. Error messages carry the subcommand's name.
+// A subcommand exits 0 on success and on -h, 1 when a run or an output
+// fails, and 2 on a bad flag or configuration, which it rejects before
+// simulating. Error messages carry the subcommand's name.
 package main
 
 import (

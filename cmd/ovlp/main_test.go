@@ -34,3 +34,42 @@ func TestVersionFlag(t *testing.T) {
 		})
 	}
 }
+
+// TestHelpExitsZero: -h prints a subcommand's flags on stderr and is
+// not an error, on every subcommand.
+func TestHelpExitsZero(t *testing.T) {
+	for _, c := range subcommands {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runCmd(t, c.name, "-h")
+			if code != 0 {
+				t.Fatalf("-h exit = %d, want 0", code)
+			}
+			if stdout != "" || !strings.Contains(stderr, "Usage of "+c.name) {
+				t.Fatalf("-h stdout = %q, stderr = %q; want the usage on stderr", stdout, stderr)
+			}
+		})
+	}
+}
+
+// TestBadShapesExitTwo: flag values that once panicked deep in a run
+// are configuration errors, rejected up front with exit 2 and a message
+// under the subcommand's name.
+func TestBadShapesExitTwo(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"spstudy", []string{"-classes", "A,"}},
+		{"spstudy", []string{"-trace", "-", "-iters", "1"}}, // a sweep cannot be traced
+		{"overhead", []string{"-class", ""}},
+		{"timeline", []string{"-procs", "0"}},
+		{"timeline", []string{"-procs", "-1"}},
+	} {
+		t.Run(tc.name+" "+strings.Join(tc.args, " "), func(t *testing.T) {
+			code, stdout, stderr := runCmd(t, tc.name, tc.args...)
+			if code != 2 || stdout != "" || !strings.HasPrefix(stderr, tc.name+": ") {
+				t.Fatalf("exit %d, stdout %q, stderr %q; want 2 and a %q message", code, stdout, stderr, tc.name+": ")
+			}
+		})
+	}
+}

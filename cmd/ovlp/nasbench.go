@@ -77,7 +77,7 @@ func nasbenchMain(args []string, stdout, stderr io.Writer) int {
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail2 := failWith(stderr, "nasbench", 2)
 	fail := failWith(stderr, "nasbench", 1)

@@ -28,8 +28,11 @@ func overheadMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
-
-	class := nas.Class(strings.ToUpper(*classFlag)[0])
+	classes, err := parseClasses(*classFlag)
+	if err != nil || len(classes) != 1 {
+		return failWith(stderr, "overhead", 2)(fmt.Errorf("-class must name one problem class, not %q", *classFlag))
+	}
+	class := classes[0]
 	t := report.NewTable(
 		fmt.Sprintf("Instrumentation overhead — class %s, %d procs (paper Fig. 20: <0.9%%)", class, *procs),
 		"benchmark", "plain", "instrumented", "overhead%")

@@ -58,7 +58,7 @@ func overlapbenchMain(args []string, stdout, stderr io.Writer) int {
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail2 := failWith(stderr, "overlapbench", 2)
 	fail := failWith(stderr, "overlapbench", 1)

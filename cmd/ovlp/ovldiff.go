@@ -37,7 +37,7 @@ func ovldiffMain(args []string, stdout, stderr io.Writer) int {
 	csvOut := fs.Bool("csv", false, "emit the delta table as CSV")
 	jsonOut := fs.Bool("json", false, "emit the full diff document as JSON")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail := failWith(stderr, "ovldiff", 1)
 	if fs.NArg() != 2 {

@@ -60,7 +60,7 @@ func ovlprofMain(args []string, stdout, stderr io.Writer) int {
 	diagnoseOut := fs.Bool("diagnose", false, "emit ranked diagnosis findings (see internal/diagnose) instead of the raw profile")
 	window := fs.Duration("window", timeres.DefaultWindow, "rolling-window length for -timeresolved and -diagnose")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail := failWith(stderr, "ovlprof", 1)
 	if fs.NArg() != 1 {

@@ -52,7 +52,7 @@ func ovltopMain(args []string, stdout, stderr io.Writer) int {
 	smoke := fs.Bool("smoke", false, "run the scenario at smoke size")
 	httpAddr := fs.String("http", "", `serve the web view on this address (e.g. ":8080")`)
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: ovltop [flags] scenario.yaml")

@@ -66,7 +66,7 @@ func scenarioMain(args []string, stdout, stderr io.Writer) int {
 	genSeed := fs.Int64("gen-seed", 42, "generator seed (same seed, same scenarios)")
 	genOut := fs.String("gen-out", ".", "directory the generated scenario files are written into")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return parseExit(err)
 	}
 	fail2 := failWith(stderr, "scenario", 2)
 

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"ovlp/internal/nas"
@@ -34,19 +33,18 @@ func spstudyMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
-	fail := failWith(stderr, "spstudy", 1)
+	fail, fail2 := failWith(stderr, "spstudy", 1), failWith(stderr, "spstudy", 2)
 
-	var classes []nas.Class
-	for _, part := range strings.Split(*classFlag, ",") {
-		part = strings.ToUpper(strings.TrimSpace(part))
-		classes = append(classes, nas.Class(part[0]))
+	classes, err := parseClasses(*classFlag)
+	if err != nil {
+		return fail2(err)
 	}
 	procs, err := parseProcs(*procsFlag, []int{4, 9, 16})
 	if err != nil {
-		return fail(err)
+		return fail2(err)
 	}
 	if obs.Enabled() && (len(classes) != 1 || len(procs) != 1) {
-		return fail(fmt.Errorf("-trace/-metrics need a single run: pass one -classes and one -procs value"))
+		return fail2(fmt.Errorf("-trace/-metrics need a single run: pass one -classes and one -procs value"))
 	}
 
 	for _, class := range classes {

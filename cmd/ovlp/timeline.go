@@ -34,6 +34,9 @@ func timelineMain(args []string, stdout, stderr io.Writer) int {
 		return parseExit(err)
 	}
 	fail := failWith(stderr, "timeline", 1)
+	if *procs < 1 {
+		return failWith(stderr, "timeline", 2)(fmt.Errorf("-procs %d: need at least one rank", *procs))
+	}
 
 	traces := make([]overlap.EventLog, *procs)
 	cfg := cluster.Config{

@@ -126,20 +126,25 @@ func (f *Fabric) SetCrashes(plan *CrashPlan) error {
 			}
 		}
 		at = at.Add(c.Delay)
-		node := c.Node
-		f.crashAt[node] = at
-		f.sim.After(at.Sub(f.sim.Now()), func() {
-			f.crashStats.Crashed++
-			f.nicTrack(node).Instant("crash", "node-dead", f.sim.Now(), trace.Args{ID: uint64(node)})
-			if f.tr != nil {
-				f.tr.Metrics().Counter("fabric.crashes").Inc()
-			}
-			if f.onCrash != nil {
-				f.onCrash(node)
-			}
-		})
+		f.crashAt[c.Node] = at
+		f.sim.Schedule(at.Sub(f.sim.Now()), &crashEvent{f.nics[c.Node]})
 	}
 	return nil
+}
+
+// crashEvent is n's crash instant.
+type crashEvent struct{ n *NIC }
+
+func (e *crashEvent) Fire() {
+	n, f := e.n, e.n.fab
+	f.crashStats.Crashed++
+	f.nicTrack(n.id).Instant("crash", "node-dead", f.sim.Now(), trace.Args{ID: uint64(n.id)})
+	if f.tr != nil {
+		f.tr.Metrics().Counter("fabric.crashes").Inc()
+	}
+	if f.onCrash != nil {
+		f.onCrash(n.id)
+	}
 }
 
 // OnCrash registers fn to be invoked, in simulation event context, at

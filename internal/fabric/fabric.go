@@ -226,6 +226,8 @@ type Fabric struct {
 	crashStats CrashStats
 	onCrash    func(NodeID)
 
+	events freeList[wireEvent] // recycled wire events (events.go)
+
 	tr *trace.Tracer // nil = untraced
 
 	// record's instruments, looked up in the tracer's registry at the
@@ -498,7 +500,7 @@ func (n *NIC) reserveEgress(earliest vtime.Time, wire time.Duration) (start, end
 // latency after serialization finishes; a CQE appears locally when the
 // data has left the NIC. Returns the work-request id.
 func (n *NIC) Send(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload any) uint64 {
-	return n.transmit(p, dst, OpSend, size, n.fab.cost.Wire(size), xferID, payload, true)
+	return n.transmit(p, dst, OpSend, size, n.fab.cost.Wire(size), xferID, payload, true, 0)
 }
 
 // RDMAWrite posts a one-sided write of size bytes to dst. If payload
@@ -506,7 +508,7 @@ func (n *NIC) Send(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload a
 // notification after the data arrives; otherwise the remote host
 // observes nothing. Returns the work-request id.
 func (n *NIC) RDMAWrite(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload any) uint64 {
-	return n.transmit(p, dst, OpRDMAWrite, size, n.fab.cost.Wire(size), xferID, payload, payload != nil)
+	return n.transmit(p, dst, OpRDMAWrite, size, n.fab.cost.Wire(size), xferID, payload, payload != nil, 0)
 }
 
 // RDMAWriteStrided posts a vectored one-sided write of count segments
@@ -518,23 +520,19 @@ func (n *NIC) RDMAWriteStrided(p *vtime.Proc, dst NodeID, count, block int, xfer
 		panic("fabric: strided write needs at least one segment")
 	}
 	wire := time.Duration(count) * n.fab.cost.Wire(block)
-	return n.transmit(p, dst, OpRDMAWrite, count*block, wire, xferID, payload, payload != nil)
+	return n.transmit(p, dst, OpRDMAWrite, count*block, wire, xferID, payload, payload != nil, 0)
 }
 
-func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire time.Duration, xferID uint64, payload any, deliver bool) uint64 {
-	return n.transmitSeq(p, dst, kind, size, wire, xferID, payload, deliver, 0)
-}
-
-// transmitSeq is transmit with a reliable-delivery sequence number
-// (0 = unsequenced). With no active fault plan it follows the exact
-// pre-fault code path. Under faults: the egress start honours stall
-// windows (a permanent stall swallows the request — no CQE, no
-// delivery); the wire time honours degraded bandwidth; a dropped
-// Send-class packet vanishes silently after an OK completion, while a
-// dropped RDMA op surfaces as a StatusRetryExceeded completion;
-// duplicates and jitter perturb delivery. Sequenced packets are
-// acknowledged by the destination NIC hardware on every delivery.
-func (n *NIC) transmitSeq(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire time.Duration, xferID uint64, payload any, deliver bool, seq uint64) uint64 {
+// transmit posts a Send or RDMA-write work request; seq is its
+// reliable-delivery sequence number (0 = unsequenced). With no active
+// fault plan it follows the exact pre-fault code path. Under faults:
+// the egress start honours stall windows (a permanent stall swallows
+// the request — no CQE, no delivery); the wire time honours degraded
+// bandwidth; a dropped Send-class packet vanishes silently after an OK
+// completion, while a dropped RDMA op surfaces as a StatusRetryExceeded
+// completion; duplicates and jitter perturb delivery. Sequenced packets
+// are acknowledged by the destination NIC hardware on every delivery.
+func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire time.Duration, xferID uint64, payload any, deliver bool, seq uint64) uint64 {
 	f := n.fab
 	p.Compute(f.cost.PostOverhead)
 	f.wrseq++
@@ -575,42 +573,36 @@ func (n *NIC) transmitSeq(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire
 	}
 	start, end := n.reserveEgress(earliest, wire)
 	arrive := end.Add(f.cost.LinkLatency + jitter)
-	src := n.id
+	cqe := CQE{WRID: wr, Kind: kind, XferID: xferID, Size: size, Start: start, End: arrive}
 	if drop && kind != OpSend {
 		// Reliable-transport op: the HCA's retries are exhausted; the
 		// failure surfaces as an error completion when the transfer
 		// would have arrived. No data moved.
-		f.sim.After(arrive.Sub(f.sim.Now()), func() {
-			n.pushCQE(CQE{WRID: wr, Kind: kind, Status: StatusRetryExceeded,
-				XferID: xferID, Size: size, Start: start, End: arrive})
-		})
+		cqe.Status = StatusRetryExceeded
+		f.schedule(wireEvent{step: stepCQE, to: n, at: arrive, cqe: cqe})
 		return wr
 	}
-	f.sim.After(end.Sub(f.sim.Now()), func() {
-		n.pushCQE(CQE{WRID: wr, Kind: kind, XferID: xferID, Size: size, Start: start, End: arrive})
-	})
+	f.schedule(wireEvent{step: stepCQE, to: n, at: end, cqe: cqe})
 	if drop {
 		// Unreliable datagram loss: the data left the NIC (hence the OK
 		// completion above) and vanished in the network.
 		return wr
 	}
-	f.sim.After(arrive.Sub(f.sim.Now()), func() {
-		f.deliverAt(src, dst, target, kind, size, xferID, payload, deliver, seq, true, start, arrive)
-	})
+	pkt := Packet{From: n.id, Kind: kind, Size: size, XferID: xferID, Seq: seq, Payload: payload, Start: start, End: arrive}
+	f.schedule(wireEvent{step: stepDeliver, to: target, at: arrive, pkt: pkt, deliver: deliver})
 	if dup {
 		// The copy trails the original by one link latency.
-		dupArrive := arrive.Add(f.cost.LinkLatency)
-		f.sim.After(dupArrive.Sub(f.sim.Now()), func() {
-			f.deliverAt(src, dst, target, kind, size, xferID, payload, deliver, seq, false, start, dupArrive)
-		})
+		pkt.End = arrive.Add(f.cost.LinkLatency)
+		f.schedule(wireEvent{step: stepDuplicate, to: target, at: pkt.End, pkt: pkt, deliver: deliver})
 	}
 	return wr
 }
 
-// deliverAt runs at a packet's arrival instant on the destination:
+// deliverAt runs at a packet's arrival instant (pkt.End) on target:
 // ground-truth recording (first delivery of a given (src, seq) only),
 // inbox delivery, and hardware acknowledgment of sequenced packets.
-func (f *Fabric) deliverAt(src, dst NodeID, target *NIC, kind OpKind, size int, xferID uint64, payload any, deliver bool, seq uint64, original bool, start, arrive vtime.Time) {
+func (f *Fabric) deliverAt(target *NIC, pkt Packet, deliver, original bool) {
+	src, dst, arrive := pkt.From, target.id, pkt.End
 	if f.crashed(dst, arrive) {
 		// The destination died: the bytes vanish at the dead NIC —
 		// no ground truth (the data was never received), no inbox
@@ -621,8 +613,8 @@ func (f *Fabric) deliverAt(src, dst NodeID, target *NIC, kind OpKind, size int, 
 		return
 	}
 	first := original
-	if seq != 0 {
-		k := seenKey{src, seq}
+	if pkt.Seq != 0 {
+		k := seenKey{src, pkt.Seq}
 		if f.truthSeen[k] {
 			first = false
 		} else {
@@ -630,14 +622,13 @@ func (f *Fabric) deliverAt(src, dst NodeID, target *NIC, kind OpKind, size int, 
 		}
 	}
 	if first {
-		f.record(Transfer{XferID: xferID, Src: src, Dst: dst, Size: size, Start: start, End: arrive})
+		f.record(Transfer{XferID: pkt.XferID, Src: src, Dst: dst, Size: pkt.Size, Start: pkt.Start, End: arrive})
 	}
 	if deliver {
-		target.pushPacket(Packet{From: src, Kind: kind, Size: size, XferID: xferID, Seq: seq,
-			Payload: payload, Start: start, End: arrive})
+		target.pushPacket(pkt)
 	}
-	if seq != 0 {
-		f.sendAck(dst, src, seq, start, arrive)
+	if pkt.Seq != 0 {
+		f.sendAck(dst, src, pkt.Seq, pkt.Start, arrive)
 	}
 }
 
@@ -660,15 +651,8 @@ func (f *Fabric) sendAck(from, to NodeID, seq uint64, start, end vtime.Time) {
 			return
 		}
 	}
-	arrive := f.sim.Now().Add(f.cost.Wire(0) + f.cost.LinkLatency + jitter)
-	ackSrc := from
-	f.sim.After(arrive.Sub(f.sim.Now()), func() {
-		if f.crashed(to, arrive) {
-			return // the original sender died before the ack landed
-		}
-		f.nics[to].pushPacket(Packet{From: ackSrc, Kind: OpSend,
-			Payload: Ack{Seq: seq, Start: start, End: end}})
-	})
+	f.schedule(wireEvent{step: stepAck, to: f.nics[to], at: f.sim.Now().Add(f.cost.Wire(0) + f.cost.LinkLatency + jitter),
+		pkt: Packet{From: from, Kind: OpSend, Seq: seq, Payload: ackFrame{}, Start: start, End: end}})
 }
 
 // RDMARead posts a one-sided read of size bytes from src into local
@@ -684,62 +668,53 @@ func (n *NIC) RDMARead(p *vtime.Proc, src NodeID, size int, xferID uint64) uint6
 		f.crashStats.SwallowedTx++
 		return wr
 	}
-	remote := f.NIC(src)
+	f.NIC(src) // a bad server panics at the post
 	// Request packet: DMA startup + a header-sized hop to src.
 	reqArrive := f.sim.Now().Add(f.cost.DMAStartup + f.cost.Wire(0) + f.cost.LinkLatency)
-	dst := n.id
-	f.sim.After(reqArrive.Sub(f.sim.Now()), func() {
-		if f.crashed(src, f.sim.Now()) {
-			// The serving node is dead: the transport's retries exhaust
-			// and the failure surfaces as an error completion at the
-			// requester after a round trip. No data moved.
-			f.crashStats.DroppedRx++
-			errAt := f.sim.Now().Add(f.cost.Wire(0) + f.cost.LinkLatency)
-			f.sim.After(errAt.Sub(f.sim.Now()), func() {
-				n.pushCQE(CQE{WRID: wr, Kind: OpRDMARead, Status: StatusRetryExceeded,
-					XferID: xferID, Size: size, Start: f.sim.Now(), End: f.sim.Now()})
-			})
+	f.schedule(wireEvent{step: stepServe, to: n, at: reqArrive, src: src,
+		cqe: CQE{WRID: wr, Kind: OpRDMARead, XferID: xferID, Size: size}})
+	return wr
+}
+
+// serveRead runs when the RDMA read r's request reaches its server.
+func (f *Fabric) serveRead(r wireEvent) {
+	src, dst, size, xferID := r.src, r.to.id, r.cqe.Size, r.cqe.XferID
+	if f.crashed(src, f.sim.Now()) {
+		// The serving node is dead: the transport's retries exhaust
+		// and the failure surfaces as an error completion at the
+		// requester after a round trip. No data moved.
+		f.crashStats.DroppedRx++
+		r.step, r.at = stepServerDead, f.sim.Now().Add(f.cost.Wire(0)+f.cost.LinkLatency)
+		f.schedule(r)
+		return
+	}
+	// The remote NIC sources the data on its egress link. Faults are
+	// modelled on this serve leg (the data direction src→dst): stall
+	// windows on the serving NIC, degraded bandwidth and jitter on
+	// the link, and loss as a reliable-transport failure —
+	// StatusRetryExceeded at the requester, no data movement.
+	serve := f.sim.Now()
+	wire := f.cost.Wire(size)
+	var drop bool
+	var jitter time.Duration
+	if fs := f.faults; fs != nil {
+		var blackhole bool
+		serve, blackhole = fs.stallAdjust(src, serve)
+		if blackhole {
+			f.nicTrack(src).Instant("fault", "blackhole", f.sim.Now(),
+				trace.Args{Peer: int(dst), Size: int64(size), ID: xferID})
 			return
 		}
-		// The remote NIC sources the data on its egress link. Faults are
-		// modelled on this serve leg (the data direction src→dst): stall
-		// windows on the serving NIC, degraded bandwidth and jitter on
-		// the link, and loss as a reliable-transport failure —
-		// StatusRetryExceeded at the requester, no data movement.
-		serve := f.sim.Now()
-		wire := f.cost.Wire(size)
-		var drop bool
-		var jitter time.Duration
-		if fs := f.faults; fs != nil {
-			var blackhole bool
-			serve, blackhole = fs.stallAdjust(src, serve)
-			if blackhole {
-				f.nicTrack(src).Instant("fault", "blackhole", f.sim.Now(),
-					trace.Args{Peer: int(dst), Size: int64(size), ID: xferID})
-				return
-			}
-			drop, _, jitter = fs.decide(src, dst, false, f.sim.Now())
-			wire = fs.scaleWire(src, dst, wire, f.sim.Now())
-			if drop {
-				f.nicTrack(src).Instant("fault", "drop", f.sim.Now(),
-					trace.Args{Peer: int(dst), Size: int64(size), ID: xferID})
-			}
+		drop, _, jitter = fs.decide(src, dst, false, f.sim.Now())
+		wire = fs.scaleWire(src, dst, wire, f.sim.Now())
+		if drop {
+			f.nicTrack(src).Instant("fault", "drop", f.sim.Now(),
+				trace.Args{Peer: int(dst), Size: int64(size), ID: xferID})
+			r.cqe.Status = StatusRetryExceeded
 		}
-		start, end := remote.reserveEgress(serve, wire)
-		arrive := end.Add(f.cost.LinkLatency + jitter)
-		f.sim.After(arrive.Sub(f.sim.Now()), func() {
-			if f.crashed(dst, arrive) {
-				f.crashStats.DroppedRx++
-				return // the requester died before the data landed
-			}
-			if drop {
-				n.pushCQE(CQE{WRID: wr, Kind: OpRDMARead, Status: StatusRetryExceeded,
-					XferID: xferID, Size: size, Start: start, End: arrive})
-				return
-			}
-			f.record(Transfer{XferID: xferID, Src: src, Dst: dst, Size: size, Start: start, End: arrive})
-			n.pushCQE(CQE{WRID: wr, Kind: OpRDMARead, XferID: xferID, Size: size, Start: start, End: arrive})
-		})
-	})
-	return wr
+	}
+	start, end := f.nics[src].reserveEgress(serve, wire)
+	r.step, r.at = stepReadData, end.Add(f.cost.LinkLatency+jitter)
+	r.cqe.Start, r.cqe.End = start, r.at
+	f.schedule(r)
 }

@@ -535,3 +535,81 @@ func TestTagXferRejectsUnissuedID(t *testing.T) {
 	}()
 	f.TagXfer(1<<40, "eager")
 }
+
+// A warm 8 B write — post, completion and delivery events, poll —
+// allocates nothing: both wire events come from the fabric's free list.
+func TestPostCompleteSteadyStateAllocs(t *testing.T) {
+	sim, f := twoNodes(t)
+	nic := f.NIC(0)
+	allocs := -1.0
+	poster := sim.Spawn("post", func(p *vtime.Proc) {
+		write := func() {
+			nic.RDMAWrite(p, 1, 8, 0, nil)
+			for !nic.Pending() || nic.PollCQ(p) == nil {
+				p.Park("cq")
+			}
+		}
+		for i := 0; i < 64; i++ {
+			write()
+		}
+		allocs = testing.AllocsPerRun(1000, write)
+	})
+	nic.SetNotify(poster.Unpark)
+	sim.Run()
+	if allocs != 0 {
+		t.Errorf("8 B RDMAWrite post -> CQE allocated %v times per write, want 0", allocs)
+	}
+}
+
+// A warm reliable send — post, delivery, hardware ack, timer stop —
+// allocates nothing: the wire events are pooled, the ack boxes no
+// header, the retransmission timer's handler is the send's entry and a
+// settled entry is reused. The duplicate-suppression ledgers gain one
+// key per message; their doublings stay far below one allocation per
+// send.
+func TestReliableSendAckSteadyStateAllocs(t *testing.T) {
+	sim, f := twoNodes(t)
+	txNIC, rxNIC := f.NIC(0), f.NIC(1)
+	allocs := -1.0
+	var tx *Reliable
+	sim.Spawn("pair", func(p *vtime.Proc) {
+		tx = NewReliable(txNIC, ReliableParams{}, nil)
+		rx := NewReliable(rxNIC, ReliableParams{}, nil)
+		wake := func() { p.Unpark() }
+		txNIC.SetNotify(wake)
+		rxNIC.SetNotify(wake)
+		drain := func(n *NIC, rl *Reliable) {
+			for n.Pending() {
+				if c := n.PollCQ(p); c != nil && !rl.TakeWR(c.WRID) {
+					t.Fatalf("completion of an untracked request %d", c.WRID)
+				}
+				if pkt := n.PollInbox(p); pkt != nil {
+					rl.Accept(pkt)
+				}
+			}
+		}
+		exchange := func() {
+			tx.Send(p, 1, 8, 0, nil, "x", nil)
+			for tx.Outstanding() > 0 {
+				if !txNIC.Pending() && !rxNIC.Pending() {
+					p.Park("ack")
+				}
+				drain(rxNIC, rx)
+				drain(txNIC, tx)
+			}
+		}
+		for i := 0; i < 64; i++ {
+			exchange()
+		}
+		allocs = testing.AllocsPerRun(1000, exchange)
+	})
+	if end := sim.Run(); end > vtime.Time(20*time.Millisecond) {
+		t.Errorf("run ended at %v: stopped timers stretched it", end)
+	}
+	if allocs != 0 {
+		t.Errorf("reliable send -> ack -> timer stop allocated %v times per send, want 0", allocs)
+	}
+	if s := tx.Stats(); s.AcksReceived != 64+1001 || s.Retransmits != 0 {
+		t.Errorf("stats = %+v, want %d acks and no retransmission", s, 64+1001)
+	}
+}

@@ -94,7 +94,8 @@ type ftState struct {
 	members []int // active survivors of the last agreement (world ids)
 
 	nextPing vtime.Time
-	tickStop func()
+	tick     ftTick
+	tickStop vtime.Timer
 }
 
 // Wire payloads of the fault-tolerance service. All are size-0
@@ -181,31 +182,29 @@ func (r *Rank) ftInit() {
 	}
 	cfg := *fc
 	cfg.fillDefaults()
-	r.ft = &ftState{cfg: cfg, dead: make(map[int]bool), agreed: make(map[int]bool)}
+	r.ft = &ftState{cfg: cfg, dead: make(map[int]bool), agreed: make(map[int]bool), tick: ftTick{r}}
 	r.ftArmTick()
 }
 
-// ftArmTick arms the self-rearming watchdog that unparks the rank
-// every heartbeat period, so a rank parked in a wait loop still sends
-// its pings (and notices due retransmissions) on schedule.
+// ftTick is the self-rearming watchdog that unparks the rank every
+// heartbeat period, so a rank parked in a wait loop still sends its
+// pings (and notices due retransmissions) on schedule.
+type ftTick struct{ r *Rank }
+
+func (t *ftTick) Fire() {
+	t.r.proc.Unpark()
+	t.r.ftArmTick()
+}
+
 func (r *Rank) ftArmTick() {
-	ft := r.ft
-	var rearm func()
-	rearm = func() {
-		ft.tickStop = r.w.sim.AfterCancel(ft.cfg.HeartbeatPeriod, func() {
-			r.proc.Unpark()
-			rearm()
-		})
-	}
-	rearm()
+	r.ft.tickStop = r.w.sim.AfterCancel(r.ft.cfg.HeartbeatPeriod, &r.ft.tick)
 }
 
 // ftStopTick cancels the watchdog; called at finalize, abort and kill
 // so the timer chain cannot keep the simulation alive.
 func (r *Rank) ftStopTick() {
-	if r.ft != nil && r.ft.tickStop != nil {
-		r.ft.tickStop()
-		r.ft.tickStop = nil
+	if r.ft != nil {
+		r.ft.tickStop.Stop()
 	}
 }
 

@@ -129,7 +129,7 @@ func (e *Engine) Start(name string) {
 
 // run is the progress thread: park while idle, and while work is
 // pending poll once per quantum of virtual time. The quantum timer
-// uses a cancellable event so an early wake (new work arriving) does
+// is a cancellable wake-up so an early wake (new work arriving) does
 // not leave a stale timer extending the simulation.
 func (e *Engine) run(p *vtime.Proc) {
 	for {
@@ -146,9 +146,9 @@ func (e *Engine) run(p *vtime.Proc) {
 		if e.stop {
 			return
 		}
-		cancel := e.sim.AfterCancel(e.cfg.Quantum, p.Unpark)
+		timer := p.UnparkAfter(e.cfg.Quantum)
 		p.Park("progress.quantum")
-		cancel()
+		timer.Stop()
 	}
 }
 

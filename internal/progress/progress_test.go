@@ -88,3 +88,38 @@ func TestManualNeverSpawns(t *testing.T) {
 		t.Fatalf("RunE: %v", err)
 	}
 }
+
+// One quantum of the progress thread — its timer, park, wake-up and
+// poll — allocates nothing: the timer is a typed wake-up, not a
+// closure or a method value.
+func TestThreadQuantumAllocs(t *testing.T) {
+	const quantum = 5 * time.Microsecond
+	sim := vtime.NewSim()
+	polls := 0
+	allocs := -1.0
+	sim.Spawn("app", func(p *vtime.Proc) {
+		eng := New(sim, Config{Mode: Thread, Quantum: quantum}, Hooks{
+			Poll: func(*vtime.Proc) bool { polls++; return false },
+			Wake: func() {},
+		})
+		eng.Start("app.progress")
+		eng.OpStarted()
+		step := func() { p.Compute(quantum) } // the thread polls once meanwhile
+		for i := 0; i < 64; i++ {
+			step()
+		}
+		before := polls
+		allocs = testing.AllocsPerRun(200, step)
+		if got := polls - before; got != 201 {
+			t.Errorf("%d polls in 201 quanta, want one each", got)
+		}
+		eng.OpDone()
+		eng.Stop()
+	})
+	if _, err := sim.RunE(); err != nil {
+		t.Fatalf("RunE: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("a progress-thread quantum allocated %v times, want 0", allocs)
+	}
+}

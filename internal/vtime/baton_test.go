@@ -63,7 +63,7 @@ func TestSchedulingInThePastFromCallback(t *testing.T) {
 		defer func() { recover() }()
 		p.Compute(time.Millisecond)
 	})
-	s.After(0, func() { s.schedule(s.now-1, event{fn: func() {}}) })
+	s.After(0, func() { s.enqueue(s.now-1, evFire, nil, Func(func() {})) })
 	_, err := s.RunE()
 	if err == nil || !strings.HasPrefix(err.Error(), "vtime: vtime: scheduling event in the past") {
 		t.Fatalf("err = %v, want the kernel's scheduling panic", err)

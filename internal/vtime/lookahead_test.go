@@ -138,9 +138,9 @@ func TestLookaheadCancelledEventDropped(t *testing.T) {
 		s, l := observed()
 		ran := false
 		s.Spawn("a", func(p *Proc) {
-			cancel := s.AfterCancel(at, func() { ran = true })
+			timer := s.AfterCancel(at, Func(func() { ran = true }))
 			s.After(us, func() { l.logf("callback") }) // so the clock is observed between
-			cancel()
+			timer.Stop()
 			p.Compute(5 * us)
 		})
 		if end := s.Run(); end != Time(5*us) || ran {

@@ -75,8 +75,8 @@ func TestRealSimAfterAndCancel(t *testing.T) {
 	var fired, cancelledFired int
 	s.Spawn("arm", func(p *Proc) {
 		s.After(time.Millisecond, func() { fired++ })
-		cancel := s.AfterCancel(time.Millisecond, func() { cancelledFired++ })
-		cancel()
+		timer := s.AfterCancel(time.Millisecond, Func(func() { cancelledFired++ }))
+		timer.Stop()
 		p.Compute(10 * time.Millisecond)
 	})
 	if _, err := s.RunE(); err != nil {

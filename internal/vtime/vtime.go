@@ -68,30 +68,46 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
 func (t Time) String() string { return time.Duration(t).String() }
 
-// evKind says what firing an event does. Only evFunc runs caller code;
+// evKind says what firing an event does. Only evFire runs caller code;
 // the rest are the kernel's own wake-ups, kept as plain values so that
 // scheduling one allocates nothing.
 type evKind uint8
 
 const (
-	evFunc   evKind = iota // run fn (After, AfterCancel)
-	evStart                // create p's coroutine and dispatch it
-	evTimer                // p's Compute elapsed; live only while p.timer == seq
-	evUnpark               // p was granted a permit while parked
-	evKill                 // p was killed while blocked
+	evFire    evKind = iota // run h (After, Schedule, AfterCancel)
+	evStart                 // create p's coroutine and dispatch it
+	evTimer                 // p's Compute elapsed; live only while p.timer == seq
+	evUnpark                // p was granted a permit while parked
+	evKill                  // p was killed while blocked
+	evWake                  // call p.Unpark (UnparkAfter)
+	evStopped               // a Timer stopped it
 )
 
+// Handler is the work an event does when it fires, in event context.
+// Fire must not block; to perform blocking work, have it Unpark a proc
+// or Spawn one.
+type Handler interface{ Fire() }
+
+// Func adapts a closure to Handler. A func value is one pointer, so the
+// conversion allocates nothing beyond the closure itself.
+type Func func()
+
+func (f Func) Fire() { f() }
+
 // event is what firing one entry of the schedule does. A dead event —
-// cancelled, or a Compute timer its proc no longer waits on — is
+// stopped, or a Compute timer its proc no longer waits on — is
 // skipped without advancing the clock, so stale timers (e.g. a
 // retransmission timeout whose acknowledgment arrived) never stretch
-// the simulated duration.
+// the simulated duration. tag packs the kind (low byte) with the key's
+// seq, which tells a Timer its event from a later tenant of the slot,
+// into one word: a fifth word slows every push and pop measurably.
 type event struct {
-	kind   evKind
-	p      *Proc
-	fn     func()
-	cancel *bool // AfterCancel's flag; nil when the event cannot be cancelled
+	tag uint64
+	p   *Proc
+	h   Handler
 }
+
+func (e *event) kind() evKind { return evKind(e.tag) }
 
 // key is an event's place in the schedule: the heap orders keys by
 // (at, seq), so that simultaneous events run in scheduling order, and
@@ -111,13 +127,13 @@ func (k *key) before(o *key) bool {
 // dead reports whether the event under k would be skipped.
 func (s *Sim) dead(k *key) bool {
 	e := &s.slab[k.slot]
-	return e.cancel != nil && *e.cancel || e.kind == evTimer && e.p.timer != k.seq
+	return e.kind() == evStopped || e.kind() == evTimer && e.p.timer != k.seq
 }
 
 // push stores e in a free slab slot and inserts its key into the binary
 // min-heap s.events.
-func (s *Sim) push(at Time, seq uint64, e event) {
-	k := key{at: at, seq: seq}
+func (s *Sim) push(at Time, e event) int {
+	k := key{at: at, seq: e.tag >> 8}
 	if n := len(s.free); n > 0 {
 		k.slot = s.free[n-1]
 		s.free = s.free[:n-1]
@@ -138,6 +154,7 @@ func (s *Sim) push(at Time, seq uint64, e event) {
 	}
 	h[i] = k
 	s.events = h
+	return k.slot
 }
 
 // pop removes the earliest key and returns it with its event, whose
@@ -356,7 +373,7 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 	}
 	s.procs = append(s.procs, p)
 	s.live++
-	s.schedule(s.Now(), event{kind: evStart, p: p})
+	s.enqueue(s.Now(), evStart, p, nil)
 	return p
 }
 
@@ -400,14 +417,14 @@ func (p *Proc) deliverKill() {
 	}
 }
 
-// schedule enqueues e to fire at time at and returns its seq.
-func (s *Sim) schedule(at Time, e event) uint64 {
+// enqueue schedules an event to fire at time at and returns its claim.
+func (s *Sim) enqueue(at Time, kind evKind, p *Proc, h Handler) Timer {
 	if at < s.now {
 		panic(fmt.Sprintf("vtime: scheduling event in the past: %v < %v", at, s.now))
 	}
 	s.seq++
-	s.push(at, s.seq, e)
-	return s.seq
+	slot := s.push(at, event{tag: s.seq<<8 | uint64(kind), p: p, h: h})
+	return Timer{s: s, slot: slot, seq: s.seq}
 }
 
 // dispatch names p as the proc the event being fired hands control to.
@@ -421,9 +438,9 @@ func (s *Sim) dispatch(p *Proc) {
 // fire executes one event in event context.
 func (s *Sim) fire(e event) {
 	p := e.p
-	switch e.kind {
-	case evFunc:
-		e.fn()
+	switch e.kind() {
+	case evFire:
+		e.h.Fire()
 	case evStart:
 		p.next, _ = iter.Pull(p.run) // leftover procs stay suspended, so stop is never needed
 		s.dispatch(p)
@@ -440,6 +457,8 @@ func (s *Sim) fire(e event) {
 		if p.state == stateParked || p.state == stateComputing {
 			s.dispatch(p)
 		}
+	case evWake:
+		p.Unpark()
 	}
 }
 
@@ -515,22 +534,40 @@ func (s *Sim) delay(d time.Duration) time.Duration {
 	return 0
 }
 
-// After schedules fn to run in event context d from now. It may be
-// called from any simulation context. fn must not block; to perform
-// blocking work, have fn Unpark a proc or Spawn one.
-func (s *Sim) After(d time.Duration, fn func()) {
-	s.schedule(s.Now().Add(s.delay(d)), event{fn: fn})
+// After schedules fn to run in event context d from now: Schedule for
+// a closure. It may be called from any simulation context.
+func (s *Sim) After(d time.Duration, fn func()) { s.Schedule(d, Func(fn)) }
+
+// Schedule has h fire in event context d from now. It may be called
+// from any simulation context.
+func (s *Sim) Schedule(d time.Duration, h Handler) { s.AfterCancel(d, h) }
+
+// AfterCancel is Schedule returning a Timer that can cancel the event.
+// A stopped event is discarded without running and — unlike an event
+// that fires as a no-op — without advancing the virtual clock, so
+// speculative timers (retransmission timeouts, watchdogs) do not
+// distort the measured run duration.
+func (s *Sim) AfterCancel(d time.Duration, h Handler) Timer {
+	return s.enqueue(s.Now().Add(s.delay(d)), evFire, nil, h)
 }
 
-// AfterCancel is After returning a cancel function. A cancelled event
-// is discarded without running and — unlike an event that fires as a
-// no-op — without advancing the virtual clock, so speculative timers
-// (retransmission timeouts, watchdogs) do not distort the measured run
-// duration. Cancelling twice, or after the event fired, is a no-op.
-func (s *Sim) AfterCancel(d time.Duration, fn func()) (cancel func()) {
-	cancelled := new(bool)
-	s.schedule(s.Now().Add(s.delay(d)), event{fn: fn, cancel: cancelled})
-	return func() { *cancelled = true }
+// Timer is a cancellable event's claim on its slab slot: the slot and
+// the seq the event took. The zero Timer claims nothing.
+type Timer struct {
+	s    *Sim
+	slot int
+	seq  uint64
+}
+
+// Stop cancels the event if its slot still holds it and reports whether
+// it did. After the event fired — its slot vacated, or reused by an
+// event with another seq — or a second time, it does nothing.
+func (t Timer) Stop() bool {
+	if t.s == nil || t.s.slab[t.slot].tag>>8 != t.seq {
+		return false
+	}
+	t.s.slab[t.slot] = event{tag: uint64(evStopped)} // seq 0 matches no Timer
+	return true
 }
 
 // block gives up control until an event dispatches p again. Must be
@@ -567,7 +604,7 @@ func (p *Proc) Compute(d time.Duration) {
 	s := p.sim
 	at := s.Now().Add(d)
 	if (len(s.events) > 0 && at >= s.events[0].at) || (s.deadline != 0 && at >= s.deadline) || s.clk != nil {
-		p.timer = s.schedule(at, event{kind: evTimer, p: p})
+		p.timer = s.enqueue(at, evTimer, p, nil).seq
 		p.block(stateComputing, "Compute")
 		return
 	}
@@ -624,10 +661,17 @@ func (p *Proc) Unpark() {
 		if eo, ok := s.obs.(EdgeObserver); ok {
 			eo.ProcUnparked(p, s.current)
 		}
-		s.schedule(s.Now(), event{kind: evUnpark, p: p})
+		s.enqueue(s.Now(), evUnpark, p, nil)
 		return
 	}
 	p.permit = true
+}
+
+// UnparkAfter is Unpark d from now, as an event a Timer can cancel: a
+// timed wait with no closure to allocate.
+func (p *Proc) UnparkAfter(d time.Duration) Timer {
+	s := p.sim
+	return s.enqueue(s.Now().Add(s.delay(d)), evWake, p, nil)
 }
 
 // Kill schedules err to be delivered to p as a panic, modelling the
@@ -663,7 +707,7 @@ func (p *Proc) Kill(err error) {
 		// check at the proc's next resume or before its body runs.
 		return
 	}
-	p.sim.schedule(p.sim.Now(), event{kind: evKill, p: p})
+	p.sim.enqueue(p.sim.Now(), evKill, p, nil)
 }
 
 // SetDeadline arms a watchdog: if the simulation reaches virtual time d

@@ -167,14 +167,52 @@ func TestDeadlineExpiry(t *testing.T) {
 func TestAfterCancelSkipsWithoutAdvancingClock(t *testing.T) {
 	s := NewSim()
 	fired := false
-	cancel := s.AfterCancel(50*time.Millisecond, func() { fired = true })
-	s.After(time.Millisecond, func() { cancel() })
+	timer := s.AfterCancel(50*time.Millisecond, Func(func() { fired = true }))
+	s.After(time.Millisecond, func() { timer.Stop() })
 	end := s.Run()
 	if fired {
 		t.Fatal("cancelled event still fired")
 	}
 	if want := Time(time.Millisecond); end != want {
 		t.Fatalf("end = %v, want %v (cancelled timer advanced the clock)", end, want)
+	}
+}
+
+func TestTimerStopAfterFireIsNoOp(t *testing.T) {
+	s := NewSim()
+	fired := 0
+	timer := s.AfterCancel(time.Millisecond, Func(func() { fired++ }))
+	s.After(2*time.Millisecond, func() {
+		if timer.Stop() {
+			t.Error("Stop after the event fired reported a cancellation")
+		}
+	})
+	if end := s.Run(); end != Time(2*time.Millisecond) || fired != 1 {
+		t.Fatalf("end = %v, fired = %d; want 2ms, 1", end, fired)
+	}
+	if (Timer{}).Stop() {
+		t.Error("the zero Timer stopped something")
+	}
+}
+
+// A fired event's slot goes back on the free list, and the next event
+// scheduled takes it: the old Timer names that slot with its own seq,
+// so stopping it leaves the new tenant alone.
+func TestTimerStopSparesReusedSlot(t *testing.T) {
+	s := NewSim()
+	var first, second Timer
+	secondFired := false
+	first = s.AfterCancel(time.Millisecond, Func(func() {
+		second = s.AfterCancel(time.Millisecond, Func(func() { secondFired = true }))
+		if second.slot != first.slot {
+			t.Errorf("second event took slot %d, want the vacated slot %d", second.slot, first.slot)
+		}
+		if first.Stop() {
+			t.Error("Stop of a fired event cancelled its slot's new tenant")
+		}
+	}))
+	if end := s.Run(); end != Time(2*time.Millisecond) || !secondFired {
+		t.Fatalf("end = %v, second fired = %v; want 2ms, true", end, secondFired)
 	}
 }
 
