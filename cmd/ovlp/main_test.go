@@ -64,6 +64,15 @@ func TestBadShapesExitTwo(t *testing.T) {
 		{"overhead", []string{"-class", ""}},
 		{"timeline", []string{"-procs", "0"}},
 		{"timeline", []string{"-procs", "-1"}},
+		// A class or a grid the benchmark has no shape for is rejected
+		// by nas.Check before any rank runs.
+		{"spstudy", []string{"-classes", "Z"}},
+		{"spstudy", []string{"-procs", "3"}},
+		{"overhead", []string{"-class", "Z"}},
+		{"overhead", []string{"-benches", "LU,QQ"}},
+		{"timeline", []string{"-scenario", "sp", "-procs", "3"}},
+		{"nasbench", []string{"-bench", "CG", "-classes", "S", "-procs", "3"}},
+		{"nasbench", []string{"-bench", "LU", "-classes", "Z", "-procs", "4"}},
 	} {
 		t.Run(tc.name+" "+strings.Join(tc.args, " "), func(t *testing.T) {
 			code, stdout, stderr := runCmd(t, tc.name, tc.args...)

@@ -113,16 +113,32 @@ func nasbenchMain(args []string, stdout, stderr io.Writer) int {
 		return fail2(single)
 	}
 
+	type sweep struct {
+		bench string
+		procs []int
+	}
+	var sweeps []sweep
 	for _, b := range benches {
 		b = strings.ToUpper(strings.TrimSpace(b))
-		dp := []int{4, 8, 16}
+		dp, kernel := []int{4, 8, 16}, b
 		switch b {
 		case "MG-ARMCI":
-			dp = []int{2, 4, 8}
+			dp, kernel = []int{2, 4, 8}, nas.MG
 		case nas.BT, nas.SP:
 			dp = []int{4, 9, 16}
 		}
 		procs, _ := parseProcs(*procsFlag, dp) // the syntax was validated up front
+		for _, class := range classes {
+			for _, p := range procs {
+				if err := nas.Check(kernel, class, p); err != nil {
+					return fail2(err)
+				}
+			}
+		}
+		sweeps = append(sweeps, sweep{b, procs})
+	}
+	for _, sw := range sweeps {
+		b, procs := sw.bench, sw.procs
 		if err := checkFaultNodes(faults, procs); err != nil {
 			return fail2(err)
 		}

@@ -28,16 +28,24 @@ func overheadMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
+	fail2 := failWith(stderr, "overhead", 2)
 	classes, err := parseClasses(*classFlag)
 	if err != nil || len(classes) != 1 {
-		return failWith(stderr, "overhead", 2)(fmt.Errorf("-class must name one problem class, not %q", *classFlag))
+		return fail2(fmt.Errorf("-class must name one problem class, not %q", *classFlag))
 	}
 	class := classes[0]
+	var benches []string
+	for _, b := range strings.Split(*benchFlag, ",") {
+		b = strings.ToUpper(strings.TrimSpace(b))
+		if err := nas.Check(b, class, *procs); err != nil {
+			return fail2(err)
+		}
+		benches = append(benches, b)
+	}
 	t := report.NewTable(
 		fmt.Sprintf("Instrumentation overhead — class %s, %d procs (paper Fig. 20: <0.9%%)", class, *procs),
 		"benchmark", "plain", "instrumented", "overhead%")
-	for _, b := range strings.Split(*benchFlag, ",") {
-		b = strings.ToUpper(strings.TrimSpace(b))
+	for _, b := range benches {
 		proto := mpi.DirectRDMARead
 		if b == nas.BT || b == nas.CG {
 			proto = mpi.PipelinedRDMA

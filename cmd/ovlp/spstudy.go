@@ -46,6 +46,13 @@ func spstudyMain(args []string, stdout, stderr io.Writer) int {
 	if obs.Enabled() && (len(classes) != 1 || len(procs) != 1) {
 		return fail2(fmt.Errorf("-trace/-metrics need a single run: pass one -classes and one -procs value"))
 	}
+	for _, class := range classes {
+		for _, p := range procs {
+			if err := nas.Check(nas.SP, class, p); err != nil {
+				return fail2(err)
+			}
+		}
+	}
 
 	for _, class := range classes {
 		section := report.NewTable(

@@ -71,6 +71,9 @@ func timelineMain(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	case "sp":
+		if err := nas.Check(nas.SP, nas.ClassS, *procs); err != nil {
+			return failWith(stderr, "timeline", 2)(err)
+		}
 		main = func(r *mpi.Rank) {
 			nas.RunSP(r, nas.SPParams{
 				Params:   nas.Params{Class: nas.ClassS, MaxIters: 1},

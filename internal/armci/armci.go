@@ -131,9 +131,18 @@ type Handle struct {
 // Done reports completion without making progress.
 func (h *Handle) Done() bool { return h.done }
 
-// barrierToken synchronizes Barrier rounds.
+// barrierToken synchronizes Barrier rounds. It rides in the packet as
+// a value header.
 type barrierToken struct {
 	seq, round int
+}
+
+func (t barrierToken) header() fabric.Header {
+	return fabric.Header{Kind: 1, W: [fabric.HeaderWords]uint64{uint64(t.seq), uint64(t.round)}}
+}
+
+func barrierTokenOf(h *fabric.Header) barrierToken {
+	return barrierToken{seq: int(h.W[0]), round: int(h.W[1])}
 }
 
 // Proc is one process's handle to the library.
@@ -260,7 +269,7 @@ func (p *Proc) progress() bool {
 		}
 		did = true
 		if p.rel.Accept(pkt) {
-			p.tokens[pkt.Payload.(barrierToken)]++
+			p.tokens[barrierTokenOf(&pkt.Hdr)]++
 		}
 	}
 	if p.rel != nil {
@@ -435,9 +444,9 @@ func (p *Proc) Barrier() {
 		dst := (p.id + k) % n
 		tok := barrierToken{seq: seq, round: round}
 		if p.rel != nil {
-			p.rel.Send(p.proc, fabric.NodeID(dst), 0, 0, tok, "barrier", nil)
+			p.rel.Send(p.proc, fabric.NodeID(dst), 0, 0, tok.header(), "barrier", nil)
 		} else {
-			p.nic.Send(p.proc, fabric.NodeID(dst), 0, 0, tok)
+			p.nic.SendHeader(p.proc, fabric.NodeID(dst), 0, 0, tok.header())
 		}
 		p.waitUntil(func() bool { return p.tokens[tok] > 0 })
 		p.tokens[tok]--

@@ -104,15 +104,32 @@ type CQE struct {
 // Packet is a message that arrived at a node: a Send payload or the
 // immediate notification of a remote RDMA write. Start and End are the
 // NIC's hardware time-stamps of the physical transfer (see CQE).
+//
+// A library's message rides in Hdr, a value the fabric copies, or — for
+// what does not fit one — in Payload, boxed.
 type Packet struct {
 	From    NodeID
 	Kind    OpKind // OpSend or OpRDMAWrite (immediate)
 	Size    int    // payload bytes carried
 	XferID  uint64
 	Seq     uint64 // reliable-delivery sequence number (0 = unsequenced)
-	Payload any    // library-defined header or body descriptor
+	Hdr     Header // library-defined value header (Kind 0 = none)
+	Payload any    // library-defined boxed header or body descriptor
 	Start   vtime.Time
 	End     vtime.Time
+}
+
+// HeaderWords is the number of words a Header carries.
+const HeaderWords = 8
+
+// Header is a fixed-size header a library defines: a kind of its own
+// choosing (0 means no header) and up to HeaderWords words. The fabric
+// copies it with the packet and never reads it, so a message that fits
+// one crosses the fabric — duplicated, retransmitted or not — without a
+// heap allocation, and no two deliveries share a buffer.
+type Header struct {
+	Kind uint8
+	W    [HeaderWords]uint64
 }
 
 // CostModel parameterizes the timing of the fabric. The defaults
@@ -500,7 +517,13 @@ func (n *NIC) reserveEgress(earliest vtime.Time, wire time.Duration) (start, end
 // latency after serialization finishes; a CQE appears locally when the
 // data has left the NIC. Returns the work-request id.
 func (n *NIC) Send(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload any) uint64 {
-	return n.transmit(p, dst, OpSend, size, n.fab.cost.Wire(size), xferID, payload, true, 0)
+	return n.transmit(p, dst, OpSend, size, n.fab.cost.Wire(size), xferID, Header{}, payload, true, 0)
+}
+
+// SendHeader is Send carrying the value header h instead of a boxed
+// payload.
+func (n *NIC) SendHeader(p *vtime.Proc, dst NodeID, size int, xferID uint64, h Header) uint64 {
+	return n.transmit(p, dst, OpSend, size, n.fab.cost.Wire(size), xferID, h, nil, true, 0)
 }
 
 // RDMAWrite posts a one-sided write of size bytes to dst. If payload
@@ -508,7 +531,13 @@ func (n *NIC) Send(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload a
 // notification after the data arrives; otherwise the remote host
 // observes nothing. Returns the work-request id.
 func (n *NIC) RDMAWrite(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload any) uint64 {
-	return n.transmit(p, dst, OpRDMAWrite, size, n.fab.cost.Wire(size), xferID, payload, payload != nil, 0)
+	return n.transmit(p, dst, OpRDMAWrite, size, n.fab.cost.Wire(size), xferID, Header{}, payload, payload != nil, 0)
+}
+
+// RDMAWriteHeader is RDMAWrite whose immediate notification is the
+// value header h.
+func (n *NIC) RDMAWriteHeader(p *vtime.Proc, dst NodeID, size int, xferID uint64, h Header) uint64 {
+	return n.transmit(p, dst, OpRDMAWrite, size, n.fab.cost.Wire(size), xferID, h, nil, true, 0)
 }
 
 // RDMAWriteStrided posts a vectored one-sided write of count segments
@@ -520,7 +549,7 @@ func (n *NIC) RDMAWriteStrided(p *vtime.Proc, dst NodeID, count, block int, xfer
 		panic("fabric: strided write needs at least one segment")
 	}
 	wire := time.Duration(count) * n.fab.cost.Wire(block)
-	return n.transmit(p, dst, OpRDMAWrite, count*block, wire, xferID, payload, payload != nil, 0)
+	return n.transmit(p, dst, OpRDMAWrite, count*block, wire, xferID, Header{}, payload, payload != nil, 0)
 }
 
 // transmit posts a Send or RDMA-write work request; seq is its
@@ -532,7 +561,7 @@ func (n *NIC) RDMAWriteStrided(p *vtime.Proc, dst NodeID, count, block int, xfer
 // completion, while a dropped RDMA op surfaces as a StatusRetryExceeded
 // completion; duplicates and jitter perturb delivery. Sequenced packets
 // are acknowledged by the destination NIC hardware on every delivery.
-func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire time.Duration, xferID uint64, payload any, deliver bool, seq uint64) uint64 {
+func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire time.Duration, xferID uint64, h Header, payload any, deliver bool, seq uint64) uint64 {
 	f := n.fab
 	p.Compute(f.cost.PostOverhead)
 	f.wrseq++
@@ -588,7 +617,7 @@ func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire ti
 		// completion above) and vanished in the network.
 		return wr
 	}
-	pkt := Packet{From: n.id, Kind: kind, Size: size, XferID: xferID, Seq: seq, Payload: payload, Start: start, End: arrive}
+	pkt := Packet{From: n.id, Kind: kind, Size: size, XferID: xferID, Seq: seq, Hdr: h, Payload: payload, Start: start, End: arrive}
 	f.schedule(wireEvent{step: stepDeliver, to: target, at: arrive, pkt: pkt, deliver: deliver})
 	if dup {
 		// The copy trails the original by one link latency.

@@ -589,7 +589,7 @@ func TestReliableSendAckSteadyStateAllocs(t *testing.T) {
 			}
 		}
 		exchange := func() {
-			tx.Send(p, 1, 8, 0, nil, "x", nil)
+			tx.Send(p, 1, 8, 0, Header{Kind: 1}, "x", nil)
 			for tx.Outstanding() > 0 {
 				if !txNIC.Pending() && !rxNIC.Pending() {
 					p.Park("ack")

@@ -119,6 +119,11 @@ func TestDropEveryIsDeterministic(t *testing.T) {
 	}
 }
 
+// ackFunc adapts a function to AckHandler.
+type ackFunc func(start, end vtime.Time)
+
+func (f ackFunc) Acked(_ uint64, _ int, start, end vtime.Time) { f(start, end) }
+
 // TestReliableRecoversFromLoss drives the reliability layer directly
 // over a lossy link: every sequenced message must be delivered exactly
 // once and acknowledged, with retransmissions making up for the drops.
@@ -146,7 +151,7 @@ func TestReliableRecoversFromLoss(t *testing.T) {
 				if !rxRel.Accept(pkt) {
 					continue
 				}
-				delivered = append(delivered, pkt.Payload.(int))
+				delivered = append(delivered, int(pkt.Hdr.W[0]))
 			}
 			for cqe := f.NIC(1).PollCQ(p); cqe != nil; cqe = f.NIC(1).PollCQ(p) {
 				progressed = true
@@ -162,12 +167,12 @@ func TestReliableRecoversFromLoss(t *testing.T) {
 		txRel = NewReliable(f.NIC(0), ReliableParams{}, func() { p.Unpark() })
 		f.NIC(0).SetNotify(func() { p.Unpark() })
 		for i := 1; i <= msgs; i++ {
-			txRel.Send(p, 1, 64, 0, i, "send", func(start, end vtime.Time) {
+			txRel.Send(p, 1, 64, 0, Header{Kind: 1, W: [HeaderWords]uint64{uint64(i)}}, "send", ackFunc(func(start, end vtime.Time) {
 				if end <= start {
 					t.Errorf("ack carries inverted interval [%v, %v]", start, end)
 				}
 				acked++
-			})
+			}))
 		}
 		for acked < msgs {
 			progressed := false
@@ -225,7 +230,7 @@ func TestReliableGivesUpOnDeadPeer(t *testing.T) {
 	var got error
 	sim.Spawn("tx", func(p *vtime.Proc) {
 		rel := NewReliable(f.NIC(0), ReliableParams{MaxRetries: 3}, func() { p.Unpark() })
-		rel.Send(p, 1, 64, 0, "hello", "send", nil)
+		rel.Send(p, 1, 64, 0, Header{Kind: 1}, "send", nil)
 		for got == nil {
 			for cqe := f.NIC(0).PollCQ(p); cqe != nil; cqe = f.NIC(0).PollCQ(p) {
 				rel.TakeWR(cqe.WRID)

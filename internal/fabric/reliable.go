@@ -98,6 +98,14 @@ type seenKey struct {
 	seq uint64
 }
 
+// AckHandler learns that a reliable send was acknowledged: xferID and
+// size are what Send was given, start and end the delivering attempt's
+// physical transfer interval. It runs inside the owning proc's progress
+// engine (from Accept), once; the layer forgets it before the call.
+type AckHandler interface {
+	Acked(xferID uint64, size int, start, end vtime.Time)
+}
+
 // relEntry is one pending action on the due list: an unacknowledged
 // sequenced send awaiting retransmission, or a deferred RDMA repost.
 // It is its own timer's Handler.
@@ -108,9 +116,10 @@ type relEntry struct {
 	dst     NodeID
 	size    int
 	xferID  uint64
+	hdr     Header
 	payload any
 	op      string
-	onAck   func(start, end vtime.Time)
+	ack     AckHandler
 
 	// repost action (non-nil for deferred RDMA reposts)
 	fire func(p *vtime.Proc)
@@ -132,7 +141,7 @@ type Reliable struct {
 
 	nextSeq     uint64
 	outstanding map[uint64]*relEntry
-	due         []*relEntry // FIFO of expired entries, drained by RunDue
+	due         fifo[*relEntry] // expired entries, drained by RunDue
 	swallow     map[uint64]bool
 	seen        map[seenKey]bool
 	peerAlive   map[NodeID]bool
@@ -183,34 +192,36 @@ func (e *relEntry) Fire() {
 		return
 	}
 	rl := e.rl
-	rl.due = append(rl.due, e)
+	rl.due.push(e)
 	if rl.wake != nil {
 		rl.wake()
 	}
 }
 
-// Send transmits a sequenced, acknowledged packet to dst and tracks it
-// for retransmission. onAck, if non-nil, runs when the acknowledgment
-// is processed (from RunDue/Accept context, i.e. inside the owning
-// proc's progress engine) with the delivering attempt's physical
-// transfer interval. Returns the sequence number.
-func (rl *Reliable) Send(p *vtime.Proc, dst NodeID, size int, xferID uint64, payload any, op string, onAck func(start, end vtime.Time)) uint64 {
+// Send transmits a sequenced, acknowledged packet carrying the value
+// header h to dst and tracks it for retransmission. ack, if non-nil, is
+// told when the acknowledgment is processed. Returns the sequence
+// number.
+func (rl *Reliable) Send(p *vtime.Proc, dst NodeID, size int, xferID uint64, h Header, op string, ack AckHandler) uint64 {
+	return rl.send(p, relEntry{dst: dst, size: size, xferID: xferID, hdr: h, op: op, ack: ack})
+}
+
+// SendPayload is Send of a size-0 control packet whose message is the
+// boxed payload, with no acknowledgment handler: the path of messages
+// that do not fit a Header.
+func (rl *Reliable) SendPayload(p *vtime.Proc, dst NodeID, payload any, op string) uint64 {
+	return rl.send(p, relEntry{dst: dst, payload: payload, op: op})
+}
+
+// send posts m's first transmission from an entry drawn from the spare
+// list.
+func (rl *Reliable) send(p *vtime.Proc, m relEntry) uint64 {
 	rl.nextSeq++
+	m.rl, m.seq, m.rto, m.gen = rl, rl.nextSeq, rl.rtoFor(m.size), rl.gen
 	e := rl.spare.get()
-	*e = relEntry{
-		rl:      rl,
-		seq:     rl.nextSeq,
-		dst:     dst,
-		size:    size,
-		xferID:  xferID,
-		payload: payload,
-		op:      op,
-		onAck:   onAck,
-		rto:     rl.rtoFor(size),
-		gen:     rl.gen,
-	}
+	*e = m
 	rl.outstanding[e.seq] = e
-	wr := rl.nic.transmit(p, dst, OpSend, size, rl.nic.fab.cost.Wire(size), xferID, payload, true, e.seq)
+	wr := rl.nic.transmit(p, e.dst, OpSend, e.size, rl.nic.fab.cost.Wire(e.size), e.xferID, e.hdr, e.payload, true, e.seq)
 	rl.swallow[wr] = true
 	rl.stats.Sent++
 	rl.arm(e)
@@ -235,9 +246,9 @@ func (rl *Reliable) Accept(pkt *Packet) bool {
 }
 
 // handleAck settles the outstanding message an acknowledgment names
-// (a.Seq), cancels its timer and runs its onAck callback with the
-// delivering attempt's transfer interval (a.Start, a.End). Acks of
-// unknown sequence numbers (duplicates, or acks of already-settled
+// (a.Seq), cancels its timer and tells its AckHandler the delivering
+// attempt's transfer interval (a.Start, a.End). Acks of unknown
+// sequence numbers (duplicates, or acks of already-settled
 // retransmissions) are ignored.
 func (rl *Reliable) handleAck(a *Packet) {
 	e, ok := rl.outstanding[a.Seq]
@@ -250,12 +261,13 @@ func (rl *Reliable) handleAck(a *Packet) {
 	rl.stats.AcksReceived++
 	rl.track().Instant("rel", "ack", rl.nic.fab.sim.Now(),
 		trace.Args{Peer: int(e.dst), Size: int64(e.size), ID: e.seq})
-	onAck := e.onAck
+	ack, xferID, size := e.ack, e.xferID, e.size
+	e.ack = nil
 	if e.timer.Stop() { // never fired, so on no due list: nothing else holds e
 		rl.spare.put(e)
 	}
-	if onAck != nil {
-		onAck(a.Start, a.End)
+	if ack != nil {
+		ack.Acked(xferID, size, a.Start, a.End)
 	}
 }
 
@@ -289,7 +301,7 @@ func (rl *Reliable) TakeWR(wrID uint64) bool {
 
 // HasDue reports whether expired timers await RunDue; wait loops must
 // not park while it is true.
-func (rl *Reliable) HasDue() bool { return len(rl.due) > 0 }
+func (rl *Reliable) HasDue() bool { return !rl.due.empty() }
 
 // Outstanding returns the number of sequenced sends not yet
 // acknowledged. A library must quiesce this to zero before its process
@@ -322,9 +334,14 @@ func (rl *Reliable) backoffRTO(rto time.Duration) time.Duration {
 // structured error types).
 func (rl *Reliable) RunDue(p *vtime.Proc) (bool, error) {
 	did := false
-	for len(rl.due) > 0 {
-		e := rl.due[0]
-		rl.due = rl.due[1:]
+	for !rl.due.empty() {
+		e := *rl.due.pop()
+		if e.dead && e.gen == rl.gen {
+			// Acknowledged after its timer fired: the due list held it
+			// last.
+			rl.spare.put(e)
+			continue
+		}
 		if e.dead || e.gen != rl.gen {
 			continue
 		}
@@ -356,7 +373,7 @@ func (rl *Reliable) RunDue(p *vtime.Proc) (bool, error) {
 		// the retransmission to the transfer it stretched.
 		rl.track().Instant("rel", "retransmit", rl.nic.fab.sim.Now(),
 			trace.Args{Peer: int(e.dst), Size: int64(e.size), ID: e.xferID, Detail: e.op})
-		wr := rl.nic.transmit(p, e.dst, OpSend, e.size, rl.nic.fab.cost.Wire(e.size), e.xferID, e.payload, true, e.seq)
+		wr := rl.nic.transmit(p, e.dst, OpSend, e.size, rl.nic.fab.cost.Wire(e.size), e.xferID, e.hdr, e.payload, true, e.seq)
 		rl.swallow[wr] = true
 		e.rto = rl.backoffRTO(e.rto)
 		rl.arm(e)
@@ -399,12 +416,12 @@ func (rl *Reliable) Abandon() int {
 		e.timer.Stop()
 		delete(rl.outstanding, seq)
 	}
-	for _, e := range rl.due {
+	for _, e := range rl.due.items[rl.due.head:] {
 		if !e.dead && e.gen == rl.gen && e.fire != nil {
 			n++ // pending reposts die too
 		}
 	}
-	rl.due = rl.due[:0]
+	rl.due = fifo[*relEntry]{items: rl.due.items[:0]}
 	rl.gen++
 	return n
 }

@@ -31,7 +31,9 @@ func (r *Rank) nextColSeq() int {
 }
 
 // isendCol and irecvCol are the internal building blocks; they run
-// inside an already-entered collective and so skip enter/exit.
+// inside an already-entered collective and so skip enter/exit. Their
+// requests are the collective's own: it awaits them, which releases
+// them.
 func (r *Rank) isendCol(dst, tag, size int) *Request {
 	req := r.newReq(reqSend, dst, tag, size)
 	r.startSend(req, ctxCollective, false)
@@ -40,10 +42,6 @@ func (r *Rank) isendCol(dst, tag, size int) *Request {
 
 func (r *Rank) irecvCol(src, tag int) *Request {
 	return r.postRecv(src, tag, ctxCollective)
-}
-
-func (r *Rank) waitBoth(a, b *Request) {
-	r.waitUntil(func() bool { return a.done && b.done })
 }
 
 // tokenSize is the payload of synchronization-only internal messages.

@@ -127,7 +127,7 @@ func (c *Comm) Barrier() {
 		src := c.members[(c.myIdx-k+p)%p]
 		s := r.isendCol(dst, c.ctag(seq, round), tokenSize)
 		q := r.irecvCol(src, c.ctag(seq, round))
-		r.waitBoth(s, q)
+		r.awaitBoth(s, q)
 	}
 }
 
@@ -144,7 +144,7 @@ func (c *Comm) Bcast(root, size int) {
 		if vr&mask != 0 {
 			src := c.members[(vr-mask+root)%p]
 			q := r.irecvCol(src, c.ctag(seq, 0))
-			r.waitUntil(func() bool { return q.done })
+			r.await(q)
 			break
 		}
 		mask <<= 1
@@ -154,7 +154,7 @@ func (c *Comm) Bcast(root, size int) {
 		if vr+mask < p {
 			dst := c.members[(vr+mask+root)%p]
 			s := r.isendCol(dst, c.ctag(seq, 0), size)
-			r.waitUntil(func() bool { return s.done })
+			r.await(s)
 		}
 		mask >>= 1
 	}
@@ -174,13 +174,13 @@ func (c *Comm) Reduce(root, size int) {
 			if vr+mask < p {
 				src := c.members[(vr+mask+root)%p]
 				q := r.irecvCol(src, c.ctag(seq, 0))
-				r.waitUntil(func() bool { return q.done })
+				r.await(q)
 				r.proc.Compute(r.reduceCost(size))
 			}
 		} else {
 			dst := c.members[(vr-mask+root)%p]
 			s := r.isendCol(dst, c.ctag(seq, 0), size)
-			r.waitUntil(func() bool { return s.done })
+			r.await(s)
 			break
 		}
 		mask <<= 1
@@ -203,7 +203,7 @@ func (c *Comm) Allreduce(size int) {
 		partner := c.members[c.myIdx^mask]
 		s := r.isendCol(partner, c.ctag(seq, round), size)
 		q := r.irecvCol(partner, c.ctag(seq, round))
-		r.waitBoth(s, q)
+		r.awaitBoth(s, q)
 		r.proc.Compute(r.reduceCost(size))
 	}
 }
@@ -221,7 +221,7 @@ func (c *Comm) Alltoall(size int) {
 		src := c.members[(c.myIdx-i+p)%p]
 		s := r.isendCol(dst, c.ctag(seq, i), size)
 		q := r.irecvCol(src, c.ctag(seq, i))
-		r.waitBoth(s, q)
+		r.awaitBoth(s, q)
 	}
 }
 
@@ -243,6 +243,6 @@ func (c *Comm) Alltoallv(sizes []int) {
 		src := c.members[(c.myIdx-i+p)%p]
 		s := r.isendCol(c.members[dstIdx], c.ctag(seq, i), sizes[dstIdx])
 		q := r.irecvCol(src, c.ctag(seq, i))
-		r.waitBoth(s, q)
+		r.awaitBoth(s, q)
 	}
 }

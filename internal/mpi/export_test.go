@@ -32,6 +32,24 @@ func (r *Rank) PostTrackedRead(src, size int) (*Request, uint64) {
 	return req, wr
 }
 
+// ReleasedRequest sends a buffered eager message to dst the way Send
+// does, hands the request back to the rank and returns it: a request
+// nothing may touch again.
+func (r *Rank) ReleasedRequest(dst int) *Request {
+	r.enterOp("Send")
+	defer r.exit()
+	req := r.newReq(reqSend, dst, 0, 1)
+	r.startSend(req, ctxUser, true)
+	r.await(req)
+	return req
+}
+
+// CompleteRequest drives q's completion as a protocol handler would.
+func CompleteRequest(q *Request) { q.complete() }
+
+// SpareRequests is the length of the rank's list of released requests.
+func (r *Rank) SpareRequests() int { return len(r.spare) }
+
 // UseReferenceAdvance runs every schedule sweep of the test on
 // referenceAdvance. Not for parallel tests: the switch is package-wide.
 func UseReferenceAdvance(t *testing.T) {

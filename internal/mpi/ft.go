@@ -98,11 +98,16 @@ type ftState struct {
 	tickStop vtime.Timer
 }
 
-// Wire payloads of the fault-tolerance service. All are size-0
-// sequenced control messages.
+// Wire messages of the fault-tolerance service. All are size-0
+// sequenced control messages: the ping and the sync poke ride as
+// headers, the revocation — its dead set has no fixed size — is boxed.
 
 // ftMsg is a liveness ping; its hardware ack is the liveness proof.
 type ftMsg struct{ src, gen int }
+
+func (m ftMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrPing, W: [fabric.HeaderWords]uint64{uint64(m.src), uint64(m.gen)}}
+}
 
 // revokeMsg announces suspected failures to a live peer.
 type revokeMsg struct {
@@ -113,6 +118,10 @@ type revokeMsg struct {
 // ftSyncMsg pokes a peer blocked in an agreement round: the arrival
 // alone unparks it so it re-reads the vote pool.
 type ftSyncMsg struct{ src, gen int }
+
+func (m ftSyncMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrSync, W: [fabric.HeaderWords]uint64{uint64(m.src), uint64(m.gen)}}
+}
 
 // ftVote is one rank's contribution to an agreement round.
 type ftVote struct {
@@ -243,7 +252,7 @@ func (r *Rank) ftMaybePing() {
 	}
 	ft.nextPing = now.Add(ft.cfg.HeartbeatPeriod)
 	for _, peer := range r.ftPingTargets() {
-		r.rel.Send(r.driver, fabric.NodeID(peer), 0, 0, ftMsg{src: r.id, gen: ft.gen}, "ft-ping", nil)
+		r.rel.Send(r.driver, fabric.NodeID(peer), 0, 0, ftMsg{src: r.id, gen: ft.gen}.header(), "ft-ping", nil)
 	}
 }
 
@@ -295,7 +304,7 @@ func (r *Rank) ftSuspect(peer int, op string) {
 		if id == r.id || ft.dead[id] {
 			continue
 		}
-		r.rel.Send(r.driver, fabric.NodeID(id), 0, 0, revokeMsg{src: r.id, dead: dead}, "ft-revoke", nil)
+		r.rel.SendPayload(r.driver, fabric.NodeID(id), revokeMsg{src: r.id, dead: dead}, "ft-revoke")
 	}
 	r.proc.Unpark()
 }
@@ -412,7 +421,7 @@ func (r *Rank) ftRetire() {
 		if id == r.id || ft.dead[id] {
 			continue
 		}
-		r.rel.Send(r.driver, fabric.NodeID(id), 0, 0, ftSyncMsg{src: r.id, gen: ft.gen}, "ft-retire", nil)
+		r.rel.Send(r.driver, fabric.NodeID(id), 0, 0, ftSyncMsg{src: r.id, gen: ft.gen}.header(), "ft-retire", nil)
 	}
 }
 
@@ -552,7 +561,7 @@ func (r *Rank) ftPoke() {
 		if id == r.id || ft.dead[id] || r.w.ftFin[id] {
 			continue
 		}
-		r.rel.Send(r.driver, fabric.NodeID(id), 0, 0, ftSyncMsg{src: r.id, gen: ft.gen}, "ft-agree", nil)
+		r.rel.Send(r.driver, fabric.NodeID(id), 0, 0, ftSyncMsg{src: r.id, gen: ft.gen}.header(), "ft-agree", nil)
 	}
 }
 

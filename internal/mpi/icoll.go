@@ -42,7 +42,7 @@ type schedAction struct {
 	coll.Action
 	started bool
 	fin     bool
-	req     *Request // in-flight transfer (Send/Recv actions)
+	req     *Request // in-flight transfer (Send/Recv actions), released at fin
 }
 
 // Done reports completion without progressing; use TestColl to poll.
@@ -203,6 +203,8 @@ func (cr *CollRequest) advance() bool {
 			if a.started {
 				if a.req != nil && a.req.done {
 					a.fin = true
+					r.release(a.req)
+					a.req = nil
 					cr.nDone++
 					changed, did = true, true
 				}

@@ -263,6 +263,7 @@ type Rank struct {
 	schedules map[coll.Params]*coll.Schedule // every schedule built so far (Rank.schedule)
 
 	reqSeq    uint64
+	spare     []*Request // released requests, for newReq to reuse
 	colSeq    int
 	callTimes []opTime // library time by outermost call type, in first-return order
 	waiting   bool
@@ -496,12 +497,6 @@ func (r *Rank) RelStats() fabric.RelStats {
 
 // cost returns the fabric cost model.
 func (r *Rank) cost() fabric.CostModel { return r.w.fab.Cost() }
-
-// newReq allocates a request.
-func (r *Rank) newReq(kind reqKind, peer, tag, size int) *Request {
-	r.reqSeq++
-	return &Request{rank: r, kind: kind, id: r.reqSeq, peer: peer, tag: tag, size: size}
-}
 
 // registerBuffer charges the cost of pinning a rendezvous buffer,
 // honouring the leave_pinned registration cache.

@@ -12,7 +12,7 @@ func (r *Rank) Send(dst, tag, size int) {
 	defer r.exit()
 	req := r.newReq(reqSend, dst, tag, size)
 	r.startSend(req, ctxUser, true)
-	r.waitUntil(func() bool { return req.done })
+	r.await(req)
 }
 
 // Isend starts a non-blocking send and returns its request handle.
@@ -29,9 +29,7 @@ func (r *Rank) Isend(dst, tag, size int) *Request {
 func (r *Rank) Recv(src, tag int) Status {
 	r.enterOpPS("Recv", src, -1)
 	defer r.exit()
-	req := r.postRecv(src, tag, ctxUser)
-	r.waitUntil(func() bool { return req.done })
-	return req.status
+	return r.await(r.postRecv(src, tag, ctxUser))
 }
 
 // Irecv posts a non-blocking receive and returns its request handle.
@@ -45,6 +43,7 @@ func (r *Rank) Irecv(src, tag int) *Request {
 func (r *Rank) Wait(req *Request) Status {
 	r.enterOp("Wait")
 	defer r.exit()
+	req.check()
 	r.waitUntil(func() bool { return req.done })
 	return req.status
 }
@@ -53,6 +52,9 @@ func (r *Rank) Wait(req *Request) Status {
 func (r *Rank) Waitall(reqs ...*Request) {
 	r.enterOp("Waitall")
 	defer r.exit()
+	for _, q := range reqs {
+		q.check()
+	}
 	r.waitUntil(func() bool {
 		for _, q := range reqs {
 			if !q.done {
@@ -68,6 +70,7 @@ func (r *Rank) Waitall(reqs ...*Request) {
 func (r *Rank) Test(req *Request) bool {
 	r.enterOp("Test")
 	defer r.exit()
+	req.check()
 	r.progress()
 	return req.done
 }
@@ -91,7 +94,5 @@ func (r *Rank) Sendrecv(dst, sendTag, sendSize, src, recvTag int) Status {
 	defer r.exit()
 	sreq := r.newReq(reqSend, dst, sendTag, sendSize)
 	r.startSend(sreq, ctxUser, true)
-	rreq := r.postRecv(src, recvTag, ctxUser)
-	r.waitUntil(func() bool { return sreq.done && rreq.done })
-	return rreq.status
+	return r.awaitBoth(sreq, r.postRecv(src, recvTag, ctxUser))
 }

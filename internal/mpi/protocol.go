@@ -42,15 +42,41 @@ const (
 	ctxSchedule
 )
 
-// Wire payloads. Header bytes are folded into the fabric's per-packet
+// Wire messages. Header bytes are folded into the fabric's per-packet
 // overhead, so control packets travel with size 0 and data packets
 // with exactly the user payload size — keeping the ground-truth
-// transfer log aligned with the calibration table.
+// transfer log aligned with the calibration table. Each message type
+// below rides in the packet as a fabric.Header value (its header method
+// packs it, the matching ...Of function unpacks it); only the
+// fault-tolerance revocation, whose dead set has no fixed size, is
+// boxed in the packet's Payload.
+
+// Header kinds of the library's messages (fabric.Header.Kind; 0 is a
+// packet with no header).
+const (
+	hdrEager uint8 = iota + 1
+	hdrRTS
+	hdrCTS
+	hdrFrag
+	hdrFin
+	hdrPing
+	hdrSync
+)
 
 // eagerMsg carries a whole short message.
 type eagerMsg struct {
 	src, tag, ctx, size int
 	xferID              uint64
+}
+
+func (m eagerMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrEager, W: [fabric.HeaderWords]uint64{
+		uint64(m.src), uint64(m.tag), uint64(m.ctx), uint64(m.size), m.xferID}}
+}
+
+func eagerOf(h *fabric.Header) eagerMsg {
+	w := &h.W
+	return eagerMsg{src: int(w[0]), tag: int(w[1]), ctx: int(w[2]), size: int(w[3]), xferID: w[4]}
 }
 
 // rtsMsg is the rendezvous request-to-send. Under PipelinedRDMA it
@@ -66,11 +92,29 @@ type rtsMsg struct {
 	readXfer            uint64
 }
 
+func (m rtsMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrRTS, W: [fabric.HeaderWords]uint64{
+		uint64(m.src), uint64(m.tag), uint64(m.ctx), uint64(m.size),
+		m.sendReq, uint64(m.frag0), m.frag0Xfer, m.readXfer}}
+}
+
+func rtsOf(h *fabric.Header) rtsMsg {
+	w := &h.W
+	return rtsMsg{src: int(w[0]), tag: int(w[1]), ctx: int(w[2]), size: int(w[3]),
+		sendReq: w[4], frag0: int(w[5]), frag0Xfer: w[6], readXfer: w[7]}
+}
+
 // ctsMsg is the receiver's clear-to-send acknowledging a pipelined
 // rendezvous; recvReq keys subsequent fragments to the receive.
 type ctsMsg struct {
 	sendReq, recvReq uint64
 }
+
+func (m ctsMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrCTS, W: [fabric.HeaderWords]uint64{m.sendReq, m.recvReq}}
+}
+
+func ctsOf(h *fabric.Header) ctsMsg { return ctsMsg{sendReq: h.W[0], recvReq: h.W[1]} }
 
 // fragMsg is the immediate notification of one pipelined RDMA-write
 // fragment landing in the receive buffer.
@@ -78,6 +122,12 @@ type fragMsg struct {
 	recvReq uint64
 	size    int
 }
+
+func (m fragMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrFrag, W: [fabric.HeaderWords]uint64{m.recvReq, uint64(m.size)}}
+}
+
+func fragOf(h *fabric.Header) fragMsg { return fragMsg{recvReq: h.W[0], size: int(h.W[1])} }
 
 // finMsg tells the sender a direct RDMA read has drained its buffer.
 // When hardware time-stamps are in use, the receiver echoes the read's
@@ -87,13 +137,21 @@ type finMsg struct {
 	start, end vtime.Time
 }
 
+func (m finMsg) header() fabric.Header {
+	return fabric.Header{Kind: hdrFin, W: [fabric.HeaderWords]uint64{m.sendReq, uint64(m.start), uint64(m.end)}}
+}
+
+func finOf(h *fabric.Header) finMsg {
+	return finMsg{sendReq: h.W[0], start: vtime.Time(h.W[1]), end: vtime.Time(h.W[2])}
+}
+
 // inbound is an unexpected-queue entry: a message that arrived before
 // a matching receive was posted.
 type inbound struct {
 	src, tag, ctx, size int
 	eager               bool
 	xferID              uint64 // eager data transfer id
-	rts                 *rtsMsg
+	rts                 rtsMsg // the request-to-send, unless eager
 }
 
 // wrKind routes completion-queue entries to protocol actions.
@@ -248,13 +306,37 @@ func (r *Rank) waitUntil(cond func() bool) {
 // sendCtl posts a control packet to dst — reliably (sequenced and
 // acknowledged) when the reliability layer is on, as a bare send
 // otherwise.
-func (r *Rank) sendCtl(dst fabric.NodeID, payload any) {
+func (r *Rank) sendCtl(dst fabric.NodeID, h fabric.Header) {
 	if r.rel != nil {
-		r.rel.Send(r.driver, dst, 0, 0, payload, "send", nil)
+		r.rel.Send(r.driver, dst, 0, 0, h, "send", nil)
 		return
 	}
-	wr := r.nic.Send(r.driver, dst, 0, 0, payload)
+	wr := r.nic.SendHeader(r.driver, dst, 0, 0, h)
 	r.trackWR(wr, pendingWR{kind: wrControl})
+}
+
+// xferAck is the rank as the acknowledgment handler of a reliable data
+// send no request waits on (a buffered eager send, a first fragment):
+// the acknowledgment only ends the transfer.
+type xferAck Rank
+
+func (a *xferAck) Acked(xferID uint64, size int, start, end vtime.Time) {
+	r := (*Rank)(a)
+	r.xferEnd(xferID, size)
+	r.xferExact(xferID, size, start, end)
+}
+
+// sendAck is a non-buffered eager send's request as its reliable
+// send's acknowledgment handler: the acknowledgment ends the transfer
+// and completes the request.
+type sendAck Request
+
+func (a *sendAck) Acked(xferID uint64, size int, start, end vtime.Time) {
+	q := (*Request)(a)
+	(*xferAck)(q.rank).Acked(xferID, size, start, end)
+	if !q.done {
+		q.complete()
+	}
 }
 
 // startSend launches the protocol for a send request. Caller must be
@@ -263,7 +345,10 @@ func (r *Rank) sendCtl(dst fabric.NodeID, payload any) {
 // and posted (the user buffer is reusable), with the local completion
 // reaped lazily by a later progress invocation — the behaviour of
 // MPI_Send's short-message path on InfiniBand MPIs. Non-blocking sends
-// complete at the local CQE, as in Open MPI.
+// complete at the local CQE, as in Open MPI. A buffered send is done
+// when startSend returns, so nothing it leaves behind (the completion
+// row, the acknowledgment handler) points at req: the caller may
+// release it at once.
 func (r *Rank) startSend(req *Request, ctx int, buffered bool) {
 	ctx = r.ectx(ctx)
 	c := r.cost()
@@ -276,22 +361,24 @@ func (r *Rank) startSend(req *Request, ctx int, buffered bool) {
 		r.w.fab.TagXfer(xid, "eager")
 		r.xferBegin(xid, req.size)
 		r.noteSchedXfer(req.schedLabel, xid)
-		msg := eagerMsg{src: r.id, tag: req.tag, ctx: ctx, size: req.size, xferID: xid}
+		h := eagerMsg{src: r.id, tag: req.tag, ctx: ctx, size: req.size, xferID: xid}.header()
+		waiter := req
+		if buffered {
+			waiter = nil
+		}
 		if r.rel != nil {
 			// Reliable: completion and the transfer-end observation are
 			// driven by the delivering attempt's acknowledgment, so
 			// retransmissions attribute to library time and never count
 			// as extra transfers.
-			r.rel.Send(r.driver, dst, req.size, xid, msg, "send", func(start, end vtime.Time) {
-				r.xferEnd(xid, req.size)
-				r.xferExact(xid, req.size, start, end)
-				if !req.done {
-					req.complete()
-				}
-			})
+			var ack fabric.AckHandler = (*xferAck)(r)
+			if waiter != nil {
+				ack = (*sendAck)(waiter)
+			}
+			r.rel.Send(r.driver, dst, req.size, xid, h, "send", ack)
 		} else {
-			wr := r.nic.Send(r.driver, dst, req.size, xid, msg)
-			r.trackWR(wr, pendingWR{kind: wrEager, req: req, xferID: xid, size: req.size})
+			wr := r.nic.SendHeader(r.driver, dst, req.size, xid, h)
+			r.trackWR(wr, pendingWR{kind: wrEager, req: waiter, xferID: xid, size: req.size})
 		}
 		if buffered {
 			req.complete()
@@ -311,18 +398,15 @@ func (r *Rank) startSend(req *Request, ctx int, buffered bool) {
 		r.w.fab.TagXfer(xid, "pipelined-frag0")
 		r.xferBegin(xid, frag0)
 		r.noteSchedXfer(req.schedLabel, xid)
-		msg := rtsMsg{
+		h := rtsMsg{
 			src: r.id, tag: req.tag, ctx: ctx, size: req.size,
 			sendReq: req.id, frag0: frag0, frag0Xfer: xid,
-		}
+		}.header()
 		if r.rel != nil {
-			r.rel.Send(r.driver, dst, frag0, xid, msg, "send", func(start, end vtime.Time) {
-				r.xferEnd(xid, frag0)
-				r.xferExact(xid, frag0, start, end)
-			})
+			r.rel.Send(r.driver, dst, frag0, xid, h, "send", (*xferAck)(r))
 		} else {
-			wr := r.nic.Send(r.driver, dst, frag0, xid, msg)
-			r.trackWR(wr, pendingWR{kind: wrFrag0, req: req, xferID: xid, size: frag0})
+			wr := r.nic.SendHeader(r.driver, dst, frag0, xid, h)
+			r.trackWR(wr, pendingWR{kind: wrFrag0, xferID: xid, size: frag0})
 		}
 		req.nextOffset = frag0
 		req.phase = sendRTSPosted
@@ -338,7 +422,7 @@ func (r *Rank) startSend(req *Request, ctx int, buffered bool) {
 		r.sendCtl(dst, rtsMsg{
 			src: r.id, tag: req.tag, ctx: ctx, size: req.size,
 			sendReq: req.id, readXfer: xid,
-		})
+		}.header())
 		req.phase = sendRTSPosted
 		r.ctsWaiters[req.id] = req
 	default:
@@ -369,7 +453,7 @@ func (r *Rank) postRecvLabeled(src, tag, ctx int, label string) *Request {
 			r.driver.Compute(r.cost().Copy(ib.size))
 			req.complete()
 		} else {
-			r.handleMatchedRTS(req, ib.rts, true, nil)
+			r.handleMatchedRTS(req, &ib.rts, true, nil)
 		}
 		return req
 	}
@@ -407,8 +491,9 @@ func (r *Rank) matchPostedRecv(src, tag, ctx int) *Request {
 // state machines.
 func (r *Rank) handlePacket(pkt *fabric.Packet) {
 	c := r.cost()
-	switch msg := pkt.Payload.(type) {
-	case eagerMsg:
+	switch pkt.Hdr.Kind {
+	case hdrEager:
+		msg := eagerOf(&pkt.Hdr)
 		if req := r.matchPostedRecv(msg.src, msg.tag, msg.ctx); req != nil {
 			req.peer, req.tag, req.size = msg.src, msg.tag, msg.size
 			r.noteSchedXfer(req.schedLabel, msg.xferID)
@@ -427,7 +512,8 @@ func (r *Rank) handlePacket(pkt *fabric.Packet) {
 			src: msg.src, tag: msg.tag, ctx: msg.ctx, size: msg.size,
 			eager: true, xferID: msg.xferID,
 		})
-	case rtsMsg:
+	case hdrRTS:
+		msg := rtsOf(&pkt.Hdr)
 		if req := r.matchPostedRecv(msg.src, msg.tag, msg.ctx); req != nil {
 			r.handleMatchedRTS(req, &msg, false, pkt)
 			return
@@ -438,19 +524,17 @@ func (r *Rank) handlePacket(pkt *fabric.Packet) {
 			r.xferEnd(msg.frag0Xfer, msg.frag0)
 			r.xferExact(msg.frag0Xfer, msg.frag0, pkt.Start, pkt.End)
 		}
-		m := msg
 		r.unexpQ = append(r.unexpQ, inbound{
-			src: msg.src, tag: msg.tag, ctx: msg.ctx, size: msg.size, rts: &m,
+			src: msg.src, tag: msg.tag, ctx: msg.ctx, size: msg.size, rts: msg,
 		})
-	case ftMsg:
+	case hdrPing:
 		// Liveness ping: the hardware ack it provoked is the answer;
 		// Accept already noted the peer alive in the sweep.
-	case ftSyncMsg:
+	case hdrSync:
 		// Agreement poke: the arrival alone woke the rank, which
 		// re-reads the vote pool from its wait condition.
-	case revokeMsg:
-		r.ftRevoked(msg)
-	case ctsMsg:
+	case hdrCTS:
+		msg := ctsOf(&pkt.Hdr)
 		req := r.ctsWaiters[msg.sendReq]
 		if req == nil {
 			if r.ft != nil {
@@ -463,7 +547,8 @@ func (r *Rank) handlePacket(pkt *fabric.Packet) {
 		req.phase = sendStreaming
 		r.queuePump(req)
 		r.checkSendDone(req)
-	case fragMsg:
+	case hdrFrag:
+		msg := fragOf(&pkt.Hdr)
 		req := r.rxActive[msg.recvReq]
 		if req == nil {
 			if r.ft != nil {
@@ -483,7 +568,8 @@ func (r *Rank) handlePacket(pkt *fabric.Packet) {
 			}
 			req.complete()
 		}
-	case finMsg:
+	case hdrFin:
+		msg := finOf(&pkt.Hdr)
 		req := r.ctsWaiters[msg.sendReq]
 		if req == nil {
 			if r.ft != nil {
@@ -496,8 +582,14 @@ func (r *Rank) handlePacket(pkt *fabric.Packet) {
 		r.xferExact(req.dataXfer, req.size, msg.start, msg.end)
 		req.phase = sendDone
 		req.complete()
+	case 0:
+		msg, ok := pkt.Payload.(revokeMsg)
+		if !ok {
+			panic(fmt.Sprintf("mpi: unknown packet payload %T", pkt.Payload))
+		}
+		r.ftRevoked(msg)
 	default:
-		panic(fmt.Sprintf("mpi: unknown packet payload %T", pkt.Payload))
+		panic(fmt.Sprintf("mpi: unknown packet header kind %d", pkt.Hdr.Kind))
 	}
 }
 
@@ -532,7 +624,7 @@ func (r *Rank) handleMatchedRTS(req *Request, rts *rtsMsg, frag0Buffered bool, p
 			r.xferBegin(req.bulkXfer, req.bulkSize)
 			r.noteSchedXfer(req.schedLabel, req.bulkXfer)
 		}
-		r.sendCtl(fabric.NodeID(rts.src), ctsMsg{sendReq: rts.sendReq, recvReq: req.id})
+		r.sendCtl(fabric.NodeID(rts.src), ctsMsg{sendReq: rts.sendReq, recvReq: req.id}.header())
 		if req.arrivedBytes >= req.size {
 			delete(r.rxActive, req.id)
 			req.complete()
@@ -568,7 +660,7 @@ func (r *Rank) handleCQE(cqe *fabric.CQE) {
 	case wrEager:
 		r.xferEnd(pw.xferID, pw.size)
 		r.xferExact(pw.xferID, pw.size, cqe.Start, cqe.End)
-		if !pw.req.done {
+		if pw.req != nil && !pw.req.done { // nil: a buffered send, done at its post
 			pw.req.complete()
 		}
 	case wrFrag0:
@@ -586,7 +678,7 @@ func (r *Rank) handleCQE(cqe *fabric.CQE) {
 		r.xferEnd(pw.xferID, pw.size)
 		r.xferExact(pw.xferID, pw.size, cqe.Start, cqe.End)
 		r.sendCtl(fabric.NodeID(pw.req.peer),
-			finMsg{sendReq: pw.req.rxPeerReq, start: cqe.Start, end: cqe.End})
+			finMsg{sendReq: pw.req.rxPeerReq, start: cqe.Start, end: cqe.End}.header())
 		pw.req.complete()
 	}
 }
@@ -608,7 +700,7 @@ func (r *Rank) handleFailedCQE(pw pendingWR, cqe *fabric.CQE) {
 		}
 		req, xid, size := pw.req, pw.xferID, pw.size
 		err := r.rel.Repost(dst, cqe.Kind.String(), xid, attempts, func(p *vtime.Proc) {
-			wr := r.nic.RDMAWrite(p, dst, size, xid, fragMsg{recvReq: req.ctsRecvReq, size: size})
+			wr := r.nic.RDMAWriteHeader(p, dst, size, xid, fragMsg{recvReq: req.ctsRecvReq, size: size}.header())
 			r.trackWR(wr, pendingWR{kind: wrFrag, req: req, xferID: xid, size: size, attempts: attempts})
 		})
 		if err != nil {
@@ -636,9 +728,10 @@ func (r *Rank) handleFailedCQE(pw pendingWR, cqe *fabric.CQE) {
 }
 
 // queuePump marks a streaming pipelined send as having work for the
-// fragment pump.
+// fragment pump. A send with every fragment posted has none, and stays
+// off the list: it may complete, and be released, before the next pump.
 func (r *Rank) queuePump(req *Request) {
-	if req.fragsQueued || req.phase != sendStreaming {
+	if req.fragsQueued || req.phase != sendStreaming || req.nextOffset >= req.size {
 		return
 	}
 	req.fragsQueued = true
@@ -661,8 +754,8 @@ func (r *Rank) pumpPipelines() bool {
 			xid := r.w.fab.NewXferID()
 			r.w.fab.TagXfer(xid, "pipelined-frag")
 			r.xferBegin(xid, fsize)
-			wr := r.nic.RDMAWrite(r.driver, fabric.NodeID(req.peer), fsize, xid,
-				fragMsg{recvReq: req.ctsRecvReq, size: fsize})
+			wr := r.nic.RDMAWriteHeader(r.driver, fabric.NodeID(req.peer), fsize, xid,
+				fragMsg{recvReq: req.ctsRecvReq, size: fsize}.header())
 			r.trackWR(wr, pendingWR{kind: wrFrag, req: req, xferID: xid, size: fsize})
 			req.nextOffset += fsize
 			req.fragsInNet++

@@ -47,10 +47,8 @@ const (
 // ranks must be a perfect square.
 func RunBT(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := btSpecs[p.Class]
-	if !ok {
-		panic("nas: BT has no class " + p.Class.String())
-	}
+	mustFit(BT, p.Class, r.Size())
+	spec := btSpecs[p.Class]
 	g := newSqGrid(r.ID(), r.Size())
 	c := ceilDiv(spec.n, g.q)       // cell dimension
 	pts := float64(g.q * c * c * c) // points per rank

@@ -33,14 +33,9 @@ const cgInnerIters = 25
 // ranks must be a power of two.
 func RunCG(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := cgSpecs[p.Class]
-	if !ok {
-		panic("nas: CG has no class " + p.Class.String())
-	}
+	mustFit(CG, p.Class, r.Size())
+	spec := cgSpecs[p.Class]
 	procs := r.Size()
-	if procs&(procs-1) != 0 {
-		panic("nas: CG needs a power-of-two number of processes")
-	}
 	// npcols >= nprows, both powers of two (NPB's setup).
 	k := log2(procs)
 	nprows := 1 << (k / 2)

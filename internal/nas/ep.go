@@ -29,10 +29,8 @@ const epFlopsPerPair = 60
 // RunEP executes the EP skeleton on the calling rank.
 func RunEP(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := epSpecs[p.Class]
-	if !ok {
-		panic("nas: EP has no class " + p.Class.String())
-	}
+	mustFit(EP, p.Class, r.Size())
+	spec := epSpecs[p.Class]
 
 	// EP generates pairs in batches of 2^16 (NPB's nk blocking); the
 	// iteration cap truncates batches for cheap experiment runs.

@@ -33,10 +33,8 @@ const complexBytes = 16
 // RunFT executes the FT skeleton on the calling rank.
 func RunFT(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := ftSpecs[p.Class]
-	if !ok {
-		panic("nas: FT has no class " + p.Class.String())
-	}
+	mustFit(FT, p.Class, r.Size())
+	spec := ftSpecs[p.Class]
 	procs := r.Size()
 	total := spec.nx * spec.ny * spec.nz
 	local := float64(total) / float64(procs)

@@ -29,10 +29,8 @@ const intBytes = 4
 // RunIS executes the IS skeleton on the calling rank.
 func RunIS(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := isSpecs[p.Class]
-	if !ok {
-		panic("nas: IS has no class " + p.Class.String())
-	}
+	mustFit(IS, p.Class, r.Size())
+	spec := isSpecs[p.Class]
 	procs := r.Size()
 	localKeys := spec.totalKeys / procs
 

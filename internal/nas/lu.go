@@ -39,10 +39,8 @@ const (
 // RunLU executes the LU skeleton on the calling rank.
 func RunLU(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := luSpecs[p.Class]
-	if !ok {
-		panic("nas: LU has no class " + p.Class.String())
-	}
+	mustFit(LU, p.Class, r.Size())
+	spec := luSpecs[p.Class]
 	px, py := grid2(r.Size())
 	row, col := r.ID()/py, r.ID()%py
 	nxl := ceilDiv(spec.n, px) // local x extent

@@ -104,10 +104,8 @@ func mgLevels(spec mgSpec, g mgGeom) []mgLevel {
 // RunMG executes the MPI MG skeleton on the calling rank.
 func RunMG(r *mpi.Rank, p Params) {
 	p.fill()
-	spec, ok := mgSpecs[p.Class]
-	if !ok {
-		panic("nas: MG has no class " + p.Class.String())
-	}
+	mustFit(MG, p.Class, r.Size())
+	spec := mgSpecs[p.Class]
 	g := newMGGeom(r.ID(), r.Size())
 	levels := mgLevels(spec, g)
 	const tag = 700
@@ -187,10 +185,8 @@ func (v MGVariant) String() string {
 // process.
 func RunMGARMCI(pr *armci.Proc, p Params, variant MGVariant) {
 	p.fill()
-	spec, ok := mgSpecs[p.Class]
-	if !ok {
-		panic("nas: MG has no class " + p.Class.String())
-	}
+	mustFit(MG, p.Class, pr.Size())
+	spec := mgSpecs[p.Class]
 	g := newMGGeom(pr.ID(), pr.Size())
 	levels := mgLevels(spec, g)
 

@@ -79,11 +79,22 @@ const doubleBytes = 8
 // isqrt returns the integer square root of n, panicking unless n is a
 // perfect square — BT and SP require square process grids.
 func isqrt(n int) int {
-	q := int(math.Round(math.Sqrt(float64(n))))
-	if q*q != n {
-		panic(fmt.Sprintf("nas: %d processes do not form a square grid", n))
+	q, ok := sqrtOf(n)
+	if !ok {
+		panic(notSquare(n).Error())
 	}
 	return q
+}
+
+// sqrtOf returns n's integer square root and whether n is a perfect
+// square.
+func sqrtOf(n int) (int, bool) {
+	q := int(math.Round(math.Sqrt(float64(n))))
+	return q, q*q == n
+}
+
+func notSquare(procs int) error {
+	return fmt.Errorf("nas: %d processes do not form a square grid", procs)
 }
 
 // grid2 factors p into the most square px*py decomposition with
@@ -133,6 +144,58 @@ const (
 // Names lists the MPI benchmarks in the order the paper discusses
 // them.
 func Names() []string { return []string{BT, CG, LU, FT, SP, MG, IS, EP} }
+
+// Check reports why benchmark name cannot run problem class on procs
+// ranks — an unknown benchmark, a class it has no size for, a rank
+// count its process grid cannot take — or returns nil. The skeletons
+// panic with the same message, so a driver that checks first never
+// reaches that panic. A zero class is ClassS, as in Params.
+func Check(name string, class Class, procs int) error {
+	if class == 0 {
+		class = ClassS
+	}
+	var ok bool
+	switch name {
+	case BT:
+		_, ok = btSpecs[class]
+	case CG:
+		_, ok = cgSpecs[class]
+	case LU:
+		_, ok = luSpecs[class]
+	case FT:
+		_, ok = ftSpecs[class]
+	case SP:
+		_, ok = spSpecs[class]
+	case MG:
+		_, ok = mgSpecs[class]
+	case IS:
+		_, ok = isSpecs[class]
+	case EP:
+		_, ok = epSpecs[class]
+	default:
+		return fmt.Errorf("nas: unknown benchmark %q", name)
+	}
+	_, square := sqrtOf(procs)
+	switch {
+	case !ok:
+		return fmt.Errorf("nas: %s has no class %s", name, class)
+	case procs < 1:
+		return fmt.Errorf("nas: %d processes: need at least one", procs)
+	case name == CG && procs&(procs-1) != 0:
+		return fmt.Errorf("nas: CG needs a power-of-two number of processes")
+	case (name == BT || name == SP) && !square:
+		return notSquare(procs)
+	}
+	return nil
+}
+
+// mustFit panics with Check's message unless benchmark name can run
+// class on procs ranks.
+func mustFit(name string, class Class, procs int) {
+	if err := Check(name, class, procs); err != nil {
+		panic(err.Error())
+	}
+}
 
 // Run dispatches a benchmark by name on the calling rank. SP runs the
 // original (unmodified) code; use RunSP directly for the

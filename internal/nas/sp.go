@@ -72,10 +72,8 @@ func RunSP(r *mpi.Rank, p SPParams) {
 	if p.Iprobes == 0 {
 		p.Iprobes = 4
 	}
-	spec, ok := spSpecs[p.Class]
-	if !ok {
-		panic("nas: SP has no class " + p.Class.String())
-	}
+	mustFit(SP, p.Class, r.Size())
+	spec := spSpecs[p.Class]
 	g := newSqGrid(r.ID(), r.Size())
 	c := ceilDiv(spec.n, g.q)
 	pts := float64(g.q * c * c * c)

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"ovlp/internal/hostcount"
 )
 
 // These tests pin what must hold now that a proc is a coroutine RunE
@@ -42,7 +43,7 @@ func lockStep(s *Sim, n, steps int, at func(p *Proc, step int)) []*Proc {
 // next() into RunE's frames, and the other procs must simply stay
 // where they were.
 func TestProcPanicAcrossSwitch(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := hostcount.Base()
 	sentinel := &nodeError{node: 2}
 	s := NewSim()
 	lockStep(s, 4, 5, func(p *Proc, step int) {
@@ -61,7 +62,7 @@ func TestProcPanicAcrossSwitch(t *testing.T) {
 	if end != Time(3*time.Millisecond) {
 		t.Fatalf("end = %v, want 3ms", end)
 	}
-	if n := runtime.NumGoroutine(); n != base+3 {
+	if n := hostcount.Goroutines(base + 3); n != base+3 {
 		t.Fatalf("%d goroutines after the panic, want %d: the three survivors suspended, p2 gone", n, base+3)
 	}
 }
@@ -159,7 +160,7 @@ func TestKillSuspendedProc(t *testing.T) {
 // before the first dispatch, a proc's afterwards — from proc context
 // and from a callback alike.
 func TestSpawnFromProcAndCallback(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := hostcount.Base()
 	s := NewSim()
 	var log []string
 	note := func(what string, p *Proc) {
@@ -205,7 +206,7 @@ func TestSpawnFromProcAndCallback(t *testing.T) {
 			t.Errorf("proc %d %q: id %d, state %v", i, p.name, p.ID(), p.state)
 		}
 	}
-	if n := runtime.NumGoroutine(); n != base {
+	if n := hostcount.Goroutines(base); n != base {
 		t.Fatalf("%d goroutines after RunE, %d before", n, base)
 	}
 }
@@ -233,7 +234,7 @@ func TestBlockedProcsStaySuspended(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
+			base := hostcount.Base()
 			s := NewSim()
 			obs := &countObs{}
 			s.SetObserver(obs)
@@ -257,7 +258,7 @@ func TestBlockedProcsStaySuspended(t *testing.T) {
 			if obs.deadlocks != 1 {
 				t.Fatalf("Observer.Deadlock fired %d times, want 1", obs.deadlocks)
 			}
-			if n := runtime.NumGoroutine(); n != base+len(tc.dump) {
+			if n := hostcount.Goroutines(base + len(tc.dump)); n != base+len(tc.dump) {
 				t.Fatalf("%d goroutines after RunE, want %d: one suspended coroutine per blocked proc", n, base+len(tc.dump))
 			}
 		})

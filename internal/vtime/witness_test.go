@@ -8,12 +8,12 @@ import (
 	"hash"
 	"math/rand"
 	"os"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"ovlp/internal/clock"
+	"ovlp/internal/hostcount"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/kernel_witness.txt from the kernel under test")
@@ -215,7 +215,7 @@ func kernelWitness(t *testing.T, newSim func() *Sim) {
 // once a run completes normally: whichever goroutine ends up running
 // the last event must not stay parked behind it.
 func TestNoGoroutineLeakAfterRun(t *testing.T) {
-	base := runtime.NumGoroutine()
+	base := hostcount.Base()
 	s := NewSim()
 	var procs []*Proc
 	for i := 0; i < 8; i++ {
@@ -236,16 +236,7 @@ func TestNoGoroutineLeakAfterRun(t *testing.T) {
 	if _, err := s.RunE(); err != nil {
 		t.Fatal(err)
 	}
-	// The goroutine that ran the final event wakes RunE and then exits;
-	// give it a moment to do so.
-	for deadline := time.Now().Add(2 * time.Second); ; {
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after RunE, %d before", n, base)
-		}
-		time.Sleep(time.Millisecond)
+	if n := hostcount.Goroutines(base); n > base {
+		t.Fatalf("%d goroutines after RunE, %d before", n, base)
 	}
 }
