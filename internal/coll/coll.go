@@ -246,18 +246,29 @@ func Build(p Params) (*Schedule, error) {
 		return nil, fmt.Errorf("coll: unknown op %d", p.Op)
 	}
 	algo := Resolve(p.Op, p.Algo, p.Procs)
-	sch := &Schedule{Op: p.Op, Algo: algo}
+	// Two passes over the same builder: the first counts the actions
+	// and dependency edges, the second writes them into one array of
+	// each, so a schedule costs the same few allocations at any size.
+	var count builder
+	count.run(p, algo)
+	b := builder{acts: make([]Action, 0, count.nActs)}
+	if count.nDeps > 0 {
+		b.deps = make([]int32, 0, count.nDeps)
+	}
+	b.run(p, algo)
+	return &Schedule{Op: p.Op, Algo: algo, Rounds: b.rounds, Actions: b.acts}, nil
+}
+
+// run adds p.Rank's share of the collective, scheduled with algo.
+func (b *builder) run(p Params, algo Algo) {
 	if p.Procs == 1 {
 		// Degenerate world: nothing moves. Alltoall still copies the
 		// self block, matching the blocking implementation.
 		if p.Op == OpAlltoall {
-			b := &builder{}
 			b.add(Action{Kind: Copy, Peer: -1, Size: p.Size})
-			sch.Actions, sch.Rounds = b.acts, b.rounds
 		}
-		return sch, nil
+		return
 	}
-	b := &builder{}
 	switch p.Op {
 	case OpBcast:
 		switch algo {
@@ -307,29 +318,42 @@ func Build(p Params) (*Schedule, error) {
 			b.barrierDissemination(p)
 		}
 	}
-	sch.Actions, sch.Rounds = b.acts, b.rounds
-	return sch, nil
 }
 
 // builder accumulates actions; add returns the new action's index for
 // dependency wiring. Negative dep indices are ignored, so "no
-// dependency" threads through as -1.
+// dependency" threads through as -1. With acts nil it only counts:
+// nActs and nDeps size the arrays of the pass that keeps them. Every
+// action's Deps is a window of deps with cap == len, so an append to
+// one list can never overwrite the next.
 type builder struct {
-	acts   []Action
-	rounds int
+	acts         []Action
+	deps         []int32
+	nActs, nDeps int
+	rounds       int
 }
 
 func (b *builder) add(a Action, deps ...int) int {
 	if a.Round >= b.rounds {
 		b.rounds = a.Round + 1
 	}
+	from := b.nDeps
 	for _, d := range deps {
 		if d >= 0 {
-			a.Deps = append(a.Deps, int32(d))
+			if b.acts != nil {
+				b.deps = append(b.deps, int32(d))
+			}
+			b.nDeps++
 		}
 	}
-	b.acts = append(b.acts, a)
-	return len(b.acts) - 1
+	if b.acts != nil {
+		if b.nDeps > from {
+			a.Deps = b.deps[from:b.nDeps:b.nDeps]
+		}
+		b.acts = append(b.acts, a)
+	}
+	b.nActs++
+	return b.nActs - 1
 }
 
 // chunkSizes splits size into pipeline chunks of at most chunk bytes,
@@ -341,7 +365,7 @@ func chunkSizes(size, chunk int) []int {
 	if n := (size + chunk - 1) / chunk; n > MaxChunks {
 		chunk = (size + MaxChunks - 1) / MaxChunks
 	}
-	var out []int
+	out := make([]int, 0, ceilDiv(size, chunk))
 	for off := 0; off < size; off += chunk {
 		c := chunk
 		if size-off < c {
@@ -445,7 +469,7 @@ func (b *builder) bcastScatterAllgather(p Params) {
 		partner := vrPeer(vr^k, p.Root, procs)
 		s := b.add(Action{Kind: Send, Peer: partner, Round: round, Size: own}, prev...)
 		q := b.add(Action{Kind: Recv, Peer: partner, Round: round, Size: own}, prev...)
-		prev = []int{s, q}
+		prev = append(prev[:0], s, q)
 		own *= 2
 		round++
 	}
@@ -530,18 +554,18 @@ func (b *builder) reduceRecHalving(p Params) {
 func (b *builder) allreduceRecDouble(p Params) {
 	procs := p.Procs
 	cs := chunkSizes(p.Size, p.Chunk)
-	var prev []int
+	prev, cur := make([]int, 0, 2*len(cs)), make([]int, 0, 2*len(cs))
 	round := 0
 	for k := 1; k < procs; k <<= 1 {
 		partner := p.Rank ^ k
-		var cur []int
+		cur = cur[:0]
 		for c, sz := range cs {
 			s := b.add(Action{Kind: Send, Peer: partner, Round: round, Chunk: c, Size: sz}, prev...)
 			q := b.add(Action{Kind: Recv, Peer: partner, Round: round, Chunk: c, Size: sz}, prev...)
 			red := b.add(Action{Kind: Reduce, Peer: -1, Round: round, Chunk: c, Size: sz}, q)
 			cur = append(cur, s, red)
 		}
-		prev = cur
+		prev, cur = cur, prev
 		round++
 	}
 }
@@ -576,13 +600,12 @@ func (b *builder) allreduceRing(p Params) {
 // implementation.
 func (b *builder) alltoallPairwise(p Params) {
 	procs := p.Procs
-	prev := []int{b.add(Action{Kind: Copy, Peer: -1, Size: p.Size})}
+	s, q := b.add(Action{Kind: Copy, Peer: -1, Size: p.Size}), -1
 	for i := 1; i < procs; i++ {
 		dst := (p.Rank + i) % procs
 		src := (p.Rank - i + procs) % procs
-		s := b.add(Action{Kind: Send, Peer: dst, Round: i, Size: p.Size}, prev...)
-		q := b.add(Action{Kind: Recv, Peer: src, Round: i, Size: p.Size}, prev...)
-		prev = []int{s, q}
+		s, q = b.add(Action{Kind: Send, Peer: dst, Round: i, Size: p.Size}, s, q),
+			b.add(Action{Kind: Recv, Peer: src, Round: i, Size: p.Size}, s, q)
 	}
 }
 
@@ -592,7 +615,7 @@ func (b *builder) alltoallPairwise(p Params) {
 // rotation.
 func (b *builder) alltoallBruck(p Params) {
 	procs := p.Procs
-	prev := []int{b.add(Action{Kind: Copy, Peer: -1, Size: procs * p.Size})}
+	s, q := b.add(Action{Kind: Copy, Peer: -1, Size: procs * p.Size}), -1
 	round := 0
 	for k := 1; k < procs; k <<= 1 {
 		cnt := 0
@@ -603,12 +626,11 @@ func (b *builder) alltoallBruck(p Params) {
 		}
 		dst := (p.Rank + k) % procs
 		src := (p.Rank - k + procs) % procs
-		s := b.add(Action{Kind: Send, Peer: dst, Round: round, Size: cnt * p.Size}, prev...)
-		q := b.add(Action{Kind: Recv, Peer: src, Round: round, Size: cnt * p.Size}, prev...)
-		prev = []int{s, q}
+		s, q = b.add(Action{Kind: Send, Peer: dst, Round: round, Size: cnt * p.Size}, s, q),
+			b.add(Action{Kind: Recv, Peer: src, Round: round, Size: cnt * p.Size}, s, q)
 		round++
 	}
-	b.add(Action{Kind: Copy, Peer: -1, Size: procs * p.Size}, prev...)
+	b.add(Action{Kind: Copy, Peer: -1, Size: procs * p.Size}, s, q)
 }
 
 // barrierDissemination schedules the dissemination barrier: round k
@@ -616,12 +638,10 @@ func (b *builder) alltoallBruck(p Params) {
 // rounds.
 func (b *builder) barrierDissemination(p Params) {
 	procs := p.Procs
-	var prev []int
-	round := 0
+	s, q, round := -1, -1, 0
 	for k := 1; k < procs; k <<= 1 {
-		s := b.add(Action{Kind: Send, Peer: (p.Rank + k) % procs, Round: round, Size: TokenSize}, prev...)
-		q := b.add(Action{Kind: Recv, Peer: (p.Rank - k + procs) % procs, Round: round, Size: TokenSize}, prev...)
-		prev = []int{s, q}
+		s, q = b.add(Action{Kind: Send, Peer: (p.Rank + k) % procs, Round: round, Size: TokenSize}, s, q),
+			b.add(Action{Kind: Recv, Peer: (p.Rank - k + procs) % procs, Round: round, Size: TokenSize}, s, q)
 		round++
 	}
 }

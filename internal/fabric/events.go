@@ -17,6 +17,7 @@ func (l *freeList[T]) get() *T {
 }
 
 // put zeroes e, so the list keeps no payload alive, and stores it.
+// (Wire events clear only their pointers: see wireEvent.Fire.)
 func (l *freeList[T]) put(e *T) {
 	*e = *new(T)
 	*l = append(*l, e)
@@ -37,6 +38,9 @@ const (
 // wireEvent is one step of a transfer that lies ahead in virtual time,
 // due at instant at on NIC to. Drawn from the Fabric's free list, it
 // makes a message's wire events allocate nothing once the list is warm.
+// A step reads only what its scheduler set — cqe for the completion and
+// read steps, pkt and deliver for the packet steps, src for serve — so
+// a recycled event's other fields keep stale values nobody reads.
 type wireEvent struct {
 	step    wireStep
 	deliver bool // deliverAt's: the packet enters the inbox
@@ -52,41 +56,48 @@ type wireEvent struct {
 // the Packet's own fields, so an ack boxes nothing.
 type ackFrame struct{}
 
-// schedule queues a copy of r, drawn from the free list.
-func (f *Fabric) schedule(r wireEvent) {
+// schedule queues an event for step, due at instant at on NIC to, drawn
+// from the free list, and returns it for the caller to set the fields
+// the step reads.
+func (f *Fabric) schedule(step wireStep, to *NIC, at vtime.Time) *wireEvent {
 	e := f.events.get()
-	*e = r
-	f.sim.Schedule(r.at.Sub(f.sim.Now()), e)
+	e.step, e.to, e.at = step, to, at
+	f.sim.Schedule(at.Sub(f.sim.Now()), e)
+	return e
 }
 
-// Fire copies the event out and returns it to the free list before
-// doing the work, which may schedule more events.
+// Fire does the step's work on the event in place, then returns it to
+// the free list clearing only its pointers, so no stale payload stays
+// alive; an RDMA read's serve step passes the event on to its next step
+// instead.
 func (e *wireEvent) Fire() {
-	r := *e
-	f := r.to.fab
-	f.events.put(e)
-	switch r.step {
+	f := e.to.fab
+	switch e.step {
 	case stepCQE:
-		r.to.pushCQE(r.cqe)
+		e.to.pushCQE(e.cqe)
 	case stepDeliver, stepDuplicate:
-		f.deliverAt(r.to, r.pkt, r.deliver, r.step == stepDeliver)
+		f.deliverAt(e.to, &e.pkt, e.deliver, e.step == stepDeliver)
 	case stepAck:
-		if !f.crashed(r.to.id, r.at) { // else the original sender died before the ack landed
-			r.to.pushPacket(r.pkt)
+		if !f.crashed(e.to.id, e.at) { // else the original sender died before the ack landed
+			e.to.pushPacket(e.pkt)
 		}
 	case stepServe:
-		f.serveRead(r)
+		if f.serveRead(e) {
+			return
+		}
 	case stepServerDead:
-		r.cqe.Status, r.cqe.Start, r.cqe.End = StatusRetryExceeded, f.sim.Now(), f.sim.Now()
-		r.to.pushCQE(r.cqe)
+		e.cqe.Status, e.cqe.Start, e.cqe.End = StatusRetryExceeded, f.sim.Now(), f.sim.Now()
+		e.to.pushCQE(e.cqe)
 	case stepReadData:
-		if f.crashed(r.to.id, r.at) {
-			f.crashStats.DroppedRx++
-			return // the requester died before the data landed
+		if f.crashed(e.to.id, e.at) {
+			f.crashStats.DroppedRx++ // the requester died before the data landed
+			break
 		}
-		if c := r.cqe; c.Status == StatusOK {
-			f.record(Transfer{XferID: c.XferID, Src: r.src, Dst: r.to.id, Size: c.Size, Start: c.Start, End: c.End})
+		if c := &e.cqe; c.Status == StatusOK {
+			f.record(Transfer{XferID: c.XferID, Src: e.src, Dst: e.to.id, Size: c.Size, Start: c.Start, End: c.End})
 		}
-		r.to.pushCQE(r.cqe)
+		e.to.pushCQE(e.cqe)
 	}
+	e.to, e.pkt.Payload = nil, nil
+	f.events = append(f.events, e)
 }

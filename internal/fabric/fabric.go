@@ -608,21 +608,23 @@ func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire ti
 		// failure surfaces as an error completion when the transfer
 		// would have arrived. No data moved.
 		cqe.Status = StatusRetryExceeded
-		f.schedule(wireEvent{step: stepCQE, to: n, at: arrive, cqe: cqe})
+		f.schedule(stepCQE, n, arrive).cqe = cqe
 		return wr
 	}
-	f.schedule(wireEvent{step: stepCQE, to: n, at: end, cqe: cqe})
+	f.schedule(stepCQE, n, end).cqe = cqe
 	if drop {
 		// Unreliable datagram loss: the data left the NIC (hence the OK
 		// completion above) and vanished in the network.
 		return wr
 	}
-	pkt := Packet{From: n.id, Kind: kind, Size: size, XferID: xferID, Seq: seq, Hdr: h, Payload: payload, Start: start, End: arrive}
-	f.schedule(wireEvent{step: stepDeliver, to: target, at: arrive, pkt: pkt, deliver: deliver})
+	e := f.schedule(stepDeliver, target, arrive)
+	e.pkt = Packet{From: n.id, Kind: kind, Size: size, XferID: xferID, Seq: seq, Hdr: h, Payload: payload, Start: start, End: arrive}
+	e.deliver = deliver
 	if dup {
 		// The copy trails the original by one link latency.
-		pkt.End = arrive.Add(f.cost.LinkLatency)
-		f.schedule(wireEvent{step: stepDuplicate, to: target, at: pkt.End, pkt: pkt, deliver: deliver})
+		d := f.schedule(stepDuplicate, target, arrive.Add(f.cost.LinkLatency))
+		d.pkt, d.deliver = e.pkt, deliver
+		d.pkt.End = d.at
 	}
 	return wr
 }
@@ -630,7 +632,7 @@ func (n *NIC) transmit(p *vtime.Proc, dst NodeID, kind OpKind, size int, wire ti
 // deliverAt runs at a packet's arrival instant (pkt.End) on target:
 // ground-truth recording (first delivery of a given (src, seq) only),
 // inbox delivery, and hardware acknowledgment of sequenced packets.
-func (f *Fabric) deliverAt(target *NIC, pkt Packet, deliver, original bool) {
+func (f *Fabric) deliverAt(target *NIC, pkt *Packet, deliver, original bool) {
 	src, dst, arrive := pkt.From, target.id, pkt.End
 	if f.crashed(dst, arrive) {
 		// The destination died: the bytes vanish at the dead NIC —
@@ -654,7 +656,7 @@ func (f *Fabric) deliverAt(target *NIC, pkt Packet, deliver, original bool) {
 		f.record(Transfer{XferID: pkt.XferID, Src: src, Dst: dst, Size: pkt.Size, Start: pkt.Start, End: arrive})
 	}
 	if deliver {
-		target.pushPacket(pkt)
+		target.pushPacket(*pkt)
 	}
 	if pkt.Seq != 0 {
 		f.sendAck(dst, src, pkt.Seq, pkt.Start, arrive)
@@ -680,8 +682,8 @@ func (f *Fabric) sendAck(from, to NodeID, seq uint64, start, end vtime.Time) {
 			return
 		}
 	}
-	f.schedule(wireEvent{step: stepAck, to: f.nics[to], at: f.sim.Now().Add(f.cost.Wire(0) + f.cost.LinkLatency + jitter),
-		pkt: Packet{From: from, Kind: OpSend, Seq: seq, Payload: ackFrame{}, Start: start, End: end}})
+	e := f.schedule(stepAck, f.nics[to], f.sim.Now().Add(f.cost.Wire(0)+f.cost.LinkLatency+jitter))
+	e.pkt = Packet{From: from, Kind: OpSend, Seq: seq, Payload: ackFrame{}, Start: start, End: end}
 }
 
 // RDMARead posts a one-sided read of size bytes from src into local
@@ -700,22 +702,24 @@ func (n *NIC) RDMARead(p *vtime.Proc, src NodeID, size int, xferID uint64) uint6
 	f.NIC(src) // a bad server panics at the post
 	// Request packet: DMA startup + a header-sized hop to src.
 	reqArrive := f.sim.Now().Add(f.cost.DMAStartup + f.cost.Wire(0) + f.cost.LinkLatency)
-	f.schedule(wireEvent{step: stepServe, to: n, at: reqArrive, src: src,
-		cqe: CQE{WRID: wr, Kind: OpRDMARead, XferID: xferID, Size: size}})
+	e := f.schedule(stepServe, n, reqArrive)
+	e.src, e.cqe = src, CQE{WRID: wr, Kind: OpRDMARead, XferID: xferID, Size: size}
 	return wr
 }
 
-// serveRead runs when the RDMA read r's request reaches its server.
-func (f *Fabric) serveRead(r wireEvent) {
-	src, dst, size, xferID := r.src, r.to.id, r.cqe.Size, r.cqe.XferID
+// serveRead runs when the RDMA read e's request reaches its server and
+// reschedules e as the read's next step, or reports false when the
+// request vanished.
+func (f *Fabric) serveRead(e *wireEvent) bool {
+	src, dst, size, xferID := e.src, e.to.id, e.cqe.Size, e.cqe.XferID
 	if f.crashed(src, f.sim.Now()) {
 		// The serving node is dead: the transport's retries exhaust
 		// and the failure surfaces as an error completion at the
 		// requester after a round trip. No data moved.
 		f.crashStats.DroppedRx++
-		r.step, r.at = stepServerDead, f.sim.Now().Add(f.cost.Wire(0)+f.cost.LinkLatency)
-		f.schedule(r)
-		return
+		e.step, e.at = stepServerDead, f.sim.Now().Add(f.cost.Wire(0)+f.cost.LinkLatency)
+		f.sim.Schedule(e.at.Sub(f.sim.Now()), e)
+		return true
 	}
 	// The remote NIC sources the data on its egress link. Faults are
 	// modelled on this serve leg (the data direction src→dst): stall
@@ -732,18 +736,19 @@ func (f *Fabric) serveRead(r wireEvent) {
 		if blackhole {
 			f.nicTrack(src).Instant("fault", "blackhole", f.sim.Now(),
 				trace.Args{Peer: int(dst), Size: int64(size), ID: xferID})
-			return
+			return false
 		}
 		drop, _, jitter = fs.decide(src, dst, false, f.sim.Now())
 		wire = fs.scaleWire(src, dst, wire, f.sim.Now())
 		if drop {
 			f.nicTrack(src).Instant("fault", "drop", f.sim.Now(),
 				trace.Args{Peer: int(dst), Size: int64(size), ID: xferID})
-			r.cqe.Status = StatusRetryExceeded
+			e.cqe.Status = StatusRetryExceeded
 		}
 	}
 	start, end := f.nics[src].reserveEgress(serve, wire)
-	r.step, r.at = stepReadData, end.Add(f.cost.LinkLatency+jitter)
-	r.cqe.Start, r.cqe.End = start, r.at
-	f.schedule(r)
+	e.step, e.at = stepReadData, end.Add(f.cost.LinkLatency+jitter)
+	e.cqe.Start, e.cqe.End = start, e.at
+	f.sim.Schedule(e.at.Sub(f.sim.Now()), e)
+	return true
 }

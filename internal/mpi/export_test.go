@@ -8,7 +8,20 @@ import (
 )
 
 // Schedules exposes the rank's schedule memo to the external tests.
-func (r *Rank) Schedules() map[coll.Params]*coll.Schedule { return r.schedules }
+func (r *Rank) Schedules() map[coll.Params]*coll.Schedule {
+	out := make(map[coll.Params]*coll.Schedule, len(r.schedules))
+	for p, m := range r.schedules {
+		out[p] = m.sch
+	}
+	return out
+}
+
+// SpareStates is the length of the rank's list of action-state slices
+// that completed schedules handed back.
+func (r *Rank) SpareStates() int { return len(r.spareSt) }
+
+// HoldsState reports whether the handle still holds its action states.
+func (cr *CollRequest) HoldsState() bool { return cr.st != nil }
 
 // OutstandingWRs is the length of the completion-routing table: work
 // requests the rank posted and has not yet polled a completion for.
@@ -65,17 +78,18 @@ func (cr *CollRequest) referenceAdvance() bool {
 		return false
 	}
 	r := cr.r
+	acts, st := cr.sch.Actions, cr.st
 	did := false
 	for changed := true; changed; {
 		changed = false
-		for i := range cr.acts {
-			a := &cr.acts[i]
-			if a.fin {
+		for i := range st {
+			s, a := &st[i], &acts[i]
+			if s.fin {
 				continue
 			}
-			if a.started {
-				if a.req != nil && a.req.done {
-					a.fin = true
+			if s.started {
+				if s.req != nil && s.req.done {
+					s.fin = true
 					cr.nDone++
 					changed, did = true, true
 				}
@@ -83,7 +97,7 @@ func (cr *CollRequest) referenceAdvance() bool {
 			}
 			ready := true
 			for _, d := range a.Deps {
-				if !cr.acts[d].fin {
+				if !st[d].fin {
 					ready = false
 					break
 				}
@@ -91,7 +105,7 @@ func (cr *CollRequest) referenceAdvance() bool {
 			if !ready {
 				continue
 			}
-			a.started = true
+			s.started = true
 			changed, did = true, true
 			tag := schedTag(cr.seq, a.Round, a.Chunk)
 			switch a.Kind {
@@ -99,23 +113,22 @@ func (cr *CollRequest) referenceAdvance() bool {
 				req := r.newReq(reqSend, a.Peer, tag, a.Size)
 				req.schedLabel = cr.label
 				r.startSend(req, ctxSchedule, false)
-				a.req = req
+				s.req = req
 			case coll.Recv:
-				a.req = r.postRecvLabeled(a.Peer, tag, ctxSchedule, cr.label)
+				s.req = r.postRecvLabeled(a.Peer, tag, ctxSchedule, cr.label)
 			case coll.Reduce:
 				r.driver.Compute(r.reduceCost(a.Size))
-				a.fin = true
+				s.fin = true
 				cr.nDone++
 			case coll.Copy:
 				r.driver.Compute(r.cost().Copy(a.Size))
-				a.fin = true
+				s.fin = true
 				cr.nDone++
 			}
 		}
 	}
-	if !cr.done && cr.nDone == len(cr.acts) {
-		cr.done = true
-		r.eng.OpDone()
+	if !cr.done && cr.nDone == len(st) {
+		cr.finish()
 	}
 	return did
 }

@@ -25,31 +25,32 @@ func schedTag(seq, round, chunk int) int {
 
 // CollRequest is a nonblocking collective handle, as returned by
 // Ibcast, Ireduce, Iallreduce, Ialltoall and Ibarrier and consumed by
-// WaitColl and TestColl.
+// WaitColl and TestColl. It reads its schedule in place — the rank's
+// memoised one, which nothing writes — and keeps only the per-action
+// execution state, which it borrows from the rank until it completes.
 type CollRequest struct {
 	r     *Rank
-	op    string
+	sch   *coll.Schedule
 	label string // "Iallreduce[ring]": the schedule's site label
 	seq   int
-	acts  []schedAction
-	lo    int // every action before lo has finished: advance scans from here
+	st    []actState // indexed like sch.Actions; nil once done
+	lo    int        // every action before lo has finished: advance scans from here
 	nDone int
 	done  bool
 }
 
-// schedAction is one schedule action plus its execution state.
-type schedAction struct {
-	coll.Action
+// actState is one schedule action's execution state.
+type actState struct {
+	req     *Request // in-flight transfer (Send/Recv actions), released at fin
 	started bool
 	fin     bool
-	req     *Request // in-flight transfer (Send/Recv actions), released at fin
 }
 
 // Done reports completion without progressing; use TestColl to poll.
 func (cr *CollRequest) Done() bool { return cr.done }
 
 func (cr *CollRequest) String() string {
-	return fmt.Sprintf("%s(seq=%d %d/%d done=%v)", cr.label, cr.seq, cr.nDone, len(cr.acts), cr.done)
+	return fmt.Sprintf("%s(seq=%d %d/%d done=%v)", cr.label, cr.seq, cr.nDone, len(cr.sch.Actions), cr.done)
 }
 
 // Ibcast starts a nonblocking broadcast of size bytes from root.
@@ -93,27 +94,23 @@ func (r *Rank) TestColl(cr *CollRequest) bool {
 	return cr.done
 }
 
-// startColl builds the schedule and posts its initial ready wave.
+// startColl starts the rank's schedule for the collective and posts its
+// initial ready wave.
 func (r *Rank) startColl(opName string, op coll.Op, root, size int) *CollRequest {
 	r.enterOp(opName)
 	defer r.exit()
 	cfg := &r.w.cfg
-	sch := r.schedule(opName, coll.Params{
+	m := r.schedule(opName, coll.Params{
 		Op: op, Algo: cfg.CollAlgo, Rank: r.id, Procs: r.Size(),
 		Root: root, Size: size, Chunk: cfg.CollChunk,
 	})
-	cr := &CollRequest{
-		r: r, op: opName, seq: r.nextColSeq(),
-		label: opName + "[" + sch.Algo.String() + "]",
-	}
-	cr.acts = make([]schedAction, len(sch.Actions))
-	for i, a := range sch.Actions {
-		cr.acts[i].Action = a
-	}
-	if len(cr.acts) == 0 {
+	cr := &CollRequest{r: r, sch: m.sch, label: m.label, seq: r.nextColSeq()}
+	n := len(m.sch.Actions)
+	if n == 0 {
 		cr.done = true
 		return cr
 	}
+	cr.st = r.takeStates(n)
 	r.colPending = append(r.colPending, cr)
 	r.eng.OpStarted()
 	// Post the initial wave through the guarded sweep rather than
@@ -125,13 +122,18 @@ func (r *Rank) startColl(opName string, op coll.Op, root, size int) *CollRequest
 	return cr
 }
 
+// schedMemo is a memoised schedule and its site label.
+type schedMemo struct {
+	sch   *coll.Schedule
+	label string
+}
+
 // schedule returns the rank's schedule for p, built on first use: a
 // schedule is a pure function of its parameters and an iterative code
-// starts the same collective every step. Callers only read it —
-// startColl copies the actions into its own execution state.
-func (r *Rank) schedule(opName string, p coll.Params) *coll.Schedule {
-	if sch := r.schedules[p]; sch != nil {
-		return sch
+// starts the same collective every step. Callers only read it.
+func (r *Rank) schedule(opName string, p coll.Params) schedMemo {
+	if m, ok := r.schedules[p]; ok {
+		return m
 	}
 	sch, err := coll.Build(p)
 	if err != nil {
@@ -141,10 +143,36 @@ func (r *Rank) schedule(opName string, p coll.Params) *coll.Schedule {
 		panic(fmt.Sprintf("mpi: %s schedule needs %d rounds (max %d)", opName, sch.Rounds, maxSchedRound))
 	}
 	if r.schedules == nil {
-		r.schedules = make(map[coll.Params]*coll.Schedule)
+		r.schedules = make(map[coll.Params]schedMemo)
 	}
-	r.schedules[p] = sch
-	return sch
+	m := schedMemo{sch, opName + "[" + sch.Algo.String() + "]"}
+	r.schedules[p] = m
+	return m
+}
+
+// takeStates returns n zeroed action states from the rank's free list,
+// or fresh ones when the list's last entry is too short (it is dropped,
+// so the list converges on the rank's largest schedule).
+func (r *Rank) takeStates(n int) []actState {
+	if k := len(r.spareSt); k > 0 {
+		st := r.spareSt[k-1]
+		r.spareSt = r.spareSt[:k-1]
+		if cap(st) >= n {
+			return st[:n]
+		}
+	}
+	return make([]actState, n)
+}
+
+// finish completes cr: its state goes back to the rank, zeroed, and the
+// handle drops it, so no later collective's state is reachable from it.
+func (cr *CollRequest) finish() {
+	r := cr.r
+	cr.done = true
+	clear(cr.st)
+	r.spareSt = append(r.spareSt, cr.st)
+	cr.st = nil
+	r.eng.OpDone()
 }
 
 // advanceColl runs every pending schedule's ready actions and retires
@@ -189,30 +217,32 @@ func (cr *CollRequest) advance() bool {
 		return false
 	}
 	r := cr.r
+	acts, st := cr.sch.Actions, cr.st
 	did := false
 	for changed := true; changed; {
 		changed = false
-		for cr.lo < len(cr.acts) && cr.acts[cr.lo].fin {
+		for cr.lo < len(st) && st[cr.lo].fin {
 			cr.lo++
 		}
-		for i := cr.lo; i < len(cr.acts); i++ {
-			a := &cr.acts[i]
-			if a.fin {
+		for i := cr.lo; i < len(st); i++ {
+			s := &st[i]
+			if s.fin {
 				continue
 			}
-			if a.started {
-				if a.req != nil && a.req.done {
-					a.fin = true
-					r.release(a.req)
-					a.req = nil
+			if s.started {
+				if s.req != nil && s.req.done {
+					s.fin = true
+					r.release(s.req)
+					s.req = nil
 					cr.nDone++
 					changed, did = true, true
 				}
 				continue
 			}
+			a := &acts[i]
 			ready := true
 			for _, d := range a.Deps {
-				if !cr.acts[d].fin {
+				if !st[d].fin {
 					ready = false
 					break
 				}
@@ -223,7 +253,7 @@ func (cr *CollRequest) advance() bool {
 			// Mark started before any Compute below: a Compute yields,
 			// and a reentrant look at this action must not start it
 			// twice.
-			a.started = true
+			s.started = true
 			changed, did = true, true
 			tag := schedTag(cr.seq, a.Round, a.Chunk)
 			switch a.Kind {
@@ -231,23 +261,22 @@ func (cr *CollRequest) advance() bool {
 				req := r.newReq(reqSend, a.Peer, tag, a.Size)
 				req.schedLabel = cr.label
 				r.startSend(req, ctxSchedule, false)
-				a.req = req
+				s.req = req
 			case coll.Recv:
-				a.req = r.postRecvLabeled(a.Peer, tag, ctxSchedule, cr.label)
+				s.req = r.postRecvLabeled(a.Peer, tag, ctxSchedule, cr.label)
 			case coll.Reduce:
 				r.driver.Compute(r.reduceCost(a.Size))
-				a.fin = true
+				s.fin = true
 				cr.nDone++
 			case coll.Copy:
 				r.driver.Compute(r.cost().Copy(a.Size))
-				a.fin = true
+				s.fin = true
 				cr.nDone++
 			}
 		}
 	}
-	if !cr.done && cr.nDone == len(cr.acts) {
-		cr.done = true
-		r.eng.OpDone()
+	if !cr.done && cr.nDone == len(st) {
+		cr.finish()
 	}
 	return did
 }

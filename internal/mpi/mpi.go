@@ -260,7 +260,8 @@ type Rank struct {
 	progressing bool           // a progress sweep is running (reentrancy guard)
 	stalled     bool           // rank parked waiting for the thread's sweep to end
 
-	schedules map[coll.Params]*coll.Schedule // every schedule built so far (Rank.schedule)
+	schedules map[coll.Params]schedMemo // every schedule built so far (Rank.schedule)
+	spareSt   [][]actState              // action states of completed schedules (takeStates)
 
 	reqSeq    uint64
 	spare     []*Request // released requests, for newReq to reuse

@@ -1,7 +1,9 @@
 package mpi_test
 
 import (
+	"math"
 	"testing"
+	"time"
 
 	"ovlp/internal/cluster"
 	"ovlp/internal/coll"
@@ -97,39 +99,145 @@ func TestRoundTripAllocsNothing(t *testing.T) {
 	}
 }
 
-// One scheduled Iallreduce allocates what starting the schedule does —
-// the handle, its label and its action slice — and nothing per action:
-// the schedule's send and receive requests come back to the rank.
+// scheduledAllocs runs warmRounds and then hostcount.Attempts × rounds
+// calls of start+WaitColl on procs ranks and returns the allocations of
+// the fewest-allocating measurement, per call per rank, to the nearest
+// whole number: the other ranks' calls straddle the measurement's
+// edges.
+func scheduledAllocs(t *testing.T, procs int, algo coll.Algo, start func(r *mpi.Rank) *mpi.CollRequest) float64 {
+	t.Helper()
+	var allocs uint64
+	cluster.Run(cluster.Config{Procs: procs, MPI: mpi.Config{CollAlgo: algo}}, func(r *mpi.Rank) {
+		call := func() { r.WaitColl(start(r)) }
+		for i := 0; i < warmRounds; i++ {
+			call()
+		}
+		if r.ID() != 0 {
+			for i := 0; i < hostcount.Attempts*rounds; i++ {
+				call()
+			}
+			return
+		}
+		allocs = hostcount.Mallocs(func() {
+			for i := 0; i < rounds; i++ {
+				call()
+			}
+		})
+	})
+	per := float64(allocs) / (rounds * float64(procs))
+	t.Logf("%d allocations over %d calls on %d ranks: %.3f per call per rank", allocs, rounds, procs, per)
+	return per
+}
+
+// One scheduled Iallreduce allocates its handle and nothing else: the
+// schedule and its label are the rank's memo, the action state comes
+// back to the rank when the schedule completes, and so do the send and
+// receive requests of its actions.
 func TestScheduledIallreduceRecyclesRequests(t *testing.T) {
-	const procs, startCollAllocs = 4, 3
 	for _, algo := range []coll.Algo{coll.Auto, coll.Binomial, coll.Ring, coll.RecDouble} {
 		t.Run(algo.String(), func(t *testing.T) {
-			var allocs uint64
-			cluster.Run(cluster.Config{Procs: procs, MPI: mpi.Config{CollAlgo: algo}}, func(r *mpi.Rank) {
-				call := func() { r.WaitColl(r.Iallreduce(64 << 10)) }
-				for i := 0; i < warmRounds; i++ {
-					call()
-				}
-				if r.ID() != 0 {
-					for i := 0; i < hostcount.Attempts*rounds; i++ {
-						call()
-					}
-					return
-				}
-				allocs = hostcount.Mallocs(func() {
-					for i := 0; i < rounds; i++ {
-						call()
-					}
-				})
-			})
-			// The other ranks' calls straddle the measurement's edges,
-			// so the count is per call across the ranks, rounded down.
-			if per := allocs / (rounds * procs); per > startCollAllocs {
-				t.Errorf("%d allocations over %d Iallreduce on %d ranks: %d per call, want at most %d",
-					allocs, rounds, procs, per, startCollAllocs)
+			if per := scheduledAllocs(t, 4, algo, func(r *mpi.Rank) *mpi.CollRequest { return r.Iallreduce(64 << 10) }); math.Round(per) != 1 {
+				t.Errorf("%.2f allocations per Iallreduce per rank, want 1 (the handle)", per)
 			}
 		})
 	}
+}
+
+// The same holds for the other schedule shapes: trees, chains, Bruck
+// and pairwise exchanges, dissemination and token rings.
+func TestScheduledCollectivesAllocateOnlyTheHandle(t *testing.T) {
+	for _, op := range []struct {
+		name  string
+		start func(r *mpi.Rank) *mpi.CollRequest
+	}{
+		{"Ibcast", func(r *mpi.Rank) *mpi.CollRequest { return r.Ibcast(1, 48<<10) }},
+		{"Ialltoall", func(r *mpi.Rank) *mpi.CollRequest { return r.Ialltoall(4 << 10) }},
+		{"Ibarrier", func(r *mpi.Rank) *mpi.CollRequest { return r.Ibarrier() }},
+	} {
+		for _, algo := range []coll.Algo{coll.Auto, coll.Binomial, coll.Ring, coll.RecDouble} {
+			t.Run(op.name+"/"+algo.String(), func(t *testing.T) {
+				if per := scheduledAllocs(t, 6, algo, op.start); math.Round(per) != 1 {
+					t.Errorf("%.2f allocations per %s per rank, want 1 (the handle)", per, op.name)
+				}
+			})
+		}
+	}
+}
+
+// A completed handle keeps what it reports: its state went back to the
+// rank when it completed, and the collectives that reuse that state
+// after it do not show through it.
+func TestCompletedCollHandleOutlivesItsState(t *testing.T) {
+	cluster.Run(cluster.Config{Procs: 4, MPI: mpi.Config{CollAlgo: coll.Ring}}, func(r *mpi.Rank) {
+		cr := r.Iallreduce(64 << 10)
+		r.WaitColl(cr)
+		done, str := cr.Done(), cr.String()
+		if cr.HoldsState() {
+			t.Errorf("rank %d: the completed handle still holds its action states", r.ID())
+		}
+		if r.SpareStates() != 1 {
+			t.Errorf("rank %d: %d action states on the free list after one collective, want 1", r.ID(), r.SpareStates())
+		}
+		for i := 0; i < 10; i++ {
+			a, b := r.Iallreduce(64<<10), r.Ibcast(0, 8<<10)
+			r.Compute(10 * time.Microsecond)
+			r.WaitColl(b)
+			r.WaitColl(a)
+		}
+		if !done || cr.Done() != done || cr.String() != str {
+			t.Errorf("rank %d: handle read done=%v %q when it completed, done=%v %q after later collectives",
+				r.ID(), done, str, cr.Done(), cr.String())
+		}
+		if want := "Iallreduce[ring](seq=0 15/15 done=true)"; str != want {
+			t.Errorf("rank %d: completed handle reads %q, want %q", r.ID(), str, want)
+		}
+	})
+}
+
+// An epoch cut abandons the collectives in flight: their action states
+// may still be named by requests of the failed epoch, so none of them
+// returns to the free list.
+func TestEpochCutKeepsPendingStateOffTheFreeList(t *testing.T) {
+	_, err := cluster.RunE(cluster.Config{
+		Procs:    2,
+		MPI:      mpi.Config{FT: &mpi.FTConfig{}, Reliable: &fabric.ReliableParams{}},
+		Deadline: time.Second,
+	}, func(r *mpi.Rank) {
+		r.WaitColl(r.Ibarrier())
+		if r.SpareStates() != 1 {
+			t.Errorf("rank %d: %d action states on the free list after one collective, want 1", r.ID(), r.SpareStates())
+		}
+		if r.ID() != 0 {
+			return
+		}
+		pending := r.Iallreduce(64 << 10) // rank 1 never joins it
+		r.EpochCut()
+		if n := r.SpareStates(); n != 0 {
+			t.Errorf("%d action states on the free list after the cut, want 0: the pending Iallreduce took the only one and keeps it", n)
+		}
+		if pending.Done() {
+			t.Error("the abandoned Iallreduce reads done")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A one-rank world's schedules are empty, but for alltoall's self copy:
+// the call completes at once and takes no action state.
+func TestEmptyScheduleTakesNoState(t *testing.T) {
+	cluster.Run(cluster.Config{Procs: 1}, func(r *mpi.Rank) {
+		r.WaitColl(r.Ialltoall(1 << 10)) // one Copy: leaves one state on the list
+		for _, cr := range []*mpi.CollRequest{r.Ibcast(0, 1<<10), r.Ireduce(0, 1<<10), r.Iallreduce(1 << 10), r.Ibarrier()} {
+			if !cr.Done() {
+				t.Errorf("%v not done at return", cr)
+			}
+		}
+		if n := r.SpareStates(); n != 1 {
+			t.Errorf("%d action states on the free list, want alltoall's 1: an empty schedule took or returned state", n)
+		}
+	})
 }
 
 // A request handed back to its rank panics on any use: whoever still
