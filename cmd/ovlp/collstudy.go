@@ -70,7 +70,8 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "%s\n\n", desc)
 	}
 	op := strings.ToLower(strings.TrimSpace(*opFlag))
-	if !knownOp(op) {
+	startOp, ok := mpi.CollStart(op)
+	if !ok {
 		return fail2(fmt.Errorf("unknown collective %q", op))
 	}
 	algos, err := parseAlgos(*algosFlag)
@@ -111,7 +112,7 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 					Trace:  obs.Tracer(),
 				}, func(r *mpi.Rank) {
 					for i := 0; i < *reps; i++ {
-						cr := startOp(r, op, size)
+						cr := startOp(r, size)
 						slice := *compute / time.Duration(*polls+1)
 						for k := 0; k <= *polls; k++ {
 							r.Compute(slice)
@@ -141,30 +142,6 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	return 0
-}
-
-func knownOp(op string) bool {
-	switch op {
-	case "ibcast", "ireduce", "iallreduce", "ialltoall", "ibarrier":
-		return true
-	}
-	return false
-}
-
-// startOp launches the studied collective; op was validated up front.
-func startOp(r *mpi.Rank, op string, size int) *mpi.CollRequest {
-	switch op {
-	case "ibcast":
-		return r.Ibcast(0, size)
-	case "ireduce":
-		return r.Ireduce(0, size)
-	case "iallreduce":
-		return r.Iallreduce(size)
-	case "ialltoall":
-		return r.Ialltoall(size)
-	default:
-		return r.Ibarrier()
-	}
 }
 
 func parseAlgos(s string) ([]coll.Algo, error) {

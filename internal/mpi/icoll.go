@@ -78,6 +78,24 @@ func (r *Rank) Ibarrier() *CollRequest {
 	return r.startColl("Ibarrier", coll.OpBarrier, 0, 0)
 }
 
+// collStarts maps each nonblocking collective's name to the call that
+// starts it with size bytes; a rooted one is rooted at rank 0.
+var collStarts = map[string]func(r *Rank, size int) *CollRequest{
+	"ibcast":     func(r *Rank, size int) *CollRequest { return r.Ibcast(0, size) },
+	"ireduce":    func(r *Rank, size int) *CollRequest { return r.Ireduce(0, size) },
+	"iallreduce": (*Rank).Iallreduce,
+	"ialltoall":  (*Rank).Ialltoall,
+	"ibarrier":   func(r *Rank, _ int) *CollRequest { return r.Ibarrier() },
+}
+
+// CollStart returns the call that starts the nonblocking collective
+// named op (ibcast, ireduce, iallreduce, ialltoall or ibarrier), and
+// false for any other name.
+func CollStart(op string) (func(r *Rank, size int) *CollRequest, bool) {
+	start, ok := collStarts[op]
+	return start, ok
+}
+
 // WaitColl blocks until the collective completes, driving progress.
 func (r *Rank) WaitColl(cr *CollRequest) {
 	r.enterOp("WaitColl")

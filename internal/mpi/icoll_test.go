@@ -2,6 +2,7 @@ package mpi_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,5 +174,29 @@ func TestThreadModeProgressesWithoutPolls(t *testing.T) {
 	thread := waitTime(progress.Thread)
 	if thread*2 >= manual {
 		t.Errorf("thread-mode WaitColl %v not substantially below manual %v", thread, manual)
+	}
+}
+
+// TestCollStartNamesTheirCall holds the name table scenarios and
+// collstudy share to the calls it names.
+func TestCollStartNamesTheirCall(t *testing.T) {
+	for name, label := range map[string]string{
+		"ibcast": "Ibcast[", "ireduce": "Ireduce[", "iallreduce": "Iallreduce[",
+		"ialltoall": "Ialltoall[", "ibarrier": "Ibarrier[",
+	} {
+		start, ok := mpi.CollStart(name)
+		if !ok {
+			t.Fatalf("CollStart(%q) not found", name)
+		}
+		runColl(t, 2, coll.Auto, progress.Manual, mpi.PipelinedRDMA, func(r *mpi.Rank) {
+			cr := start(r, 4<<10)
+			r.WaitColl(cr)
+			if got := cr.String(); !strings.HasPrefix(got, label) {
+				t.Errorf("CollStart(%q) started %s", name, got)
+			}
+		})
+	}
+	if _, ok := mpi.CollStart("igather"); ok {
+		t.Error(`CollStart("igather") found a call`)
 	}
 }

@@ -441,9 +441,7 @@ func (w *Workload) validate(name string, procs int) error {
 				name, bench, procs)
 		}
 	case "coll":
-		switch w.Op {
-		case "ibcast", "ireduce", "iallreduce", "ialltoall", "ibarrier":
-		default:
+		if _, ok := mpi.CollStart(w.Op); !ok {
 			return fmt.Errorf("scenario %s: unknown collective %q", name, w.Op)
 		}
 		if w.Op != "ibarrier" && w.Size <= 0 {

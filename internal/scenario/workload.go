@@ -60,10 +60,11 @@ func (w *Workload) program(smoke bool) func(r *mpi.Rank) {
 			nas.Run(bench, r, nas.Params{Class: class, MaxIters: iters})
 		}
 	case "coll":
-		op, size, compute, polls := w.Op, w.Size.N(), w.Compute.D(), w.Polls
+		start, _ := mpi.CollStart(w.Op)
+		size, compute, polls := w.Size.N(), w.Compute.D(), w.Polls
 		return func(r *mpi.Rank) {
 			for i := 0; i < reps; i++ {
-				cr := startColl(r, op, size)
+				cr := start(r, size)
 				slice := compute / time.Duration(polls+1)
 				for k := 0; k <= polls; k++ {
 					r.Compute(slice)
@@ -111,22 +112,6 @@ func (w *Workload) checkpointable(smoke bool) (cluster.Checkpointable, error) {
 		return wl, nil
 	}
 	return nil, fmt.Errorf("crash scenarios need a checkpointable workload (exchange, or nas cg/ft/mg), not %q", w.Kind)
-}
-
-func startColl(r *mpi.Rank, op string, size int) *mpi.CollRequest {
-	switch op {
-	case "ibcast":
-		return r.Ibcast(0, size)
-	case "ireduce":
-		return r.Ireduce(0, size)
-	case "iallreduce":
-		return r.Iallreduce(size)
-	case "ialltoall":
-		return r.Ialltoall(size)
-	case "ibarrier":
-		return r.Ibarrier()
-	}
-	panic("scenario: unvalidated collective " + op)
 }
 
 // mpiConfig fills the library configuration the workload asks for.

@@ -95,6 +95,7 @@ func TestRealSimAfterAndCancel(t *testing.T) {
 // deadline, and the proc is left suspended — nothing unwinds it.
 func TestRealSimDeadlineLeavesProcsSuspended(t *testing.T) {
 	const deadline = 10 * time.Millisecond
+	start := time.Now() // the deadline counts from the epoch NewRealSim reads
 	s := NewRealSim(nil)
 	s.SetDeadline(Time(deadline))
 	unwound := false
@@ -106,7 +107,6 @@ func TestRealSimDeadlineLeavesProcsSuspended(t *testing.T) {
 			p.Park("test.never")
 		}
 	})
-	start := time.Now()
 	end, err := s.RunE()
 	if wall := time.Since(start); wall < deadline {
 		t.Fatalf("RunE returned after %v, before the %v deadline", wall, deadline)
