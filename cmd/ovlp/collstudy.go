@@ -9,6 +9,7 @@ import (
 
 	"ovlp/internal/cluster"
 	"ovlp/internal/coll"
+	"ovlp/internal/micro"
 	"ovlp/internal/mpi"
 	"ovlp/internal/progress"
 	"ovlp/internal/report"
@@ -111,17 +112,7 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 					Faults: faults,
 					Trace:  obs.Tracer(),
 				}, func(r *mpi.Rank) {
-					for i := 0; i < *reps; i++ {
-						cr := startOp(r, size)
-						slice := *compute / time.Duration(*polls+1)
-						for k := 0; k <= *polls; k++ {
-							r.Compute(slice)
-							if k < *polls {
-								r.TestColl(cr)
-							}
-						}
-						r.WaitColl(cr)
-					}
+					micro.PolledColl(r, startOp, size, *reps, *polls, *compute)
 					if r.ID() == 0 {
 						wait = r.CallTimes()["WaitColl"]
 					}

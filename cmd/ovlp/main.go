@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"runtime/debug"
 )
 
@@ -47,7 +48,7 @@ func main() {
 
 // run dispatches args to the named subcommand and returns its exit
 // status.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := newFlagSet("ovlp", stderr)
 	fs.Usage = func() {
 		fmt.Fprintln(stderr, "usage: ovlp [-version] <subcommand> [flags]\n\nsubcommands:")
@@ -69,6 +70,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, c := range subcommands {
 		if c.name == fs.Arg(0) {
+			// A failed run that cluster.Run panics with exits 1 like any
+			// other; a panic that is not an error, or a runtime one, is a bug.
+			defer func() {
+				if p := recover(); p != nil {
+					err, ok := p.(error)
+					if _, bug := p.(runtime.Error); !ok || bug {
+						panic(p)
+					}
+					code = failWith(stderr, c.name, 1)(err)
+				}
+			}()
 			return c.main(fs.Args()[1:], stdout, stderr)
 		}
 	}

@@ -82,3 +82,32 @@ func TestBadShapesExitTwo(t *testing.T) {
 		})
 	}
 }
+
+// TestFailedRunExitsOne: a run whose ranks fail, here because loss
+// exhausts the retries, exits 1 with the error under the subcommand's
+// name rather than a panic's goroutine dump.
+func TestFailedRunExitsOne(t *testing.T) {
+	for _, args := range [][]string{
+		{"overlapbench", "-fig", "3", "-reps", "5", "-drop", "0.99"},
+		{"nasbench", "-bench", "CG", "-classes", "S", "-procs", "4", "-iters", "1", "-drop", "0.99"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			code, _, stderr := runCmd(t, args[0], args[1:]...)
+			if code != 1 || !strings.HasPrefix(stderr, args[0]+": ") || strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("exit %d, stderr %q; want 1 and the error under %q", code, stderr, args[0]+": ")
+			}
+		})
+	}
+}
+
+// TestNoInputExitsTwo: an analysis subcommand given no input file has
+// a bad command line, which exits 2 as ovlprof, ovldiff and ovltop do.
+func TestNoInputExitsTwo(t *testing.T) {
+	for _, name := range []string{"ovlpreport", "tracecat"} {
+		t.Run(name, func(t *testing.T) {
+			if code, _, stderr := runCmd(t, name); code != 2 {
+				t.Fatalf("exit %d, stderr %q; want 2", code, stderr)
+			}
+		})
+	}
+}

@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"ovlp/internal/overlap"
 	"ovlp/internal/report"
-	"ovlp/internal/stats"
 )
 
 // ovlpreportMain inspects and merges the per-process JSON report files
@@ -24,7 +24,7 @@ func ovlpreportMain(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() == 0 {
 		fmt.Fprintln(stderr, "ovlpreport: usage: ovlpreport [-regions] report.json ...")
-		return 1
+		return 2
 	}
 
 	var reps []*overlap.Report
@@ -40,10 +40,13 @@ func ovlpreportMain(args []string, stdout, stderr io.Writer) int {
 	t := report.NewTable("Per-rank overlap summary",
 		"rank", "run time", "compute", "comm calls", "data xfer", "min%", "max%")
 	var mins, maxs []float64
+	var minSum, maxSum float64
 	for _, rep := range reps {
 		tot := rep.Total()
 		mins = append(mins, tot.MinPercent())
 		maxs = append(maxs, tot.MaxPercent())
+		minSum += tot.MinPercent()
+		maxSum += tot.MaxPercent()
 		t.AddRow(rep.Rank, rep.Duration.Round(time.Microsecond),
 			rep.UserComputeTime().Round(time.Microsecond),
 			rep.CommCallTime().Round(time.Microsecond),
@@ -58,8 +61,8 @@ func ovlpreportMain(args []string, stdout, stderr io.Writer) int {
 		tot.Count, tot.DataTransferTime.Round(time.Microsecond),
 		tot.MinPercent(), tot.MaxPercent())
 	fmt.Fprintf(stdout, "across ranks: min%% mean %.1f (spread %.1f..%.1f), max%% mean %.1f (spread %.1f..%.1f)\n",
-		stats.Mean(mins), stats.Min(mins), stats.Max(mins),
-		stats.Mean(maxs), stats.Min(maxs), stats.Max(maxs))
+		minSum/float64(len(reps)), slices.Min(mins), slices.Max(mins),
+		maxSum/float64(len(reps)), slices.Min(maxs), slices.Max(maxs))
 
 	if *regions {
 		rt := report.NewTable("\nAggregate per-region detail",

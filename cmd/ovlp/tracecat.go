@@ -42,7 +42,8 @@ func tracecatMain(args []string, stdout, stderr io.Writer) int {
 	}
 	fail := failWith(stderr, "tracecat", 1)
 	if fs.NArg() == 0 {
-		return fail(fmt.Errorf("no input files (want: tracecat [flags] trace.json...)"))
+		fmt.Fprintln(stderr, "tracecat: no input files (want: tracecat [flags] trace.json...)")
+		return 2
 	}
 
 	keep := filter{name: *name, minDur: *minDur}

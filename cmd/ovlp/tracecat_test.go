@@ -169,7 +169,9 @@ func TestFilterMergedKeepsMetadata(t *testing.T) {
 		tr.Track(trace.GroupNIC, id, "nic").Span("wire", "xfer", 1000, 2000, trace.Args{Peer: 1 - id, ID: 1})
 	}
 	a := filepath.Join(dir, "a.json")
-	if err := os.WriteFile(a, tr.AppendChrome(nil), 0o644); err != nil {
+	var doc bytes.Buffer
+	_ = tr.WriteChrome(&doc) // a bytes.Buffer never fails
+	if err := os.WriteFile(a, doc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var inputs []*traceFile

@@ -1,10 +1,11 @@
-package cluster
+package cluster_test
 
 import (
 	"fmt"
 	"testing"
 	"time"
 
+	"ovlp/internal/cluster"
 	"ovlp/internal/mpi"
 	"ovlp/internal/overlap"
 	"ovlp/internal/profile"
@@ -43,7 +44,7 @@ const (
 // runAgreement executes the fixed two-rank exchange on the given
 // backend and returns each rank's exchange-region measures plus the
 // run's blame profile (nil when analysis fails).
-func runAgreement(t *testing.T, b Backend) ([2]overlap.Measures, *profile.Profile) {
+func runAgreement(t *testing.T, b cluster.Backend) ([2]overlap.Measures, *profile.Profile) {
 	t.Helper()
 	// A scaled-up Fig. 3 point: the eager path gives the sender a
 	// *tight* virtual band (min == max), so the agreement assertion is
@@ -58,7 +59,7 @@ func runAgreement(t *testing.T, b Backend) ([2]overlap.Measures, *profile.Profil
 		compute = 160 * time.Microsecond
 	)
 	tracer := trace.New(trace.Options{})
-	res, err := RunE(Config{
+	res, err := cluster.RunE(cluster.Config{
 		Procs:   2,
 		Backend: b,
 		Trace:   tracer,
@@ -164,7 +165,7 @@ func agreementProblems(virt, wall [2]overlap.Measures, vprof, wprof *profile.Pro
 }
 
 func TestRealVirtualAgreement(t *testing.T) {
-	virt, vprof := runAgreement(t, BackendVirtual)
+	virt, vprof := runAgreement(t, cluster.BackendVirtual)
 
 	// The real measurement is a property of the machine, not just the
 	// code: a CPU-starved run (race detector plus CI load) can
@@ -174,7 +175,7 @@ func TestRealVirtualAgreement(t *testing.T) {
 	const attempts = 3
 	var probs []string
 	for i := 0; i < attempts; i++ {
-		wall, wprof := runAgreement(t, BackendReal)
+		wall, wprof := runAgreement(t, cluster.BackendReal)
 		for rank, s := range [2]string{"sender", "receiver"} {
 			t.Logf("attempt %d %s: virtual [%.1f%%, %.1f%%]  real [%.1f%%, %.1f%%]", i+1, s,
 				virt[rank].MinPercent(), virt[rank].MaxPercent(),

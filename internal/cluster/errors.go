@@ -59,17 +59,6 @@ func (e *RunErrors) Unwrap() []error {
 	return out
 }
 
-// ByRank returns the given rank's error, or nil if that rank finished
-// cleanly.
-func (e *RunErrors) ByRank(rank int) error {
-	for _, re := range e.Ranks {
-		if re.Rank == rank {
-			return re.Err
-		}
-	}
-	return nil
-}
-
 // combineErrors folds the per-rank recovered errors and the simulation
 // error into the run's returned error: nil when nothing failed, the
 // bare simulation error when no rank failed (the pre-aggregation

@@ -40,7 +40,7 @@ func TestSimultaneousRankFailuresAggregated(t *testing.T) {
 		t.Fatalf("want both ranks reported, got %d: %v", len(re.Ranks), re)
 	}
 	for rank := 0; rank < 2; rank++ {
-		rerr := re.ByRank(rank)
+		rerr := res.RankErrors[rank]
 		if rerr == nil {
 			t.Fatalf("rank %d missing from aggregate: %v", rank, re)
 		}
@@ -95,7 +95,7 @@ func TestNoRetriesSentinelSurfacesUnreachable(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("want *cluster.RunErrors, got %T: %v", err, err)
 	}
-	rerr := re.ByRank(0)
+	rerr := res.RankErrors[0]
 	if rerr == nil {
 		t.Fatalf("rank 0 failure missing from aggregate: %v", re)
 	}
@@ -144,7 +144,7 @@ func TestSingleRankFailureKeepsShape(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("want *cluster.RunErrors, got %T", err)
 	}
-	if re.ByRank(0) == nil {
+	if res.RankErrors[0] == nil {
 		t.Fatalf("rank 0 failure missing: %v", re)
 	}
 	// Rank 1 blocks in Recv forever; its slot stays nil and the

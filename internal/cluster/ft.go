@@ -81,14 +81,14 @@ type Checkpointable interface {
 	Step(c *mpi.Comm, step int)
 }
 
-// Recovery-phase region names. internal/profile classifies transfers
-// inside them as agree/rollback/recompute blame — keep in sync with
-// the constants there.
+// Recovery-phase region names the FT runner brackets its recovery
+// protocol with. internal/profile gives transfers initiated inside them
+// the matching recovery blame instead of the healthy-run taxonomy.
 const (
-	regionAgree      = "ft-agree"
-	regionCheckpoint = "ft-checkpoint"
-	regionRollback   = "ft-rollback"
-	regionRecompute  = "ft-recompute"
+	RegionAgree      = "ft-agree"
+	RegionCheckpoint = "ft-checkpoint"
+	RegionRollback   = "ft-rollback"
+	RegionRecompute  = "ft-recompute"
 )
 
 // checkpointTag is the reserved point-to-point tag of the neighbor
@@ -228,7 +228,7 @@ func ftMain(opt FTOptions, wl Checkpointable, st *ftShared) func(r *mpi.Rank) {
 						}
 					}
 					if step < reached {
-						r.PushRegion(regionRecompute)
+						r.PushRegion(RegionRecompute)
 						wl.Step(c, step)
 						r.PopRegion()
 						st.replayed++
@@ -251,7 +251,7 @@ func ftMain(opt FTOptions, wl Checkpointable, st *ftShared) func(r *mpi.Rank) {
 			if opt.Mode == CheckpointRestart {
 				vote = committed
 			}
-			r.PushRegion(regionAgree)
+			r.PushRegion(RegionAgree)
 			res := r.Agree(vote, step >= wl.Steps())
 			r.EpochCut()
 			c = r.Shrink()
@@ -294,7 +294,7 @@ func copyCost(bytes int, opt FTOptions) time.Duration {
 // a barrier marks the commit point — a crash mid-checkpoint rolls the
 // run back to the previous committed step.
 func takeCheckpoint(r *mpi.Rank, c *mpi.Comm, wl Checkpointable, opt FTOptions) {
-	r.PushRegion(regionCheckpoint)
+	r.PushRegion(RegionCheckpoint)
 	defer r.PopRegion()
 	bytes := wl.StateBytes(c.Size())
 	if n := c.Size(); n > 1 {
@@ -309,7 +309,7 @@ func takeCheckpoint(r *mpi.Rank, c *mpi.Comm, wl Checkpointable, opt FTOptions) 
 // partition of their lost neighbor's state, copy their own back in,
 // and resynchronize.
 func restoreCheckpoint(r *mpi.Rank, c *mpi.Comm, wl Checkpointable, opt FTOptions) {
-	r.PushRegion(regionRollback)
+	r.PushRegion(RegionRollback)
 	defer r.PopRegion()
 	bytes := wl.StateBytes(c.Size())
 	if n := c.Size(); n > 1 {

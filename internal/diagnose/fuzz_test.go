@@ -132,5 +132,7 @@ func cleanTrace(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	return tr.AppendChrome(nil)
+	var doc bytes.Buffer
+	_ = tr.WriteChrome(&doc) // a bytes.Buffer never fails
+	return doc.Bytes()
 }

@@ -88,7 +88,7 @@ func TestRDMAWriteWithoutImmediateIsInvisibleRemotely(t *testing.T) {
 	sim.Spawn("send", func(p *vtime.Proc) {
 		src.RDMAWrite(p, 1, 1<<20, f.NewXferID(), nil)
 		for src.PollCQ(p) == nil {
-			p.Sleep(10 * time.Microsecond)
+			p.Compute(10 * time.Microsecond)
 		}
 	})
 	sim.Run()
@@ -114,7 +114,7 @@ func TestRDMAReadPullsFromRemote(t *testing.T) {
 				doneAt = p.Now()
 				return
 			}
-			p.Sleep(5 * time.Microsecond)
+			p.Compute(5 * time.Microsecond)
 		}
 	})
 	sim.Run()

@@ -95,7 +95,7 @@ func TestDropEveryIsDeterministic(t *testing.T) {
 			for pkt := f.NIC(1).PollInbox(p); pkt != nil; pkt = f.NIC(1).PollInbox(p) {
 				got = append(got, pkt.Payload.(int))
 			}
-			p.Sleep(100 * time.Microsecond)
+			p.Compute(100 * time.Microsecond)
 		}
 	})
 	_ = rx

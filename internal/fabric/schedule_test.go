@@ -95,7 +95,7 @@ func scheduleRun(t *testing.T, nodes int, plan *FaultPlan, posts []struct {
 		post := post
 		sim.Spawn("sender", func(p *vtime.Proc) {
 			if d := post.at - p.Now().Duration(); d > 0 {
-				p.Sleep(d)
+				p.Compute(d)
 			}
 			fab.NIC(post.src).Send(p, post.dst, 100, fab.NewXferID(), "payload")
 		})

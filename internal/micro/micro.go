@@ -253,3 +253,19 @@ func (w *ExchangeWorkload) Step(c *mpi.Comm, step int) {
 	r.Compute(w.Compute)
 	r.Waitall(rq, sq)
 }
+
+// PolledColl runs reps nonblocking collectives on r, each started with
+// start, overlapped by compute split into polls+1 slices with TestColl
+// between them, and finished by WaitColl.
+func PolledColl(r *mpi.Rank, start func(r *mpi.Rank, size int) *mpi.CollRequest, size, reps, polls int, compute time.Duration) {
+	slice := compute / time.Duration(polls+1)
+	for i := 0; i < reps; i++ {
+		cr := start(r, size)
+		for k := 0; k < polls; k++ {
+			r.Compute(slice)
+			r.TestColl(cr)
+		}
+		r.Compute(slice)
+		r.WaitColl(cr)
+	}
+}

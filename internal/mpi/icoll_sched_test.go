@@ -63,7 +63,9 @@ func TestAdvanceCursorMatchesFullScan(t *testing.T) {
 			r.WaitColl(b)
 			r.WaitColl(a)
 		})
-		return res, tr.AppendChrome(nil)
+		var doc bytes.Buffer
+		_ = tr.WriteChrome(&doc) // a bytes.Buffer never fails
+		return res, doc.Bytes()
 	}
 	for _, sh := range shapes {
 		for _, op := range collOps {

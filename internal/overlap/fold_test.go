@@ -118,15 +118,17 @@ func driveMonitor(events []overlap.Event, end time.Duration, table *calib.Table,
 	clock := &manualClock{}
 	m := overlap.NewMonitor(overlap.Config{Clock: clock, Table: table,
 		QueueSize: queue, UserIntervalWindow: window, Sink: &log})
-	regions := 0
+	regions, depth := 0, 0 // open regions and library calls
 	for _, e := range events {
 		clock.t = max(clock.t, e.Stamp)
 		switch e.Kind {
 		case overlap.KindCallEnter:
 			m.CallEnter()
+			depth++
 		case overlap.KindCallExit:
-			if m.InCall() {
+			if depth > 0 {
 				m.CallExit()
+				depth--
 			}
 		case overlap.KindXferBegin:
 			m.XferBegin(e.ID, int(e.Size))
@@ -143,12 +145,12 @@ func driveMonitor(events []overlap.Event, end time.Duration, table *calib.Table,
 				regions--
 			}
 		case overlap.KindEpochCut:
-			if !m.InCall() {
+			if depth == 0 {
 				m.EpochCut()
 			}
 		}
 	}
-	for m.InCall() {
+	for ; depth > 0; depth-- {
 		m.CallExit()
 	}
 	clock.t = max(clock.t, end)

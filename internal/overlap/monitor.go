@@ -217,10 +217,6 @@ func (m *Monitor) CallExit() {
 	}
 }
 
-// InCall reports whether the process is currently inside a library
-// call (at any nesting depth).
-func (m *Monitor) InCall() bool { return m != nil && m.depth > 0 }
-
 // XferBegin marks the initiation of the data transfer identified by
 // id, of size bytes. It must be called from within a library call.
 func (m *Monitor) XferBegin(id uint64, size int) {

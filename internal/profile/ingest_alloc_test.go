@@ -32,7 +32,9 @@ func syntheticTrace(n int) []byte {
 			tr.Track(trace.GroupNIC, i%2, "nic").Span("wire", "xfer", at, at+500, trace.Args{Peer: 1, Size: 4096, ID: uint64(i - 1), Phase: "eager"})
 		}
 	}
-	return tr.AppendChrome(nil)
+	var doc bytes.Buffer
+	_ = tr.WriteChrome(&doc) // a bytes.Buffer never fails
+	return doc.Bytes()
 }
 
 // TestIngestSteadyStateAllocs: ingest allocates per file, per track and
@@ -131,7 +133,9 @@ func BenchmarkIngestLU(b *testing.B) {
 	tr := trace.New(trace.Options{})
 	nas.CharacterizeAllReports(nas.LU, nas.ClassA, 8,
 		nas.Options{Protocol: mpi.DirectRDMARead, MaxIters: 3, Trace: tr})
-	doc := tr.AppendChrome(nil)
+	var buf bytes.Buffer
+	_ = tr.WriteChrome(&buf) // a bytes.Buffer never fails
+	doc := buf.Bytes()
 	for _, bc := range []struct {
 		name   string
 		ingest func(io.Reader, *calib.Table) (Input, error)

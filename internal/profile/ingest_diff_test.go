@@ -361,7 +361,9 @@ func TestIngestRespelledFiles(t *testing.T) {
 	}
 	w := workloads()[3] // direct-faulted
 	_, _, tr := runProfiled(t, w.cfg, w.body)
-	files := map[string][]byte{"seed": seed, "faulted": tr.AppendChrome(nil)}
+	var faulted bytes.Buffer
+	_ = tr.WriteChrome(&faulted) // a bytes.Buffer never fails
+	files := map[string][]byte{"seed": seed, "faulted": faulted.Bytes()}
 
 	if goTool, err := exec.LookPath("go"); err != nil {
 		t.Log("no go tool: tracecat merge not covered")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"ovlp/internal/cluster"
 	"ovlp/internal/ringpool"
 )
 
@@ -97,16 +98,6 @@ func replayRank(rs *RankStream, in *Input, wire *wirePhases, tally func(xferObs)
 	return rr.fold.Epoch(), nil
 }
 
-// Recovery-phase region names the cluster FT runner brackets its
-// recovery protocol with; transfers initiated inside them carry the
-// corresponding recovery blame instead of the healthy-run taxonomy.
-const (
-	RegionAgree      = "ft-agree"
-	RegionRollback   = "ft-rollback"
-	RegionRecompute  = "ft-recompute"
-	RegionCheckpoint = "ft-checkpoint"
-)
-
 // recoveryBlame attributes a sample's gap to a recovery cause, or
 // false when the sample is ordinary (healthy-run) traffic.
 func recoveryBlame(x *XferSample, gap time.Duration, in *Input) (Blame, bool) {
@@ -118,11 +109,11 @@ func recoveryBlame(x *XferSample, gap time.Duration, in *Input) (Blame, bool) {
 		return b, true
 	}
 	switch regionName(in.RegionNames, x.Region) {
-	case RegionAgree:
+	case cluster.RegionAgree:
 		b.Agree = gap
-	case RegionRollback, RegionCheckpoint:
+	case cluster.RegionRollback, cluster.RegionCheckpoint:
 		b.Rollback = gap
-	case RegionRecompute:
+	case cluster.RegionRecompute:
 		b.Recompute = gap
 	default:
 		return Blame{}, false

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -42,8 +43,12 @@ func TestTimelineGolden(t *testing.T) {
 			r.Waitall(s, q)
 		}
 	})
-	got := report.TimelineString(traces, res.Transfers,
-		report.TimelineConfig{Width: 80, Duration: res.Duration})
+	var b strings.Builder
+	if err := report.RenderTimeline(&b, traces, res.Transfers,
+		report.TimelineConfig{Width: 80, Duration: res.Duration}); err != nil {
+		t.Fatal(err)
+	}
+	got := b.String()
 
 	golden := filepath.Join("testdata", "timeline_ring.golden")
 	if *update {

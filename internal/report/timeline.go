@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"ovlp/internal/fabric"
@@ -154,13 +153,4 @@ func wireLane(transfers []fabric.Transfer, rank int, dur time.Duration, width in
 		}
 	}
 	return lane
-}
-
-// TimelineString renders to a string.
-func TimelineString(traces []overlap.EventLog, transfers []fabric.Transfer, cfg TimelineConfig) string {
-	var b strings.Builder
-	if err := RenderTimeline(&b, traces, transfers, cfg); err != nil {
-		return "(" + err.Error() + ")"
-	}
-	return b.String()
 }

@@ -12,6 +12,16 @@ import (
 
 func us(n int) time.Duration { return time.Duration(n) * time.Microsecond }
 
+// renderTimeline is RenderTimeline into a strings.Builder; a failure
+// renders as its error.
+func renderTimeline(traces []overlap.EventLog, transfers []fabric.Transfer, cfg TimelineConfig) string {
+	var b strings.Builder
+	if err := RenderTimeline(&b, traces, transfers, cfg); err != nil {
+		return err.Error()
+	}
+	return b.String()
+}
+
 func TestRenderTimelineLanes(t *testing.T) {
 	// One rank: library [0,25µs) and [75µs,100µs), compute between;
 	// one wire transfer [30µs, 60µs) — fully over the compute span.
@@ -25,7 +35,7 @@ func TestRenderTimelineLanes(t *testing.T) {
 		Src: 0, Dst: 1, Size: 1000,
 		Start: vtime.Time(us(30)), End: vtime.Time(us(60)),
 	}}
-	out := TimelineString(traces, transfers, TimelineConfig{Width: 20, Duration: us(100)})
+	out := renderTimeline(traces, transfers, TimelineConfig{Width: 20, Duration: us(100)})
 
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	if len(lines) != 3 {
@@ -58,14 +68,14 @@ func TestRenderTimelineNestedCalls(t *testing.T) {
 		{Kind: overlap.KindCallExit, Stamp: us(20)},
 		{Kind: overlap.KindCallExit, Stamp: us(40)},
 	}}
-	out := TimelineString(traces, nil, TimelineConfig{Width: 4, Duration: us(40)})
+	out := renderTimeline(traces, nil, TimelineConfig{Width: 4, Duration: us(40)})
 	if !strings.Contains(out, "|####|") {
 		t.Errorf("nested calls should render one continuous library span:\n%s", out)
 	}
 }
 
 func TestRenderTimelineEmpty(t *testing.T) {
-	out := TimelineString(nil, nil, TimelineConfig{})
+	out := renderTimeline(nil, nil, TimelineConfig{})
 	if !strings.Contains(out, "empty") {
 		t.Errorf("expected empty-timeline error, got %q", out)
 	}
@@ -75,7 +85,7 @@ func TestRenderTimelineUnclosedCall(t *testing.T) {
 	traces := []overlap.EventLog{{
 		{Kind: overlap.KindCallEnter, Stamp: us(5)},
 	}}
-	out := TimelineString(traces, nil, TimelineConfig{Width: 10, Duration: us(10)})
+	out := renderTimeline(traces, nil, TimelineConfig{Width: 10, Duration: us(10)})
 	if !strings.Contains(out, "#####") {
 		t.Errorf("open call should extend to the end:\n%s", out)
 	}

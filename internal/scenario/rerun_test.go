@@ -173,8 +173,9 @@ func TestRerunWalksNoCriticalPath(t *testing.T) {
 }
 
 // TestTraceHashIsTheStream: on a corpus scenario whose tracks spilled,
-// WriteChrome's pieces are AppendChrome's document, and their hash is
-// the TraceHash Run reports — the hash of the document no run keeps.
+// WriteChrome's pieces are the document written into one buffer, and
+// their hash is the TraceHash Run reports — the hash of the document no
+// run keeps.
 func TestTraceHashIsTheStream(t *testing.T) {
 	s, err := LoadFile(corpusDir + "/07-coll-outage.yaml")
 	if err != nil {
@@ -205,7 +206,9 @@ func TestTraceHashIsTheStream(t *testing.T) {
 		t.Fatal("the scenario's tracks never spilled — weak fixture")
 	}
 
-	doc := tr.AppendChrome(nil)
+	var buf bytes.Buffer
+	_ = tr.WriteChrome(&buf) // a bytes.Buffer never fails
+	doc := buf.Bytes()
 	var pieces [][]byte
 	if err := tr.WriteChrome(writerFunc(func(p []byte) (int, error) {
 		pieces = append(pieces, bytes.Clone(p))

@@ -3,7 +3,6 @@ package scenario
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"ovlp/internal/cluster"
 	"ovlp/internal/coll"
@@ -63,17 +62,7 @@ func (w *Workload) program(smoke bool) func(r *mpi.Rank) {
 		start, _ := mpi.CollStart(w.Op)
 		size, compute, polls := w.Size.N(), w.Compute.D(), w.Polls
 		return func(r *mpi.Rank) {
-			for i := 0; i < reps; i++ {
-				cr := start(r, size)
-				slice := compute / time.Duration(polls+1)
-				for k := 0; k <= polls; k++ {
-					r.Compute(slice)
-					if k < polls {
-						r.TestColl(cr)
-					}
-				}
-				r.WaitColl(cr)
-			}
+			micro.PolledColl(r, start, size, reps, polls, compute)
 		}
 	}
 	panic("scenario: unvalidated workload kind " + w.Kind)

@@ -57,7 +57,7 @@ func TestKernelObserverSkipsZeroWidthBlocks(t *testing.T) {
 	sim := vtime.NewSim()
 	sim.SetObserver(tr.KernelObserver())
 	sim.Spawn("y", func(p *vtime.Proc) {
-		p.Yield() // zero-duration block: noise, not signal
+		p.Compute(0) // zero-duration block: noise, not signal
 		p.Compute(time.Microsecond)
 	})
 	sim.Run()

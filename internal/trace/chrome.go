@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"io"
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -18,57 +17,40 @@ import (
 //
 // The document streams through one chromeChunk-byte chunk, handed to w
 // at a track or record that finds less than recRoom left, before the
-// metrics block and at the end (a longer piece grows it until written).
+// metrics block and at the end (a longer piece grows it).
 // The first error w returns is returned, and nothing more is written.
 func (t *Tracer) WriteChrome(w io.Writer) error { return t.writeChrome(w, chromeChunk) }
 
 const chromeChunk, recRoom = 16 << 10, 512
 
 // writeChrome is WriteChrome with a chunk of the given size.
-func (t *Tracer) writeChrome(w io.Writer, chunk int) (err error) {
-	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(t.chromeSize()) // a bytes.Buffer then allocates once
-	}
-	buf := make([]byte, 0, chunk)
-	t.encodeChrome(buf, func(dst []byte, force bool) []byte {
-		if len(dst) < chunk-recRoom && !force {
-			return dst
-		}
-		if err == nil {
-			_, err = w.Write(dst)
-		}
-		return buf[:0]
-	})
-	return err
-}
-
-// AppendChrome appends the WriteChrome document to dst, grown once to
-// chromeSize, and returns the extended buffer.
-func (t *Tracer) AppendChrome(dst []byte) []byte {
-	return t.encodeChrome(slices.Grow(dst, t.chromeSize()), func(dst []byte, _ bool) []byte { return dst })
-}
-
-// chromeSize estimates the document at 112 bytes a record; the corpus
-// and NAS traces come to 93-99.
-func (t *Tracer) chromeSize() int {
-	size := 256
-	for _, tk := range t.Tracks() {
-		size += 256 + 112*len(tk.Recs())
-	}
-	return size
-}
-
-// encodeChrome is the encoder behind both: it appends the document to
-// dst through flush, called at every track and record and, forced,
-// before the metrics block and at the end, and returns the last flush.
 //
 // It is hand-written rather than encoding/json because byte-identical
 // output is a contract here: field order is fixed, nothing iterates a
 // map, and microsecond timestamps are formatted from integer
 // nanoseconds (never through a float), so a fixed-seed run re-exports
-// to the same bytes. It is append-based because export is on every
-// traced run's path: no reflection and no per-record allocation.
-func (t *Tracer) encodeChrome(dst []byte, flush func(dst []byte, force bool) []byte) []byte {
+// to the same bytes. It appends into the chunk because export is on
+// every traced run's path: no reflection and no per-record allocation.
+func (t *Tracer) writeChrome(w io.Writer, chunk int) (err error) {
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		// A bytes.Buffer then allocates once: 112 bytes a record, where
+		// the corpus and NAS traces come to 93-99.
+		size := 256
+		for _, tk := range t.Tracks() {
+			size += 256 + 112*len(tk.Recs())
+		}
+		g.Grow(size)
+	}
+	dst := make([]byte, 0, chunk)
+	flush := func(force bool) {
+		if len(dst) < chunk-recRoom && !force {
+			return
+		}
+		if err == nil {
+			_, err = w.Write(dst)
+		}
+		dst = dst[:0]
+	}
 	tracks := t.Tracks()
 	dst = append(dst, `{"displayTimeUnit":"ns","traceEvents":[`...)
 	sep := "\n"
@@ -77,7 +59,7 @@ func (t *Tracer) encodeChrome(dst []byte, flush func(dst []byte, force bool) []b
 	// index so Perfetto orders tracks by id rather than by first event.
 	seenGroup := make(map[Group]bool)
 	for _, tk := range tracks {
-		dst = flush(dst, false)
+		flush(false)
 		if !seenGroup[tk.group] {
 			seenGroup[tk.group] = true
 			pid := int64(tk.group)
@@ -105,7 +87,7 @@ func (t *Tracer) encodeChrome(dst []byte, flush func(dst []byte, force bool) []b
 		tail := tk.appendPidTid(tailBuf[:0]) // the same for every record of the track
 		recs := tk.Recs()
 		for i := range recs {
-			dst = flush(dst, false)
+			flush(false)
 			r := &recs[i]
 			dst = appendStr(dst, ",\n"+`{"name":`, r.Name)
 			dst = appendStr(dst, `,"cat":`, r.Cat)
@@ -126,7 +108,8 @@ func (t *Tracer) encodeChrome(dst []byte, flush func(dst []byte, force bool) []b
 
 	dst = append(dst, "\n]"...)
 	if snap := t.Metrics().Snapshot(); !snap.Empty() {
-		dst = append(flush(dst, true), `,"metrics":`...)
+		flush(true)
+		dst = append(dst, `,"metrics":`...)
 		dst = snap.appendJSON(dst)
 	}
 	if t != nil && t.opts.Generator != "" {
@@ -137,7 +120,9 @@ func (t *Tracer) encodeChrome(dst []byte, flush func(dst []byte, force bool) []b
 		// and virtual exports stay byte-identical (golden traces).
 		dst = appendStr(dst, `,"clockDomain":`, d)
 	}
-	return flush(append(dst, "}\n"...), true)
+	dst = append(dst, "}\n"...)
+	flush(true)
+	return err
 }
 
 // appendPidTid appends the `,"pid":P,"tid":T` pair that places an event

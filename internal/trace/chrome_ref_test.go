@@ -13,8 +13,8 @@ import (
 	"ovlp/internal/vtime"
 )
 
-// referenceWriteChrome is the fmt/encoding/json exporter AppendChrome
-// replaced, kept verbatim as the byte-for-byte reference the
+// referenceWriteChrome is the fmt/encoding/json exporter the hand-written
+// encoder replaced, kept verbatim as the byte-for-byte reference the
 // differential test and FuzzChromeEncoder compare against. It exports
 // the tracer as Chrome trace-event JSON (the
 // "JSON Object Format" of the trace-event spec), loadable in Perfetto
@@ -85,7 +85,7 @@ func referenceWriteChrome(t *Tracer, w io.Writer) error {
 		b.WriteString(`,"generator":`)
 		b.WriteString(refQuote(t.opts.Generator))
 	}
-	if d := t.opts.ClockDomain; d != "" && d != "virtual" {
+	if d := t.domain; d != "" && d != "virtual" {
 		// Only non-virtual domains are stamped: absence means virtual,
 		// and virtual exports stay byte-identical (golden traces).
 		b.WriteString(`,"clockDomain":`)
@@ -201,7 +201,7 @@ func encodeBoth(t *testing.T, tr *Tracer) []byte {
 	if err := referenceWriteChrome(tr, &want); err != nil {
 		t.Fatal(err)
 	}
-	got := tr.AppendChrome(nil)
+	got := chromeOf(tr)
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("append encoder diverges from the reference\n got: %s\nwant: %s", got, want.Bytes())
 	}
@@ -220,7 +220,8 @@ func TestChromeEncoderMatchesReference(t *testing.T) {
 
 	t.Run("strings", func(t *testing.T) {
 		for _, s := range strs {
-			tr := New(Options{Generator: s, ClockDomain: s})
+			tr := New(Options{Generator: s})
+			tr.SetClockDomain(s)
 			tk := tr.Track(GroupHost, 0, s)
 			tk.Instant(s, s, us(1), Args{Peer: NoPeer, Detail: s, Phase: s})
 			tk.Span(s, s, us(1), us(2), Args{Peer: 3, Detail: s})
@@ -270,9 +271,13 @@ func TestChromeEncoderMatchesReference(t *testing.T) {
 		encodeBoth(t, tr)
 	})
 	t.Run("shapes", func(t *testing.T) {
-		encodeBoth(t, New(Options{}))                                    // no tracks
-		encodeBoth(t, New(Options{ClockDomain: "virtual"}))              // virtual is not stamped
-		encodeBoth(t, New(Options{Generator: "g", ClockDomain: "real"})) // keys without events
+		encodeBoth(t, New(Options{})) // no tracks
+		virtual := New(Options{})
+		virtual.SetClockDomain("virtual")
+		encodeBoth(t, virtual) // virtual is not stamped
+		stamped := New(Options{Generator: "g"})
+		stamped.SetClockDomain("real")
+		encodeBoth(t, stamped) // keys without events
 		tr := New(Options{RingSize: 4})
 		tr.Track(GroupNIC, 0, "nic0") // empty track, NIC group first
 		tk := tr.Track(GroupHost, 0, "rank0")
@@ -282,18 +287,6 @@ func TestChromeEncoderMatchesReference(t *testing.T) {
 		encodeBoth(t, tr)
 		encodeBoth(t, buildSample())
 	})
-}
-
-// TestAppendChromeAppends pins that AppendChrome extends dst, leaving
-// what was there, whether or not dst has room.
-func TestAppendChromeAppends(t *testing.T) {
-	want := buildSample().AppendChrome(nil)
-	for _, dst := range [][]byte{[]byte("prefix"), append(make([]byte, 0, 1<<16), "prefix"...)} {
-		got := buildSample().AppendChrome(dst)
-		if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
-			t.Errorf("AppendChrome(cap %d) = %q", cap(dst), got)
-		}
-	}
 }
 
 // FuzzChromeEncoder drives one record, a track, the metrics block and
@@ -315,7 +308,8 @@ func FuzzChromeEncoder(f *testing.F) {
 		if dur < 0 {
 			dur = -(dur + 1) // emit rejects negative durations
 		}
-		tr := New(Options{Generator: detail, ClockDomain: phase})
+		tr := New(Options{Generator: detail})
+		tr.SetClockDomain(phase)
 		tk := tr.Track(GroupHost, peer, name)
 		tk.emit(Rec{Cat: cat, Name: name, Start: vtime.Time(start), Dur: time.Duration(dur),
 			Args: Args{Peer: peer, Size: size, ID: id, Detail: detail, Phase: phase}})

@@ -35,7 +35,7 @@ type ChromeEvent struct {
 }
 
 // Rec converts a span ("X") or instant ("i") event back into the
-// record AppendChrome encoded. An args object whose known field has
+// record WriteChrome encoded. An args object whose known field has
 // the wrong JSON type or range decodes as None rather than failing the
 // file.
 func (e *ChromeEvent) Rec() Rec {
@@ -83,7 +83,7 @@ const (
 	internCap = 1024
 )
 
-// ScanChrome is AppendChrome's inverse: it walks a Chrome trace-event
+// ScanChrome is WriteChrome's inverse: it walks a Chrome trace-event
 // document once, validating every byte as encoding/json would, and
 // calls fn for each traceEvents element in order. The *ChromeEvent is
 // reused between calls. An error from fn stops the scan and is

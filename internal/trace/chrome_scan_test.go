@@ -19,12 +19,12 @@ func scanAll(data string) ([]ChromeEvent, ChromeDoc, error) {
 	return events, doc, err
 }
 
-// TestScanChromeInvertsAppendChrome: every record, track name and
+// TestScanChromeInvertsWriteChrome: every record, track name and
 // top-level stamp of an export comes back as it went in.
-func TestScanChromeInvertsAppendChrome(t *testing.T) {
+func TestScanChromeInvertsWriteChrome(t *testing.T) {
 	tr := buildSample()
 	tr.SetClockDomain("real")
-	events, doc, err := scanAll(string(tr.AppendChrome(nil)))
+	events, doc, err := scanAll(string(chromeOf(tr)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,13 @@ func luTracer(opts trace.Options) *trace.Tracer {
 	return tr
 }
 
+// chromeOf is tr's WriteChrome document (a bytes.Buffer never fails).
+func chromeOf(tr *trace.Tracer) []byte {
+	var b bytes.Buffer
+	_ = tr.WriteChrome(&b)
+	return b.Bytes()
+}
+
 // pieceWriter keeps what it is given and the size of every piece.
 type pieceWriter struct {
 	bytes.Buffer
@@ -37,11 +44,12 @@ func (w *pieceWriter) Write(p []byte) (int, error) {
 }
 
 // streamMatches exports tr through a pieceWriter and fails unless the
-// pieces join to AppendChrome's document and none exceeds the chunk.
+// pieces join to the document written into one buffer and none exceeds
+// the chunk.
 // It returns the number of pieces.
 func streamMatches(t *testing.T, tr *trace.Tracer) int {
 	t.Helper()
-	want := tr.AppendChrome(nil)
+	want := chromeOf(tr)
 	var w pieceWriter
 	if err := tr.WriteChrome(&w); err != nil {
 		t.Fatal(err)
@@ -58,7 +66,7 @@ func streamMatches(t *testing.T, tr *trace.Tracer) int {
 }
 
 // TestWriteChromeStreamsTheDocument: the stream's pieces, whatever
-// their sizes, are AppendChrome's document byte for byte, for a trace
+// their sizes, are the one-buffer document byte for byte, for a trace
 // whose tracks spilled, a metrics-only tracer, a released tracer and a
 // nil one.
 func TestWriteChromeStreamsTheDocument(t *testing.T) {
@@ -109,7 +117,7 @@ func (w *failWriter) Write(p []byte) (int, error) {
 // first k bytes and nothing more.
 func TestWriteChromeStopsAtFirstError(t *testing.T) {
 	tr := luTracer(trace.Options{})
-	doc := tr.AppendChrome(nil)
+	doc := chromeOf(tr)
 	for _, k := range []int{0, 1, chunkMax - 1, chunkMax, 100_000, len(doc) - 1} {
 		w := &failWriter{k: k}
 		if err := tr.WriteChrome(w); !errors.Is(err, errFull) {
@@ -129,7 +137,7 @@ func TestWriteChromeStopsAtFirstError(t *testing.T) {
 // allocates at most 64 KiB. Allocation here is a count, not a timing.
 func TestWriteChromeHashAllocs(t *testing.T) {
 	tr := luTracer(trace.Options{})
-	size := len(tr.AppendChrome(nil)) // flattens the tracks once, as any first export does
+	size := len(chromeOf(tr)) // flattens the tracks once, as any first export does
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	h := sha256.New()

@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// chromeOf is tr's WriteChrome document (a bytes.Buffer never fails).
+func chromeOf(tr *Tracer) []byte {
+	var b bytes.Buffer
+	_ = tr.WriteChrome(&b)
+	return b.Bytes()
+}
+
 // buildSample populates a tracer the way the stack does: host call
 // spans with args, NIC wire spans, instants, and metrics.
 func buildSample() *Tracer {

@@ -31,7 +31,7 @@ func tracedExchange(seed int64) []byte {
 			r.Waitall(s, q)
 		}
 	})
-	out := tr.AppendChrome(nil)
+	out := chromeOf(tr)
 	tr.Release()
 	return out
 }

@@ -46,13 +46,13 @@ func TestRecycledRingNeverLeaks(t *testing.T) {
 
 	rings, flats = ringpool.List[Rec]{}, ringpool.List[Rec]{}
 	cold := emitRun(7000, short)
-	coldBytes, coldSpills := cold.AppendChrome(nil), spillsOf(cold)
-	coldBig := emitRun(9000, short).AppendChrome(nil)
+	coldBytes, coldSpills := chromeOf(cold), spillsOf(cold)
+	coldBig := chromeOf(emitRun(9000, short))
 
 	// Run A: more records than B on every track, each with a long
 	// Detail, drained so that all of its rings are listed.
 	a := emitRun(9000, long)
-	a.AppendChrome(nil)
+	chromeOf(a)
 	if rings.Bytes() == 0 {
 		t.Fatal("draining a run listed no ring — nothing is being recycled")
 	}
@@ -64,7 +64,7 @@ func TestRecycledRingNeverLeaks(t *testing.T) {
 	if rings.Bytes() >= listed {
 		t.Fatalf("run B drew nothing from the list (%d bytes before, %d during)", listed, rings.Bytes())
 	}
-	warmBytes, warmSpills := warm.AppendChrome(nil), spillsOf(warm)
+	warmBytes, warmSpills := chromeOf(warm), spillsOf(warm)
 	if !bytes.Equal(warmBytes, coldBytes) {
 		t.Error("run B exports differently on recycled rings than on a cold free list")
 	}
@@ -104,7 +104,7 @@ func TestRecycledRingNeverLeaks(t *testing.T) {
 			t.Errorf("track %s holds %d records after Release", tk.Name(), len(recs))
 		}
 	}
-	if meta := a.AppendChrome(nil); !bytes.Contains(meta, []byte(`"thread_name"`)) || bytes.Contains(meta, []byte(`"ph":"X"`)) {
+	if meta := chromeOf(a); !bytes.Contains(meta, []byte(`"thread_name"`)) || bytes.Contains(meta, []byte(`"ph":"X"`)) {
 		t.Error("a released tracer's export should hold its metadata and no record")
 	}
 	c := emitRun(9000, short)
@@ -116,7 +116,7 @@ func TestRecycledRingNeverLeaks(t *testing.T) {
 	if flats.Bytes() != 0 {
 		t.Errorf("%d bytes of flats still listed after a run of the same shape drew its own", flats.Bytes())
 	}
-	warmBig := c.AppendChrome(nil)
+	warmBig := chromeOf(c)
 	if !bytes.Equal(warmBig, coldBig) {
 		t.Error("run C exports differently from recycled flats than on a cold free list")
 	}
@@ -168,10 +168,10 @@ func TestColdFlatSizing(t *testing.T) {
 func TestDoublingDrawsFromFreeList(t *testing.T) {
 	rings = ringpool.List[Rec]{}
 	detail := func(int) string { return "" }
-	emitRun(7000, detail).AppendChrome(nil) // fills the list
+	chromeOf(emitRun(7000, detail)) // fills the list
 	steady := rings.Bytes()
 	for i := 0; i < 3; i++ {
-		emitRun(7000, detail).AppendChrome(nil)
+		chromeOf(emitRun(7000, detail))
 		if got := rings.Bytes(); got != steady {
 			t.Fatalf("free list holds %d bytes after run %d, %d after the first: rings are being minted", got, i+2, steady)
 		}

@@ -122,15 +122,6 @@ type Options struct {
 	// (`ovlp -version`). Left empty it adds nothing, so byte-stable
 	// golden traces are unaffected unless a caller opts in.
 	Generator string
-	// ClockDomain names the clock the run's timestamps were read from
-	// ("virtual", "real"). Non-virtual domains are stamped into
-	// exported trace files as a top-level "clockDomain" key so offline
-	// analysis knows the timestamps are wall-clock measurements, not
-	// deterministic virtual time. Empty or "virtual" adds nothing —
-	// virtual exports stay byte-identical to the pre-domain format, and
-	// absence of the key means virtual. Usually set by cluster.RunE
-	// (via SetClockDomain) from the run's backend rather than by hand.
-	ClockDomain string
 }
 
 // Sink observes every record the moment it is emitted — a streaming
@@ -151,6 +142,7 @@ type Sink interface {
 // unconditionally and run untraced at zero cost beyond a nil check.
 type Tracer struct {
 	opts   Options
+	domain string // SetClockDomain's stamp
 	tracks []*Track
 	index  map[trackKey]*Track
 	reg    *Registry
@@ -178,14 +170,16 @@ func New(opts Options) *Tracer {
 	}
 }
 
-// SetClockDomain stamps the clock domain of the run being traced (see
-// Options.ClockDomain). Call before exporting; a nil tracer ignores
-// the call.
+// SetClockDomain stamps the clock the run's timestamps were read from
+// ("virtual", "real"). An export carries a non-virtual domain as a
+// top-level "clockDomain" key, so offline analysis knows the stamps are
+// wall-clock measurements; no key means virtual. cluster.RunE calls it
+// from the run's backend. A nil tracer ignores the call.
 func (t *Tracer) SetClockDomain(d string) {
 	if t == nil {
 		return
 	}
-	t.opts.ClockDomain = d
+	t.domain = d
 }
 
 // ClockDomain returns the stamped clock domain; empty (or for a nil
@@ -194,7 +188,7 @@ func (t *Tracer) ClockDomain() string {
 	if t == nil {
 		return ""
 	}
-	return t.opts.ClockDomain
+	return t.domain
 }
 
 // Metrics returns the tracer's registry (nil for a nil tracer).

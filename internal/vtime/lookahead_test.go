@@ -246,7 +246,7 @@ func TestLookaheadDeadline(t *testing.T) {
 	)
 }
 
-// Compute(0) is Yield: a no-op on an empty heap, and behind anything
+// Compute(0) yields: a no-op on an empty heap, and behind anything
 // already queued for this instant.
 func TestLookaheadComputeZero(t *testing.T) {
 	s, l := observed()

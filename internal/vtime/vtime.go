@@ -629,14 +629,6 @@ func (p *Proc) Compute(d time.Duration) {
 	p.deliverKill()
 }
 
-// Sleep is an alias for Compute, for callers modelling idle waiting
-// rather than computation.
-func (p *Proc) Sleep(d time.Duration) { p.Compute(d) }
-
-// Yield reschedules the proc at the current virtual time behind any
-// events already queued for this instant.
-func (p *Proc) Yield() { p.Compute(0) }
-
 // Park blocks the proc until another simulation context calls Unpark.
 // If a permit is pending (Unpark happened since the last Park), Park
 // consumes it and returns immediately. The where label is reported in

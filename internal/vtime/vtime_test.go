@@ -275,7 +275,7 @@ func TestYieldRunsQueuedEventsFirst(t *testing.T) {
 	var order []string
 	s.Spawn("p", func(p *Proc) {
 		s.After(0, func() { order = append(order, "event") })
-		p.Yield()
+		p.Compute(0)
 		order = append(order, "proc")
 	})
 	s.Run()

@@ -90,7 +90,7 @@ func witnessRun(s *Sim, seed int64) (digest, outcome string) {
 				case 0, 1, 2:
 					p.Compute(dur())
 				case 3:
-					p.Yield()
+					p.Compute(0)
 				case 4:
 					s.After(dur(), p.Unpark) // a wake-up of its own, possibly stale by then
 					p.Park("self-timed")
