@@ -2,7 +2,7 @@ package main
 
 // Fault-tolerance flags: the -crash plan and the recovery-policy
 // knobs, shared by every driver that can run a Checkpointable
-// workload under cluster.RunFT. Mirrors the faultflag pattern — flags
+// workload under cluster.RunFT. Mirrors registerFaults — flags
 // assemble into a fabric.CrashPlan + cluster.FTOptions, validated
 // before any rank is spawned.
 

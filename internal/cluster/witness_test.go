@@ -245,9 +245,9 @@ func msgWitnessRun(t *testing.T, seed int64, stepped bool) (desc, digest string)
 			}}
 		}
 		if rng.Intn(3) == 0 {
-			plan.Links = map[fabric.Link]fabric.LinkFaults{
+			plan.Schedule = []fabric.FaultEvent{{Links: map[fabric.Link]fabric.LinkFaults{
 				{Src: 0, Dst: 1}: {DropEvery: 3 + rng.Intn(4), BandwidthFactor: 0.5},
-			}
+			}}}
 		}
 		cfg.Faults = plan
 		if rng.Intn(4) == 0 {

@@ -199,10 +199,8 @@ type FaultPlan struct {
 	// Seed seeds the fault PRNG; runs with equal seeds and plans are
 	// bit-for-bit identical.
 	Seed int64
-	// Default applies to every link without a Links override.
+	// Default applies to every link.
 	Default LinkFaults
-	// Links overrides Default for specific directed links.
-	Links map[Link]LinkFaults
 	// Stalls lists DMA-engine stall windows.
 	Stalls []StallWindow
 	// Schedule is the timed chaos schedule: fault events that activate
@@ -218,15 +216,7 @@ func (p *FaultPlan) Active() bool {
 	if p == nil {
 		return false
 	}
-	if p.Default.active() || len(p.Stalls) > 0 || len(p.Schedule) > 0 {
-		return true
-	}
-	for _, lf := range p.Links {
-		if lf.active() {
-			return true
-		}
-	}
-	return false
+	return p.Default.active() || len(p.Stalls) > 0 || len(p.Schedule) > 0
 }
 
 // Validate checks rates, factors and windows, returning a descriptive
@@ -237,14 +227,6 @@ func (p *FaultPlan) Validate() error {
 	}
 	if err := p.Default.validate("Default"); err != nil {
 		return err
-	}
-	for l, lf := range p.Links {
-		if err := lf.validate(fmt.Sprintf("link %d->%d", l.Src, l.Dst)); err != nil {
-			return err
-		}
-		if l.Src == l.Dst {
-			return fmt.Errorf("fabric: link %d->%d is a self-loop", l.Src, l.Dst)
-		}
 	}
 	for i, w := range p.Stalls {
 		if w.Start < 0 {
@@ -270,11 +252,6 @@ func (p *FaultPlan) CheckNodes(n int) error {
 		return nil
 	}
 	outside := func(id NodeID) bool { return int(id) < 0 || int(id) >= n }
-	for l := range p.Links {
-		if outside(l.Src) || outside(l.Dst) {
-			return fmt.Errorf("fabric: fault link %d->%d names a node outside [0, %d)", l.Src, l.Dst, n)
-		}
-	}
 	for i, w := range p.Stalls {
 		if outside(w.Node) {
 			return fmt.Errorf("fabric: stall window %d names node %d outside [0, %d)", i, w.Node, n)
@@ -323,17 +300,12 @@ func newFaultState(plan FaultPlan) *faultState {
 }
 
 // effective resolves the src→dst link's fault configuration at time
-// now: the base plan's per-link override or default, then every
-// schedule event active at now overlays it in declaration order (later
-// events win). The returned event index is the winning overlay (-1
-// when the base configuration applies), so ramp scaling can find its
-// activation time.
+// now: the plan's Default, then every schedule event active at now
+// overlays it in declaration order (later events win). The returned
+// event index is the winning overlay (-1 when Default applies), so ramp
+// scaling can find its activation time.
 func (fs *faultState) effective(src, dst NodeID, now vtime.Time) (LinkFaults, int) {
-	lf, ok := fs.plan.Links[Link{src, dst}]
-	if !ok {
-		lf = fs.plan.Default
-	}
-	win := -1
+	lf, win := fs.plan.Default, -1
 	for i := range fs.plan.Schedule {
 		ev := &fs.plan.Schedule[i]
 		if !ev.activeAt(now) {

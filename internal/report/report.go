@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -43,13 +44,11 @@ func (t *Table) AddRow(cells ...any) {
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Headers))
 	for i, h := range t.Headers {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range t.rows {
 		for i, c := range row {
-			if len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(c))
 		}
 	}
 	if t.Title != "" {
@@ -80,9 +79,8 @@ func (t *Table) String() string {
 	return b.String()
 }
 
+// pad widens s to w columns, counting runes, so a "µs" cell lines up
+// with ASCII ones.
 func pad(s string, w int) string {
-	if len(s) >= w {
-		return s
-	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", max(0, w-utf8.RuneCountInString(s)))
 }

@@ -65,3 +65,18 @@ func TestEmptyTitleOmitted(t *testing.T) {
 		t.Error("empty title should not emit a blank line")
 	}
 }
+
+// TestRenderAlignsMultiByteCells: a cell holding "µs" (two bytes, one
+// column) must not pull its row's later columns left.
+func TestRenderAlignsMultiByteCells(t *testing.T) {
+	tbl := NewTable("", "latency", "work")
+	tbl.AddRow(250*time.Microsecond, "x")
+	tbl.AddRow("1ms", "y")
+	lines := strings.Split(strings.TrimRight(tbl.String(), "\n"), "\n")
+	col := len([]rune(lines[0])) - len("work") // in runes: terminal columns
+	for _, l := range lines[2:] {
+		if r := []rune(l); len(r) <= col || r[col-1] != ' ' || r[col] == ' ' {
+			t.Errorf("row %q does not start its work cell at column %d:\n%s", l, col, tbl.String())
+		}
+	}
+}

@@ -105,29 +105,18 @@ func Evaluate(rr *RunResult) []Violation {
 				continue
 			}
 			checkDeterminism(rr, add)
-		case "trace_hash":
-			if rr.realClock() {
-				skip("trace_hash", skipRealClockHash)
-				continue
+		case "trace_hash", "report_hash":
+			got := rr.TraceHash
+			if a.Check == "report_hash" {
+				got = rr.ReportHash
 			}
-			if rr.Opts.Smoke {
-				skip("trace_hash", skipSmokeBytes)
-				continue
-			}
-			if rr.TraceHash != a.Hash {
-				add("trace_hash", a.Hash, rr.TraceHash)
-			}
-		case "report_hash":
-			if rr.realClock() {
-				skip("report_hash", skipRealClockHash)
-				continue
-			}
-			if rr.Opts.Smoke {
-				skip("report_hash", skipSmokeBytes)
-				continue
-			}
-			if rr.ReportHash != a.Hash {
-				add("report_hash", a.Hash, rr.ReportHash)
+			switch {
+			case rr.realClock():
+				skip(a.Check, skipRealClockHash)
+			case rr.Opts.Smoke:
+				skip(a.Check, skipSmokeBytes)
+			case got != a.Hash:
+				add(a.Check, a.Hash, got)
 			}
 		case "duration":
 			if rr.Res.Duration > a.Max.D() {
@@ -304,14 +293,9 @@ func checkBoundsValid(rr *RunResult, add func(check, expected, observed string))
 		add("bounds_valid", "a calibrated instrumented run", "no calibration table in result")
 		return
 	}
-	plan, err := rr.Scenario.FaultPlan()
-	if err != nil {
-		add("bounds_valid", "compilable chaos schedule", err.Error())
-		return
-	}
 	truth := oracle.Truth(rr.Res.Transfers)
 	cost := fabric.DefaultCostModel()
-	eps := cost.LinkLatency + cost.DMAStartup + 2*time.Microsecond + maxJitter(plan)
+	eps := cost.LinkLatency + cost.DMAStartup + 2*time.Microsecond + maxJitter(rr.c.faults)
 	slack := func(wire, xfer time.Duration) (lower, upper time.Duration) {
 		// 5% calibration slack plus, under bandwidth degradation, the
 		// stretch of the wire interval beyond the calibrated estimate.
@@ -347,11 +331,6 @@ func maxJitter(plan *fabric.FaultPlan) time.Duration {
 		return 0
 	}
 	m := plan.Default.JitterMax
-	for _, lf := range plan.Links {
-		if lf.JitterMax > m {
-			m = lf.JitterMax
-		}
-	}
 	for i := range plan.Schedule {
 		ev := &plan.Schedule[i]
 		if ev.Default != nil && ev.Default.JitterMax > m {
@@ -499,11 +478,7 @@ func describeFindings(rep *diagnose.Report) string {
 // analyzer and the diagnosis engine, and any live sink (a viewer fed
 // twice would double-count; it is not part of the determinism domain).
 func checkDeterminism(rr *RunResult, add func(check, expected, observed string)) {
-	again, _, err := simulate(rr.Scenario, rr.Opts, false)
-	if err != nil {
-		add("determinism", "a repeatable run", "rerun failed: "+err.Error())
-		return
-	}
+	again, _ := simulate(rr.Scenario, rr.c, rr.Opts, false)
 	if again.TraceHash != rr.TraceHash {
 		add("determinism", "identical trace hash "+short(rr.TraceHash), "rerun produced "+short(again.TraceHash))
 	}

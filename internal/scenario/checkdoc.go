@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"ovlp/internal/diagnose"
+	"ovlp/internal/profile"
 	"ovlp/internal/timeres"
 )
 
@@ -80,21 +81,20 @@ func WriteChecks(w io.Writer) error {
 		tw.printf("  %-15s fields: %s\n\n", "", fields)
 	}
 	tw.printf("Vocabularies:\n\n")
-	tw.printf("  error:          %s\n", strings.Join(sortedKeys(errorNames), ", "))
-	tw.printf("  category:       %s\n", strings.Join(sortedKeys(blameCategories), ", "))
+	tw.printf("  error:          %s\n", strings.Join(errorNames, ", "))
+	tw.printf("  category:       %s\n", strings.Join(categoryNames(), ", "))
 	tw.printf("  metric:         %s\n", strings.Join(timeres.MetricNames(), ", "))
 	tw.printf("  kind (finding): %s\n", strings.Join(diagnose.AnalyzeKinds(), ", "))
 	tw.printf("  min_severity:   %s, %s, %s\n", diagnose.SevInfo, diagnose.SevWarn, diagnose.SevCritical)
 	return tw.err
 }
 
-func sortedKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+// categoryNames is the blame_share vocabulary: the profiler's blame
+// columns, sorted.
+func categoryNames() []string {
+	names, _ := profile.Blame{}.Columns()
+	sort.Strings(names)
+	return names
 }
 
 // errWriter folds per-line write errors into one.

@@ -224,6 +224,32 @@ func TestSmokeClampsButKeepsStructure(t *testing.T) {
 	}
 }
 
+// TestSmokeShrinksOntoNASGrids: smoke mode starts at MinProcs (node 4
+// in the chaos schedule makes it 5) and climbs to the first machine the
+// kernel's process grid takes.
+func TestSmokeShrinksOntoNASGrids(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		want  int
+	}{{"BT", 9}, {"SP", 9}, {"CG", 8}, {"LU", 5}} {
+		s := &Scenario{
+			Name: "grid-" + c.bench, Procs: 16,
+			Workload: Workload{Kind: "nas", Bench: c.bench, Class: "S"},
+			Chaos:    []ChaosEvent{{Drop: 0.1, Nodes: []int{4}}},
+		}
+		if got := s.MinProcs(); got != 5 {
+			t.Fatalf("%s: MinProcs = %d, want 5", c.bench, got)
+		}
+		compiled, err := s.compile(true)
+		if err != nil {
+			t.Fatalf("%s: %v", c.bench, err)
+		}
+		if compiled.procs != c.want {
+			t.Errorf("%s: smoke procs = %d, want %d", c.bench, compiled.procs, c.want)
+		}
+	}
+}
+
 func TestGenerateDeterministicCorpus(t *testing.T) {
 	a := Generate(77, 6)
 	b := Generate(77, 6)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"ovlp/internal/nas"
 )
 
 // Generate derives n stress scenarios from seed, deterministically:
@@ -74,8 +76,7 @@ func genWorkload(rng *rand.Rand, procs int) Workload {
 		benches := []string{"LU", "MG", "FT", "IS"}
 		w := Workload{Kind: "nas", Class: "S", Iters: 3 + rng.Intn(4)}
 		for _, b := range []string{"CG", "BT", "SP"} {
-			w.Bench = b
-			if w.procsOK(procs) {
+			if nas.Check(b, nas.ClassS, procs) == nil {
 				benches = append(benches, b)
 			}
 		}

@@ -167,7 +167,7 @@ func buildReport(rr *RunResult) *RunReport {
 
 	if ft := rr.FT; ft != nil {
 		rep.Recovery = &RecoveryLine{
-			Mode:          rr.Scenario.recoveryMode().String(),
+			Mode:          rr.c.ft.Mode.String(),
 			Completed:     ft.Completed,
 			Epochs:        ft.Epochs,
 			Failed:        ft.Failed,

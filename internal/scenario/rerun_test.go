@@ -43,10 +43,7 @@ func TestRerunMatchesFullRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("second Run: %v", err)
 			}
-			lean, tres, err := simulate(s, Opts{}, false)
-			if err != nil {
-				t.Fatalf("lean re-run: %v", err)
-			}
+			lean, tres := simulate(s, first.c, Opts{}, false)
 			if tres != nil || lean.Events != nil || lean.Findings != nil || lean.TimeRes != nil {
 				t.Error("lean re-run carried a primary-only tap")
 			}
@@ -112,7 +109,7 @@ func TestRerunStillTripsDeterminism(t *testing.T) {
 	if other.TraceHash == rr.TraceHash {
 		t.Fatal("changing the seed did not change the trace — weak fixture")
 	}
-	rr.Scenario = &reseeded
+	rr.Scenario, rr.c = &reseeded, other.c // what the re-run reads
 	var observed []string
 	for _, v := range Evaluate(rr) {
 		if v.Check == "determinism" {
@@ -146,10 +143,7 @@ func TestRerunWalksNoCriticalPath(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			lean, _, err := simulate(s, Opts{}, false)
-			if err != nil {
-				t.Fatalf("lean re-run: %v", err)
-			}
+			lean, _ := simulate(s, first.c, Opts{}, false)
 			if (first.Profile == nil) != (lean.Profile == nil) {
 				t.Fatalf("profile present in one run only: primary %v, re-run %v", first.Profile != nil, lean.Profile != nil)
 			}
@@ -186,18 +180,15 @@ func TestTraceHashIsTheStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The traced run simulate makes, with the tracer kept.
-	mpiCfg, err := s.mpiConfig()
+	c, err := s.compile(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.FaultPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
+	mpiCfg := c.mpi
 	mpiCfg.Instrument = &mpi.InstrumentConfig{}
 	tr := trace.New(trace.Options{})
-	cluster.RunE(cluster.Config{Procs: s.Procs, MPI: mpiCfg, RecordTruth: true, Faults: plan,
-		Deadline: s.Deadline.D(), Trace: tr}, s.Workload.program(false))
+	cluster.RunE(cluster.Config{Procs: c.procs, MPI: mpiCfg, RecordTruth: true, Faults: c.faults,
+		Deadline: c.deadline, Trace: tr}, c.program)
 	spills := 0
 	for _, tk := range tr.Tracks() {
 		spills += tk.Spills()

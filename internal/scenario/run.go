@@ -8,13 +8,11 @@ import (
 
 	"ovlp/internal/cluster"
 	"ovlp/internal/diagnose"
-	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
 	"ovlp/internal/overlap"
 	"ovlp/internal/profile"
 	"ovlp/internal/timeres"
 	"ovlp/internal/trace"
-	"ovlp/internal/vtime"
 )
 
 // Smoke-mode caps: CI runs the whole corpus quickly by shrinking the
@@ -103,6 +101,10 @@ type RunResult struct {
 	TraceHash   string
 	ReportBytes []byte
 	ReportHash  string
+
+	// c is the compiled scenario the run executed; Evaluate's bounds
+	// oracle and determinism re-run read it instead of recompiling.
+	c *compiled
 }
 
 // Run executes the scenario once. The run is a pure function of
@@ -111,10 +113,11 @@ type RunResult struct {
 // (invalid scenario); the workload's own failures land in
 // RunResult.Err where assertions can inspect them.
 func Run(s *Scenario, opts Opts) (*RunResult, error) {
-	rr, tres, err := simulate(s, opts, true)
+	c, err := s.validate(opts.Smoke)
 	if err != nil {
 		return nil, err
 	}
+	rr, tres := simulate(s, c, opts, true)
 
 	// Best-effort like the profile: a stream the replay rejects leaves
 	// TimeRes nil and the time_resolved assertions report its absence
@@ -139,47 +142,24 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 }
 
 // simulate is what Run and the determinism re-run share, and all that
-// TraceHash and ReportBytes depend on: one simulation of s under a
-// fresh tracer, the trace exported straight into a sha256 hasher — no
-// run keeps the document — and the offline profile. The result carries
-// no report yet.
+// TraceHash and ReportBytes depend on: one simulation of s, compiled
+// as c, under a fresh tracer, the trace exported straight into a
+// sha256 hasher — no run keeps the document — and the offline profile.
+// The result carries no report yet.
 //
 // primary additionally attaches what only Run's callers read and no
 // artifact byte depends on: the per-rank Events capture (a passive
 // monitor tap, the oracle's input), the time-resolved analyzer (a
 // trace sink, returned for Run to finalize), opts.Sink and the
 // profile's critical path.
-func simulate(s *Scenario, opts Opts, primary bool) (*RunResult, *timeres.Analyzer, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	procs := s.Procs
-	if opts.Smoke && procs > smokeProcs {
-		procs = smokeProcs
-		if mp := s.MinProcs(); procs < mp {
-			procs = mp
-		}
-		// Never shrink onto a machine the workload cannot use (NPB grid
-		// constraints); s.Procs itself validated, so this terminates.
-		for procs < s.Procs && !s.Workload.procsOK(procs) {
-			procs++
-		}
-	}
-	mpiCfg, err := s.mpiConfig()
-	if err != nil {
-		return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	plan, err := s.FaultPlan()
-	if err != nil {
-		return nil, nil, err
-	}
-
+func simulate(s *Scenario, c *compiled, opts Opts, primary bool) (*RunResult, *timeres.Analyzer) {
+	mpiCfg := c.mpi
 	tracer := trace.New(trace.Options{})
 	mpiCfg.Instrument = &mpi.InstrumentConfig{}
 	var events []overlap.EventLog
 	var tres *timeres.Analyzer
 	if primary {
-		events = make([]overlap.EventLog, procs)
+		events = make([]overlap.EventLog, c.procs)
 		mpiCfg.Instrument.SinkFor = func(rank int) overlap.Sink { return &events[rank] }
 		if opts.TimeRes || opts.Findings || s.wantsTimeRes() {
 			tres = timeres.New(timeres.Options{Window: s.timeResWindow()})
@@ -187,43 +167,36 @@ func simulate(s *Scenario, opts Opts, primary bool) (*RunResult, *timeres.Analyz
 		}
 		tracer.AddSink(opts.Sink) // nil-safe no-op when unset
 	}
-	deadline := s.Deadline.D()
-	if deadline <= 0 {
-		deadline = DefaultDeadline
-	}
 	cfg := cluster.Config{
-		Procs:       procs,
+		Procs:       c.procs,
 		Backend:     opts.Backend,
 		MPI:         mpiCfg,
 		RecordTruth: true,
-		Faults:      plan,
-		Deadline:    deadline,
+		Faults:      c.faults,
+		Crashes:     c.crashes,
+		Deadline:    c.deadline,
 		Trace:       tracer,
 	}
 
 	var res cluster.Result
 	var runErr error
 	var ftres *cluster.FTResult
-	if s.wantsFT() {
-		cfg.Crashes = s.crashPlan()
-		wl, werr := s.Workload.checkpointable(opts.Smoke)
-		if werr != nil {
-			return nil, nil, fmt.Errorf("scenario %s: %w", s.Name, werr)
-		}
-		ft, ferr := cluster.RunFT(cfg, s.ftOptions(), wl)
+	if c.ckpt != nil {
+		ft, ferr := cluster.RunFT(cfg, c.ft, c.ckpt)
 		res, runErr, ftres = ft.Result, ferr, &ft
 	} else {
-		res, runErr = cluster.RunE(cfg, s.Workload.program(opts.Smoke))
+		res, runErr = cluster.RunE(cfg, c.program)
 	}
 
 	rr := &RunResult{
 		Scenario: s,
 		Opts:     opts,
-		Procs:    procs,
+		Procs:    c.procs,
 		Res:      res,
 		FT:       ftres,
 		Err:      runErr,
 		Events:   events,
+		c:        c,
 	}
 	h := sha256.New()
 	_ = tracer.WriteChrome(h) // a hash.Hash never returns a write error
@@ -245,7 +218,7 @@ func simulate(s *Scenario, opts Opts, primary bool) (*RunResult, *timeres.Analyz
 	// analyzer and any opts.Sink copied what they keep — so the next
 	// run may flatten into this one's memory.
 	tracer.Release()
-	return rr, tres, nil
+	return rr, tres
 }
 
 // encodeReport renders the run report of a result whose TraceHash is
@@ -256,40 +229,6 @@ func encodeReport(rr *RunResult) ([]byte, error) {
 		return nil, fmt.Errorf("scenario %s: report encode: %w", rr.Scenario.Name, err)
 	}
 	return b, nil
-}
-
-// crashPlan compiles the declared crash list onto the fabric's plan.
-func (s *Scenario) crashPlan() *fabric.CrashPlan {
-	if len(s.Crashes) == 0 {
-		return nil
-	}
-	p := &fabric.CrashPlan{}
-	for _, cr := range s.Crashes {
-		p.Crashes = append(p.Crashes, fabric.Crash{Node: fabric.NodeID(cr.Node), At: vtime.Time(cr.At)})
-	}
-	return p
-}
-
-// ftOptions maps the recovery block onto cluster.FTOptions.
-func (s *Scenario) ftOptions() cluster.FTOptions {
-	opt := cluster.FTOptions{Mode: s.recoveryMode()}
-	if r := s.Recovery; r != nil {
-		opt.CheckpointEvery = r.CheckpointEvery
-		opt.MinProcs = r.MinProcs
-		opt.Heartbeat = r.Heartbeat.D()
-	}
-	return opt
-}
-
-// recoveryMode returns the declared mode (validated earlier), with
-// shrink-continue the default.
-func (s *Scenario) recoveryMode() cluster.RecoveryMode {
-	if s.Recovery != nil {
-		if m, err := parseRecoveryMode(s.Recovery.Mode); err == nil {
-			return m
-		}
-	}
-	return cluster.ShrinkContinue
 }
 
 // diagnoseRun feeds the run's artifacts to the diagnosis engine: the
@@ -341,7 +280,7 @@ func diagnoseRun(rr *RunResult) *diagnose.Report {
 	}
 	if ft := rr.FT; ft != nil {
 		in.Recovery = &diagnose.Recovery{
-			Mode:          s.recoveryMode().String(),
+			Mode:          rr.c.ft.Mode.String(),
 			Epochs:        ft.Epochs,
 			Failed:        ft.Failed,
 			Survivors:     len(ft.Survivors),

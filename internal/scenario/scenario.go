@@ -14,18 +14,13 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"ovlp/internal/cluster"
-	"ovlp/internal/coll"
 	"ovlp/internal/diagnose"
 	"ovlp/internal/fabric"
-	"ovlp/internal/mpi"
-	"ovlp/internal/nas"
-	"ovlp/internal/progress"
 	"ovlp/internal/timeres"
 	"ovlp/internal/vtime"
 )
@@ -299,171 +294,54 @@ type Assertion struct {
 // knownChecks (see checkdoc.go) is derived from the checkDocs table,
 // the taxonomy's single source of truth.
 
-var errorNames = map[string]bool{"timeout": true, "peer_unreachable": true, "deadlock": true, "any": true}
-
-var blameCategories = map[string]bool{
-	"fault-retransmit": true, "late-init": true, "early-wait": true,
-	"protocol": true, "progress": true, "truncated": true,
-	"detect": true, "agree": true, "rollback": true, "recompute": true,
-	"unknown": true,
-}
+// errorNames is the error vocabulary, sorted as -list-checks prints it.
+var errorNames = []string{"any", "deadlock", "peer_unreachable", "timeout"}
 
 // Validate checks the scenario's internal consistency — everything
-// that can be rejected before a simulation is built.
+// that can be rejected before a simulation is built. Past the header
+// and the assertions, that is compiling it: the run uses what a field
+// parses to, so the check and the run cannot disagree.
 func (s *Scenario) Validate() error {
+	_, err := s.validate(false)
+	return err
+}
+
+// validate runs the checks compile has no use for — the header and
+// the assertions, whose defaults it fills in — then compiles s.
+func (s *Scenario) validate(smoke bool) (*compiled, error) {
 	if s.Name == "" {
-		return fmt.Errorf("scenario: name is required")
+		return nil, fmt.Errorf("scenario: name is required")
 	}
 	if strings.ContainsAny(s.Name, "/ \t") {
-		return fmt.Errorf("scenario %s: name must be a file-name-safe token", s.Name)
+		return nil, fmt.Errorf("scenario %s: name must be a file-name-safe token", s.Name)
 	}
 	if s.Procs < 2 {
-		return fmt.Errorf("scenario %s: procs must be at least 2, got %d", s.Name, s.Procs)
+		return nil, fmt.Errorf("scenario %s: procs must be at least 2, got %d", s.Name, s.Procs)
 	}
 	if s.Deadline < 0 {
-		return fmt.Errorf("scenario %s: negative deadline", s.Name)
-	}
-	if _, err := s.protocol(); err != nil {
-		return err
-	}
-	if err := s.Workload.validate(s.Name, s.Procs); err != nil {
-		return err
-	}
-	// FT first: its errors name the crash declarations precisely, and
-	// once it passes the crash-derived part of MinProcs fits s.Procs,
-	// so a MinProcs excess can only come from the chaos schedule.
-	if err := s.validateFT(); err != nil {
-		return err
-	}
-	if n := s.MinProcs(); s.Procs < n {
-		return fmt.Errorf("scenario %s: chaos schedule names node %d but procs is %d", s.Name, n-1, s.Procs)
+		return nil, fmt.Errorf("scenario %s: negative deadline", s.Name)
 	}
 	var trWindow Dur
 	trSeen := false
 	for i := range s.Assertions {
 		if err := s.Assertions[i].validate(s.Name, i, s.Procs); err != nil {
-			return err
+			return nil, err
 		}
 		if a := &s.Assertions[i]; a.Check == "time_resolved" {
 			if trSeen && a.Window != trWindow {
-				return fmt.Errorf("scenario %s: time_resolved assertions disagree on window (%v vs %v); one analyzer serves them all",
+				return nil, fmt.Errorf("scenario %s: time_resolved assertions disagree on window (%v vs %v); one analyzer serves them all",
 					s.Name, trWindow.D(), a.Window.D())
 			}
 			trWindow, trSeen = a.Window, true
 		}
 	}
-	// The compiled plan gets the fabric's own validation too.
-	if _, err := s.FaultPlan(); err != nil {
-		return err
-	}
-	return nil
+	return s.compile(smoke)
 }
 
 // wantsFT reports whether the scenario runs under the fault-tolerant
 // runner: any declared crash or an explicit recovery block.
 func (s *Scenario) wantsFT() bool {
 	return len(s.Crashes) > 0 || s.Recovery != nil
-}
-
-// validateFT checks the crash/recovery declarations: crashed nodes
-// must exist, kill times be positive, the recovery mode be known, and
-// the workload have a fault-tolerant (Checkpointable) form.
-func (s *Scenario) validateFT() error {
-	if !s.wantsFT() {
-		return nil
-	}
-	seen := map[int]bool{}
-	for i, cr := range s.Crashes {
-		if cr.Node < 0 || cr.Node >= s.Procs {
-			return fmt.Errorf("scenario %s: crash %d names node %d outside [0, %d)", s.Name, i, cr.Node, s.Procs)
-		}
-		if cr.At <= 0 {
-			return fmt.Errorf("scenario %s: crash %d needs a positive at", s.Name, i)
-		}
-		if seen[cr.Node] {
-			return fmt.Errorf("scenario %s: node %d crashes twice", s.Name, cr.Node)
-		}
-		seen[cr.Node] = true
-	}
-	if len(s.Crashes) > s.Procs-2 {
-		return fmt.Errorf("scenario %s: %d of %d ranks crash; at least two must survive to keep communicating",
-			s.Name, len(s.Crashes), s.Procs)
-	}
-	if r := s.Recovery; r != nil {
-		if _, err := parseRecoveryMode(r.Mode); err != nil {
-			return fmt.Errorf("scenario %s: %w", s.Name, err)
-		}
-		if r.CheckpointEvery < 0 || r.MinProcs < 0 || r.Heartbeat < 0 {
-			return fmt.Errorf("scenario %s: recovery parameters must be non-negative", s.Name)
-		}
-		if r.MinProcs > s.Procs {
-			return fmt.Errorf("scenario %s: recovery min_procs %d exceeds procs %d", s.Name, r.MinProcs, s.Procs)
-		}
-	}
-	if _, err := s.Workload.checkpointable(false); err != nil {
-		return fmt.Errorf("scenario %s: %w", s.Name, err)
-	}
-	return nil
-}
-
-func parseRecoveryMode(mode string) (cluster.RecoveryMode, error) {
-	return cluster.ParseRecoveryMode(mode)
-}
-
-func (w *Workload) validate(name string, procs int) error {
-	switch w.Kind {
-	case "exchange":
-		if w.Size <= 0 {
-			return fmt.Errorf("scenario %s: exchange workload needs a positive size", name)
-		}
-		if w.Reps <= 0 {
-			return fmt.Errorf("scenario %s: exchange workload needs positive reps", name)
-		}
-	case "nas":
-		bench := strings.ToUpper(w.Bench)
-		ok := false
-		for _, n := range nas.Names() {
-			if n == bench {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("scenario %s: unknown nas bench %q (want one of %s)",
-				name, w.Bench, strings.Join(nas.Names(), ", "))
-		}
-		switch strings.ToUpper(w.Class) {
-		case "", "S", "W", "A", "B":
-		default:
-			return fmt.Errorf("scenario %s: unknown nas class %q", name, w.Class)
-		}
-		if !w.procsOK(procs) {
-			return fmt.Errorf("scenario %s: nas %s cannot run on %d processes (BT/SP need a square count, CG a power of two)",
-				name, bench, procs)
-		}
-	case "coll":
-		if _, ok := mpi.CollStart(w.Op); !ok {
-			return fmt.Errorf("scenario %s: unknown collective %q", name, w.Op)
-		}
-		if w.Op != "ibarrier" && w.Size <= 0 {
-			return fmt.Errorf("scenario %s: collective %s needs a positive size", name, w.Op)
-		}
-		if w.Reps <= 0 {
-			return fmt.Errorf("scenario %s: coll workload needs positive reps", name)
-		}
-		if w.Algo != "" {
-			if _, err := coll.ParseAlgo(w.Algo); err != nil {
-				return fmt.Errorf("scenario %s: %w", name, err)
-			}
-		}
-		if w.Progress != "" {
-			if _, err := progress.ParseMode(w.Progress); err != nil {
-				return fmt.Errorf("scenario %s: %w", name, err)
-			}
-		}
-	default:
-		return fmt.Errorf("scenario %s: unknown workload kind %q (want exchange, nas or coll)", name, w.Kind)
-	}
-	return nil
 }
 
 func (a *Assertion) validate(name string, i, procs int) error {
@@ -479,12 +357,7 @@ func (a *Assertion) validate(name string, i, procs int) error {
 			return bad("needs min_pct and/or max_pct")
 		}
 	case "blame_share":
-		if !blameCategories[a.Category] {
-			cats := make([]string, 0, len(blameCategories))
-			for c := range blameCategories {
-				cats = append(cats, c)
-			}
-			sort.Strings(cats)
+		if cats := categoryNames(); !slices.Contains(cats, a.Category) {
 			return bad("unknown blame category %q (want one of %s)", a.Category, strings.Join(cats, ", "))
 		}
 		if a.MinShare == nil && a.MaxShare == nil {
@@ -494,7 +367,7 @@ func (a *Assertion) validate(name string, i, procs int) error {
 		if a.Check == "error_absent" && a.Error == "" {
 			a.Error = "any"
 		}
-		if !errorNames[a.Error] {
+		if !slices.Contains(errorNames, a.Error) {
 			return bad("unknown error %q (want timeout, peer_unreachable, deadlock or any)", a.Error)
 		}
 	case "bounds_valid", "conservation", "determinism":
@@ -629,36 +502,6 @@ func (s *Scenario) MinProcs() int {
 		min = len(s.Crashes) + 2
 	}
 	return min
-}
-
-// procsOK reports whether the workload can run on a procs-rank
-// machine — the NPB kernels constrain their process grids.
-func (w *Workload) procsOK(procs int) bool {
-	if w.Kind != "nas" {
-		return true
-	}
-	switch strings.ToUpper(w.Bench) {
-	case "BT", "SP":
-		for q := 1; q*q <= procs; q++ {
-			if q*q == procs {
-				return true
-			}
-		}
-		return false
-	case "CG":
-		return procs&(procs-1) == 0
-	}
-	return true
-}
-
-func (s *Scenario) protocol() (mpi.LongProtocol, error) {
-	switch strings.ToLower(s.Protocol) {
-	case "", "pipelined":
-		return mpi.PipelinedRDMA, nil
-	case "direct":
-		return mpi.DirectRDMARead, nil
-	}
-	return 0, fmt.Errorf("scenario %s: unknown protocol %q (want pipelined or direct)", s.Name, s.Protocol)
 }
 
 // parseLink parses "src->dst" (or "src-dst") into a directed link.

@@ -114,7 +114,7 @@ func TestValidateRejections(t *testing.T) {
 		{"no-name", "procs: 2\nworkload:\n  kind: exchange\n  size: 1K\n  reps: 1", "name is required"},
 		{"few-procs", "name: x\nprocs: 1\nworkload:\n  kind: exchange\n  size: 1K\n  reps: 1", "at least 2"},
 		{"bad-kind", "name: x\nprocs: 2\nworkload:\n  kind: mystery", "unknown workload kind"},
-		{"bad-bench", "name: x\nprocs: 2\nworkload:\n  kind: nas\n  bench: ZZ", "unknown nas bench"},
+		{"bad-bench", "name: x\nprocs: 2\nworkload:\n  kind: nas\n  bench: ZZ", "unknown benchmark"},
 		{"bad-check", "name: x\nprocs: 2\nworkload:\n  kind: exchange\n  size: 1K\n  reps: 1\nassert:\n  - check: vibes", "unknown check"},
 		{"bad-hash", "name: x\nprocs: 2\nworkload:\n  kind: exchange\n  size: 1K\n  reps: 1\nassert:\n  - check: trace_hash\n    hash: abc", "64-hex-digit"},
 		{"chaos-node-range", "name: x\nprocs: 2\nworkload:\n  kind: exchange\n  size: 1K\n  reps: 1\nchaos:\n  - at: 0s\n    drop: 0.1\n    nodes: [5]", "names node 5"},
