@@ -6,11 +6,11 @@
 //
 // Figure-to-benchmark map:
 //
-//	Fig 3-9   BenchmarkFigN...          microbenchmark sweeps
+//	Fig 3-9   BenchmarkFigN...          microbenchmark sweeps (specs/figN.yaml)
 //	Fig 10-13 BenchmarkFig10NASBT etc.  NAS overlap characterizations
 //	Fig 14-18 BenchmarkFig14to18SPStudy SP original vs modified
 //	Fig 19    BenchmarkFig19MGARMCI     one-sided MG variants
-//	Fig 20    BenchmarkFig20Overhead    instrumentation overhead
+//	Fig 20    BenchmarkFig20Overhead    instrumentation overhead (specs/fig20.yaml)
 //
 // The Ablation benchmarks quantify the design choices DESIGN.md calls
 // out (monitor queue size, eager threshold, fragment size,
@@ -19,40 +19,51 @@
 package ovlp
 
 import (
+	"fmt"
+	"path/filepath"
+	"strconv"
 	"testing"
 	"time"
 
 	"ovlp/internal/armci"
 	"ovlp/internal/calib"
 	"ovlp/internal/cluster"
-	"ovlp/internal/comb"
-	"ovlp/internal/micro"
 	"ovlp/internal/mpi"
 	"ovlp/internal/nas"
 	"ovlp/internal/overlap"
+	"ovlp/internal/scenario"
 )
 
-// benchReps keeps the microbenchmark sweeps quick under -bench.
-const benchReps = 50
+// runSpec loads a committed spec (specs/<name>.yaml) and runs it b.N
+// times, returning the last run's measures.
+func runSpec(b *testing.B, name string) (*scenario.Spec, []scenario.Measure) {
+	b.Helper()
+	sp, err := scenario.LoadSpec(filepath.Join("specs", name+".yaml"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ms []scenario.Measure
+	for i := 0; i < b.N; i++ {
+		if ms, err = sp.Run(scenario.SweepOpts{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return sp, ms
+}
 
-// runFigure executes one micro sweep and reports the endpoint's
-// overlap bounds and wait time.
+// runFigure runs one micro figure's spec and reports the endpoint's
+// overlap bounds and wait time on the sender's or the receiver's side.
 func runFigure(b *testing.B, fig int, sender bool) {
 	b.Helper()
-	var last micro.Point
-	for i := 0; i < b.N; i++ {
-		pts := micro.PaperFigure(fig, benchReps).Run()
-		last = pts[len(pts)-1]
-	}
+	sp, ms := runSpec(b, fmt.Sprintf("fig%d", fig))
+	min, max, wait := "r.min%", "r.max%", "recv wait"
 	if sender {
-		b.ReportMetric(last.SenderMin, "min%")
-		b.ReportMetric(last.SenderMax, "max%")
-		b.ReportMetric(float64(last.SenderWait.Microseconds()), "wait_µs")
-	} else {
-		b.ReportMetric(last.ReceiverMin, "min%")
-		b.ReportMetric(last.ReceiverMax, "max%")
-		b.ReportMetric(float64(last.ReceiverWait.Microseconds()), "wait_µs")
+		min, max, wait = "s.min%", "s.max%", "sender wait"
 	}
+	end := len(ms) - 1
+	b.ReportMetric(sp.Value(ms, end, min).(float64), "min%")
+	b.ReportMetric(sp.Value(ms, end, max).(float64), "max%")
+	b.ReportMetric(float64(sp.Value(ms, end, wait).(time.Duration).Microseconds()), "wait_µs")
 }
 
 func BenchmarkFig3EagerIsendIrecv(b *testing.B)     { runFigure(b, 3, true) }
@@ -107,14 +118,20 @@ func BenchmarkFig19MGARMCI(b *testing.B) {
 	b.ReportMetric(nb.MinPct, "nb_min%")
 }
 
-// BenchmarkFig20Overhead reports the modelled instrumentation
-// overhead for NAS LU (the paper's bound: <0.9%).
+// BenchmarkFig20Overhead runs the Fig. 20 spec and reports the largest
+// modelled instrumentation overhead over the NAS benchmarks (the
+// paper's bound: <0.9%).
 func BenchmarkFig20Overhead(b *testing.B) {
-	var r nas.OverheadResult
-	for i := 0; i < b.N; i++ {
-		r = nas.MeasureOverhead(nas.LU, nas.ClassW, 4, nas.Options{Protocol: mpi.DirectRDMARead, MaxIters: 3})
+	sp, ms := runSpec(b, "fig20")
+	worst := 0.0
+	for i := range ms {
+		pct, err := strconv.ParseFloat(sp.Value(ms, i, "overhead%").(string), 64)
+		if err != nil {
+			b.Fatal(err)
+		}
+		worst = max(worst, pct)
 	}
-	b.ReportMetric(r.OverheadPct, "overhead%")
+	b.ReportMetric(worst, "overhead%")
 }
 
 // --- Instrumentation hot path (real wall-clock cost) ---------------
@@ -331,23 +348,22 @@ func BenchmarkHWTimestampsBracketWidth(b *testing.B) {
 	}
 }
 
-// BenchmarkCOMBBaseline runs the related-work COMB suite (post-work-
-// wait vs polling methods) at one representative point per method.
+// BenchmarkCOMBBaseline runs the related-work COMB specs (post-work-
+// wait vs polling, direct RDMA read) and reports each method's peak
+// overlap efficiency over the work sweep.
 func BenchmarkCOMBBaseline(b *testing.B) {
-	for _, method := range []comb.Method{comb.PostWorkWait, comb.Polling} {
-		b.Run(method.String(), func(b *testing.B) {
-			var eff float64
-			for i := 0; i < b.N; i++ {
-				pts := comb.Config{
-					Method:   method,
-					Protocol: mpi.DirectRDMARead,
-					MsgSize:  1 << 20,
-					Work:     []time.Duration{1500 * time.Microsecond},
-					Reps:     20,
-				}.Run()
-				eff = pts[0].OverlapEfficiency
+	for _, method := range []string{"pww", "polling"} {
+		b.Run(method, func(b *testing.B) {
+			sp, ms := runSpec(b, "comb-direct-"+method)
+			peak := 0.0
+			for i := 1; i < len(ms); i++ {
+				eff, err := strconv.ParseFloat(sp.Value(ms, i, "overlap eff.").(string), 64)
+				if err != nil {
+					b.Fatal(err)
+				}
+				peak = max(peak, eff)
 			}
-			b.ReportMetric(eff*100, "overlap_eff_pct")
+			b.ReportMetric(peak*100, "overlap_eff_pct")
 		})
 	}
 }

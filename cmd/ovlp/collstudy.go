@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 	"time"
 
@@ -11,8 +10,10 @@ import (
 	"ovlp/internal/coll"
 	"ovlp/internal/micro"
 	"ovlp/internal/mpi"
+	"ovlp/internal/overlap"
 	"ovlp/internal/progress"
 	"ovlp/internal/report"
+	"ovlp/internal/scenario"
 )
 
 // collstudyMain characterizes the nonblocking collectives: for each
@@ -48,7 +49,7 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 	reps := fs.Int("reps", 10, "repetitions per configuration")
 	chunk := fs.Int("coll-chunk", 0, "pipeline collective payloads in chunks of this many bytes (0 = unchunked)")
 	quantum := fs.Duration("progress-quantum", progress.DefaultQuantum, "wake quantum of the thread progress engine")
-	ff := registerFaults(fs)
+	ff := registerFaults(fs, true)
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
@@ -75,15 +76,15 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return fail2(fmt.Errorf("unknown collective %q", op))
 	}
-	algos, err := parseAlgos(*algosFlag)
+	algos, err := parseList(*algosFlag, false, coll.ParseAlgo)
 	if err != nil {
 		return fail2(err)
 	}
-	modes, err := parseModes(*modesFlag)
+	modes, err := parseList(*modesFlag, false, progress.ParseMode)
 	if err != nil {
 		return fail2(err)
 	}
-	sizes, err := parseSizes(*sizesFlag)
+	sizes, err := parseList(*sizesFlag, false, scenario.ParseSize)
 	if err != nil {
 		return fail2(err)
 	}
@@ -112,14 +113,14 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 					Faults: faults,
 					Trace:  obs.Tracer(),
 				}, func(r *mpi.Rank) {
-					micro.PolledColl(r, startOp, size, *reps, *polls, *compute)
+					micro.PolledColl(r, startOp, size.N(), *reps, *polls, *compute)
 					if r.ID() == 0 {
 						wait = r.CallTimes()["WaitColl"]
 					}
 				})
 				obs.SetRun(res.Calib, res.Reports)
 				tot := res.Reports[0].Total()
-				t.AddRow(algo, mode, collSizeLabel(size),
+				t.AddRow(algo, mode, overlap.SizeLabel(size.N()),
 					tot.MinPercent(), tot.MaxPercent(),
 					wait.Round(time.Microsecond),
 					res.MPITimes[0].Round(time.Microsecond),
@@ -133,59 +134,4 @@ func collstudyMain(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	return 0
-}
-
-func parseAlgos(s string) ([]coll.Algo, error) {
-	var out []coll.Algo
-	for _, part := range strings.Split(s, ",") {
-		a, err := coll.ParseAlgo(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, a)
-	}
-	return out, nil
-}
-
-func parseModes(s string) ([]progress.Mode, error) {
-	var out []progress.Mode
-	for _, part := range strings.Split(s, ",") {
-		m, err := progress.ParseMode(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-func parseSizes(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.ToUpper(strings.TrimSpace(part))
-		mult := 1
-		switch {
-		case strings.HasSuffix(part, "M"):
-			mult, part = 1<<20, strings.TrimSuffix(part, "M")
-		case strings.HasSuffix(part, "K"):
-			mult, part = 1<<10, strings.TrimSuffix(part, "K")
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad size %q", part)
-		}
-		out = append(out, n*mult)
-	}
-	return out, nil
-}
-
-func collSizeLabel(n int) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dM", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dK", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -30,16 +30,19 @@ type faultFlags struct {
 	stall  string
 }
 
-// registerFaults installs the fault-injection flags on fs.
-func registerFaults(fs *flag.FlagSet) *faultFlags {
+// registerFaults installs the fault-injection flags on fs, -scenario
+// only withScenario.
+func registerFaults(fs *flag.FlagSet, withScenario bool) *faultFlags {
 	f := &faultFlags{}
 	fs.Int64Var(&f.seed, "fault-seed", 1, "seed for the fault-injection PRNG (same seed, same run)")
 	fs.Float64Var(&f.drop, "drop", 0, "per-packet drop probability on every link [0,1] (sugar for a one-event -scenario chaos schedule)")
 	fs.Float64Var(&f.dup, "dup", 0, "per-packet duplication probability on every link [0,1] (sugar for a one-event -scenario chaos schedule)")
 	fs.DurationVar(&f.jitter, "jitter", 0, "maximum extra per-packet delivery delay, uniform in [0,jitter) (sugar for a one-event -scenario chaos schedule)")
 	fs.StringVar(&f.stall, "stall", "", `DMA stall windows, comma-separated "node@start+dur" (dur may be "forever"), e.g. "1@2ms+500us"`)
-	fs.StringVar(&f.ScenarioPath, "scenario", "",
-		"load the chaos schedule (chaos, stalls, seed) from this scenario file instead of the legacy fault flags")
+	if withScenario {
+		fs.StringVar(&f.ScenarioPath, "scenario", "",
+			"load the chaos schedule (chaos, stalls, seed) from this scenario file instead of the legacy fault flags")
+	}
 	return f
 }
 
@@ -89,7 +92,7 @@ func (f *faultFlags) legacyPlan() (*fabric.FaultPlan, error) {
 		p.Schedule = []fabric.FaultEvent{{Label: "faultflag", Default: &lf}}
 	}
 	if f.stall != "" {
-		stalls, err := parseStalls(f.stall)
+		stalls, err := parseList(f.stall, true, parseStall)
 		if err != nil {
 			return nil, err
 		}
@@ -104,46 +107,31 @@ func (f *faultFlags) legacyPlan() (*fabric.FaultPlan, error) {
 	return p, nil
 }
 
-// parseStalls parses a comma-separated list of "node@start+dur" stall
-// windows; dur may be "forever" for a permanent blackhole.
-func parseStalls(s string) ([]fabric.StallWindow, error) {
-	var out []fabric.StallWindow
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		w, err := parseStall(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	return out, nil
+// cutNode splits "node@rest" at the @, reporting whether node is a
+// non-negative integer.
+func cutNode(s string) (fabric.NodeID, string, bool) {
+	nodeStr, rest, ok := strings.Cut(s, "@")
+	node, err := strconv.Atoi(nodeStr)
+	return fabric.NodeID(node), rest, ok && err == nil && node >= 0
 }
 
+// parseStall parses one "node@start+dur" stall window; dur may be
+// "forever" for a permanent blackhole.
 func parseStall(s string) (fabric.StallWindow, error) {
 	bad := func() (fabric.StallWindow, error) {
 		return fabric.StallWindow{}, fmt.Errorf(
 			`bad stall %q (want "node@start+dur", e.g. "1@2ms+500us" or "0@1ms+forever")`, s)
 	}
-	nodeStr, rest, ok := strings.Cut(s, "@")
-	if !ok {
-		return bad()
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil || node < 0 {
-		return bad()
-	}
-	startStr, durStr, ok := strings.Cut(rest, "+")
-	if !ok {
+	node, rest, ok := cutNode(s)
+	startStr, durStr, ok2 := strings.Cut(rest, "+")
+	if !ok || !ok2 {
 		return bad()
 	}
 	start, err := time.ParseDuration(startStr)
 	if err != nil || start < 0 {
 		return bad()
 	}
-	w := fabric.StallWindow{Node: fabric.NodeID(node), Start: vtime.Time(start)}
+	w := fabric.StallWindow{Node: node, Start: vtime.Time(start)}
 	if durStr == "forever" {
 		w.End = fabric.Forever
 		return w, nil

@@ -12,7 +12,7 @@ import (
 func parseFaults(t *testing.T, args ...string) (*fabric.FaultPlan, error) {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	ff := registerFaults(fs)
+	ff := registerFaults(fs, true)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("flag parse: %v", err)
 	}

@@ -58,7 +58,7 @@ func faultstudyMain(args []string, stdout, stderr io.Writer) int {
 	ratesFlag := fs.String("rates", "0,0.01,0.05,0.1,0.2", "comma-separated drop rates to sweep")
 	reps := fs.Int("reps", 200, "exchanges per drop rate")
 	csvOut := fs.Bool("csv", false, "emit machine-readable CSV instead of the table (times in ns)")
-	ff := registerFaults(fs)
+	ff := registerFaults(fs, true)
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
@@ -174,7 +174,7 @@ func runDropPoint(rate float64, base *fabric.FaultPlan, seed int64, reps int, bf
 		Faults: pointPlan(rate, base, seed),
 		Trace:  tr,
 	}
-	bf.Apply(&cfg)
+	cfg.Backend = bf.Backend()
 	var waits [2]time.Duration
 	res, err := cluster.RunE(cfg, func(r *mpi.Rank) {
 		peer := 1 - r.ID()
@@ -208,13 +208,11 @@ func runDropPoint(rate float64, base *fabric.FaultPlan, seed int64, reps int, bf
 }
 
 func parseRates(s string) ([]float64, error) {
-	var out []float64
-	for _, part := range strings.Split(s, ",") {
+	return parseList(s, false, func(part string) (float64, error) {
 		r, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || r < 0 || r > 1 {
-			return nil, fmt.Errorf("bad drop rate %q (want a number in [0,1])", part)
+			return 0, fmt.Errorf("bad drop rate %q (want a number in [0,1])", part)
 		}
-		out = append(out, r)
-	}
-	return out, nil
+		return r, nil
+	})
 }

@@ -19,7 +19,6 @@ import (
 	"ovlp/internal/coll"
 	"ovlp/internal/diagnose"
 	"ovlp/internal/fabric"
-	"ovlp/internal/mpi"
 	"ovlp/internal/overlap"
 	"ovlp/internal/profile"
 	"ovlp/internal/progress"
@@ -27,21 +26,40 @@ import (
 	"ovlp/internal/trace"
 )
 
+// parseList parses the comma-separated elements of a flag value with
+// parse. With skipBlank, elements that are blank are dropped and the
+// rest trimmed (stall and crash lists tolerate stray commas);
+// otherwise parse sees each element as written.
+func parseList[T any](s string, skipBlank bool, parse func(string) (T, error)) ([]T, error) {
+	var out []T
+	for _, part := range strings.Split(s, ",") {
+		if skipBlank {
+			if part = strings.TrimSpace(part); part == "" {
+				continue
+			}
+		}
+		v, err := parse(part)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
 // parseProcs parses a comma-separated list of processor counts,
 // falling back to def when the flag was left empty.
 func parseProcs(s string, def []int) ([]int, error) {
 	if strings.TrimSpace(s) == "" {
 		return def, nil
 	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
+	return parseList(s, false, func(part string) (int, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad processor count %q", part)
+			return 0, fmt.Errorf("bad processor count %q", part)
 		}
-		out = append(out, n)
-	}
-	return out, nil
+		return n, nil
+	})
 }
 
 // backendFlag is the shared -backend flag state: which execution
@@ -68,12 +86,6 @@ func registerBackend(fs *flag.FlagSet) *backendFlag {
 // Backend returns the selected backend (BackendVirtual before parsing
 // or when the flag was not given).
 func (bf *backendFlag) Backend() cluster.Backend { return bf.b }
-
-// Real reports whether the real backend was selected.
-func (bf *backendFlag) Real() bool { return bf.b == cluster.BackendReal }
-
-// Apply copies the selection into a cluster.Config.
-func (bf *backendFlag) Apply(cfg *cluster.Config) { cfg.Backend = bf.b }
 
 // collFlags holds the shared nonblocking-collective flag state: which
 // schedule algorithm to build, the pipelining chunk, and which
@@ -118,13 +130,6 @@ func registerColl(fs *flag.FlagSet) *collFlags {
 // Progress returns the selected engine configuration.
 func (c *collFlags) Progress() progress.Config {
 	return progress.Config{Mode: c.Mode, Quantum: c.Quantum}
-}
-
-// Apply copies the collective selections into an mpi.Config.
-func (c *collFlags) Apply(cfg *mpi.Config) {
-	cfg.CollAlgo = c.Algo
-	cfg.CollChunk = c.Chunk
-	cfg.Progress = c.Progress()
 }
 
 // obsFlags holds the observability flag state: -trace enables full

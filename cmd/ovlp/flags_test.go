@@ -143,13 +143,16 @@ func TestFTPlan(t *testing.T) {
 	if !reflect.DeepEqual(plan.Crashes, want) {
 		t.Errorf("Plan = %+v, want %+v", plan.Crashes, want)
 	}
-	if err := f.CheckNodes(plan, 4); err != nil {
+	if err := plan.CheckNodes(4); err != nil {
 		t.Errorf("valid machine rejected: %v", err)
 	}
-	if err := f.CheckNodes(plan, 3); err == nil {
+	if err := plan.CheckSurvivors(4); err != nil {
+		t.Errorf("two survivors of four rejected: %v", err)
+	}
+	if err := plan.CheckSurvivors(3); err == nil {
 		t.Error("node 2 crash on a 3-node run with node 0 also dead must leave < 2 survivors")
 	}
-	if err := f.CheckNodes(plan, 2); err == nil {
+	if err := plan.CheckNodes(2); err == nil {
 		t.Error("crash naming node 2 on a 2-node machine accepted")
 	}
 	if !strings.Contains(f.Describe(), "node 2 @ 800µs") {

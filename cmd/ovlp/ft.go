@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
@@ -53,25 +52,16 @@ func (f *ftFlags) Plan() (*fabric.CrashPlan, error) {
 	if !f.Active() {
 		return nil, nil
 	}
-	p := &fabric.CrashPlan{}
-	seen := map[int]bool{}
-	for _, part := range strings.Split(f.crash, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		cr, err := parseCrash(part)
-		if err != nil {
-			return nil, err
-		}
-		if seen[int(cr.Node)] {
-			return nil, fmt.Errorf("-crash kills node %d twice", cr.Node)
-		}
-		seen[int(cr.Node)] = true
-		p.Crashes = append(p.Crashes, cr)
+	crashes, err := parseList(f.crash, true, parseCrash)
+	if err != nil {
+		return nil, err
 	}
-	if len(p.Crashes) == 0 {
+	if len(crashes) == 0 {
 		return nil, fmt.Errorf("-crash %q declares no crash", f.crash)
+	}
+	p := &fabric.CrashPlan{Crashes: crashes}
+	if err := p.Validate(); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -81,19 +71,12 @@ func parseCrash(s string) (fabric.Crash, error) {
 		return fabric.Crash{}, fmt.Errorf(
 			`bad crash %q (want "node@time", e.g. "2@800us")`, s)
 	}
-	nodeStr, atStr, ok := strings.Cut(s, "@")
-	if !ok {
-		return bad()
-	}
-	node, err := strconv.Atoi(nodeStr)
-	if err != nil || node < 0 {
-		return bad()
-	}
+	node, atStr, ok := cutNode(s)
 	at, err := time.ParseDuration(atStr)
-	if err != nil || at <= 0 {
+	if !ok || err != nil || at <= 0 {
 		return bad()
 	}
-	return fabric.Crash{Node: fabric.NodeID(node), At: vtime.Time(at)}, nil
+	return fabric.Crash{Node: node, At: vtime.Time(at)}, nil
 }
 
 // Options assembles the recovery policy from the mode/interval/ping
@@ -115,26 +98,6 @@ func (f *ftFlags) Options() (cluster.FTOptions, error) {
 		CheckpointEvery: f.every,
 		Heartbeat:       f.heartbeat,
 	}, nil
-}
-
-// CheckNodes rejects a crash plan that kills nodes a machine of the
-// given size does not have, or that leaves fewer than two survivors —
-// the shrunken run must still have someone to exchange with.
-func (f *ftFlags) CheckNodes(p *fabric.CrashPlan, procs int) error {
-	if p == nil {
-		return nil
-	}
-	for _, cr := range p.Crashes {
-		if int(cr.Node) >= procs {
-			return fmt.Errorf("-crash names node %d but the run uses %d process(es) (nodes 0-%d)",
-				cr.Node, procs, procs-1)
-		}
-	}
-	if len(p.Crashes) > procs-2 {
-		return fmt.Errorf("-crash kills %d of %d ranks; at least two must survive",
-			len(p.Crashes), procs)
-	}
-	return nil
 }
 
 // SetFT records a fault-tolerant run's declared crash plan and

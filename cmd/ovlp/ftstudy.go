@@ -60,7 +60,10 @@ func ftstudyMain(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail2(err)
 	}
-	if err := ft.CheckNodes(plan, *procs); err != nil {
+	if err := plan.CheckNodes(*procs); err != nil {
+		return fail2(err)
+	}
+	if err := plan.CheckSurvivors(*procs); err != nil {
 		return fail2(err)
 	}
 	opt, err := ft.Options()
@@ -144,7 +147,7 @@ func runCrashPoint(plan *fabric.CrashPlan, opt cluster.FTOptions, wl cluster.Che
 		Deadline: 30 * time.Second,
 		Trace:    tr,
 	}
-	bf.Apply(&cfg)
+	cfg.Backend = bf.Backend()
 	res, err := cluster.RunFT(cfg, opt, wl)
 	if err != nil {
 		return nil, nil, err

@@ -23,12 +23,10 @@ var subcommands = []struct {
 	name, summary string
 	main          func(args []string, stdout, stderr io.Writer) int
 }{
-	{"overlapbench", "microbenchmark figures 3-9", overlapbenchMain},
+	{"sweep", "a committed spec: figures 3-9 and 20, COMB", sweepMain},
 	{"nasbench", "NAS characterizations, figures 10-13 and 19", nasbenchMain},
 	{"spstudy", "NAS SP case study, figures 14-18", spstudyMain},
-	{"overhead", "instrumentation overhead, figure 20", overheadMain},
 	{"calibrate", "transfer-time table for the instrumentation", calibrateMain},
-	{"comb", "COMB-style system-level overlap baseline", combMain},
 	{"timeline", "ASCII activity chart of a small run", timelineMain},
 	{"collstudy", "nonblocking collectives by algorithm and progress mode", collstudyMain},
 	{"faultstudy", "overlap bounds under a fault-injection sweep", faultstudyMain},

@@ -61,15 +61,12 @@ func TestBadShapesExitTwo(t *testing.T) {
 	}{
 		{"spstudy", []string{"-classes", "A,"}},
 		{"spstudy", []string{"-trace", "-", "-iters", "1"}}, // a sweep cannot be traced
-		{"overhead", []string{"-class", ""}},
 		{"timeline", []string{"-procs", "0"}},
 		{"timeline", []string{"-procs", "-1"}},
 		// A class or a grid the benchmark has no shape for is rejected
 		// by nas.Check before any rank runs.
 		{"spstudy", []string{"-classes", "Z"}},
 		{"spstudy", []string{"-procs", "3"}},
-		{"overhead", []string{"-class", "Z"}},
-		{"overhead", []string{"-benches", "LU,QQ"}},
 		{"timeline", []string{"-scenario", "sp", "-procs", "3"}},
 		{"nasbench", []string{"-bench", "CG", "-classes", "S", "-procs", "3"}},
 		{"nasbench", []string{"-bench", "LU", "-classes", "Z", "-procs", "4"}},
@@ -88,7 +85,7 @@ func TestBadShapesExitTwo(t *testing.T) {
 // name rather than a panic's goroutine dump.
 func TestFailedRunExitsOne(t *testing.T) {
 	for _, args := range [][]string{
-		{"overlapbench", "-fig", "3", "-reps", "5", "-drop", "0.99"},
+		{"sweep", "-smoke", "-drop", "0.99", spec("fig3")},
 		{"nasbench", "-bench", "CG", "-classes", "S", "-procs", "4", "-iters", "1", "-drop", "0.99"},
 	} {
 		t.Run(args[0], func(t *testing.T) {

@@ -73,7 +73,7 @@ func nasbenchMain(args []string, stdout, stderr io.Writer) int {
 	jsonDir := fs.String("json", "", "directory to write per-rank JSON reports into (inspect with ovlpreport)")
 	overlapped := fs.Bool("overlap", false, "run the overlapped-collective variants of CG, FT and MG")
 	cf := registerColl(fs)
-	ff := registerFaults(fs)
+	ff := registerFaults(fs, true)
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
 	if err := fs.Parse(args); err != nil {
@@ -277,13 +277,11 @@ func runMGARMCI(w io.Writer, classes []nas.Class, procs []int, iters int, faults
 }
 
 func parseClasses(s string) ([]nas.Class, error) {
-	var out []nas.Class
-	for _, part := range strings.Split(s, ",") {
+	return parseList(s, false, func(part string) (nas.Class, error) {
 		part = strings.ToUpper(strings.TrimSpace(part))
 		if len(part) != 1 {
-			return nil, fmt.Errorf("bad class %q", part)
+			return 0, fmt.Errorf("bad class %q", part)
 		}
-		out = append(out, nas.Class(part[0]))
-	}
-	return out, nil
+		return nas.Class(part[0]), nil
+	})
 }

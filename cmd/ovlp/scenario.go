@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"ovlp/internal/cluster"
 	"ovlp/internal/diagnose"
 	"ovlp/internal/scenario"
 )
@@ -86,7 +87,7 @@ func scenarioMain(args []string, stdout, stderr io.Writer) int {
 	if *goldenDir != "" && *smoke {
 		return fail2(fmt.Errorf("-golden needs full-size runs; drop -smoke"))
 	}
-	if *goldenDir != "" && bf.Real() {
+	if *goldenDir != "" && bf.Backend() == cluster.BackendReal {
 		return fail2(fmt.Errorf("-golden needs deterministic bytes; drop -backend real"))
 	}
 	if *writeGolden && *goldenDir == "" {

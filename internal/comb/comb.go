@@ -14,16 +14,15 @@
 //     (progress opportunities) — the structure that rescues overlap on
 //     polling-progress libraries, foreshadowing the paper's SP fix.
 //
-// For each configuration the benchmark reports CPU availability — the
-// fraction of wall time during the exchange that the application spent
-// computing — and the overlap efficiency — the fraction of the
-// hideable communication time that was actually hidden.
+// The committed specs/comb-*.yaml sweep Exchange over the work as
+// scenario's comb workload kind and print Availability and
+// OverlapEfficiency.
 package comb
 
 import (
+	"fmt"
 	"time"
 
-	"ovlp/internal/cluster"
 	"ovlp/internal/mpi"
 )
 
@@ -45,120 +44,61 @@ func (m Method) String() string {
 	return "polling"
 }
 
-// Config describes one COMB sweep.
-type Config struct {
-	Method   Method
-	Protocol mpi.LongProtocol
-	MsgSize  int
-	// Work values to sweep (computation per exchange).
-	Work []time.Duration
-	// Quantum is the polling method's compute slice between Test
-	// calls (default 20µs).
-	Quantum time.Duration
-	// Reps per point (default 50).
-	Reps int
-	// Cluster overrides the machine configuration.
-	Cluster cluster.Config
+// ParseMethod reads a method by its String name.
+func ParseMethod(s string) (Method, error) {
+	for _, m := range []Method{PostWorkWait, Polling} {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown COMB method %q (want post-work-wait or polling)", s)
 }
 
-// Point is one measured sweep entry.
-type Point struct {
-	Work time.Duration
-	// Elapsed is the mean wall time of one exchange+work iteration.
-	Elapsed time.Duration
-	// Base is the exchange time with zero work (measured once per
-	// sweep).
-	Base time.Duration
-	// Availability is work / elapsed: the CPU fraction the
-	// application kept for itself.
-	Availability float64
-	// OverlapEfficiency is (base + work - elapsed) / min(base, work):
-	// the fraction of the hideable time actually hidden, clamped to
-	// [0, 1].
-	OverlapEfficiency float64
-}
+// Quantum is the polling method's compute slice between Test calls.
+const Quantum = 20 * time.Microsecond
 
-// Run executes the sweep.
-func (c Config) Run() []Point {
-	if c.MsgSize <= 0 {
-		panic("comb: MsgSize must be positive")
-	}
-	if c.Reps == 0 {
-		c.Reps = 50
-	}
-	if c.Quantum == 0 {
-		c.Quantum = 20 * time.Microsecond
-	}
-	base := c.measure(0)
-	points := make([]Point, 0, len(c.Work))
-	for _, w := range c.Work {
-		elapsed := c.measure(w)
-		p := Point{Work: w, Elapsed: elapsed, Base: base}
-		if elapsed > 0 {
-			p.Availability = float64(w) / float64(elapsed)
+// Exchange runs one rank's side of the COMB exchange: reps iterations
+// of posting an Isend/Irecv pair with the peer rank, performing work
+// under the method's structure and waiting for both. It returns the
+// rank's elapsed time over all iterations.
+func Exchange(r *mpi.Rank, method Method, size, reps int, work time.Duration) time.Duration {
+	peer := 1 - r.ID()
+	start := r.Now()
+	for i := 0; i < reps; i++ {
+		s := r.Isend(peer, 0, size)
+		q := r.Irecv(peer, 0)
+		if method == PostWorkWait && work > 0 {
+			r.Compute(work)
 		}
-		hideable := base
-		if w < hideable {
-			hideable = w
-		}
-		if hideable > 0 {
-			eff := float64(base+w-elapsed) / float64(hideable)
-			if eff < 0 {
-				eff = 0
+		for remaining := work; method == Polling && remaining > 0; {
+			slice := min(Quantum, remaining)
+			r.Compute(slice)
+			remaining -= slice
+			if remaining > 0 {
+				r.Test(s)
+				r.Test(q)
 			}
-			if eff > 1 {
-				eff = 1
-			}
-			p.OverlapEfficiency = eff
 		}
-		points = append(points, p)
+		r.Waitall(s, q)
 	}
-	return points
+	return r.Now() - start
 }
 
-// measure times the per-iteration cost of the exchange with the given
-// work inserted, on a fresh deterministic cluster.
-func (c Config) measure(work time.Duration) time.Duration {
-	cfg := c.Cluster
-	cfg.Procs = 2
-	cfg.MPI.Protocol = c.Protocol
-	var total time.Duration
-	cluster.Run(cfg, func(r *mpi.Rank) {
-		peer := 1 - r.ID()
-		start := r.Now()
-		for i := 0; i < c.Reps; i++ {
-			s := r.Isend(peer, 0, c.MsgSize)
-			q := r.Irecv(peer, 0)
-			c.doWork(r, work, s, q)
-			r.Waitall(s, q)
-		}
-		if r.ID() == 0 {
-			total = r.Now() - start
-		}
-	})
-	return total / time.Duration(c.Reps)
+// Availability is work / elapsed: the CPU fraction the application
+// kept for itself over an exchange that took elapsed per iteration.
+func Availability(work, elapsed time.Duration) float64 {
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(work) / float64(elapsed)
 }
 
-// doWork performs the method's computation structure.
-func (c Config) doWork(r *mpi.Rank, work time.Duration, s, q *mpi.Request) {
-	if work <= 0 {
-		return
+// OverlapEfficiency is (base + work - elapsed) / min(base, work),
+// clamped to [0, 1]: the fraction of the hideable time actually
+// hidden, where base is the exchange time with no work.
+func OverlapEfficiency(base, work, elapsed time.Duration) float64 {
+	if hideable := min(base, work); hideable > 0 {
+		return max(0, min(1, float64(base+work-elapsed)/float64(hideable)))
 	}
-	if c.Method == PostWorkWait {
-		r.Compute(work)
-		return
-	}
-	remaining := work
-	for remaining > 0 {
-		slice := c.Quantum
-		if slice > remaining {
-			slice = remaining
-		}
-		r.Compute(slice)
-		remaining -= slice
-		if remaining > 0 {
-			r.Test(s)
-			r.Test(q)
-		}
-	}
+	return 0
 }

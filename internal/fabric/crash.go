@@ -44,8 +44,12 @@ type CrashPlan struct {
 // Active reports whether the plan kills any node.
 func (p *CrashPlan) Active() bool { return p != nil && len(p.Crashes) > 0 }
 
+// MinSurvivors is how many nodes a crash plan must leave alive: a
+// shrunken run still needs someone to exchange with.
+const MinSurvivors = 2
+
 // Validate checks the plan's internal consistency (node bounds are
-// checked against the fabric in SetCrashes).
+// checked by CheckNodes).
 func (p *CrashPlan) Validate() error {
 	if p == nil {
 		return nil
@@ -62,6 +66,28 @@ func (p *CrashPlan) Validate() error {
 			return fmt.Errorf("fabric: crash %d: node %d crashes twice", i, c.Node)
 		}
 		seen[c.Node] = true
+	}
+	return nil
+}
+
+// CheckNodes verifies that every node the plan kills exists on a
+// machine of n nodes, as FaultPlan.CheckNodes does for a fault plan.
+func (p *CrashPlan) CheckNodes(n int) error {
+	if p == nil {
+		return nil
+	}
+	for i, c := range p.Crashes {
+		if int(c.Node) < 0 || int(c.Node) >= n {
+			return fmt.Errorf("fabric: crash %d names node %d outside [0, %d)", i, c.Node, n)
+		}
+	}
+	return nil
+}
+
+// CheckSurvivors verifies that the plan leaves MinSurvivors of n alive.
+func (p *CrashPlan) CheckSurvivors(n int) error {
+	if p != nil && len(p.Crashes) > n-MinSurvivors {
+		return fmt.Errorf("fabric: %d of %d nodes crash; at least two must survive", len(p.Crashes), n)
 	}
 	return nil
 }
@@ -106,10 +132,10 @@ func (f *Fabric) SetCrashes(plan *CrashPlan) error {
 	if f.crashAt == nil {
 		f.crashAt = make(map[NodeID]vtime.Time)
 	}
+	if err := plan.CheckNodes(len(f.nics)); err != nil {
+		return err
+	}
 	for i, c := range plan.Crashes {
-		if int(c.Node) < 0 || int(c.Node) >= len(f.nics) {
-			return fmt.Errorf("fabric: crash %d names node %d outside [0, %d)", i, c.Node, len(f.nics))
-		}
 		at := c.At
 		if c.OnEvent != "" {
 			at = -1

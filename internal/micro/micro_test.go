@@ -1,19 +1,71 @@
-package micro
+package micro_test
 
 import (
+	"fmt"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"ovlp/internal/micro"
 	"ovlp/internal/mpi"
+	"ovlp/internal/scenario"
 )
 
 const testReps = 40
+
+// Point is one measured point of a figure's sweep.
+type Point struct {
+	Compute time.Duration
+	// SenderWait and ReceiverWait are the average per-iteration times
+	// spent in the final blocking call of each side.
+	SenderWait, ReceiverWait time.Duration
+	// Overlap bounds, as percentages of data transfer time, for each
+	// side's transfers inside the monitored exchange region.
+	SenderMin, SenderMax     float64
+	ReceiverMin, ReceiverMax float64
+}
+
+// loadFigure loads the committed spec of paper figure fig.
+func loadFigure(t *testing.T, fig int) *scenario.Spec {
+	t.Helper()
+	sp, err := scenario.LoadSpec(filepath.Join("..", "..", "specs", fmt.Sprintf("fig%d.yaml", fig)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sp
+}
+
+// figure runs the committed spec of paper figure fig at reps
+// transfers a point and reads each point's table cells.
+func figure(t *testing.T, fig, reps int) []Point {
+	t.Helper()
+	sp := loadFigure(t, fig)
+	for _, p := range sp.Points {
+		p.Workload.Reps = reps
+	}
+	ms, err := sp.Run(scenario.SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := make([]Point, len(ms))
+	for i := range ms {
+		v := func(col string) any { return sp.Value(ms, i, col) }
+		pts[i] = Point{
+			Compute:    v("compute").(time.Duration),
+			SenderWait: v("sender wait").(time.Duration), ReceiverWait: v("recv wait").(time.Duration),
+			SenderMin: v("s.min%").(float64), SenderMax: v("s.max%").(float64),
+			ReceiverMin: v("r.min%").(float64), ReceiverMax: v("r.max%").(float64),
+		}
+	}
+	return pts
+}
 
 // last returns the final sweep point.
 func last(pts []Point) Point { return pts[len(pts)-1] }
 
 func TestFig3EagerFullOverlapAbility(t *testing.T) {
-	pts := PaperFigure(3, testReps).Run()
+	pts := figure(t, 3, testReps)
 	first, end := pts[0], last(pts)
 	// Sender: overlap grows from ~0 to ~100% as computation grows.
 	if first.SenderMax > 5 {
@@ -59,7 +111,7 @@ func pipelinedFlat(t *testing.T, pts []Point, side string, sel func(Point) (floa
 }
 
 func TestFig4PipelinedIsendRecvSenderFlat(t *testing.T) {
-	pts := PaperFigure(4, testReps).Run()
+	pts := figure(t, 4, testReps)
 	pipelinedFlat(t, pts, "sender", func(p Point) (float64, float64) { return p.SenderMin, p.SenderMax })
 	// Wait time stays high: the bulk cannot be hidden.
 	if w := last(pts).SenderWait; w < 500*time.Microsecond {
@@ -68,7 +120,7 @@ func TestFig4PipelinedIsendRecvSenderFlat(t *testing.T) {
 }
 
 func TestFig5DirectIsendRecvSenderOverlaps(t *testing.T) {
-	pts := PaperFigure(5, testReps).Run()
+	pts := figure(t, 5, testReps)
 	first, end := pts[0], last(pts)
 	if first.SenderMax > 5 {
 		t.Errorf("sender max at c=0 = %.1f%%, want ~0", first.SenderMax)
@@ -91,12 +143,12 @@ func TestFig5DirectIsendRecvSenderOverlaps(t *testing.T) {
 }
 
 func TestFig6PipelinedSendIrecvReceiverFirstFragmentOnly(t *testing.T) {
-	pts := PaperFigure(6, testReps).Run()
+	pts := figure(t, 6, testReps)
 	pipelinedFlat(t, pts, "receiver", func(p Point) (float64, float64) { return p.ReceiverMin, p.ReceiverMax })
 }
 
 func TestFig7DirectSendIrecvZeroReceiverOverlap(t *testing.T) {
-	pts := PaperFigure(7, testReps).Run()
+	pts := figure(t, 7, testReps)
 	for _, p := range pts {
 		if p.ReceiverMin != 0 || p.ReceiverMax > 1 {
 			t.Fatalf("receiver bounds at c=%v are %.1f/%.1f, want 0/0 (polling misses the request)",
@@ -111,13 +163,13 @@ func TestFig7DirectSendIrecvZeroReceiverOverlap(t *testing.T) {
 }
 
 func TestFig8PipelinedIsendIrecvBothFlat(t *testing.T) {
-	pts := PaperFigure(8, testReps).Run()
+	pts := figure(t, 8, testReps)
 	pipelinedFlat(t, pts, "sender", func(p Point) (float64, float64) { return p.SenderMin, p.SenderMax })
 	pipelinedFlat(t, pts, "receiver", func(p Point) (float64, float64) { return p.ReceiverMin, p.ReceiverMax })
 }
 
 func TestFig9DirectIsendIrecvSenderMaxRises(t *testing.T) {
-	pts := PaperFigure(9, testReps).Run()
+	pts := figure(t, 9, testReps)
 	if first := pts[0]; first.SenderMax > 5 {
 		t.Errorf("sender max at c=0 = %.1f%%", first.SenderMax)
 	}
@@ -132,29 +184,45 @@ func TestFig9DirectIsendIrecvSenderMaxRises(t *testing.T) {
 	}
 }
 
+// TestSweepSpacing: the committed specs carry the paper's sweeps, 13
+// computation lengths evenly from 0 to 30µs on the eager Fig. 3 and 15
+// from 0 to 1.75ms on the rendezvous Figs. 4-9.
 func TestSweepSpacing(t *testing.T) {
-	pts := sweep(0, 100*time.Microsecond, 5)
-	want := []time.Duration{0, 25 * time.Microsecond, 50 * time.Microsecond,
-		75 * time.Microsecond, 100 * time.Microsecond}
-	for i := range want {
-		if pts[i] != want[i] {
-			t.Fatalf("sweep = %v, want %v", pts, want)
+	for fig := 3; fig <= 9; fig++ {
+		n, step := 15, 125*time.Microsecond
+		if fig == 3 {
+			n, step = 13, 2500*time.Nanosecond
+		}
+		sp := loadFigure(t, fig)
+		if len(sp.Points) != n {
+			t.Fatalf("fig %d: %d points, want %d", fig, len(sp.Points), n)
+		}
+		for i, p := range sp.Points {
+			if got := p.Workload.Compute.D(); got != time.Duration(i)*step {
+				t.Fatalf("fig %d point %d computes %v, want %v", fig, i, got, time.Duration(i)*step)
+			}
 		}
 	}
 }
 
-func TestPaperFigureRejectsUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for figure 42")
+// TestParseCallPair: the call pairs read back from their names in any
+// case, and a spec naming no pair the paper measures is rejected.
+func TestParseCallPair(t *testing.T) {
+	for _, cp := range []micro.CallPair{micro.IsendRecv, micro.SendIrecv, micro.IsendIrecv} {
+		if got, err := micro.ParseCallPair(strings.ToLower(cp.String())); err != nil || got != cp {
+			t.Errorf("micro.ParseCallPair(%q) = %v, %v", cp, got, err)
 		}
-	}()
-	PaperFigure(42, 1)
+	}
+	spec := "name: x\nprocs: 2\nworkload: {kind: micro, pair: isend-wait, size: 1K, reps: 1}\n" +
+		"title: t\ntable: [compute]\nsweep:\n  - compute: [0s]\n"
+	if _, err := scenario.ParseSpec("x.yaml", []byte(spec)); err == nil || !strings.Contains(err.Error(), `unknown call pair "isend-wait"`) {
+		t.Errorf("a spec naming pair isend-wait: err = %v", err)
+	}
 }
 
 func TestCallPairStrings(t *testing.T) {
-	if IsendRecv.String() != "Isend-Recv" || SendIrecv.String() != "Send-Irecv" ||
-		IsendIrecv.String() != "Isend-Irecv" {
+	if micro.IsendRecv.String() != "Isend-Recv" || micro.SendIrecv.String() != "Send-Irecv" ||
+		micro.IsendIrecv.String() != "Isend-Irecv" {
 		t.Fatal("CallPair String labels wrong")
 	}
 	if mpi.PipelinedRDMA.String() != "pipelined-rdma" {

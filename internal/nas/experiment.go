@@ -180,42 +180,3 @@ func CharacterizeMGARMCI(class Class, procs int, variant MGVariant, opt Options)
 	}
 	return summarize("MG/"+variant.String(), class, procs, res.Reports[0], res.Duration, res.LibTimes[0])
 }
-
-// OverheadResult compares instrumented and uninstrumented run times of
-// one benchmark (Fig. 20).
-type OverheadResult struct {
-	Benchmark    string
-	Class        Class
-	Procs        int
-	Plain        time.Duration // uninstrumented virtual run time
-	Instrumented time.Duration // with instrumentation costs modelled
-	OverheadPct  float64
-}
-
-// MeasureOverhead runs a benchmark twice — uninstrumented, and with
-// the instrumentation's modelled CPU costs charged to the ranks — and
-// reports the run-time overhead percentage. Only Protocol, MaxIters
-// and Backend apply; on the real backend the comparison is of actual
-// wall-clock run times.
-func MeasureOverhead(name string, class Class, procs int, opt Options) OverheadResult {
-	run := func(instr *mpi.InstrumentConfig) time.Duration {
-		res := cluster.Run(cluster.Config{
-			Procs:   procs,
-			Backend: opt.Backend,
-			MPI:     mpi.Config{Protocol: opt.Protocol, Instrument: instr},
-		}, func(r *mpi.Rank) {
-			Run(name, r, Params{Class: class, MaxIters: opt.MaxIters})
-		})
-		return res.Duration
-	}
-	plain := run(nil)
-	instrumented := run(&mpi.InstrumentConfig{ModelCost: true})
-	return OverheadResult{
-		Benchmark:    name,
-		Class:        class,
-		Procs:        procs,
-		Plain:        plain,
-		Instrumented: instrumented,
-		OverheadPct:  100 * (float64(instrumented) - float64(plain)) / float64(plain),
-	}
-}

@@ -171,15 +171,17 @@ func (r *Report) CommCallTime() time.Duration {
 func BinLabel(bounds []int, i int) string {
 	switch {
 	case i == 0:
-		return fmt.Sprintf("<=%s", sizeLabel(bounds[0]))
+		return fmt.Sprintf("<=%s", SizeLabel(bounds[0]))
 	case i < len(bounds):
-		return fmt.Sprintf("%s-%s", sizeLabel(bounds[i-1]), sizeLabel(bounds[i]))
+		return fmt.Sprintf("%s-%s", SizeLabel(bounds[i-1]), SizeLabel(bounds[i]))
 	default:
-		return fmt.Sprintf(">%s", sizeLabel(bounds[len(bounds)-1]))
+		return fmt.Sprintf(">%s", SizeLabel(bounds[len(bounds)-1]))
 	}
 }
 
-func sizeLabel(n int) string {
+// SizeLabel spells a byte count with a binary suffix: "4K", "1M",
+// "100B".
+func SizeLabel(n int) string {
 	switch {
 	case n >= 1<<20 && n%(1<<20) == 0:
 		return fmt.Sprintf("%dM", n>>20)

@@ -2,8 +2,6 @@ package profile
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -93,17 +91,5 @@ func TestCollectiveProfileGolden(t *testing.T) {
 		t.Fatalf("profile text lacks the schedule site:\n%s", got)
 	}
 
-	golden := filepath.Join("testdata", "profile_coll.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("profile text output changed; run with -update if intentional.\ngot:\n%s\nwant:\n%s", got, want)
-	}
+	checkGolden(t, "profile_coll.golden", got)
 }

@@ -3,6 +3,7 @@ package profile
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,26 +45,11 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestProfileTextGolden locks ovlprof's text table on a fixed workload:
-// the simulation is deterministic, so the rendered profile is a stable
-// artifact. Regenerate with:
-//
-//	go test ./internal/profile -run Golden -update
-func TestProfileTextGolden(t *testing.T) {
-	w := workloads()[0]
-	p, _, _ := runProfiled(t, w.cfg, w.body)
-
-	var buf bytes.Buffer
-	if err := p.WriteText(&buf, 10); err != nil {
-		t.Fatal(err)
-	}
-	got := buf.String()
-
-	golden := filepath.Join("testdata", "profile_eager.golden")
+// checkGolden compares got with testdata/file, which -update rewrites.
+func checkGolden(t *testing.T, file, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", file)
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -73,6 +59,37 @@ func TestProfileTextGolden(t *testing.T) {
 		t.Fatalf("missing golden file (run with -update to create): %v", err)
 	}
 	if got != string(want) {
-		t.Errorf("profile text output changed; run with -update if intentional.\ngot:\n%s\nwant:\n%s", got, want)
+		t.Errorf("%s changed; run with -update if intentional.\ngot:\n%s\nwant:\n%s", file, got, want)
 	}
+}
+
+// TestProfileTextGolden, TestProfileCSVGolden and TestProfileFoldedGolden
+// lock the profile's three documented renderings — ovlprof's text
+// table, its -csv and its -folded flame-graph input — on a fixed
+// workload: the simulation is deterministic, so each is a stable
+// artifact. Regenerate with:
+//
+//	go test ./internal/profile -run Golden -update
+func TestProfileTextGolden(t *testing.T) {
+	checkGolden(t, "profile_eager.golden", renderEager(t, func(p *Profile, w io.Writer) error { return p.WriteText(w, 10) }))
+}
+
+func TestProfileCSVGolden(t *testing.T) {
+	checkGolden(t, "profile_eager.csv.golden", renderEager(t, (*Profile).WriteCSV))
+}
+
+func TestProfileFoldedGolden(t *testing.T) {
+	checkGolden(t, "profile_eager.folded.golden", renderEager(t, (*Profile).WriteFolded))
+}
+
+// renderEager profiles the first fixed workload and renders it.
+func renderEager(t *testing.T, write func(*Profile, io.Writer) error) string {
+	t.Helper()
+	w := workloads()[0]
+	p, _, _ := runProfiled(t, w.cfg, w.body)
+	var buf bytes.Buffer
+	if err := write(p, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
 }

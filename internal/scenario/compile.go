@@ -7,6 +7,7 @@ import (
 
 	"ovlp/internal/cluster"
 	"ovlp/internal/coll"
+	"ovlp/internal/comb"
 	"ovlp/internal/fabric"
 	"ovlp/internal/micro"
 	"ovlp/internal/mpi"
@@ -17,7 +18,7 @@ import (
 
 // RegionExchange labels the monitored section around each exchange
 // iteration, so overlap assertions can scope to it.
-const RegionExchange = "exchange"
+const RegionExchange = micro.Region
 
 // compiled is a scenario in the form simulate runs it: the machine, the
 // library configuration, the fault and crash plans and the per-rank
@@ -34,6 +35,9 @@ type compiled struct {
 	ft      cluster.FTOptions
 	ckpt    cluster.Checkpointable
 	program func(r *mpi.Rank)
+	// watch holds each rank's mean time per repetition in the span a
+	// micro or comb program times itself (nil for other kinds).
+	watch []time.Duration
 }
 
 // compile turns s into its runnable form. With smoke set the run is
@@ -66,15 +70,12 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 		}
 	}
 	bench, params := strings.ToUpper(w.Bench), nas.Params{Class: nas.ClassS, MaxIters: iters}
+	if (w.Kind == "exchange" || w.Kind == "micro" || w.Kind == "comb") && (w.Size <= 0 || w.Reps <= 0) {
+		return bad("%s workload needs a positive size and reps", w.Kind)
+	}
+	size, compute := w.Size.N(), w.Compute.D()
 	switch w.Kind {
 	case "exchange":
-		if w.Size <= 0 {
-			return bad("exchange workload needs a positive size")
-		}
-		if w.Reps <= 0 {
-			return bad("exchange workload needs positive reps")
-		}
-		size, compute := w.Size.N(), w.Compute.D()
 		c.program = func(r *mpi.Rank) {
 			// Ring exchange: Isend to the right neighbour, Irecv from
 			// the left, compute while both are in flight. With two
@@ -102,6 +103,26 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 			return bad("%w", err)
 		}
 		c.program = func(r *mpi.Rank) { nas.Run(bench, r, params) }
+	case "micro", "comb":
+		if s.Procs != 2 {
+			return bad("%s workload runs on 2 procs, not %d", w.Kind, s.Procs)
+		}
+		c.watch = make([]time.Duration, 2)
+		timed := func(r *mpi.Rank, total time.Duration) { c.watch[r.ID()] = total / time.Duration(reps) }
+		if w.Kind == "micro" {
+			pair, err := micro.ParseCallPair(w.Pair)
+			if err != nil {
+				return bad("%w", err)
+			}
+			c.program = func(r *mpi.Rank) { timed(r, micro.Pair(r, pair, size, reps, compute)) }
+			break
+		}
+		method, err := comb.ParseMethod(w.Method)
+		if err != nil {
+			return bad("%w", err)
+		}
+		work := w.Work.D()
+		c.program = func(r *mpi.Rank) { timed(r, comb.Exchange(r, method, size, reps, work)) }
 	case "coll":
 		start, ok := mpi.CollStart(w.Op)
 		if !ok {
@@ -128,12 +149,10 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 			}
 			c.mpi.Progress = progress.Config{Mode: mode}
 		}
-		size, compute, polls := w.Size.N(), w.Compute.D(), w.Polls
-		c.program = func(r *mpi.Rank) {
-			micro.PolledColl(r, start, size, reps, polls, compute)
-		}
+		polls := w.Polls
+		c.program = func(r *mpi.Rank) { micro.PolledColl(r, start, size, reps, polls, compute) }
 	default:
-		return bad("unknown workload kind %q (want exchange, nas or coll)", w.Kind)
+		return bad("unknown workload kind %q (want exchange, nas, coll, micro or comb)", w.Kind)
 	}
 
 	// FT before MinProcs: its errors name the crash declarations
@@ -141,26 +160,25 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 	// fits s.Procs, so a MinProcs excess can only come from the chaos
 	// schedule.
 	if s.wantsFT() {
-		seen := map[int]bool{}
 		var crashes []fabric.Crash
 		for i, cr := range s.Crashes {
-			if cr.Node < 0 || cr.Node >= s.Procs {
-				return bad("crash %d names node %d outside [0, %d)", i, cr.Node, s.Procs)
-			}
 			if cr.At <= 0 {
 				return bad("crash %d needs a positive at", i)
 			}
-			if seen[cr.Node] {
-				return bad("node %d crashes twice", cr.Node)
-			}
-			seen[cr.Node] = true
 			crashes = append(crashes, fabric.Crash{Node: fabric.NodeID(cr.Node), At: vtime.Time(cr.At)})
-		}
-		if len(crashes) > s.Procs-2 {
-			return bad("%d of %d ranks crash; at least two must survive to keep communicating", len(crashes), s.Procs)
 		}
 		if len(crashes) > 0 {
 			c.crashes = &fabric.CrashPlan{Crashes: crashes}
+			err := c.crashes.Validate()
+			if err == nil {
+				err = c.crashes.CheckNodes(s.Procs)
+			}
+			if err == nil {
+				err = c.crashes.CheckSurvivors(s.Procs)
+			}
+			if err != nil {
+				return bad("%w", err)
+			}
 		}
 		if r := s.Recovery; r != nil {
 			mode, err := cluster.ParseRecoveryMode(r.Mode)

@@ -9,12 +9,14 @@ import (
 // FuzzParse drives the YAML-subset loader (and the validation behind
 // it) with arbitrary bytes: it must reject garbage with an error,
 // never panic, and anything it accepts must survive a round trip
-// through its own JSON encoding. Seeds are the real corpus files.
+// through its own JSON encoding. The spec loader must not panic on the
+// same bytes. Seeds are the real corpus and spec files.
 //
 // Run long with: go test -fuzz=FuzzParse ./internal/scenario
 func FuzzParse(f *testing.F) {
 	paths, _ := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.yaml"))
-	for _, p := range paths {
+	specs, _ := filepath.Glob(filepath.Join("..", "..", "specs", "*.yaml"))
+	for _, p := range append(paths, specs...) {
 		if b, err := os.ReadFile(p); err == nil {
 			f.Add(b)
 		}
@@ -36,6 +38,7 @@ func FuzzParse(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ParseSpec("fuzz.yaml", data) // must return, with or without an error
 		s, err := Parse("fuzz.yaml", data)
 		if err != nil {
 			return

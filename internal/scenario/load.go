@@ -28,6 +28,12 @@ func Parse(name string, data []byte) (*Scenario, error) {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 	}
+	return decode(name, jsonBytes)
+}
+
+// decode is Parse past the syntax: the typed decode, with unknown
+// fields rejected, and the validation.
+func decode(name string, jsonBytes []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(jsonBytes))
 	dec.DisallowUnknownFields()
 	s := &Scenario{}

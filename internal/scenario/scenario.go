@@ -70,23 +70,30 @@ func (s Size) MarshalJSON() ([]byte, error) {
 	return json.Marshal(int64(s))
 }
 
+// ParseSize reads a non-negative byte count with an optional K/M
+// binary suffix, in either case ("64K", "1m", "512").
+func ParseSize(str string) (Size, error) {
+	str = strings.ToUpper(strings.TrimSpace(str))
+	mult := int64(1)
+	switch {
+	case strings.HasSuffix(str, "M"):
+		mult, str = 1<<20, strings.TrimSuffix(str, "M")
+	case strings.HasSuffix(str, "K"):
+		mult, str = 1<<10, strings.TrimSuffix(str, "K")
+	}
+	n, err := strconv.ParseInt(str, 10, 64)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad size %q", str)
+	}
+	return Size(n * mult), nil
+}
+
 func (s *Size) UnmarshalJSON(b []byte) error {
 	var str string
 	if err := json.Unmarshal(b, &str); err == nil {
-		str = strings.ToUpper(strings.TrimSpace(str))
-		mult := int64(1)
-		switch {
-		case strings.HasSuffix(str, "M"):
-			mult, str = 1<<20, strings.TrimSuffix(str, "M")
-		case strings.HasSuffix(str, "K"):
-			mult, str = 1<<10, strings.TrimSuffix(str, "K")
-		}
-		n, err := strconv.ParseInt(str, 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad size %q", str)
-		}
-		*s = Size(n * mult)
-		return nil
+		n, err := ParseSize(str)
+		*s = n
+		return err
 	}
 	var n int64
 	if err := json.Unmarshal(b, &n); err != nil {
@@ -170,14 +177,25 @@ type ReliableSpec struct {
 type Workload struct {
 	// Kind: "exchange" (ring/pair nonblocking exchange with inserted
 	// computation, monitored region "exchange"), "nas" (an NPB
-	// benchmark), or "coll" (a compute-overlapped nonblocking
-	// collective, as ovlp collstudy runs).
+	// benchmark), "coll" (a compute-overlapped nonblocking collective,
+	// as ovlp collstudy runs), "micro" (the paper's two-rank
+	// microbenchmark, micro.Pair) or "comb" (the two-rank COMB
+	// exchange, comb.Exchange).
 	Kind string `json:"kind"`
 
 	// exchange parameters.
 	Size    Size `json:"size,omitempty"`
 	Reps    int  `json:"reps,omitempty"`
 	Compute Dur  `json:"compute,omitempty"`
+
+	// micro parameters (Size, Reps and Compute above also apply): the
+	// call combination, "isend-recv", "send-irecv" or "isend-irecv".
+	Pair string `json:"pair,omitempty"`
+
+	// comb parameters (Size and Reps above also apply): the method,
+	// "post-work-wait" or "polling", and the work per iteration.
+	Method string `json:"method,omitempty"`
+	Work   Dur    `json:"work,omitempty"`
 
 	// nas parameters.
 	Bench string `json:"bench,omitempty"`
@@ -497,9 +515,8 @@ func (s *Scenario) MinProcs() int {
 	for _, cr := range s.Crashes {
 		touch(cr.Node)
 	}
-	if len(s.Crashes) > 0 && len(s.Crashes)+2 > min {
-		// At least two survivors, so the shrunken run still communicates.
-		min = len(s.Crashes) + 2
+	if len(s.Crashes) > 0 {
+		min = max(min, len(s.Crashes)+fabric.MinSurvivors)
 	}
 	return min
 }
