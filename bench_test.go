@@ -7,9 +7,9 @@
 // Figure-to-benchmark map:
 //
 //	Fig 3-9   BenchmarkFigN...          microbenchmark sweeps (specs/figN.yaml)
-//	Fig 10-13 BenchmarkFig10NASBT etc.  NAS overlap characterizations
-//	Fig 14-18 BenchmarkFig14to18SPStudy SP original vs modified
-//	Fig 19    BenchmarkFig19MGARMCI     one-sided MG variants
+//	Fig 10-13 BenchmarkFig10NASBT etc.  NAS overlap characterizations, one point each
+//	Fig 14-18 BenchmarkFig14to18SPStudy SP original vs modified (specs/fig14-15-a.yaml, fig18-a.yaml)
+//	Fig 19    BenchmarkFig19MGARMCI     one-sided MG variants (specs/fig19.yaml)
 //	Fig 20    BenchmarkFig20Overhead    instrumentation overhead (specs/fig20.yaml)
 //
 // The Ablation benchmarks quantify the design choices DESIGN.md calls
@@ -91,31 +91,27 @@ func BenchmarkFig11NASCG(b *testing.B) { benchNAS(b, nas.CG, nas.ClassA, 8, mpi.
 func BenchmarkFig12NASLU(b *testing.B) { benchNAS(b, nas.LU, nas.ClassA, 8, mpi.DirectRDMARead) }
 func BenchmarkFig13NASFT(b *testing.B) { benchNAS(b, nas.FT, nas.ClassA, 8, mpi.DirectRDMARead) }
 
-// BenchmarkFig14to18SPStudy runs the SP case study (class A, 9 procs
-// — the paper's 98% configuration) and reports the section bounds and
-// MPI-time change.
+// BenchmarkFig14to18SPStudy runs the SP case study's class A specs
+// and reports, at 9 procs (the paper's 98% configuration), the
+// overlapping section's bounds and the MPI-time change.
 func BenchmarkFig14to18SPStudy(b *testing.B) {
-	var orig, mod nas.SPResult
-	for i := 0; i < b.N; i++ {
-		orig = nas.CharacterizeSP(nas.ClassA, 9, false, nas.Options{MaxIters: 3})
-		mod = nas.CharacterizeSP(nas.ClassA, 9, true, nas.Options{MaxIters: 3})
-	}
-	b.ReportMetric(orig.SectionMaxPct, "orig_max%")
-	b.ReportMetric(mod.SectionMaxPct, "mod_max%")
-	b.ReportMetric(mod.SectionMinPct, "mod_min%")
-	b.ReportMetric(100*(float64(mod.MPITime)-float64(orig.MPITime))/float64(orig.MPITime), "mpi_change%")
+	const p9 = 1 // the point index of 9 procs
+	sp, ms := runSpec(b, "fig14-15-a")
+	b.ReportMetric(sp.Value(ms, p9, "orig max%").(float64), "orig_max%")
+	b.ReportMetric(sp.Value(ms, p9, "mod max%").(float64), "mod_max%")
+	b.ReportMetric(sp.Value(ms, p9, "mod min%").(float64), "mod_min%")
+	sp, ms = runSpec(b, "fig18-a")
+	b.ReportMetric(sp.Value(ms, p9, "change%").(float64), "mpi_change%")
 }
 
-// BenchmarkFig19MGARMCI reports the blocking/non-blocking contrast.
+// BenchmarkFig19MGARMCI runs the Fig. 19 spec and reports the
+// blocking/non-blocking contrast at class A, 8 procs.
 func BenchmarkFig19MGARMCI(b *testing.B) {
-	var blk, nb nas.OverlapResult
-	for i := 0; i < b.N; i++ {
-		blk = nas.CharacterizeMGARMCI(nas.ClassA, 8, nas.MGBlocking, nas.Options{MaxIters: 2})
-		nb = nas.CharacterizeMGARMCI(nas.ClassA, 8, nas.MGNonblocking, nas.Options{MaxIters: 2})
-	}
-	b.ReportMetric(blk.MaxPct, "blk_max%")
-	b.ReportMetric(nb.MaxPct, "nb_max%")
-	b.ReportMetric(nb.MinPct, "nb_min%")
+	const a8 = 8 // the point index of class A, 8 procs
+	sp, ms := runSpec(b, "fig19")
+	b.ReportMetric(sp.Value(ms, a8, "blk max%").(float64), "blk_max%")
+	b.ReportMetric(sp.Value(ms, a8, "nb max%").(float64), "nb_max%")
+	b.ReportMetric(sp.Value(ms, a8, "nb min%").(float64), "nb_min%")
 }
 
 // BenchmarkFig20Overhead runs the Fig. 20 spec and reports the largest
@@ -335,12 +331,15 @@ func BenchmarkHWTimestampsBracketWidth(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var width float64
 			for i := 0; i < b.N; i++ {
-				reps, _ := nas.CharacterizeAllReports(nas.LU, nas.ClassW, 4, nas.Options{
-					Protocol:     mpi.DirectRDMARead,
-					MaxIters:     3,
-					HWTimestamps: hw,
-				})
-				tot := reps[0].Total()
+				res := cluster.Run(cluster.Config{
+					Procs: 4,
+					MPI: mpi.Config{
+						Protocol:     mpi.DirectRDMARead,
+						HWTimestamps: hw,
+						Instrument:   &mpi.InstrumentConfig{},
+					},
+				}, func(r *mpi.Rank) { nas.Run(nas.LU, r, nas.Params{Class: nas.ClassW, MaxIters: 3}) })
+				tot := res.Reports[0].Total()
 				width = tot.MaxPercent() - tot.MinPercent()
 			}
 			b.ReportMetric(width, "bracket_width_pct")

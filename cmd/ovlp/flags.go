@@ -1,7 +1,6 @@
 package main
 
-// The flag groups the subcommands share: processor-count sweeps, the
-// execution backend, the nonblocking-collective knobs and the
+// The flag groups the subcommands share: the execution backend and the
 // -trace/-metrics/-profile/-timeresolved/-diagnose observability
 // outputs, which hand every driver the same trace.Tracer plumbing.
 
@@ -10,18 +9,15 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"ovlp/internal/calib"
 	"ovlp/internal/cluster"
-	"ovlp/internal/coll"
 	"ovlp/internal/diagnose"
 	"ovlp/internal/fabric"
 	"ovlp/internal/overlap"
 	"ovlp/internal/profile"
-	"ovlp/internal/progress"
 	"ovlp/internal/timeres"
 	"ovlp/internal/trace"
 )
@@ -45,21 +41,6 @@ func parseList[T any](s string, skipBlank bool, parse func(string) (T, error)) (
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// parseProcs parses a comma-separated list of processor counts,
-// falling back to def when the flag was left empty.
-func parseProcs(s string, def []int) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return def, nil
-	}
-	return parseList(s, false, func(part string) (int, error) {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return 0, fmt.Errorf("bad processor count %q", part)
-		}
-		return n, nil
-	})
 }
 
 // backendFlag is the shared -backend flag state: which execution
@@ -86,51 +67,6 @@ func registerBackend(fs *flag.FlagSet) *backendFlag {
 // Backend returns the selected backend (BackendVirtual before parsing
 // or when the flag was not given).
 func (bf *backendFlag) Backend() cluster.Backend { return bf.b }
-
-// collFlags holds the shared nonblocking-collective flag state: which
-// schedule algorithm to build, the pipelining chunk, and which
-// progress engine advances pending schedules.
-type collFlags struct {
-	// Algo is the -coll-algo schedule algorithm.
-	Algo coll.Algo
-	// Chunk is the -coll-chunk pipelining size in bytes (0 = whole
-	// payload in one stage).
-	Chunk int
-	// Mode is the -progress engine selection.
-	Mode progress.Mode
-	// Quantum is the -progress-quantum thread wake interval.
-	Quantum time.Duration
-}
-
-// registerColl installs the -coll-algo, -coll-chunk, -progress and
-// -progress-quantum flags on fs. Values are validated at parse time.
-func registerColl(fs *flag.FlagSet) *collFlags {
-	c := &collFlags{Quantum: progress.DefaultQuantum}
-	fs.Func("coll-algo", "collective schedule algorithm: auto, binomial, ring or recdouble", func(s string) error {
-		a, err := coll.ParseAlgo(s)
-		if err != nil {
-			return err
-		}
-		c.Algo = a
-		return nil
-	})
-	fs.IntVar(&c.Chunk, "coll-chunk", 0, "pipeline collective payloads in chunks of this many bytes (0 = unchunked)")
-	fs.Func("progress", "progress engine for nonblocking collectives: manual, piggyback or thread", func(s string) error {
-		m, err := progress.ParseMode(s)
-		if err != nil {
-			return err
-		}
-		c.Mode = m
-		return nil
-	})
-	fs.DurationVar(&c.Quantum, "progress-quantum", progress.DefaultQuantum, "wake quantum of the thread progress engine")
-	return c
-}
-
-// Progress returns the selected engine configuration.
-func (c *collFlags) Progress() progress.Config {
-	return progress.Config{Mode: c.Mode, Quantum: c.Quantum}
-}
 
 // obsFlags holds the observability flag state: -trace enables full
 // span/instant collection and writes a Chrome trace-event file,

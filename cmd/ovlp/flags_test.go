@@ -17,21 +17,6 @@ import (
 	"ovlp/internal/vtime"
 )
 
-func TestParseProcs(t *testing.T) {
-	def := []int{4, 8}
-	if got, err := parseProcs("", def); err != nil || !reflect.DeepEqual(got, def) {
-		t.Errorf("empty flag: got %v, %v", got, err)
-	}
-	if got, err := parseProcs(" 2, 9 ,16", nil); err != nil || !reflect.DeepEqual(got, []int{2, 9, 16}) {
-		t.Errorf("list: got %v, %v", got, err)
-	}
-	for _, bad := range []string{"x", "0", "-1", "2,,4"} {
-		if _, err := parseProcs(bad, def); err == nil {
-			t.Errorf("parseProcs(%q) accepted", bad)
-		}
-	}
-}
-
 func TestCheckFaultNodes(t *testing.T) {
 	plan := &fabric.FaultPlan{
 		Seed:   1,

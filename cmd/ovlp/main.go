@@ -23,9 +23,7 @@ var subcommands = []struct {
 	name, summary string
 	main          func(args []string, stdout, stderr io.Writer) int
 }{
-	{"sweep", "a committed spec: figures 3-9 and 20, COMB", sweepMain},
-	{"nasbench", "NAS characterizations, figures 10-13 and 19", nasbenchMain},
-	{"spstudy", "NAS SP case study, figures 14-18", spstudyMain},
+	{"sweep", "a committed spec: figures 3-20, COMB", sweepMain},
 	{"calibrate", "transfer-time table for the instrumentation", calibrateMain},
 	{"timeline", "ASCII activity chart of a small run", timelineMain},
 	{"collstudy", "nonblocking collectives by algorithm and progress mode", collstudyMain},

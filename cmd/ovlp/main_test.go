@@ -16,10 +16,9 @@ func runCmd(t *testing.T, name string, args ...string) (int, string, string) {
 }
 
 // TestVersionFlag: `ovlp -version` prints the build identity and exits
-// 0, and a subcommand named after it never runs. The subtests cover the
-// subcommands that had a -version flag of their own.
+// 0, and a subcommand named after it never runs.
 func TestVersionFlag(t *testing.T) {
-	for _, sub := range []string{"collstudy", "faultstudy", "ftstudy", "nasbench", "overlapbench"} {
+	for _, sub := range []string{"collstudy", "faultstudy", "ftstudy", "sweep"} {
 		t.Run(sub, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
 			if code := run([]string{"-version", sub}, &stdout, &stderr); code != 0 {
@@ -59,17 +58,11 @@ func TestBadShapesExitTwo(t *testing.T) {
 		name string
 		args []string
 	}{
-		{"spstudy", []string{"-classes", "A,"}},
-		{"spstudy", []string{"-trace", "-", "-iters", "1"}}, // a sweep cannot be traced
 		{"timeline", []string{"-procs", "0"}},
 		{"timeline", []string{"-procs", "-1"}},
-		// A class or a grid the benchmark has no shape for is rejected
-		// by nas.Check before any rank runs.
-		{"spstudy", []string{"-classes", "Z"}},
-		{"spstudy", []string{"-procs", "3"}},
+		// A grid the benchmark has no shape for is rejected by
+		// nas.Check before any rank runs.
 		{"timeline", []string{"-scenario", "sp", "-procs", "3"}},
-		{"nasbench", []string{"-bench", "CG", "-classes", "S", "-procs", "3"}},
-		{"nasbench", []string{"-bench", "LU", "-classes", "Z", "-procs", "4"}},
 	} {
 		t.Run(tc.name+" "+strings.Join(tc.args, " "), func(t *testing.T) {
 			code, stdout, stderr := runCmd(t, tc.name, tc.args...)
@@ -82,16 +75,21 @@ func TestBadShapesExitTwo(t *testing.T) {
 
 // TestFailedRunExitsOne: a run whose ranks fail, here because loss
 // exhausts the retries, exits 1 with the error under the subcommand's
-// name rather than a panic's goroutine dump.
+// name rather than a panic's goroutine dump, on the two-sided and on
+// the one-sided library.
 func TestFailedRunExitsOne(t *testing.T) {
-	for _, args := range [][]string{
-		{"sweep", "-smoke", "-drop", "0.99", spec("fig3")},
-		{"nasbench", "-bench", "CG", "-classes", "S", "-procs", "4", "-iters", "1", "-drop", "0.99"},
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"sweep", []string{"sweep", "-smoke", "-drop", "0.99", spec("fig3")}},
+		{"sweep-mg-armci", []string{"sweep", "-drop", "0.99",
+			nasSpec(t, "4", "{kind: nas, bench: MG-ARMCI, iters: 1}", "[nb min%]")}},
 	} {
-		t.Run(args[0], func(t *testing.T) {
-			code, _, stderr := runCmd(t, args[0], args[1:]...)
-			if code != 1 || !strings.HasPrefix(stderr, args[0]+": ") || strings.Contains(stderr, "goroutine ") {
-				t.Fatalf("exit %d, stderr %q; want 1 and the error under %q", code, stderr, args[0]+": ")
+		t.Run(c.name, func(t *testing.T) {
+			code, _, stderr := runCmd(t, c.args[0], c.args[1:]...)
+			if code != 1 || !strings.HasPrefix(stderr, c.args[0]+": ") || strings.Contains(stderr, "goroutine ") {
+				t.Fatalf("exit %d, stderr %q; want 1 and the error under %q", code, stderr, c.args[0]+": ")
 			}
 		})
 	}

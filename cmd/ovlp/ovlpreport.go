@@ -13,17 +13,21 @@ import (
 // ovlpreportMain inspects and merges the per-process JSON report files
 // the instrumentation writes (one per rank, as in the paper's
 // per-process output files): it prints each rank's summary and the
-// whole-job aggregate, with optional per-region detail.
+// whole-job aggregate, with optional per-region and per-message-size
+// detail. Given process 0's file alone, -bins is the "short versus
+// long" breakdown the paper uses to attribute non-overlapped time to
+// particular transfers.
 //
-//	ovlp ovlpreport [-regions] rank0.json rank1.json ...
+//	ovlp ovlpreport [-regions] [-bins] rank0.json rank1.json ...
 func ovlpreportMain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("ovlpreport", stderr)
 	regions := fs.Bool("regions", false, "print per-region detail for the aggregate")
+	bins := fs.Bool("bins", false, "print the aggregate's per-message-size-bin breakdown")
 	if err := fs.Parse(args); err != nil {
 		return parseExit(err)
 	}
 	if fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "ovlpreport: usage: ovlpreport [-regions] report.json ...")
+		fmt.Fprintln(stderr, "ovlpreport: usage: ovlpreport [-regions] [-bins] report.json ...")
 		return 2
 	}
 
@@ -81,6 +85,25 @@ func ovlpreportMain(args []string, stdout, stderr io.Writer) int {
 				reg.Total.NonOverlapped().Round(time.Microsecond))
 		}
 		rt.Render(stdout)
+	}
+	if *bins {
+		bt := report.NewTable("\nAggregate message-size breakdown",
+			"size bin", "xfers", "data xfer", "min%", "max%", "non-overlapped")
+		sum := make([]overlap.Measures, len(agg.BinBounds)+1)
+		for _, reg := range agg.Regions {
+			for i, b := range reg.Bins {
+				sum[i].Add(b)
+			}
+		}
+		for i, b := range sum {
+			if b.Count > 0 {
+				bt.AddRow(overlap.BinLabel(agg.BinBounds, i), b.Count,
+					b.DataTransferTime.Round(time.Microsecond),
+					b.MinPercent(), b.MaxPercent(),
+					b.NonOverlapped().Round(time.Microsecond))
+			}
+		}
+		bt.Render(stdout)
 	}
 	return 0
 }

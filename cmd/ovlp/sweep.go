@@ -3,23 +3,26 @@ package main
 import (
 	"fmt"
 	"io"
-	"time"
+	"os"
+	"path/filepath"
 
 	"ovlp/internal/scenario"
 )
 
 // sweepMain runs specs (scenario.ParseSpec), each a scenario varied
-// along its sweep axes and printed as one table: specs/fig3.yaml to
-// fig9.yaml and fig20.yaml are the paper's figures, specs/comb-*.yaml
-// the COMB baseline. The fault flags replace every point's fault plan;
-// the observability flags trace the last point of the last spec. A bad
-// flag or spec exits 2 before any run; a failed run exits 1.
+// along its sweep axes and printed as one table followed by a blank
+// line: specs/fig*.yaml are the paper's figures, specs/comb-*.yaml the
+// COMB baseline. The fault flags replace every point's fault plan; the
+// observability flags trace the last run of the last point of the last
+// spec; -json writes every run's per-rank reports. A bad flag or spec
+// exits 2 before any run; a failed run exits 1.
 //
-//	ovlp sweep [-smoke] [-backend virtual|real] [-fault-seed N -drop P -stall ...]
+//	ovlp sweep [-smoke] [-backend virtual|real] [-json DIR] [-fault-seed N -drop P -stall ...]
 //	           [-trace out.json] [-metrics] [-profile out.txt] [-diagnose -] spec.yaml...
 func sweepMain(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("sweep", stderr)
 	smoke := fs.Bool("smoke", false, "shrink every point's reps and iterations for CI")
+	jsonDir := fs.String("json", "", "directory to write every run's per-rank JSON reports into (inspect with ovlpreport)")
 	ff := registerFaults(fs, false)
 	obs := registerObs(fs)
 	bf := registerBackend(fs)
@@ -37,13 +40,18 @@ func sweepMain(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := scenario.SweepOpts{Smoke: *smoke, Backend: bf.Backend(), Faults: faults}
 	specs := make([]*scenario.Spec, fs.NArg())
+	names := map[string]bool{} // -json names each report after its point
 	for i, path := range fs.Args() {
 		if specs[i], err = scenario.LoadSpec(path); err == nil {
 			err = specs[i].Check(opts)
 		}
+		if err == nil && *jsonDir != "" && names[specs[i].Points[0].Name] {
+			err = fmt.Errorf("%s: -json needs specs of distinct names, and %s is taken", path, specs[i].Points[0].Name)
+		}
 		if err != nil {
 			return fail2(err)
 		}
+		names[specs[i].Points[0].Name] = true
 	}
 	if desc := describeFaults(faults); desc != "" {
 		fmt.Fprintf(stdout, "%s\n\n", desc)
@@ -53,24 +61,43 @@ func sweepMain(args []string, stdout, stderr io.Writer) int {
 		if i == len(specs)-1 {
 			opts.Trace = obs.Tracer()
 		}
-		start := time.Now()
 		if last, err = sp.Run(opts); err != nil {
 			return fail(err)
 		}
 		sp.Table(last).Render(stdout)
-		// Each kind ends its table as the subcommand it replaced did,
-		// so results/*.txt reproduce: a micro sweep with its host time.
-		switch sp.Kind() {
-		case "micro":
-			fmt.Fprintf(stdout, "  (%d points, %v)\n\n", len(last), time.Since(start).Round(time.Millisecond))
-		case "comb":
-			fmt.Fprintln(stdout)
+		fmt.Fprintln(stdout)
+		if *jsonDir != "" {
+			if err := saveReports(*jsonDir, last); err != nil {
+				return fail(err)
+			}
 		}
 	}
-	res := last[len(last)-1].Res
+	res := last[len(last)-1].Last()
 	obs.SetRun(res.Calib, res.Reports)
 	if err := obs.Finish(stdout); err != nil {
 		return fail(err)
 	}
 	return 0
+}
+
+// saveReports writes one JSON report file per rank of every
+// instrumented run, named <point>-<index>-<run>-rank<r>.json.
+func saveReports(dir string, ms []scenario.Measure) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for i := range ms {
+		for _, r := range ms[i].Runs {
+			for _, rep := range r.Res.Reports {
+				if rep == nil {
+					continue
+				}
+				name := fmt.Sprintf("%s-%d-%s-rank%d.json", ms[i].Point.Name, i, r.Name(), rep.Rank)
+				if err := rep.SaveJSON(filepath.Join(dir, name)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -75,10 +75,7 @@ func timelineMain(args []string, stdout, stderr io.Writer) int {
 			return failWith(stderr, "timeline", 2)(err)
 		}
 		main = func(r *mpi.Rank) {
-			nas.RunSP(r, nas.SPParams{
-				Params:   nas.Params{Class: nas.ClassS, MaxIters: 1},
-				Modified: true,
-			})
+			nas.Run(nas.SP, r, nas.Params{Class: nas.ClassS, MaxIters: 1, Iprobe: true})
 		}
 	default:
 		return fail(fmt.Errorf("unknown scenario %q", *scenario))

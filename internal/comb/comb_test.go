@@ -23,7 +23,7 @@ type Point struct {
 func sweep(t *testing.T, method, protocol, size string, reps int, works ...string) []Point {
 	t.Helper()
 	src := fmt.Sprintf("name: comb\nprocs: 2\nprotocol: %s\nworkload: {kind: comb, method: %s, size: %s, reps: %d}\n"+
-		"title: t\ntable: [work]\nsweep:\n  - work: [0s, %s]\n", protocol, method, size, reps, strings.Join(works, ", "))
+		"title: t\ntable: [work, elapsed, availability, overlap eff.]\nsweep:\n  - work: [0s, %s]\n", protocol, method, size, reps, strings.Join(works, ", "))
 	sp, err := scenario.ParseSpec("comb.yaml", []byte(src))
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestConfigValidation(t *testing.T) {
 		{"workload: {kind: comb, method: polling, size: 1K, reps: 1}\nsweep:\n  - work: [1ms]\n", "zero-work point"},
 		{"workload: {kind: comb, method: spin, size: 1K, reps: 1}\nsweep:\n  - work: [0s]\n", `unknown COMB method "spin"`},
 	} {
-		_, err := scenario.ParseSpec("x.yaml", []byte("name: x\nprocs: 2\ntitle: t\ntable: [work]\n"+c.src))
+		_, err := scenario.ParseSpec("x.yaml", []byte("name: x\nprocs: 2\ntitle: t\ntable: [work, elapsed, availability, overlap eff.]\n"+c.src))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%q: err = %v, want %q", c.src, err, c.want)
 		}

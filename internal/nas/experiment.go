@@ -3,13 +3,10 @@ package nas
 import (
 	"time"
 
-	"ovlp/internal/armci"
 	"ovlp/internal/cluster"
-	"ovlp/internal/coll"
 	"ovlp/internal/fabric"
 	"ovlp/internal/mpi"
 	"ovlp/internal/overlap"
-	"ovlp/internal/progress"
 	"ovlp/internal/trace"
 )
 
@@ -19,7 +16,7 @@ import (
 // percentages are reported for process 0.
 
 // OverlapResult is one benchmark characterization — a bar of
-// Figs. 10-13 / 19.
+// Figs. 10-13.
 type OverlapResult struct {
 	Benchmark string
 	Class     Class
@@ -35,7 +32,8 @@ type OverlapResult struct {
 	MPITime  time.Duration
 }
 
-// Options refines a characterization run beyond the common case.
+// Options refines a characterization run beyond the common case. The
+// sweep specs (internal/scenario) run every other variation.
 type Options struct {
 	// Protocol selects the library flavour: the paper pairs BT and CG
 	// with Open MPI (PipelinedRDMA) and LU, FT and SP with MVAPICH2
@@ -43,27 +41,12 @@ type Options struct {
 	Protocol mpi.LongProtocol
 	// MaxIters caps the benchmark's iterations (0 = full).
 	MaxIters int
-	// HWTimestamps enables the precise NIC-time-stamp mode.
-	HWTimestamps bool
 	// Faults, when non-nil and active, injects deterministic fabric
 	// faults; the run then uses reliable delivery (see
 	// cluster.Config.Faults).
 	Faults *fabric.FaultPlan
 	// Trace, when non-nil, traces the run (see cluster.Config.Trace).
 	Trace *trace.Tracer
-	// Overlap selects the overlapped-collective benchmark variants
-	// (see Params.Overlap).
-	Overlap bool
-	// CollAlgo and CollChunk pick the collective schedule algorithm
-	// and pipelining chunk (see mpi.Config).
-	CollAlgo  coll.Algo
-	CollChunk int
-	// Progress configures the asynchronous progress engine driving
-	// nonblocking collectives (see mpi.Config.Progress).
-	Progress progress.Config
-	// Backend selects the execution substrate (see
-	// cluster.Config.Backend); the default is the virtual kernel.
-	Backend cluster.Backend
 }
 
 // CharacterizeAllReports runs one MPI benchmark instrumented and
@@ -71,20 +54,15 @@ type Options struct {
 // per-process output files, with process 0's overlap measures.
 func CharacterizeAllReports(name string, class Class, procs int, opt Options) ([]*overlap.Report, OverlapResult) {
 	res := cluster.Run(cluster.Config{
-		Procs:   procs,
-		Backend: opt.Backend,
+		Procs: procs,
 		MPI: mpi.Config{
-			Protocol:     opt.Protocol,
-			HWTimestamps: opt.HWTimestamps,
-			Instrument:   &mpi.InstrumentConfig{},
-			CollAlgo:     opt.CollAlgo,
-			CollChunk:    opt.CollChunk,
-			Progress:     opt.Progress,
+			Protocol:   opt.Protocol,
+			Instrument: &mpi.InstrumentConfig{},
 		},
 		Faults: opt.Faults,
 		Trace:  opt.Trace,
 	}, func(r *mpi.Rank) {
-		Run(name, r, Params{Class: class, MaxIters: opt.MaxIters, Overlap: opt.Overlap})
+		Run(name, r, Params{Class: class, MaxIters: opt.MaxIters})
 	})
 	return res.Reports, summarize(name, class, procs, res.Reports[0], res.Duration, res.MPITimes[0])
 }
@@ -102,81 +80,4 @@ func summarize(name string, class Class, procs int, rep *overlap.Report, dur, mp
 		Duration:         dur,
 		MPITime:          mpiTime,
 	}
-}
-
-// SPResult captures one SP run of the Sec. 4.3 case study: overlap
-// bounds for the explicit overlapping section and for the complete
-// code, plus the total MPI time — the ingredients of Figs. 14-18.
-type SPResult struct {
-	Class    Class
-	Procs    int
-	Modified bool
-	// Section bounds: the x/y/z_solve sweeps only (Figs. 14-15).
-	SectionMinPct, SectionMaxPct float64
-	// Whole-code bounds (Figs. 16-17).
-	TotalMinPct, TotalMaxPct float64
-	// MPITime is process 0's aggregate library time (Fig. 18).
-	MPITime  time.Duration
-	Duration time.Duration
-	// Reports holds every rank's instrumentation report, for offline
-	// aggregation or profiling.
-	Reports []*overlap.Report
-}
-
-// CharacterizeSP runs SP (original or Iprobe-modified) under the
-// direct-RDMA-read library (MVAPICH2, as in the paper) and reports the
-// case-study measures. opt.Protocol is ignored: the case study fixes
-// direct RDMA read.
-func CharacterizeSP(class Class, procs int, modified bool, opt Options) SPResult {
-	res := cluster.Run(cluster.Config{
-		Procs:   procs,
-		Backend: opt.Backend,
-		MPI: mpi.Config{
-			Protocol:   mpi.DirectRDMARead,
-			Instrument: &mpi.InstrumentConfig{},
-		},
-		Faults: opt.Faults,
-		Trace:  opt.Trace,
-	}, func(r *mpi.Rank) {
-		RunSP(r, SPParams{
-			Params:   Params{Class: class, MaxIters: opt.MaxIters},
-			Modified: modified,
-		})
-	})
-	rep := res.Reports[0]
-	out := SPResult{
-		Class:    class,
-		Procs:    procs,
-		Modified: modified,
-		MPITime:  res.MPITimes[0],
-		Duration: res.Duration,
-		Reports:  res.Reports,
-	}
-	if sec := rep.Region(RegionSPOverlap); sec != nil {
-		out.SectionMinPct = sec.Total.MinPercent()
-		out.SectionMaxPct = sec.Total.MaxPercent()
-	}
-	tot := rep.Total()
-	out.TotalMinPct = tot.MinPercent()
-	out.TotalMaxPct = tot.MaxPercent()
-	return out
-}
-
-// CharacterizeMGARMCI runs the one-sided MG variant and reports
-// process 0's overlap measures (Fig. 19). Only MaxIters, Faults, Trace
-// and Backend apply to the one-sided library. A failed run panics.
-func CharacterizeMGARMCI(class Class, procs int, variant MGVariant, opt Options) OverlapResult {
-	res, err := cluster.RunARMCI(cluster.ARMCIConfig{
-		Procs:   procs,
-		Backend: opt.Backend,
-		ARMCI:   armci.Config{Instrument: &overlap.Instrument{}},
-		Faults:  opt.Faults,
-		Trace:   opt.Trace,
-	}, func(pr *armci.Proc) {
-		RunMGARMCI(pr, Params{Class: class, MaxIters: opt.MaxIters}, variant)
-	})
-	if err != nil {
-		panic(err)
-	}
-	return summarize("MG/"+variant.String(), class, procs, res.Reports[0], res.Duration, res.LibTimes[0])
 }

@@ -57,6 +57,9 @@ type Params struct {
 	// configured progress engine while independent computation runs.
 	// Benchmarks without collective phases ignore it.
 	Overlap bool
+	// Iprobe inserts Iprobe calls into SP's overlap windows — the
+	// paper's Sec. 4.3 code change. Only SP honours it.
+	Iprobe bool
 }
 
 func (p *Params) fill() {
@@ -197,9 +200,7 @@ func mustFit(name string, class Class, procs int) {
 	}
 }
 
-// Run dispatches a benchmark by name on the calling rank. SP runs the
-// original (unmodified) code; use RunSP directly for the
-// Iprobe-modified variant.
+// Run dispatches a benchmark by name on the calling rank.
 func Run(name string, r *mpi.Rank, p Params) {
 	switch name {
 	case BT:
@@ -211,7 +212,7 @@ func Run(name string, r *mpi.Rank, p Params) {
 	case FT:
 		RunFT(r, p)
 	case SP:
-		RunSP(r, SPParams{Params: p})
+		RunSP(r, p)
 	case MG:
 		RunMG(r, p)
 	case IS:

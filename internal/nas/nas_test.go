@@ -2,8 +2,12 @@ package nas
 
 import (
 	"testing"
+	"time"
 
+	"ovlp/internal/armci"
+	"ovlp/internal/cluster"
 	"ovlp/internal/mpi"
+	"ovlp/internal/overlap"
 )
 
 // The assertions here encode the paper's Sec. 4 findings as trends, so
@@ -108,29 +112,47 @@ func TestFTLowOverlap(t *testing.T) {
 	}
 }
 
+// runSP runs SP instrumented under the direct-RDMA-read library (as the
+// paper's case study does), with or without Iprobes in its overlap
+// windows, and returns process 0's bounds over the overlapping section
+// and over the whole code, and its time in the library.
+func runSP(class Class, procs int, iprobe bool) (section, whole overlap.Measures, mpiTime time.Duration) {
+	res := cluster.Run(cluster.Config{
+		Procs: procs,
+		MPI:   mpi.Config{Protocol: mpi.DirectRDMARead, Instrument: &mpi.InstrumentConfig{}},
+	}, func(r *mpi.Rank) {
+		Run(SP, r, Params{Class: class, MaxIters: probeIters, Iprobe: iprobe})
+	})
+	rep := res.Reports[0]
+	if sec := rep.Region(RegionSPOverlap); sec != nil {
+		section = sec.Total
+	}
+	return section, rep.Total(), res.MPITimes[0]
+}
+
 func TestSPModificationImprovesOverlapAndMPITime(t *testing.T) {
 	// Paper Sec. 4.3 / Figs. 14-18: inserting Iprobes into SP's
 	// overlap windows raises the overlapping-section bounds
 	// substantially and cuts total MPI time.
 	for _, procs := range []int{4, 9, 16} {
-		orig := CharacterizeSP(ClassA, procs, false, Options{MaxIters: probeIters})
-		mod := CharacterizeSP(ClassA, procs, true, Options{MaxIters: probeIters})
-		if mod.SectionMaxPct < orig.SectionMaxPct+20 {
+		origSec, origAll, origMPI := runSP(ClassA, procs, false)
+		modSec, modAll, modMPI := runSP(ClassA, procs, true)
+		if modSec.MaxPercent() < origSec.MaxPercent()+20 {
 			t.Errorf("P=%d: section max overlap %.1f%% -> %.1f%%, want a large improvement",
-				procs, orig.SectionMaxPct, mod.SectionMaxPct)
+				procs, origSec.MaxPercent(), modSec.MaxPercent())
 		}
-		if mod.SectionMinPct < 40 {
-			t.Errorf("P=%d: modified section min overlap %.1f%%, want substantial", procs, mod.SectionMinPct)
+		if modSec.MinPercent() < 40 {
+			t.Errorf("P=%d: modified section min overlap %.1f%%, want substantial", procs, modSec.MinPercent())
 		}
-		if mod.MPITime >= orig.MPITime {
-			t.Errorf("P=%d: MPI time did not drop: %v -> %v", procs, orig.MPITime, mod.MPITime)
+		if modMPI >= origMPI {
+			t.Errorf("P=%d: MPI time did not drop: %v -> %v", procs, origMPI, modMPI)
 		}
 		// Whole-code gains are limited by copy_faces (paper: gains
 		// "limited by a substantial volume of data being communicated
 		// in routine copy_faces with no computation to overlap").
-		if mod.TotalMaxPct < orig.TotalMaxPct {
+		if modAll.MaxPercent() < origAll.MaxPercent() {
 			t.Errorf("P=%d: whole-code max overlap regressed: %.1f%% -> %.1f%%",
-				procs, orig.TotalMaxPct, mod.TotalMaxPct)
+				procs, origAll.MaxPercent(), modAll.MaxPercent())
 		}
 	}
 }
@@ -139,14 +161,24 @@ func TestMGARMCIBlockingVsNonblocking(t *testing.T) {
 	// Paper Sec. 4.4 / Fig. 19: the non-blocking ARMCI MG shows very
 	// high maximum overlap (99% reported for class B), the blocking
 	// variant none.
-	for _, procs := range []int{2, 4, 8} {
-		b := CharacterizeMGARMCI(ClassA, procs, MGBlocking, Options{MaxIters: 2})
-		n := CharacterizeMGARMCI(ClassA, procs, MGNonblocking, Options{MaxIters: 2})
-		if b.MaxPct > 1 {
-			t.Errorf("P=%d: blocking ARMCI MG max overlap %.1f%%, want ~0", procs, b.MaxPct)
+	maxPct := func(procs int, variant MGVariant) float64 {
+		res, err := cluster.RunARMCI(cluster.ARMCIConfig{
+			Procs: procs,
+			ARMCI: armci.Config{Instrument: &overlap.Instrument{}},
+		}, func(pr *armci.Proc) {
+			RunMGARMCI(pr, Params{Class: ClassA, MaxIters: 2}, variant)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n.MaxPct < 90 {
-			t.Errorf("P=%d: non-blocking ARMCI MG max overlap %.1f%%, want >90", procs, n.MaxPct)
+		return res.Reports[0].Total().MaxPercent()
+	}
+	for _, procs := range []int{2, 4, 8} {
+		if b := maxPct(procs, MGBlocking); b > 1 {
+			t.Errorf("P=%d: blocking ARMCI MG max overlap %.1f%%, want ~0", procs, b)
+		}
+		if n := maxPct(procs, MGNonblocking); n < 90 {
+			t.Errorf("P=%d: non-blocking ARMCI MG max overlap %.1f%%, want >90", procs, n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package nas
 import (
 	"testing"
 
+	"ovlp/internal/cluster"
 	"ovlp/internal/mpi"
 	"ovlp/internal/progress"
 )
@@ -12,20 +13,29 @@ import (
 // progress thread the instrumentation must certify more overlap than
 // the corresponding blocking code achieves.
 
+// overlapped runs the overlapped-collective variant of a benchmark on
+// four ranks, instrumented, its collectives advanced by mode.
+func overlapped(name string, class Class, proto mpi.LongProtocol, iters int, mode progress.Mode) cluster.Result {
+	return cluster.Run(cluster.Config{
+		Procs: 4,
+		MPI: mpi.Config{
+			Protocol:   proto,
+			Instrument: &mpi.InstrumentConfig{},
+			Progress:   progress.Config{Mode: mode},
+		},
+	}, func(r *mpi.Rank) {
+		Run(name, r, Params{Class: class, MaxIters: iters, Overlap: true})
+	})
+}
+
 func TestOverlappedVariantsComplete(t *testing.T) {
 	for _, name := range []string{CG, FT, MG} {
 		for _, mode := range []progress.Mode{progress.Manual, progress.Piggyback, progress.Thread} {
-			opt := Options{
-				Protocol: mpi.PipelinedRDMA,
-				MaxIters: 2,
-				Overlap:  true,
-				Progress: progress.Config{Mode: mode},
-			}
-			_, res := CharacterizeAllReports(name, ClassS, 4, opt)
+			res := overlapped(name, ClassS, mpi.PipelinedRDMA, 2, mode)
 			if res.Duration <= 0 {
 				t.Errorf("%s overlapped (%v): no virtual time elapsed", name, mode)
 			}
-			if res.Transfers == 0 {
+			if res.Reports[0].Total().Count == 0 {
 				t.Errorf("%s overlapped (%v): no transfers observed", name, mode)
 			}
 		}
@@ -40,15 +50,10 @@ func TestOverlappedCGBeatsBlockingMinBound(t *testing.T) {
 	// schedule during the vector updates, which the monitor must see
 	// as a strictly higher whole-run minimum bound.
 	blocking := characterize(CG, ClassW, 4, mpi.PipelinedRDMA, probeIters)
-	_, overlapped := CharacterizeAllReports(CG, ClassW, 4, Options{
-		Protocol: mpi.PipelinedRDMA,
-		MaxIters: probeIters,
-		Overlap:  true,
-		Progress: progress.Config{Mode: progress.Thread},
-	})
-	if overlapped.MinPct <= blocking.MinPct {
+	ov := overlapped(CG, ClassW, mpi.PipelinedRDMA, probeIters, progress.Thread).Reports[0].Total()
+	if ov.MinPercent() <= blocking.MinPct {
 		t.Errorf("overlapped CG min bound %.1f%% not above blocking %.1f%%",
-			overlapped.MinPct, blocking.MinPct)
+			ov.MinPercent(), blocking.MinPct)
 	}
 }
 
@@ -60,13 +65,8 @@ func TestOverlappedFTReducesNonOverlap(t *testing.T) {
 		Protocol: mpi.DirectRDMARead,
 		MaxIters: probeIters,
 	})
-	repOv, _ := CharacterizeAllReports(FT, ClassS, 4, Options{
-		Protocol: mpi.DirectRDMARead,
-		MaxIters: probeIters,
-		Overlap:  true,
-		Progress: progress.Config{Mode: progress.Thread},
-	})
-	if got, base := repOv[0].Total().MaxOverlapped, rep[0].Total().MaxOverlapped; got <= base {
+	ov := overlapped(FT, ClassS, mpi.DirectRDMARead, probeIters, progress.Thread)
+	if got, base := ov.Reports[0].Total().MaxOverlapped, rep[0].Total().MaxOverlapped; got <= base {
 		t.Errorf("overlapped FT max overlap %v not above blocking %v", got, base)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // overlap (up to 98% for class A on 9 processors) and cuts total MPI
 // time by up to ~23%.
 //
-// RunSP reproduces both variants: SPParams.Modified inserts spIprobes
+// RunSP reproduces both variants: Params.Iprobe inserts spIprobes
 // progress-forcing probe calls into each overlap window. The solve
 // sweeps are wrapped in the monitored region RegionSPOverlap, giving
 // the paper's "overlapping section" numbers (Figs. 14, 15) alongside
@@ -57,17 +57,9 @@ const (
 	spIprobes = 4
 )
 
-// SPParams configures an SP run.
-type SPParams struct {
-	Params
-	// Modified inserts Iprobe calls into the overlap windows — the
-	// paper's code change.
-	Modified bool
-}
-
 // RunSP executes the SP skeleton on the calling rank. The number of
 // ranks must be a perfect square.
-func RunSP(r *mpi.Rank, p SPParams) {
+func RunSP(r *mpi.Rank, p Params) {
 	p.fill()
 	mustFit(SP, p.Class, r.Size())
 	spec := spSpecs[p.Class]
@@ -101,7 +93,7 @@ func RunSP(r *mpi.Rank, p SPParams) {
 // spSolve runs one direction's Thomas-algorithm sweep: forward
 // elimination then back substitution, each a q-stage chain with SP's
 // Irecv / compute / Wait overlap structure.
-func spSolve(r *mpi.Rank, g sqGrid, dir, stageBytes, tag int, p SPParams) {
+func spSolve(r *mpi.Rank, g sqGrid, dir, stageBytes, tag int, p Params) {
 	spec := spSpecs[p.Class]
 	c := ceilDiv(spec.n, g.q)
 	pts := float64(g.q * c * c * c)
@@ -157,8 +149,8 @@ func spSolve(r *mpi.Rank, g sqGrid, dir, stageBytes, tag int, p SPParams) {
 
 // spOverlapWindow models the LHS computation, optionally sliced by
 // Iprobe calls (the paper's modification).
-func spOverlapWindow(r *mpi.Rank, work time.Duration, p SPParams) {
-	if !p.Modified {
+func spOverlapWindow(r *mpi.Rank, work time.Duration, p Params) {
+	if !p.Iprobe {
 		r.Compute(work)
 		return
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"ovlp/internal/armci"
 	"ovlp/internal/cluster"
 	"ovlp/internal/coll"
 	"ovlp/internal/comb"
@@ -19,6 +20,10 @@ import (
 // RegionExchange labels the monitored section around each exchange
 // iteration, so overlap assertions can scope to it.
 const RegionExchange = micro.Region
+
+// mgARMCI is the nas bench that runs NPB MG over the one-sided library
+// (paper Sec. 4.4), in a sweep only.
+const mgARMCI = "MG-ARMCI"
 
 // compiled is a scenario in the form simulate runs it: the machine, the
 // library configuration, the fault and crash plans and the per-rank
@@ -35,6 +40,14 @@ type compiled struct {
 	ft      cluster.FTOptions
 	ckpt    cluster.Checkpointable
 	program func(r *mpi.Rank)
+	// nas is a nas workload's benchmark parameters. probed is SP's
+	// program with Iprobes in its overlap windows (nil for any other
+	// workload); armci is the MG-ARMCI benchmark's one-sided program,
+	// which a point runs instead of program (nil otherwise). Only a
+	// sweep runs them (see run).
+	nas    nas.Params
+	probed func(r *mpi.Rank)
+	armci  func(pr *armci.Proc, v nas.MGVariant)
 	// watch holds each rank's mean time per repetition in the span a
 	// micro or comb program times itself (nil for other kinds).
 	watch []time.Duration
@@ -61,7 +74,23 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 		return bad("unknown protocol %q (want pipelined or direct)", s.Protocol)
 	}
 
+	c.mpi.HWTimestamps = s.HWTimestamps
 	w := &s.Workload
+	if w.Algo != "" {
+		algo, err := coll.ParseAlgo(w.Algo)
+		if err != nil {
+			return bad("%w", err)
+		}
+		c.mpi.CollAlgo = algo
+	}
+	c.mpi.CollChunk = w.Chunk.N()
+	if w.Progress != "" {
+		mode, err := progress.ParseMode(w.Progress)
+		if err != nil {
+			return bad("%w", err)
+		}
+		c.mpi.Progress = progress.Config{Mode: mode, Quantum: progress.DefaultQuantum}
+	}
 	reps, iters := w.Reps, w.Iters
 	if smoke {
 		reps = min(reps, smokeReps)
@@ -69,7 +98,14 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 			iters = smokeIters
 		}
 	}
-	bench, params := strings.ToUpper(w.Bench), nas.Params{Class: nas.ClassS, MaxIters: iters}
+	bench := strings.ToUpper(w.Bench)
+	c.nas = nas.Params{Class: nas.ClassS, MaxIters: iters, Overlap: w.Overlap}
+	// kernel is the NPB kernel bench runs: MG-ARMCI is MG over the
+	// one-sided library.
+	kernel := bench
+	if bench == mgARMCI {
+		kernel = nas.MG
+	}
 	if (w.Kind == "exchange" || w.Kind == "micro" || w.Kind == "comb") && (w.Size <= 0 || w.Reps <= 0) {
 		return bad("%s workload needs a positive size and reps", w.Kind)
 	}
@@ -97,12 +133,22 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 			return bad("unknown nas class %q", w.Class)
 		}
 		if w.Class != "" {
-			params.Class = nas.Class(strings.ToUpper(w.Class)[0])
+			c.nas.Class = nas.Class(strings.ToUpper(w.Class)[0])
 		}
-		if err := nas.Check(bench, params.Class, s.Procs); err != nil {
+		if err := nas.Check(kernel, c.nas.Class, s.Procs); err != nil {
 			return bad("%w", err)
 		}
-		c.program = func(r *mpi.Rank) { nas.Run(bench, r, params) }
+		p := c.nas
+		if bench == mgARMCI {
+			c.armci = func(pr *armci.Proc, v nas.MGVariant) { nas.RunMGARMCI(pr, p, v) }
+			break
+		}
+		c.program = func(r *mpi.Rank) { nas.Run(bench, r, p) }
+		if bench == nas.SP {
+			probed := p
+			probed.Iprobe = true
+			c.probed = func(r *mpi.Rank) { nas.Run(bench, r, probed) }
+		}
 	case "micro", "comb":
 		if s.Procs != 2 {
 			return bad("%s workload runs on 2 procs, not %d", w.Kind, s.Procs)
@@ -133,21 +179,6 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 		}
 		if w.Reps <= 0 {
 			return bad("coll workload needs positive reps")
-		}
-		if w.Algo != "" {
-			algo, err := coll.ParseAlgo(w.Algo)
-			if err != nil {
-				return bad("%w", err)
-			}
-			c.mpi.CollAlgo = algo
-		}
-		c.mpi.CollChunk = w.Chunk.N()
-		if w.Progress != "" {
-			mode, err := progress.ParseMode(w.Progress)
-			if err != nil {
-				return bad("%w", err)
-			}
-			c.mpi.Progress = progress.Config{Mode: mode}
 		}
 		polls := w.Polls
 		c.program = func(r *mpi.Rank) { micro.PolledColl(r, start, size, reps, polls, compute) }
@@ -201,7 +232,7 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 			c.ckpt = &micro.ExchangeWorkload{MsgSize: w.Size.N(), Compute: w.Compute.D(), StepCount: reps}
 		case "nas":
 			var ok bool
-			if c.ckpt, ok = nas.CheckpointableKernel(bench, params); !ok {
+			if c.ckpt, ok = nas.CheckpointableKernel(bench, c.nas); !ok {
 				return bad("crash scenarios support nas cg, ft and mg, not %s", bench)
 			}
 		default:
@@ -229,7 +260,7 @@ func (s *Scenario) compile(smoke bool) (*compiled, error) {
 		c.procs = max(smokeProcs, s.MinProcs())
 		// Never shrink onto a grid the NPB kernel cannot use; s.Procs
 		// itself passed nas.Check, so this stops.
-		for w.Kind == "nas" && nas.Check(bench, params.Class, c.procs) != nil {
+		for w.Kind == "nas" && nas.Check(kernel, c.nas.Class, c.procs) != nil {
 			c.procs++
 		}
 	}

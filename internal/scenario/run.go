@@ -117,6 +117,9 @@ func Run(s *Scenario, opts Opts) (*RunResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	if c.armci != nil {
+		return nil, fmt.Errorf("scenario %s: bench %s runs only in a sweep", s.Name, mgARMCI)
+	}
 	rr, tres := simulate(s, c, opts, true)
 
 	// Best-effort like the profile: a stream the replay rejects leaves

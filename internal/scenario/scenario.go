@@ -118,6 +118,9 @@ type Scenario struct {
 	// Protocol selects the rendezvous flavour: "", "pipelined"
 	// (Open MPI-like) or "direct" (MVAPICH2-like).
 	Protocol string `json:"protocol,omitempty"`
+	// HWTimestamps selects the NIC hardware time-stamp mode, which
+	// bounds each transfer exactly: min == max.
+	HWTimestamps bool `json:"hw_timestamps,omitempty"`
 	// Reliable overrides the retransmission parameters; nil uses the
 	// fabric defaults whenever the chaos schedule is active.
 	Reliable *ReliableSpec `json:"reliable,omitempty"`
@@ -197,17 +200,23 @@ type Workload struct {
 	Method string `json:"method,omitempty"`
 	Work   Dur    `json:"work,omitempty"`
 
-	// nas parameters.
-	Bench string `json:"bench,omitempty"`
-	Class string `json:"class,omitempty"`
-	Iters int    `json:"iters,omitempty"`
+	// nas parameters: an NPB benchmark, or MG-ARMCI (MG over the
+	// one-sided library, which only a sweep runs), and Overlap to run
+	// the overlapped-collective variants of CG, FT and MG.
+	Bench   string `json:"bench,omitempty"`
+	Class   string `json:"class,omitempty"`
+	Iters   int    `json:"iters,omitempty"`
+	Overlap bool   `json:"overlap,omitempty"`
 
 	// coll parameters (Size, Reps and Compute above also apply).
-	Op       string `json:"op,omitempty"`
+	Op    string `json:"op,omitempty"`
+	Polls int    `json:"polls,omitempty"`
+
+	// The nonblocking collectives' schedule algorithm, progress engine
+	// and pipelining chunk, for any kind.
 	Algo     string `json:"algo,omitempty"`
 	Progress string `json:"progress,omitempty"`
 	Chunk    Size   `json:"chunk,omitempty"`
-	Polls    int    `json:"polls,omitempty"`
 }
 
 // ChaosEvent is one timed entry of the chaos schedule. It compiles to

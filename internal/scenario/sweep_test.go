@@ -1,14 +1,19 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"ovlp/internal/coll"
 	"ovlp/internal/fabric"
+	"ovlp/internal/mpi"
+	"ovlp/internal/nas"
+	"ovlp/internal/progress"
 )
 
-const specHead = "name: s\nprocs: 2\ntitle: t\ntable: [compute]\n"
+const specHead = "name: s\nprocs: 2\ntitle: t\ntable: [compute, s.min%]\n"
 
 // TestSpecAxes: points are the product of the axes, first axis
 // outermost; a scalar value replaces the key its axis names, a mapping
@@ -87,5 +92,61 @@ func TestSpecFaultsReachEveryPoint(t *testing.T) {
 	}
 	if _, err := sp.Run(SweepOpts{Faults: stall(1)}); err == nil || !strings.Contains(err.Error(), "s point 0") {
 		t.Errorf("a sweep whose receiver's NIC is blackholed: err = %v", err)
+	}
+}
+
+// TestNasPointCompile: a nas point's overlap, algo, progress, chunk
+// and hw_timestamps keys compile to the library configuration and the
+// benchmark parameters the NAS driver built from its -overlap,
+// -coll-algo, -progress, -coll-chunk and -hw flags; the instrument is
+// the run's to attach.
+func TestNasPointCompile(t *testing.T) {
+	sp, err := ParseSpec("s.yaml", []byte("name: s\nprocs: 4\nprotocol: direct\nhw_timestamps: true\n"+
+		"workload: {kind: nas, bench: CG, class: W, iters: 10, overlap: true, algo: ring, progress: thread, chunk: 8K}\n"+
+		"title: t\ntable: [min%]\nsweep:\n  - procs: [4]\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := sp.compile(SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMPI := mpi.Config{
+		Protocol:     mpi.DirectRDMARead,
+		HWTimestamps: true,
+		CollAlgo:     coll.Ring,
+		CollChunk:    8 << 10,
+		Progress:     progress.Config{Mode: progress.Thread, Quantum: progress.DefaultQuantum},
+	}
+	if got := cs[0].mpi; !reflect.DeepEqual(got, wantMPI) {
+		t.Errorf("mpi.Config = %+v, want %+v", got, wantMPI)
+	}
+	if got, want := cs[0].nas, (nas.Params{Class: nas.ClassW, MaxIters: 10, Overlap: true}); got != want {
+		t.Errorf("nas.Params = %+v, want %+v", got, want)
+	}
+}
+
+// TestHWTimestampsCloseTheBracket: under NIC hardware time-stamps every
+// transfer's overlap is known exactly, so a point's min% equals its
+// max%, where the classical bounds leave a bracket.
+func TestHWTimestampsCloseTheBracket(t *testing.T) {
+	src := "name: s\nprocs: 4\nprotocol: direct\nworkload: {kind: nas, bench: LU, iters: 2}\n" +
+		"title: t\ntable: [min%, max%]\nsweep:\n  - hw_timestamps: [false, true]\n"
+	sp, err := ParseSpec("s.yaml", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ms, err := sp.Run(SweepOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bracket := func(i int) (float64, float64) {
+		return sp.Value(ms, i, "min%").(float64), sp.Value(ms, i, "max%").(float64)
+	}
+	if lo, hi := bracket(0); lo >= hi {
+		t.Errorf("classical bounds: min%% %.1f, max%% %.1f, want a bracket", lo, hi)
+	}
+	if lo, hi := bracket(1); lo != hi {
+		t.Errorf("hardware time-stamps: min%% %.1f != max%% %.1f", lo, hi)
 	}
 }
